@@ -31,8 +31,8 @@ lint:
 # Hot-path microbenchmarks (scheduler TickInto, crossbar Step, the
 # sharded fabric kernel at 2048 ports) plus the linter's own full-tree
 # pass. CI runs these with -benchtime 1x as a smoke test; run locally
-# without BENCHTIME for real numbers (see BENCH_sched.json and
-# BENCH_fabric.json for the tracked baselines).
+# without BENCHTIME for real numbers. End-to-end numbers come from the
+# repository benchmark: bash _perfbench/run.sh (see BENCHMARK.json).
 BENCHTIME ?=
 bench:
 	$(GO) test -run '^$$' -bench . $(if $(BENCHTIME),-benchtime $(BENCHTIME)) -benchmem ./internal/sched/ ./internal/crossbar/ ./internal/fabric/ ./internal/analysis/

@@ -371,8 +371,9 @@ func BenchmarkAblationGuardTime(b *testing.B) {
 
 // benchQuickSuite times the full quick-mode experiment suite — exactly
 // what `cmd/experiments -quick -par N` runs — at the given parallelism.
-// The serial/parallel pair is the wall-clock comparison recorded in
-// BENCH_experiments.json.
+// The serial/parallel pair is the wall-clock comparison; the repository
+// benchmark's paper_quick workload (BENCHMARK.json) times the same suite
+// end to end.
 func benchQuickSuite(b *testing.B, workers int) {
 	all := experiments.All()
 	cfg := experiments.RunConfig{Quick: true}

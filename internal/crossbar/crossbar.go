@@ -20,6 +20,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/voq"
 )
 
 // Config describes one single-stage switch experiment.
@@ -255,47 +256,21 @@ func (e Epoch) Throughput(n int) float64 {
 	return float64(e.Delivered) / float64(slots) / float64(n)
 }
 
-// voqSet and egressQ are thin local wrappers so the crossbar package
-// controls commit bookkeeping; they mirror internal/voq types but track
-// the injection slot on the cell for grant-latency measurement.
+// voqSet and egressQ are thin local wrappers around voq.FIFO so the
+// crossbar package controls commit bookkeeping; they mirror internal/voq
+// types but track the injection slot on the cell for grant-latency
+// measurement.
 type voqSet struct {
 	n         int
-	queues    [2][]fifo // [class][out]
+	queues    [2][]voq.FIFO // [class][out]
 	committed []int
 	depth     int
 }
 
-type fifo struct {
-	cells []*packet.Cell
-	head  int
-}
-
-func (f *fifo) len() int { return len(f.cells) - f.head }
-
-func (f *fifo) push(c *packet.Cell) {
-	//lint:ignore hotpath append into the retained queue slice; pop-side compaction keeps it cap-stable at steady-state occupancy
-	f.cells = append(f.cells, c)
-}
-
-func (f *fifo) pop() *packet.Cell {
-	if f.len() == 0 {
-		return nil
-	}
-	c := f.cells[f.head]
-	f.cells[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.cells) {
-		n := copy(f.cells, f.cells[f.head:])
-		f.cells = f.cells[:n]
-		f.head = 0
-	}
-	return c
-}
-
 func newVOQSet(n int) *voqSet {
 	v := &voqSet{n: n, committed: make([]int, n)}
-	v.queues[0] = make([]fifo, n)
-	v.queues[1] = make([]fifo, n)
+	v.queues[0] = make([]voq.FIFO, n)
+	v.queues[1] = make([]voq.FIFO, n)
 	return v
 }
 
@@ -304,20 +279,20 @@ func (v *voqSet) push(c *packet.Cell, out int) {
 	if c.Class == packet.Control {
 		cls = 1
 	}
-	v.queues[cls][out].push(c)
+	v.queues[cls][out].Push(c)
 	v.depth++
 }
 
 func (v *voqSet) backlog(out int) int {
-	return v.queues[0][out].len() + v.queues[1][out].len()
+	return v.queues[0][out].Len() + v.queues[1][out].Len()
 }
 
 func (v *voqSet) pop(out int) *packet.Cell {
 	var c *packet.Cell
-	if v.queues[1][out].len() > 0 {
-		c = v.queues[1][out].pop()
+	if v.queues[1][out].Len() > 0 {
+		c = v.queues[1][out].Pop()
 	} else {
-		c = v.queues[0][out].pop()
+		c = v.queues[0][out].Pop()
 	}
 	if c != nil {
 		v.depth--
@@ -331,7 +306,7 @@ func (v *voqSet) pop(out int) *packet.Cell {
 type egressQ struct {
 	receivers int
 	capacity  int
-	q         fifo
+	q         voq.FIFO
 }
 
 // board adapts the switch's VOQ state to the scheduler interface.
@@ -670,10 +645,10 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 	}
 	// 3. Egress lines each transmit one cell.
 	for _, e := range s.egress {
-		if e.q.len() == 0 {
+		if e.q.Len() == 0 {
 			continue
 		}
-		c := e.q.pop()
+		c := e.q.Pop()
 		c.Delivered = now + s.metrics.CycleTime // line-out completes end of slot
 		if !s.order.Deliver(c) && s.measuring {
 			s.metrics.OrderViolations++
@@ -698,8 +673,8 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 		}
 	}
 	for _, e := range s.egress {
-		if e.q.len() > s.metrics.MaxEgressDepth {
-			s.metrics.MaxEgressDepth = e.q.len()
+		if e.q.Len() > s.metrics.MaxEgressDepth {
+			s.metrics.MaxEgressDepth = e.q.Len()
 		}
 	}
 	s.slot++
@@ -726,7 +701,7 @@ func (s *Switch) pickReceiver(out, used int) int {
 // receive delivers a cell across the crossbar into an egress queue.
 func (s *Switch) receive(c *packet.Cell, out int) {
 	e := s.egress[out]
-	if e.capacity > 0 && e.q.len() >= e.capacity {
+	if e.capacity > 0 && e.q.Len() >= e.capacity {
 		if s.measuring {
 			s.metrics.Dropped++
 			s.epoch.dropped++
@@ -735,7 +710,7 @@ func (s *Switch) receive(c *packet.Cell, out int) {
 		return
 	}
 	c.Hops++
-	e.q.push(c)
+	e.q.Push(c)
 }
 
 // Drained reports whether all queues are empty.
@@ -746,7 +721,7 @@ func (s *Switch) Drained() bool {
 		}
 	}
 	for _, e := range s.egress {
-		if e.q.len() > 0 {
+		if e.q.Len() > 0 {
 			return false
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/traffic"
 )
 
-// benchFabricConfig is the BENCH_fabric.json configuration: the paper's
+// benchFabricConfig is BenchmarkFabric2048's configuration: the paper's
 // 2048-port, 3-stage flagship at 0.95 load — the run ROADMAP item 1
 // wanted off the single core.
 func benchFabricConfig(shards int) Config {

@@ -11,6 +11,7 @@ package packet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/units"
 )
@@ -90,18 +91,25 @@ type Allocator struct {
 }
 
 // flowTable stores one uint64 per (src, dst, class) flow in dense
-// per-source rows indexed dst*2+class, grown on demand. At the loads
-// where flow state is hot, most (src, dst) pairs are live, so a dense
-// table beats a hash map: one predictable indexed load per access — no
-// key mixing, no probe chain, and no incremental-rehash pauses once
+// per-source, per-class rows indexed by dst, grown on demand. At the
+// loads where flow state is hot, most (src, dst) pairs are live, so a
+// dense table beats a hash map: one predictable indexed load per access
+// — no key mixing, no probe chain, and no incremental-rehash pauses once
 // millions of flows exist. A value of 0 means the flow has never been
 // touched; both users encode live flows as values >= 1.
 //
-// Rows index by dst*2+class, so class must be Data or Control — which
-// Class is by construction everywhere cells are made.
+// Each class has its own row so data-only traffic never allocates the
+// control half, and a row is always the smallest power of two (at least
+// minFlowRow) covering the highest destination seen: the table settles
+// at the port count, rounded up, whatever order flows are first touched
+// in. class must be Data or Control — which Class is by construction
+// everywhere cells are made.
 type flowTable struct {
-	rows [][]uint64
+	rows [][2][]uint64 // [src][class][dst]
 }
+
+// minFlowRow is the smallest row a flow table allocates.
+const minFlowRow = 8
 
 // slot returns the value cell for a flow, growing the table as needed.
 //
@@ -109,28 +117,29 @@ type flowTable struct {
 func (t *flowTable) slot(src, dst int, class Class) *uint64 {
 	if src >= len(t.rows) {
 		//lint:ignore hotpath outer table reaches the source-port count once and stops growing
-		t.rows = append(t.rows, make([][]uint64, src+1-len(t.rows))...)
+		t.rows = append(t.rows, make([][2][]uint64, src+1-len(t.rows))...)
 	}
-	row := t.rows[src]
-	i := dst*2 + int(class)
-	if i >= len(row) {
-		//lint:ignore hotpath rows double toward the destination-port count and stop growing; cap-stable once every flow has been seen
-		grown := make([]uint64, max(i+1, 2*len(row)))
+	row := t.rows[src][class]
+	if dst >= len(row) {
+		//lint:ignore hotpath rows grow to the next power of two past the highest destination and stop; cap-stable once every flow has been seen
+		grown := make([]uint64, max(minFlowRow, 1<<bits.Len(uint(dst))))
 		copy(grown, row)
 		row = grown
-		t.rows[src] = row
+		t.rows[src][class] = row
 	}
-	return &row[i]
+	return &row[dst]
 }
 
 // each calls fn for every flow with a nonzero value, in (src, dst,
 // class) order — the iteration the checkpoint codecs rely on for
 // byte-deterministic serialization.
 func (t *flowTable) each(fn func(src, dst int, class Class, v uint64)) {
-	for src, row := range t.rows {
-		for i, v := range row {
-			if v != 0 {
-				fn(src, i/2, Class(i%2), v)
+	for src, pair := range t.rows {
+		for dst := 0; dst < max(len(pair[0]), len(pair[1])); dst++ {
+			for class, row := range pair {
+				if dst < len(row) && row[dst] != 0 {
+					fn(src, dst, Class(class), row[dst])
+				}
 			}
 		}
 	}
@@ -139,10 +148,12 @@ func (t *flowTable) each(fn func(src, dst int, class Class, v uint64)) {
 // count reports the number of nonzero flows.
 func (t *flowTable) count() uint64 {
 	var n uint64
-	for _, row := range t.rows {
-		for _, v := range row {
-			if v != 0 {
-				n++
+	for _, pair := range t.rows {
+		for _, row := range pair {
+			for _, v := range row {
+				if v != 0 {
+					n++
+				}
 			}
 		}
 	}
@@ -151,17 +162,16 @@ func (t *flowTable) count() uint64 {
 
 // clone returns a deep copy of the table.
 func (t *flowTable) clone() flowTable {
-	c := flowTable{rows: make([][]uint64, len(t.rows))}
-	for src, row := range t.rows {
-		if len(row) > 0 {
-			c.rows[src] = append([]uint64(nil), row...)
+	c := flowTable{rows: make([][2][]uint64, len(t.rows))}
+	for src, pair := range t.rows {
+		for class, row := range pair {
+			if len(row) > 0 {
+				c.rows[src][class] = append([]uint64(nil), row...)
+			}
 		}
 	}
 	return c
 }
-
-// reset drops all flows.
-func (t *flowTable) reset() { t.rows = nil }
 
 // NewAllocator returns an empty allocator.
 func NewAllocator() *Allocator {

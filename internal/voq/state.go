@@ -28,8 +28,8 @@ func (v *VOQSet) SaveState(e *ckpt.Encoder) {
 				continue
 			}
 			e.Put("q", ckpt.Int(int64(class)), ckpt.Int(int64(out)), ckpt.Int(int64(q.Len())))
-			for i := q.head; i < len(q.cells); i++ {
-				packet.SaveCell(e, q.cells[i])
+			for i := 0; i < q.Len(); i++ {
+				packet.SaveCell(e, q.At(i))
 			}
 		}
 	}
@@ -105,8 +105,8 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 func (e *Egress) SaveState(enc *ckpt.Encoder) {
 	enc.Begin("egress")
 	enc.Put("eg", ckpt.Uint(e.received), ckpt.Uint(e.drained), ckpt.Int(int64(e.q.Len())))
-	for i := e.q.head; i < len(e.q.cells); i++ {
-		packet.SaveCell(enc, e.q.cells[i])
+	for i := 0; i < e.q.Len(); i++ {
+		packet.SaveCell(enc, e.q.At(i))
 	}
 	enc.End("egress")
 }

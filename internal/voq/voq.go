@@ -17,43 +17,67 @@ import (
 	"repro/internal/units"
 )
 
-// FIFO is a simple cell queue with O(1) amortized push/pop.
+// FIFO is a cell queue on a power-of-two ring that doubles when full.
+// Queues hold only a few cells in steady state (credits bound them), so
+// the ring starts at minRing slots and stays at the smallest power of
+// two covering the deepest backlog the queue has ever held. The header
+// is 32 bytes — a slice plus two uint32 cursors — because engines
+// allocate and zero one per (input, output, class).
 type FIFO struct {
-	cells []*packet.Cell
-	head  int
+	buf     []*packet.Cell
+	head, n uint32
 }
 
+// minRing is the first ring size a queue allocates.
+const minRing = 4
+
 // Len reports the number of queued cells.
-func (f *FIFO) Len() int { return len(f.cells) - f.head }
+func (f *FIFO) Len() int { return int(f.n) }
 
 // Push appends a cell.
 func (f *FIFO) Push(c *packet.Cell) {
-	//lint:ignore hotpath amortized O(1); backing array is cap-stable once queues hit their credit-bounded steady-state depth
-	f.cells = append(f.cells, c)
+	if int(f.n) == len(f.buf) {
+		f.grow()
+	}
+	f.buf[(f.head+f.n)&uint32(len(f.buf)-1)] = c
+	f.n++
+}
+
+// grow doubles the ring (or allocates the first one), unwrapping the
+// queued cells to the front of the new ring.
+func (f *FIFO) grow() {
+	//lint:ignore hotpath rings double only past their deepest backlog so far; cap-stable once queues hit their credit-bounded steady-state depth
+	buf := make([]*packet.Cell, max(minRing, 2*len(f.buf)))
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:], f.buf[:f.head])
+	f.buf = buf
+	f.head = 0
 }
 
 // Pop removes and returns the oldest cell, or nil if empty.
 func (f *FIFO) Pop() *packet.Cell {
-	if f.Len() == 0 {
+	if f.n == 0 {
 		return nil
 	}
-	c := f.cells[f.head]
-	f.cells[f.head] = nil
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.cells) {
-		n := copy(f.cells, f.cells[f.head:])
-		f.cells = f.cells[:n]
-		f.head = 0
-	}
+	c := f.buf[f.head]
+	f.buf[f.head] = nil
+	f.head = (f.head + 1) & uint32(len(f.buf)-1)
+	f.n--
 	return c
 }
 
 // Peek returns the oldest cell without removing it, or nil.
 func (f *FIFO) Peek() *packet.Cell {
-	if f.Len() == 0 {
+	if f.n == 0 {
 		return nil
 	}
-	return f.cells[f.head]
+	return f.buf[f.head]
+}
+
+// At returns the i-th oldest queued cell (At(0) is Peek); i must lie in
+// [0, Len()). Walking At(0..Len()-1) visits the queue in FIFO order.
+func (f *FIFO) At(i int) *packet.Cell {
+	return f.buf[(f.head+uint32(i))&uint32(len(f.buf)-1)]
 }
 
 // VOQSet is the virtual-output-queue array of one ingress adapter:

@@ -3,8 +3,10 @@ package voq
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/packet"
+	"repro/internal/sim"
 )
 
 func TestFIFOOrder(t *testing.T) {
@@ -29,7 +31,7 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestFIFOCompaction(t *testing.T) {
 	var f FIFO
-	// Interleave pushes and pops to force head compaction.
+	// Interleave pushes and pops so the ring wraps many times.
 	next, want := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
@@ -46,6 +48,124 @@ func TestFIFOCompaction(t *testing.T) {
 	}
 	if f.Len() != 0 {
 		t.Errorf("len %d after drain", f.Len())
+	}
+}
+
+// TestFIFOMatchesSliceModel drives a FIFO and a plain-slice reference
+// queue with the same random Push/Pop/Peek/At sequence. Bursts of pushes
+// grow the ring while its contents wrap past the end of the buffer, so
+// the unwrapping copy in grow is exercised, not just the happy path.
+func TestFIFOMatchesSliceModel(t *testing.T) {
+	rng := sim.NewRNG(11)
+	var f FIFO
+	var model []*packet.Cell
+	next := uint64(0)
+	wrappedGrowth := 0
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			burst := 1
+			if rng.Intn(8) == 0 {
+				burst = 1 + rng.Intn(40)
+			}
+			for i := 0; i < burst; i++ {
+				if f.Len() == len(f.buf) && f.head != 0 {
+					wrappedGrowth++
+				}
+				c := &packet.Cell{ID: next}
+				next++
+				f.Push(c)
+				model = append(model, c)
+			}
+		case op < 8:
+			got := f.Pop()
+			var want *packet.Cell
+			if len(model) > 0 {
+				want, model = model[0], model[1:]
+			}
+			if got != want {
+				t.Fatalf("step %d: Pop = %v, model %v", step, got, want)
+			}
+		case op < 9:
+			var want *packet.Cell
+			if len(model) > 0 {
+				want = model[0]
+			}
+			if got := f.Peek(); got != want {
+				t.Fatalf("step %d: Peek = %v, model %v", step, got, want)
+			}
+		default:
+			for i, want := range model {
+				if got := f.At(i); got != want {
+					t.Fatalf("step %d: At(%d) = %v, model %v", step, i, got, want)
+				}
+			}
+		}
+		if f.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, model %d", step, f.Len(), len(model))
+		}
+	}
+	if wrappedGrowth == 0 {
+		t.Error("no push grew a wrapped ring; the model test lost its coverage")
+	}
+}
+
+// TestFIFORingStaysSmall pins the memory bound: a queue that never holds
+// more than d cells keeps a ring of max(4, nextPow2(d)) slots however
+// many cells pass through it. Engines keep one FIFO per (input, output,
+// class), so a per-queue leak of a few hundred bytes is hundreds of MB
+// at 2048 ports.
+func TestFIFORingStaysSmall(t *testing.T) {
+	for _, d := range []int{1, 2, 3, 4, 5, 8, 13, 64} {
+		var f FIFO
+		rng := sim.NewRNG(uint64(d))
+		for cycle := 0; cycle < 10000; cycle++ {
+			for f.Len() < 1+rng.Intn(d) {
+				f.Push(&packet.Cell{})
+			}
+			for n := rng.Intn(f.Len() + 1); n > 0; n-- {
+				f.Pop()
+			}
+		}
+		limit := minRing
+		for limit < d {
+			limit *= 2
+		}
+		if len(f.buf) > limit {
+			t.Errorf("depth <= %d: ring grew to %d slots, want <= %d", d, len(f.buf), limit)
+		}
+	}
+}
+
+// TestFIFOHeaderSize: fabric.New zeroes one FIFO header per (input,
+// output, class) — ~786k at the 2048-port flagship — so any growth past
+// a slice plus two uint32 cursors (32 bytes on 64-bit) shows up directly
+// in set-up time.
+func TestFIFOHeaderSize(t *testing.T) {
+	want := unsafe.Sizeof([]*packet.Cell(nil)) + 2*unsafe.Sizeof(uint32(0))
+	if got := unsafe.Sizeof(FIFO{}); got > want {
+		t.Errorf("FIFO header is %d bytes, want <= %d", got, want)
+	}
+}
+
+// TestFIFOSteadyStateAllocs: once the ring covers the working depth,
+// push/pop cycles allocate nothing.
+func TestFIFOSteadyStateAllocs(t *testing.T) {
+	var f FIFO
+	cells := []*packet.Cell{{ID: 1}, {ID: 2}, {ID: 3}}
+	cycle := func() {
+		for _, c := range cells {
+			f.Push(c)
+		}
+		for range cells {
+			f.Pop()
+		}
+		f.Push(cells[0]) // leave one behind so the cursor keeps moving
+		f.Pop()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("steady-depth push/pop allocates %.1f times per cycle, want 0", allocs)
 	}
 }
 
