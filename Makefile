@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint bench verify daemon-smoke
+.PHONY: build vet test race lint bench perfbench verify daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -32,10 +32,20 @@ lint:
 # sharded fabric kernel at 2048 ports) plus the linter's own full-tree
 # pass. CI runs these with -benchtime 1x as a smoke test; run locally
 # without BENCHTIME for real numbers. End-to-end numbers come from the
-# repository benchmark: bash _perfbench/run.sh (see BENCHMARK.json).
+# repository benchmark: make perfbench.
 BENCHTIME ?=
 bench:
 	$(GO) test -run '^$$' -bench . $(if $(BENCHTIME),-benchtime $(BENCHTIME)) -benchmem ./internal/sched/ ./internal/crossbar/ ./internal/fabric/ ./internal/analysis/
+
+# The repository benchmark (BENCHMARK.json, _perfbench/): the harness
+# self-test (goldens, scheduler-wrapper transparency), then one short
+# run of every workload. Each run prints one JSON result line; for
+# parent-vs-change comparisons use longer runs at several seeds.
+perfbench:
+	cd _perfbench && $(GO) test .
+	for w in fabric_busy paper_quick daemon_sweep; do \
+		bash _perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit $$?; \
+	done
 
 # End-to-end osmosisd acceptance: uninterrupted reference run, then a
 # checkpoint/kill/restore run of the same two concurrent jobs; the final

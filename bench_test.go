@@ -426,39 +426,9 @@ func BenchmarkReplicate8(b *testing.B) {
 }
 
 // --- Microbenchmarks of the hot paths ---
-
-func BenchmarkSchedFLPPRTick64(b *testing.B) { benchTick(b, sched.NewFLPPR(64, 0)) }
-func BenchmarkSchedISLIPTick64(b *testing.B) { benchTick(b, sched.NewISLIP(64, 0)) }
-func BenchmarkSchedPIMTick64(b *testing.B)   { benchTick(b, sched.NewPIM(64, 0, 1)) }
-
-type benchBoard struct {
-	n      int
-	demand [][]int
-}
-
-func (bb *benchBoard) N() int                 { return bb.n }
-func (bb *benchBoard) Receivers() int         { return 2 }
-func (bb *benchBoard) ReceiversAt(int) int    { return 2 }
-func (bb *benchBoard) Demand(in, out int) int { return bb.demand[in][out] }
-func (bb *benchBoard) Commit(in, out int)     {}
-func (bb *benchBoard) Uncommit(in, out int)   {}
-
-func benchTick(b *testing.B, s sched.Scheduler) {
-	bb := &benchBoard{n: 64, demand: make([][]int, 64)}
-	rng := sim.NewRNG(1)
-	for i := range bb.demand {
-		bb.demand[i] = make([]int, 64)
-		for j := range bb.demand[i] {
-			if rng.Bernoulli(0.3) {
-				bb.demand[i][j] = 1000000 // effectively inexhaustible
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Tick(uint64(i), bb)
-	}
-}
+//
+// The scheduler TickInto benchmarks live in internal/sched
+// (BenchmarkFLPPRTick and siblings).
 
 func BenchmarkFECEncode(b *testing.B) {
 	data := make([]byte, fec.DataSymbols)

@@ -36,9 +36,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := f.Topology()
+	var leaves, spines int
+	for _, id := range f.Network().NodeIDs() {
+		if id.Level == 0 {
+			leaves++
+		} else {
+			spines++
+		}
+	}
 	fmt.Printf("fat tree: %d hosts, %d-port switches, %d leaves + %d spines, %d stages\n",
-		hosts, radix, topo.Leaves(), topo.Spines(), topo.Stages())
+		hosts, radix, leaves, spines, f.Network().StageCount())
 	fmt.Printf("flow control: loop RTT %d cycles -> input buffers %d cells\n\n",
 		loopRTT, cfg.InputCapacity)
 

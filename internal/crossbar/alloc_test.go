@@ -1,7 +1,7 @@
 package crossbar
 
 // Allocation regression test for the engine hot path: a steady-state
-// Step — VOQ push, arbitration over the BitBoard fast path, matching
+// Step — VOQ push, arbitration over the demand bit rows, matching
 // execution, egress drain, cell recycling — must perform zero heap
 // allocations while measurement is off. Measurement mode retains
 // latency samples by design (exact-quantile collection), so the

@@ -184,8 +184,7 @@ type Switch struct {
 	order  *packet.OrderChecker
 
 	// words is ceil(N/64); rowBits[in*words..] and colBits[out*words..]
-	// hold the positive-demand bitsets the board serves to BitBoard-aware
-	// schedulers, maintained incrementally by demandSync on every
+	// hold the positive-demand bitsets the board serves to the schedulers, maintained incrementally by demandSync on every
 	// demand-changing transition (push, pop, commit, uncommit).
 	words   int
 	rowBits []uint64
@@ -341,14 +340,14 @@ func (b board) Uncommit(in, out int) {
 	b.s.demandSync(in, out)
 }
 
-// DemandRowBits implements sched.BitBoard from the incrementally
+// DemandRowBits implements sched.Board from the incrementally
 // maintained row bitset — one word copy per 64 outputs instead of 64
 // Demand calls.
 func (b board) DemandRowBits(in int, row []uint64) {
 	copy(row, b.s.rowBits[in*b.s.words:(in+1)*b.s.words])
 }
 
-// DemandColBits implements sched.BitBoard.
+// DemandColBits implements sched.Board.
 func (b board) DemandColBits(out int, col []uint64) {
 	copy(col, b.s.colBits[out*b.s.words:(out+1)*b.s.words])
 }

@@ -2,7 +2,7 @@ package fabric
 
 // Property suite for the incrementally-maintained demand bitboard: at
 // any reachable fabric state, nodeBoard's DemandRowBits/DemandColBits
-// must agree bit-for-bit with the scalar Demand method they replace.
+// must agree bit-for-bit with the scalar Demand method.
 // The bits are maintained by O(1) updates scattered across push, pop,
 // commit, uncommit, credit consume, and credit land — this test is the
 // oracle that all of those update sites together keep the dense rows

@@ -1,3 +1,12 @@
+// Package fabric simulates multistage OSMOSIS fabrics: folded fat trees
+// (Figs. 2-4) of single-stage bufferless crossbars with electronic input
+// buffers per stage (buffer placement option 3), per-stage independent
+// central schedulers, credit-based lossless flow control with
+// deterministic loop RTTs, and strict per-flow in-order delivery.
+//
+// The default topology is the smallest XGFT covering the host count:
+// the two-level (three-stage) fat tree the demonstrator targets for
+// 2048 ports, or a deeper tree for the §VI.C stage-count study.
 package fabric
 
 import (
@@ -14,11 +23,14 @@ import (
 
 // Config describes a multistage fabric experiment.
 type Config struct {
-	// Hosts is the fabric port count; Radix the switch port count.
+	// Hosts is the fabric port count; Radix the switch port count
+	// (default 64). Without a Network, New builds the smallest XGFT of
+	// radix-Radix switches covering Hosts: one switch up to Radix
+	// hosts, the two-level fat tree up to Radix²/2, deeper trees beyond.
 	// Ignored when Network is set.
 	Hosts, Radix int
-	// Network overrides the default two-level fat tree with an explicit
-	// wiring (e.g. a deeper XGFT for the 5- or 9-stage electronic
+	// Network overrides the default tree with an explicit wiring (e.g.
+	// an XGFT with a fixed level count for the 5- or 9-stage electronic
 	// comparisons of SVI.C).
 	Network Net
 	// Receivers per output (dual receiver = 2).
@@ -149,17 +161,14 @@ type Fabric struct {
 // New builds a fabric, applying defaults.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Network == nil {
-		if cfg.Hosts <= 0 {
-			return nil, fmt.Errorf("fabric: host count %d must be positive", cfg.Hosts)
-		}
 		if cfg.Radix == 0 {
 			cfg.Radix = 64
 		}
-		topo, err := NewTopology(cfg.Hosts, cfg.Radix)
+		x, err := NewXGFT(cfg.Hosts, cfg.Radix, 0)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Network = topo
+		cfg.Network = x
 	}
 	cfg.Hosts = cfg.Network.HostCount()
 	cfg.Radix = cfg.Network.SwitchRadix()
@@ -262,8 +271,8 @@ func (f *Fabric) partition(s int) error {
 	}
 	// Host ownership follows leaf ownership; the metric merge relies on
 	// shard order being global host order, so the attachment order must
-	// be contiguous per shard (true for Topology and XGFT, whose leaves
-	// lead the node list in host order).
+	// be contiguous per shard (true for XGFT, whose leaves lead the node
+	// list in host order).
 	for i, sh := range f.shards {
 		sh.hostLo, sh.hostHi = -1, -1
 		for h := 0; h < f.cfg.Hosts; h++ {
@@ -286,15 +295,6 @@ func (f *Fabric) partition(s int) error {
 
 // Network exposes the fabric's wiring.
 func (f *Fabric) Network() Net { return f.net }
-
-// Topology returns the default two-level structure, or the zero value
-// when the fabric was built on an explicit Network of another shape.
-func (f *Fabric) Topology() Topology {
-	if t, ok := f.net.(Topology); ok {
-		return t
-	}
-	return Topology{}
-}
 
 // Metrics exposes the measurements.
 func (f *Fabric) Metrics() *Metrics { return &f.metrics }

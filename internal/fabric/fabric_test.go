@@ -49,6 +49,18 @@ func TestFabricValidation(t *testing.T) {
 	if _, err := New(Config{Hosts: 4, LinkDelaySlots: -1}); err == nil {
 		t.Error("negative delay accepted")
 	}
+	if _, err := New(Config{Hosts: 8, Radix: 7}); err == nil {
+		t.Error("odd radix accepted")
+	}
+	// Past the two-level capacity radix²/2 the default grows a deeper
+	// tree: 40 hosts on radix 8 need 3 levels, 5 stages.
+	f, err := New(Config{Hosts: 40, Radix: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, ok := f.Network().(XGFT); !ok || x.Levels != 3 || x.StageCount() != 5 {
+		t.Errorf("40 hosts on radix 8 built %+v, want a 3-level, 5-stage XGFT", f.Network())
+	}
 }
 
 func TestFabricDeliversAndKeepsOrder(t *testing.T) {

@@ -1,8 +1,10 @@
 package fabric
 
+import "fmt"
+
 // Net abstracts the wiring of a multistage fabric so the simulation
-// engine can run both the two-level Topology and the generic L-level
-// XGFT. All implementations must provide symmetric wiring (if a port
+// engine is independent of the topology family; XGFT is the one in
+// tree. All implementations must provide symmetric wiring (if a port
 // claims a peer, the peer claims it back) and deterministic per-flow
 // routing (order preservation depends on it).
 type Net interface {
@@ -23,31 +25,45 @@ type Net interface {
 	HostLeaf(host int) (NodeID, int)
 }
 
-// Topology (2-level) implements Net.
-
-// SwitchRadix implements Net.
-func (t Topology) SwitchRadix() int { return t.Radix }
-
-// HostCount implements Net.
-func (t Topology) HostCount() int { return t.Hosts }
-
-// StageCount implements Net.
-func (t Topology) StageCount() int { return t.Stages() }
-
-// NodeIDs implements Net.
-func (t Topology) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, t.Switches())
-	for l := 0; l < t.Leaves(); l++ {
-		ids = append(ids, NodeID{Level: 0, Index: l})
-	}
-	for s := 0; s < t.Spines(); s++ {
-		ids = append(ids, NodeID{Level: 1, Index: s})
-	}
-	return ids
+// NodeID identifies a switch in the fabric.
+type NodeID struct {
+	// Level counts up from the leaves (0); level 1 of a two-level tree
+	// is the spine.
+	Level int
+	// Index within the level.
+	Index int
 }
 
-// HostLeaf implements Net.
-func (t Topology) HostLeaf(host int) (NodeID, int) {
-	leaf, port := t.LeafOf(host)
-	return NodeID{Level: 0, Index: leaf}, port
+// String formats the node for diagnostics.
+func (n NodeID) String() string {
+	if n.Level == 0 {
+		return fmt.Sprintf("leaf%d", n.Index)
+	}
+	return fmt.Sprintf("spine%d", n.Index)
+}
+
+// PortKind classifies a switch port.
+type PortKind uint8
+
+// Port kinds.
+const (
+	// HostPort connects an end host (leaf down-ports).
+	HostPort PortKind = iota
+	// UpPort connects a switch to one a level up.
+	UpPort
+	// DownPort connects a switch to one a level down.
+	DownPort
+	// Unused marks ports beyond the configured host count.
+	Unused
+)
+
+// PortInfo describes one switch port's wiring.
+type PortInfo struct {
+	Kind PortKind
+	// Peer is the switch on the far end (UpPort/DownPort only).
+	Peer NodeID
+	// PeerPort is the port index at the peer.
+	PeerPort int
+	// Host is the attached host (HostPort only).
+	Host int
 }

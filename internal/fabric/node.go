@@ -252,7 +252,7 @@ func (b nodeBoard) Uncommit(in, out int) {
 	b.n.syncDemand(in, out)
 }
 
-// DemandRowBits implements sched.BitBoard: input in's uncommitted
+// DemandRowBits implements sched.Board: input in's uncommitted
 // occupancy row ANDed against the grantable-output mask — exactly the
 // outputs for which Demand(in, out) > 0, in ceil(radix/64) word ops.
 //
@@ -266,7 +266,7 @@ func (b nodeBoard) DemandRowBits(in int, row []uint64) {
 	}
 }
 
-// DemandColBits implements sched.BitBoard: the transposed occupancy
+// DemandColBits implements sched.Board: the transposed occupancy
 // column for out when the output is grantable, all-zero otherwise.
 //
 //osmosis:hotpath

@@ -10,9 +10,8 @@ import "fmt"
 // Structure, with arity a = k/2 and 0-based levels:
 //
 //   - capacity C = k * a^(L-1) hosts;
-//   - every non-top level has 2*a^(L-1)/1 ... precisely 2*a^(L-1)/a^0
-//     switches? No — every non-top level has C/a = 2*a^(L-1) switches,
-//     each with a down-ports and a up-ports;
+//   - every non-top level has C/a = 2*a^(L-1) switches, each with a
+//     down-ports and a up-ports;
 //   - the top level (L-1) has C/k = a^(L-1) switches with k down-ports;
 //   - a level-l switch with pod index p and within-pod index s is
 //     addressed Index = p*a^l + s; its down subtree is exactly the

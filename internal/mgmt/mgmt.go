@@ -192,22 +192,26 @@ func (m *Manager) arbiterTest(seed uint64) error {
 	if s == nil { // ideal-OQ reference has no arbiter
 		return nil
 	}
-	b := newTestBoard(cfg.Ports, cfg.Receivers, seed)
+	n := cfg.Ports
+	b := sched.NewMatrixBoard(n, cfg.Receivers)
+	rng := sim.NewRNG(seed)
+	match := sched.NewMatching(n)
 	for slot := uint64(0); slot < 64; slot++ {
-		b.arrive()
-		match := s.Tick(slot, b)
-		if err := match.Validate(cfg.Ports, cfg.Receivers); err != nil {
+		for in := 0; in < n; in++ {
+			if rng.Bernoulli(0.5) {
+				b.Add(in, rng.Intn(n), 1)
+			}
+		}
+		s.TickInto(slot, b, &match)
+		if err := match.Validate(n, cfg.Receivers); err != nil {
 			return err
 		}
 		for in, out := range match.Out {
-			if out < 0 {
-				continue
-			}
-			if b.demand[in][out] <= 0 {
+			if out >= 0 && b.Queued(in, out) <= 0 {
 				return fmt.Errorf("grant for empty VOQ (%d,%d) at slot %d", in, out, slot)
 			}
-			b.take(in, out)
 		}
+		b.Execute(match)
 	}
 	return nil
 }
@@ -255,62 +259,6 @@ func (m *Manager) timingTest() error {
 	}
 	return nil
 }
-
-// testBoard is a self-contained scheduler test fixture.
-type testBoard struct {
-	n, r      int
-	demand    [][]int
-	committed [][]int
-	rng       *sim.RNG
-}
-
-func newTestBoard(n, r int, seed uint64) *testBoard {
-	b := &testBoard{n: n, r: r, rng: sim.NewRNG(seed)}
-	b.demand = make([][]int, n)
-	b.committed = make([][]int, n)
-	for i := range b.demand {
-		b.demand[i] = make([]int, n)
-		b.committed[i] = make([]int, n)
-	}
-	return b
-}
-
-func (b *testBoard) arrive() {
-	for in := 0; in < b.n; in++ {
-		if b.rng.Bernoulli(0.5) {
-			b.demand[in][b.rng.Intn(b.n)]++
-		}
-	}
-}
-
-func (b *testBoard) take(in, out int) {
-	b.demand[in][out]--
-	if b.committed[in][out] > 0 {
-		b.committed[in][out]--
-	}
-}
-
-func (b *testBoard) N() int              { return b.n }
-func (b *testBoard) Receivers() int      { return b.r }
-func (b *testBoard) ReceiversAt(int) int { return b.r }
-
-func (b *testBoard) Demand(in, out int) int {
-	d := b.demand[in][out] - b.committed[in][out]
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-func (b *testBoard) Commit(in, out int) { b.committed[in][out]++ }
-
-func (b *testBoard) Uncommit(in, out int) {
-	if b.committed[in][out] > 0 {
-		b.committed[in][out]--
-	}
-}
-
-var _ sched.Board = (*testBoard)(nil)
 
 // Snapshot is the "extracted performance values" export.
 type Snapshot struct {

@@ -1,32 +1,16 @@
 package sched
 
 // Allocation regression tests: the steady-state TickInto of every
-// scheduler must perform zero heap allocations, on both the BitBoard
-// fast path and the Demand-loop fallback. These are the measured half of
-// the //osmosis:hotpath contract (the osmosislint hotpath analyzer is
-// the static half); a regression in either fails the build.
+// scheduler must perform zero heap allocations. These are the measured
+// half of the //osmosis:hotpath contract (the osmosislint hotpath
+// analyzer is the static half); a regression in either fails the build.
 
 import (
 	"fmt"
 	"testing"
 )
 
-// fallbackBoard hides benchBoard's BitBoard methods (no embedding, so
-// nothing is promoted) and forces TickInto onto the per-(in,out) Demand
-// snapshot fallback.
-type fallbackBoard struct{ b *benchBoard }
-
-func (f fallbackBoard) N() int                 { return f.b.N() }
-func (f fallbackBoard) Receivers() int         { return f.b.Receivers() }
-func (f fallbackBoard) ReceiversAt(o int) int  { return f.b.ReceiversAt(o) }
-func (f fallbackBoard) Demand(in, out int) int { return f.b.Demand(in, out) }
-func (f fallbackBoard) Commit(in, out int)     { f.b.Commit(in, out) }
-func (f fallbackBoard) Uncommit(in, out int)   { f.b.Uncommit(in, out) }
-
 func TestTickIntoStaysAllocationFree(t *testing.T) {
-	if _, ok := interface{}(fallbackBoard{}).(BitBoard); ok {
-		t.Fatal("fallbackBoard must not implement BitBoard")
-	}
 	mks := []struct {
 		name string
 		mk   func(n int) Scheduler
@@ -39,31 +23,24 @@ func TestTickIntoStaysAllocationFree(t *testing.T) {
 	}
 	for _, n := range []int{16, 64, 100} {
 		for _, tc := range mks {
-			for _, fast := range []bool{true, false} {
-				name := fmt.Sprintf("%s/n=%d/bitboard=%v", tc.name, n, fast)
-				t.Run(name, func(t *testing.T) {
-					bd := newBenchBoard(n, 2, 21)
-					var view Board = bd
-					if !fast {
-						view = fallbackBoard{bd}
-					}
-					s := tc.mk(n)
-					m := NewMatching(n)
-					slot := uint64(0)
-					tick := func() {
-						s.TickInto(slot, view, &m)
-						bd.execute(m)
-						slot++
-					}
-					// Warm until retained scratch reaches steady caps.
-					for i := 0; i < 64; i++ {
-						tick()
-					}
-					if avg := testing.AllocsPerRun(100, tick); avg != 0 {
-						t.Fatalf("steady-state TickInto allocates %.1f allocs/op, want 0", avg)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/n=%d/bitboard=true", tc.name, n), func(t *testing.T) {
+				bd := newBenchBoard(n, 2, 21)
+				s := tc.mk(n)
+				m := NewMatching(n)
+				slot := uint64(0)
+				tick := func() {
+					s.TickInto(slot, bd, &m)
+					executeSaturated(bd, m)
+					slot++
+				}
+				// Warm until retained scratch reaches steady caps.
+				for i := 0; i < 64; i++ {
+					tick()
+				}
+				if avg := testing.AllocsPerRun(100, tick); avg != 0 {
+					t.Fatalf("steady-state TickInto allocates %.1f allocs/op, want 0", avg)
+				}
+			})
 		}
 	}
 }
@@ -87,7 +64,7 @@ func TestResetStaysAllocationFree(t *testing.T) {
 			m := NewMatching(64)
 			for i := 0; i < 8; i++ {
 				tc.s.TickInto(uint64(i), bd, &m)
-				bd.execute(m)
+				executeSaturated(bd, m)
 			}
 			limit := 0.0
 			if tc.name == "pim" {

@@ -7,112 +7,30 @@ import (
 	"repro/internal/sim"
 )
 
-// benchBoard is a saturated demand board for scheduler microbenchmarks.
-// It mirrors fakeBoard but keeps demand topped up so every Tick measures
-// steady-state arbitration work, not drain-to-idle. It implements the
-// dense BitBoard snapshot so benchmarks exercise the same fast path the
-// crossbar engine provides.
-type benchBoard struct {
-	n, r      int
-	demand    [][]int
-	committed [][]int
-	rowBits   [][]uint64
-	colBits   [][]uint64
-}
-
-func newBenchBoard(n, r int, seed uint64) *benchBoard {
-	b := &benchBoard{n: n, r: r}
-	words := (n + 63) / 64
-	b.demand = make([][]int, n)
-	b.committed = make([][]int, n)
-	b.rowBits = make([][]uint64, n)
-	b.colBits = make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		b.demand[i] = make([]int, n)
-		b.committed[i] = make([]int, n)
-		b.rowBits[i] = make([]uint64, words)
-		b.colBits[i] = make([]uint64, words)
-	}
+// newBenchBoard returns a board with n/2 randomly chosen VOQs of every
+// input loaded, so each tick measures steady-state arbitration work,
+// not drain-to-idle.
+func newBenchBoard(n, r int, seed uint64) *MatrixBoard {
+	b := NewMatrixBoard(n, r)
 	rng := sim.NewRNG(seed)
 	for in := 0; in < n; in++ {
 		for k := 0; k < n/2; k++ {
-			b.add(in, rng.Intn(n), 2)
+			b.Add(in, rng.Intn(n), 2)
 		}
 	}
 	return b
 }
 
-func (b *benchBoard) add(in, out, k int) {
-	was := b.demand[in][out] - b.committed[in][out]
-	b.demand[in][out] += k
-	if was <= 0 && b.demand[in][out]-b.committed[in][out] > 0 {
-		b.rowBits[in][out/64] |= 1 << (uint(out) % 64)
-		b.colBits[out][in/64] |= 1 << (uint(in) % 64)
-	}
-}
-
-func (b *benchBoard) sub(in, out int) {
-	b.demand[in][out]--
-	if b.committed[in][out] > 0 {
-		b.committed[in][out]--
-	}
-	if b.demand[in][out]-b.committed[in][out] <= 0 {
-		b.rowBits[in][out/64] &^= 1 << (uint(out) % 64)
-		b.colBits[out][in/64] &^= 1 << (uint(in) % 64)
-	}
-}
-
-// DemandRowBits implements BitBoard so benchmarks exercise the same
-// fast snapshot path the crossbar engine serves.
-func (b *benchBoard) DemandRowBits(in int, row []uint64) { copy(row, b.rowBits[in]) }
-
-// DemandColBits implements BitBoard.
-func (b *benchBoard) DemandColBits(out int, col []uint64) { copy(col, b.colBits[out]) }
-
-func (b *benchBoard) N() int              { return b.n }
-func (b *benchBoard) Receivers() int      { return b.r }
-func (b *benchBoard) ReceiversAt(int) int { return b.r }
-
-func (b *benchBoard) Demand(in, out int) int {
-	d := b.demand[in][out] - b.committed[in][out]
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-func (b *benchBoard) Commit(in, out int) {
-	b.committed[in][out]++
-	if b.demand[in][out]-b.committed[in][out] <= 0 {
-		b.rowBits[in][out/64] &^= 1 << (uint(out) % 64)
-		b.colBits[out][in/64] &^= 1 << (uint(in) % 64)
-	}
-}
-
-func (b *benchBoard) Uncommit(in, out int) {
-	if b.committed[in][out] == 0 {
-		return
-	}
-	was := b.demand[in][out] - b.committed[in][out]
-	b.committed[in][out]--
-	if was <= 0 && b.demand[in][out]-b.committed[in][out] > 0 {
-		b.rowBits[in][out/64] |= 1 << (uint(out) % 64)
-		b.colBits[out][in/64] |= 1 << (uint(in) % 64)
-	}
-}
-
-// execute pops granted cells and tops the VOQ back up, keeping the
-// board saturated across benchmark iterations.
-func (b *benchBoard) execute(m Matching) {
+// executeSaturated retires the granted cells and tops each granted VOQ
+// back up, keeping the board saturated across benchmark iterations.
+func executeSaturated(b *MatrixBoard, m Matching) {
 	for in, out := range m.Out {
 		if out < 0 {
 			continue
 		}
-		if b.demand[in][out] > 0 {
-			b.sub(in, out)
-		}
-		if b.demand[in][out]-b.committed[in][out] < 2 {
-			b.add(in, out, 2)
+		b.Take(in, out)
+		if b.Demand(in, out) < 2 {
+			b.Add(in, out, 2)
 		}
 	}
 }
@@ -123,18 +41,16 @@ func benchScheduler(b *testing.B, mk func(n int) Scheduler) {
 			bd := newBenchBoard(n, 2, 7)
 			s := mk(n)
 			m := NewMatching(n)
-			// Warm the pipeline and scratch before measuring. The measured
-			// loop is TickInto — the call the crossbar engine makes per
-			// slot; Tick is a copying compatibility wrapper.
+			// Warm the pipeline and scratch before measuring.
 			for slot := uint64(0); slot < 8; slot++ {
 				s.TickInto(slot, bd, &m)
-				bd.execute(m)
+				executeSaturated(bd, m)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.TickInto(uint64(i)+8, bd, &m)
-				bd.execute(m)
+				executeSaturated(bd, m)
 			}
 		})
 	}

@@ -11,27 +11,10 @@ import "math/bits"
 // instead of an O(N) pointer-chasing loop of interface calls.
 //
 // All scratch state lives in a per-arbiter arbScratch that is allocated
-// once at construction and reused every cycle: the steady-state Tick of
-// every scheduler in this package performs zero heap allocations (the
+// once at construction and reused every cycle: the steady-state TickInto
+// of every scheduler in this package performs zero heap allocations (the
 // contract is machine-checked by the osmosislint hotpath analyzer and
 // pinned by testing.AllocsPerRun regression tests).
-
-// BitBoard is an optional Board extension: a dense bitset snapshot of
-// the positive uncommitted demand, in both orientations. Boards that
-// maintain these incrementally (the crossbar engine does) let the
-// schedulers replace the O(N²) per-(in,out) Demand interface calls of
-// the inner loop with ceil(N/64) word copies per port. Semantics: bit
-// out of row in (and bit in of column out) is set iff Demand(in, out)
-// would report a value > 0 at the time of the call.
-type BitBoard interface {
-	Board
-	// DemandRowBits fills row (ceil(N/64) words) with bit out set iff
-	// input in has uncommitted queued cells for output out.
-	DemandRowBits(in int, row []uint64)
-	// DemandColBits fills col (ceil(N/64) words) with bit in set iff
-	// input in has uncommitted queued cells for output out.
-	DemandColBits(out int, col []uint64)
-}
 
 // bitWords reports the uint64 words needed for an n-bit row.
 func bitWords(n int) int { return (n + 63) / 64 }
@@ -41,9 +24,6 @@ func setBit(row []uint64, i int) { row[i>>6] |= 1 << (uint(i) & 63) }
 
 // clearBit clears bit i of the row.
 func clearBit(row []uint64, i int) { row[i>>6] &^= 1 << (uint(i) & 63) }
-
-// hasBit reports bit i of the row.
-func hasBit(row []uint64, i int) bool { return row[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // clearRow zeroes the row in place.
 func clearRow(row []uint64) {
@@ -139,33 +119,18 @@ func (sc *arbScratch) row(matrix []uint64, i int) []uint64 {
 }
 
 // snapshot captures the board's uncommitted-demand matrix into
-// reqRow/reqCol. Boards implementing BitBoard hand over whole words;
-// anything else falls back to one Demand call per (in, out) pair.
-// The snapshot stays valid for the rest of the Tick as long as every
+// reqRow/reqCol, one row copy per input and one column copy per output.
+// The snapshot stays valid for the rest of the TickInto as long as every
 // demand change goes through patch (schedulers only reduce demand
-// mid-Tick, via Board.Commit).
+// mid-tick, via Board.Commit).
 //
 //osmosis:hotpath
 func (sc *arbScratch) snapshot(b Board) {
-	if bb, ok := b.(BitBoard); ok {
-		for in := 0; in < sc.n; in++ {
-			bb.DemandRowBits(in, sc.row(sc.reqRow, in))
-		}
-		for out := 0; out < sc.n; out++ {
-			bb.DemandColBits(out, sc.row(sc.reqCol, out))
-		}
-		return
-	}
-	clearRow(sc.reqRow)
-	clearRow(sc.reqCol)
 	for in := 0; in < sc.n; in++ {
-		row := sc.row(sc.reqRow, in)
-		for out := 0; out < sc.n; out++ {
-			if b.Demand(in, out) > 0 {
-				setBit(row, out)
-				setBit(sc.row(sc.reqCol, out), in)
-			}
-		}
+		b.DemandRowBits(in, sc.row(sc.reqRow, in))
+	}
+	for out := 0; out < sc.n; out++ {
+		b.DemandColBits(out, sc.row(sc.reqCol, out))
 	}
 }
 

@@ -89,13 +89,6 @@ func (f *FLPPR) Reset() {
 	f.head = 0
 }
 
-// Tick implements Scheduler.
-func (f *FLPPR) Tick(slot uint64, b Board) Matching {
-	m := NewMatching(f.n)
-	f.TickInto(slot, b, &m)
-	return m
-}
-
 // TickInto implements Scheduler: one iteration of work on every
 // in-flight matching, earliest-completing first so new requests land in
 // the soonest grant. The request snapshot is taken once and patched as
@@ -126,7 +119,7 @@ func (f *FLPPR) TickInto(slot uint64, b Board, m *Matching) {
 	f.head = (f.head + 1) % f.k
 }
 
-// SelfCommits implements Scheduler: Tick commits every promised edge.
+// SelfCommits implements Scheduler: TickInto commits every promised edge.
 func (f *FLPPR) SelfCommits() bool { return true }
 
 // SkipIdle implements IdleSkipper. An idle TickInto iterates every

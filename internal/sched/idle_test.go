@@ -13,12 +13,10 @@ import (
 	"repro/internal/sim"
 )
 
-func boardEmpty(b *eqBoard) bool {
-	for in := 0; in < b.n; in++ {
-		for out := 0; out < b.n; out++ {
-			if b.q[in][out] != 0 || b.committed[in][out] != 0 {
-				return false
-			}
+func boardEmpty(b *MatrixBoard) bool {
+	for i := range b.queued {
+		if b.queued[i] != 0 || b.committed[i] != 0 {
+			return false
 		}
 	}
 	return true
@@ -40,8 +38,8 @@ func TestSkipIdleMatchesIdleTicks(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement IdleSkipper", skipped.Name())
 			}
-			tb := newEqBoard(n, 2)
-			sb := newEqBoard(n, 2)
+			tb := NewMatrixBoard(n, 2)
+			sb := NewMatrixBoard(n, 2)
 			rngT := sim.NewRNG(99)
 			rngS := sim.NewRNG(99)
 			gaps := sim.NewRNG(1234)
@@ -53,7 +51,7 @@ func TestSkipIdleMatchesIdleTicks(t *testing.T) {
 				// an empty board (and must grant nothing); the skipped twin
 				// only accrues the gap.
 				for i, gap := uint64(0), uint64(gaps.Intn(10)); i < gap; i++ {
-					ticked.TickInto(slot, bitEqBoard{tb}, &mt)
+					ticked.TickInto(slot, tb, &mt)
 					for in, out := range mt.Out {
 						if out >= 0 {
 							t.Fatalf("slot %d: idle tick granted %d->%d", slot, in, out)
@@ -67,21 +65,21 @@ func TestSkipIdleMatchesIdleTicks(t *testing.T) {
 				// drain completely — the precondition for the next gap (a
 				// fabric node leaves the active set only with zero resident
 				// cells, hence zero demand and zero commitments).
-				tb.arrive(rngT)
-				sb.arrive(rngS)
+				arrive(tb, rngT)
+				arrive(sb, rngS)
 				for busy := 0; ; busy++ {
 					if deferred > 0 {
 						skipper.SkipIdle(deferred)
 						deferred = 0
 					}
-					ticked.TickInto(slot, bitEqBoard{tb}, &mt)
-					skipped.TickInto(slot, bitEqBoard{sb}, &ms)
+					ticked.TickInto(slot, tb, &mt)
+					skipped.TickInto(slot, sb, &ms)
 					if !matchingsEqual(mt, ms) {
 						t.Fatalf("slot %d (round %d): matching diverged after skip\n ticked  %v\n skipped %v",
 							slot, round, mt.Out, ms.Out)
 					}
-					tb.execute(mt, ticked.SelfCommits())
-					sb.execute(ms, skipped.SelfCommits())
+					tb.Execute(mt)
+					sb.Execute(ms)
 					if !boardsEqual(tb, sb) {
 						t.Fatalf("slot %d (round %d): board state diverged", slot, round)
 					}

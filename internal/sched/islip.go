@@ -59,13 +59,6 @@ func (s *ISLIP) Reset() {
 	clear(s.acceptPtr)
 }
 
-// Tick implements Scheduler.
-func (s *ISLIP) Tick(slot uint64, b Board) Matching {
-	m := NewMatching(s.n)
-	s.TickInto(slot, b, &m)
-	return m
-}
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath

@@ -70,13 +70,6 @@ func compareLQFEdges(a, b lqfEdge) int {
 	return a.out - b.out
 }
 
-// Tick implements Scheduler.
-func (l *LQF) Tick(slot uint64, b Board) Matching {
-	m := NewMatching(l.n)
-	l.TickInto(slot, b, &m)
-	return m
-}
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath

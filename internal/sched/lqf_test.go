@@ -11,25 +11,26 @@ func TestLQFValidMatchingsProperty(t *testing.T) {
 	f := func(seed uint64, rRaw uint8) bool {
 		n := 8
 		r := int(rRaw%2) + 1
-		b := newFakeBoard(n, r)
+		b := NewMatrixBoard(n, r)
 		s := NewLQF(n)
 		rng := sim.NewRNG(seed)
+		var m Matching
 		for slot := uint64(0); slot < 30; slot++ {
 			for in := 0; in < n; in++ {
 				if rng.Bernoulli(0.7) {
-					b.demand[in][rng.Intn(n)]++
+					b.Add(in, rng.Intn(n), 1)
 				}
 			}
-			m := s.Tick(slot, b)
+			s.TickInto(slot, b, &m)
 			if err := m.Validate(n, r); err != nil {
 				return false
 			}
 			for in, out := range m.Out {
 				if out >= 0 {
-					if b.demand[in][out] <= 0 {
+					if b.Queued(in, out) <= 0 {
 						return false
 					}
-					b.take(in, out)
+					b.Take(in, out)
 				}
 			}
 		}
@@ -49,11 +50,11 @@ func TestLQFSaturationThroughput(t *testing.T) {
 }
 
 func TestLQFPrefersDeepQueues(t *testing.T) {
-	b := newFakeBoard(4, 1)
-	b.demand[0][2] = 10
-	b.demand[1][2] = 1
-	s := NewLQF(4)
-	m := s.Tick(0, b)
+	b := NewMatrixBoard(4, 1)
+	b.Add(0, 2, 10)
+	b.Add(1, 2, 1)
+	var m Matching
+	NewLQF(4).TickInto(0, b, &m)
 	if m.Out[0] != 2 {
 		t.Errorf("LQF granted output 2 to input %v, want the 10-deep input 0", m.Out)
 	}
@@ -64,13 +65,14 @@ func TestLQFPrefersDeepQueues(t *testing.T) {
 
 func TestLQFMaximal(t *testing.T) {
 	// The greedy pass must leave no grantable pair behind.
-	b := newFakeBoard(4, 1)
+	b := NewMatrixBoard(4, 1)
 	for in := 0; in < 4; in++ {
 		for out := 0; out < 4; out++ {
-			b.demand[in][out] = 1 + in + out
+			b.Add(in, out, 1+in+out)
 		}
 	}
-	m := NewLQF(4).Tick(0, b)
+	var m Matching
+	NewLQF(4).TickInto(0, b, &m)
 	if m.Size() != 4 {
 		t.Errorf("full demand should yield a perfect matching, got %d", m.Size())
 	}

@@ -61,13 +61,6 @@ func (p *PIM) GrantLatency() int { return 1 }
 // Reset implements Scheduler.
 func (p *PIM) Reset() { p.rng = sim.NewRNG(p.seed) }
 
-// Tick implements Scheduler.
-func (p *PIM) Tick(slot uint64, b Board) Matching {
-	m := NewMatching(p.n)
-	p.TickInto(slot, b, &m)
-	return m
-}
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath

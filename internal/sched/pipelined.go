@@ -65,13 +65,6 @@ func (s *PipelinedISLIP) Reset() {
 	s.pos = 0
 }
 
-// Tick implements Scheduler.
-func (s *PipelinedISLIP) Tick(slot uint64, b Board) Matching {
-	m := NewMatching(s.n)
-	s.TickInto(slot, b, &m)
-	return m
-}
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath
@@ -95,7 +88,7 @@ func (s *PipelinedISLIP) TickInto(_ uint64, b Board, m *Matching) {
 	s.pos++
 }
 
-// SelfCommits implements Scheduler: Tick commits every promised edge.
+// SelfCommits implements Scheduler: TickInto commits every promised edge.
 func (s *PipelinedISLIP) SelfCommits() bool { return true }
 
 // SkipIdle implements IdleSkipper. An idle TickInto matches nothing,

@@ -5,8 +5,8 @@
 // switch used as an architectural comparison (§VI.D).
 //
 // The contract is slot-synchronous: once per packet cycle the switch
-// engine calls Tick with a Board view of the current VOQ state; the
-// scheduler returns the matching to execute in that cycle. Pipelined
+// engine calls TickInto with a Board view of the current VOQ state; the
+// scheduler writes the matching to execute in that cycle. Pipelined
 // schedulers keep in-progress matchings across cycles and must Commit
 // cells they promise to future matchings so they are not double-counted.
 package sched
@@ -29,6 +29,14 @@ type Board interface {
 	// Demand reports the number of uncommitted queued cells at input in
 	// destined to output out.
 	Demand(in, out int) int
+	// DemandRowBits fills row (ceil(N/64) words) with bit out set iff
+	// Demand(in, out) > 0. Boards keep these bits up to date as demand
+	// changes, so a scheduler snapshots the whole matrix in ceil(N/64)
+	// word copies per port instead of N² Demand calls.
+	DemandRowBits(in int, row []uint64)
+	// DemandColBits fills col (ceil(N/64) words) with bit in set iff
+	// Demand(in, out) > 0: the same matrix, transposed.
+	DemandColBits(out int, col []uint64)
 	// Commit reserves one queued cell of VOQ(in,out) for a grant that a
 	// pipelined scheduler will deliver in a future cycle.
 	Commit(in, out int)
@@ -127,17 +135,13 @@ type Scheduler interface {
 	// pipeline depth in packet cycles (Fig. 6: 1 for FLPPR, log2 N for
 	// the pipelined prior art).
 	GrantLatency() int
-	// Tick performs one cycle of arbitration work and returns the
-	// matching to execute this cycle. It allocates a fresh Matching per
-	// call; hot paths use TickInto.
-	Tick(slot uint64, b Board) Matching
-	// TickInto is the allocation-free form of Tick: the matching to
-	// execute this cycle is written into the caller-owned m (resized if
-	// needed, then overwritten). Steady-state TickInto performs zero
+	// TickInto performs one cycle of arbitration work and writes the
+	// matching to execute this cycle into the caller-owned m (resized
+	// if needed, then overwritten). Steady-state TickInto performs zero
 	// heap allocations for every scheduler in this package; m is valid
 	// until the caller's next TickInto call.
 	TickInto(slot uint64, b Board, m *Matching)
-	// SelfCommits reports whether Tick already calls Board.Commit for
+	// SelfCommits reports whether TickInto already calls Board.Commit for
 	// every edge it promises (pipelined schedulers). When false and the
 	// switch delays matchings (control-RTT modelling), the switch engine
 	// must commit the edges itself to keep demand accounting correct.

@@ -7,52 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeBoard is a mutable demand matrix implementing Board.
-type fakeBoard struct {
-	n, r      int
-	demand    [][]int
-	committed [][]int
-}
-
-func newFakeBoard(n, r int) *fakeBoard {
-	b := &fakeBoard{n: n, r: r}
-	b.demand = make([][]int, n)
-	b.committed = make([][]int, n)
-	for i := range b.demand {
-		b.demand[i] = make([]int, n)
-		b.committed[i] = make([]int, n)
-	}
-	return b
-}
-
-func (b *fakeBoard) N() int              { return b.n }
-func (b *fakeBoard) Receivers() int      { return b.r }
-func (b *fakeBoard) ReceiversAt(int) int { return b.r }
-
-func (b *fakeBoard) Demand(in, out int) int {
-	d := b.demand[in][out] - b.committed[in][out]
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-func (b *fakeBoard) Commit(in, out int) { b.committed[in][out]++ }
-
-func (b *fakeBoard) Uncommit(in, out int) {
-	if b.committed[in][out] > 0 {
-		b.committed[in][out]--
-	}
-}
-
-// take removes a granted cell (simulating the switch pop).
-func (b *fakeBoard) take(in, out int) {
-	b.demand[in][out]--
-	if b.committed[in][out] > 0 {
-		b.committed[in][out]--
-	}
-}
-
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 64: 6, 65: 7, 256: 8}
 	for n, want := range cases {
@@ -94,17 +48,18 @@ func TestSchedulersProduceValidMatchingsProperty(t *testing.T) {
 		f := func(seed uint64, rRaw, nRaw uint8) bool {
 			n := int(nRaw%7)*2 + 4 // 4..16
 			r := int(rRaw%2) + 1
-			b := newFakeBoard(n, r)
+			b := NewMatrixBoard(n, r)
 			s := mk(n)
 			rng := sim.NewRNG(seed)
+			var m Matching
 			for slot := uint64(0); slot < 40; slot++ {
 				// Random arrivals.
 				for in := 0; in < n; in++ {
 					if rng.Bernoulli(0.6) {
-						b.demand[in][rng.Intn(n)]++
+						b.Add(in, rng.Intn(n), 1)
 					}
 				}
-				m := s.Tick(slot, b)
+				s.TickInto(slot, b, &m)
 				if err := m.Validate(n, r); err != nil {
 					t.Logf("%s: %v", name, err)
 					return false
@@ -114,20 +69,18 @@ func TestSchedulersProduceValidMatchingsProperty(t *testing.T) {
 					if out < 0 {
 						continue
 					}
-					if b.demand[in][out] <= 0 {
+					if b.Queued(in, out) <= 0 {
 						t.Logf("%s: grant for empty VOQ in=%d out=%d", name, in, out)
 						return false
 					}
-					b.take(in, out)
+					b.Take(in, out)
 				}
 				// Commit invariants: committed never exceeds demand.
-				for in := 0; in < n; in++ {
-					for out := 0; out < n; out++ {
-						if b.committed[in][out] > b.demand[in][out] {
-							t.Logf("%s: committed %d > demand %d at (%d,%d)",
-								name, b.committed[in][out], b.demand[in][out], in, out)
-							return false
-						}
+				for i, c := range b.committed {
+					if c > b.queued[i] {
+						t.Logf("%s: committed %d > demand %d at (%d,%d)",
+							name, c, b.queued[i], i/n, i%n)
+						return false
 					}
 				}
 			}
@@ -142,26 +95,27 @@ func TestSchedulersProduceValidMatchingsProperty(t *testing.T) {
 // drainThroughput loads every VOQ heavily and measures how many cells a
 // scheduler moves per slot per port (max throughput under saturation).
 func drainThroughput(s Scheduler, n, r int, slots int, pattern func(in, out int) int) float64 {
-	b := newFakeBoard(n, r)
+	b := NewMatrixBoard(n, r)
 	for in := 0; in < n; in++ {
 		for out := 0; out < n; out++ {
-			b.demand[in][out] = pattern(in, out)
+			b.Add(in, out, pattern(in, out))
 		}
 	}
 	moved := 0
+	var m Matching
 	for slot := 0; slot < slots; slot++ {
 		// Keep queues saturated.
 		for in := 0; in < n; in++ {
 			for out := 0; out < n; out++ {
-				if pattern(in, out) > 0 && b.demand[in][out] < 4 {
-					b.demand[in][out] += 4
+				if pattern(in, out) > 0 && b.Queued(in, out) < 4 {
+					b.Add(in, out, 4)
 				}
 			}
 		}
-		m := s.Tick(uint64(slot), b)
+		s.TickInto(uint64(slot), b, &m)
 		for in, out := range m.Out {
-			if out >= 0 && b.demand[in][out] > 0 {
-				b.take(in, out)
+			if out >= 0 && b.Queued(in, out) > 0 {
+				b.Take(in, out)
 				moved++
 			}
 		}
@@ -252,15 +206,16 @@ func TestGrantLatencyContract(t *testing.T) {
 // tick by FLPPR, but only after the pipeline depth by the prior art.
 func TestFLPPRSingleRequestGrantLatency(t *testing.T) {
 	grantDelay := func(s Scheduler, n int) int {
-		b := newFakeBoard(n, 1)
+		b := NewMatrixBoard(n, 1)
+		var m Matching
 		// Warm the pipelines with empty demand.
 		var slot uint64
 		for ; slot < 16; slot++ {
-			s.Tick(slot, b)
+			s.TickInto(slot, b, &m)
 		}
-		b.demand[3][7] = 1
+		b.Add(3, 7, 1)
 		for d := 0; d < 32; d++ {
-			m := s.Tick(slot, b)
+			s.TickInto(slot, b, &m)
 			slot++
 			if m.Out[3] == 7 {
 				return d + 1
@@ -278,21 +233,22 @@ func TestFLPPRSingleRequestGrantLatency(t *testing.T) {
 
 func TestSchedulerReset(t *testing.T) {
 	for _, s := range []Scheduler{NewISLIP(8, 0), NewPIM(8, 0, 1), NewFLPPR(8, 0), NewPipelinedISLIP(8, 0)} {
-		b := newFakeBoard(8, 1)
+		b := NewMatrixBoard(8, 1)
 		for in := 0; in < 8; in++ {
-			b.demand[in][(in+1)%8] = 3
+			b.Add(in, (in+1)%8, 3)
 		}
 		first := make([]Matching, 5)
 		for i := range first {
-			first[i] = s.Tick(uint64(i), b)
+			s.TickInto(uint64(i), b, &first[i])
 		}
 		s.Reset()
-		b2 := newFakeBoard(8, 1)
+		b2 := NewMatrixBoard(8, 1)
 		for in := 0; in < 8; in++ {
-			b2.demand[in][(in+1)%8] = 3
+			b2.Add(in, (in+1)%8, 3)
 		}
+		var again Matching
 		for i := range first {
-			again := s.Tick(uint64(i), b2)
+			s.TickInto(uint64(i), b2, &again)
 			for in := range again.Out {
 				if again.Out[in] != first[i].Out[in] {
 					t.Fatalf("%s: Reset did not restore determinism at slot %d", s.Name(), i)

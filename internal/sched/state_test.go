@@ -6,6 +6,7 @@ package sched
 // twin over a seeded random demand evolution.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,16 +14,16 @@ import (
 	"repro/internal/sim"
 )
 
-// copyEqBoard deep-copies the board so the restored scheduler resumes
+// copyBoard deep-copies the board so the restored scheduler resumes
 // against exactly the demand state the original saw at the checkpoint.
-func copyEqBoard(b *eqBoard) *eqBoard {
-	c := newEqBoard(b.n, b.r)
-	copy(c.recv, b.recv)
-	for i := range b.q {
-		copy(c.q[i], b.q[i])
-		copy(c.committed[i], b.committed[i])
-	}
-	return c
+func copyBoard(b *MatrixBoard) *MatrixBoard {
+	c := *b
+	c.recv = slices.Clone(b.recv)
+	c.queued = slices.Clone(b.queued)
+	c.committed = slices.Clone(b.committed)
+	c.rowBits = slices.Clone(b.rowBits)
+	c.colBits = slices.Clone(b.colBits)
+	return &c
 }
 
 // saveSched checkpoints a scheduler to text.
@@ -64,13 +65,13 @@ func TestSchedulerCheckpointRoundTrip(t *testing.T) {
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
 			orig := build()
-			board := newEqBoard(n, 1)
+			board := NewMatrixBoard(n, 1)
 			arrivals := sim.NewRNG(1234)
 			m := NewMatching(n)
 			for tick := uint64(0); tick < 200; tick++ {
-				board.arrive(arrivals)
+				arrive(board, arrivals)
 				orig.TickInto(tick, board, &m)
-				board.execute(m, orig.SelfCommits())
+				board.Execute(m)
 			}
 
 			// Checkpoint mid-run; twin restores into a fresh instance
@@ -78,7 +79,7 @@ func TestSchedulerCheckpointRoundTrip(t *testing.T) {
 			text := saveSched(t, orig.(StateCodec))
 			twin := build()
 			loadSched(t, twin.(StateCodec), text)
-			twinBoard := copyEqBoard(board)
+			twinBoard := copyBoard(board)
 			twinArrivals := sim.NewRNG(1)
 			if err := twinArrivals.Restore(arrivals.State()); err != nil {
 				t.Fatal(err)
@@ -86,15 +87,15 @@ func TestSchedulerCheckpointRoundTrip(t *testing.T) {
 
 			tm := NewMatching(n)
 			for tick := uint64(200); tick < 400; tick++ {
-				board.arrive(arrivals)
-				twinBoard.arrive(twinArrivals)
+				arrive(board, arrivals)
+				arrive(twinBoard, twinArrivals)
 				orig.TickInto(tick, board, &m)
 				twin.TickInto(tick, twinBoard, &tm)
 				if !matchingsEqual(m, tm) {
 					t.Fatalf("tick %d: matchings diverged: %v vs %v", tick, m.Out, tm.Out)
 				}
-				board.execute(m, orig.SelfCommits())
-				twinBoard.execute(tm, twin.SelfCommits())
+				board.Execute(m)
+				twinBoard.Execute(tm)
 				if !boardsEqual(board, twinBoard) {
 					t.Fatalf("tick %d: board state diverged after restore", tick)
 				}
