@@ -29,13 +29,13 @@ lint:
 	echo "lint: whole-module interprocedural pass took $$((end-start))s wall clock"
 
 # Hot-path microbenchmarks (scheduler TickInto, crossbar Step, the
-# sharded fabric kernel at 2048 ports) plus the linter's own full-tree
-# pass. CI runs these with -benchtime 1x as a smoke test; run locally
+# sharded fabric kernel at 2048 ports), the root package's figure and
+# sweep benchmarks, plus the linter's own full-tree pass. CI runs these with -benchtime 1x as a smoke test; run locally
 # without BENCHTIME for real numbers. End-to-end numbers come from the
 # repository benchmark: make perfbench.
 BENCHTIME ?=
 bench:
-	$(GO) test -run '^$$' -bench . $(if $(BENCHTIME),-benchtime $(BENCHTIME)) -benchmem ./internal/sched/ ./internal/crossbar/ ./internal/fabric/ ./internal/analysis/
+	$(GO) test -run '^$$' -bench . $(if $(BENCHTIME),-benchtime $(BENCHTIME)) -benchmem . ./internal/sched/ ./internal/crossbar/ ./internal/fabric/ ./internal/analysis/
 
 # The repository benchmark (BENCHMARK.json, _perfbench/): the harness
 # self-test (goldens, scheduler-wrapper transparency), then one short

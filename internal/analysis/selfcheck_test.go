@@ -101,9 +101,16 @@ func TestShardSafeSeedAnnotations(t *testing.T) {
 		"fc.Credits.ConsumeEmptied",
 		"fc.Credits.LandRefilled",
 		"packet.flowTable.slot",
-		"fabric.node.syncDemand",
-		"fabric.node.notePush",
-		"fabric.node.notePop",
+		// The switch core both engines share: its mutators maintain the
+		// demand columns, depth histogram and resident count that
+		// fabric.node.syncDemand/notePush/notePop used to.
+		"voq.Bank.sync",
+		"voq.Bank.Push",
+		"voq.Bank.Pop",
+		"voq.Bank.Commit",
+		"voq.Bank.Uncommit",
+		"voq.Bank.DemandRowBits",
+		"voq.Bank.DemandColBits",
 		"fabric.node.landCredit",
 		"fabric.nodeBoard.Commit",
 		"fabric.nodeBoard.Uncommit",

@@ -178,17 +178,13 @@ type Switch struct {
 	cfg    Config
 	format packet.Format
 
-	voqs   []*voqSet
-	egress []*egressQ
+	// bank holds the VOQs and the demand bits the board serves to the
+	// scheduler; egress[out] is the output adapter, bounded by
+	// EgressCapacity (receive drops on overflow).
+	bank   *voq.Bank
+	egress []*voq.Egress
 	alloc  *packet.Allocator
 	order  *packet.OrderChecker
-
-	// words is ceil(N/64); rowBits[in*words..] and colBits[out*words..]
-	// hold the positive-demand bitsets the board serves to the schedulers, maintained incrementally by demandSync on every
-	// demand-changing transition (push, pop, commit, uncommit).
-	words   int
-	rowBits []uint64
-	colBits []uint64
 
 	// match is the reusable per-slot matching scratch the scheduler's
 	// TickInto writes into.
@@ -255,59 +251,6 @@ func (e Epoch) Throughput(n int) float64 {
 	return float64(e.Delivered) / float64(slots) / float64(n)
 }
 
-// voqSet and egressQ are thin local wrappers around voq.FIFO so the
-// crossbar package controls commit bookkeeping; they mirror internal/voq
-// types but track the injection slot on the cell for grant-latency
-// measurement.
-type voqSet struct {
-	n         int
-	queues    [2][]voq.FIFO // [class][out]
-	committed []int
-	depth     int
-}
-
-func newVOQSet(n int) *voqSet {
-	v := &voqSet{n: n, committed: make([]int, n)}
-	v.queues[0] = make([]voq.FIFO, n)
-	v.queues[1] = make([]voq.FIFO, n)
-	return v
-}
-
-func (v *voqSet) push(c *packet.Cell, out int) {
-	cls := 0
-	if c.Class == packet.Control {
-		cls = 1
-	}
-	v.queues[cls][out].Push(c)
-	v.depth++
-}
-
-func (v *voqSet) backlog(out int) int {
-	return v.queues[0][out].Len() + v.queues[1][out].Len()
-}
-
-func (v *voqSet) pop(out int) *packet.Cell {
-	var c *packet.Cell
-	if v.queues[1][out].Len() > 0 {
-		c = v.queues[1][out].Pop()
-	} else {
-		c = v.queues[0][out].Pop()
-	}
-	if c != nil {
-		v.depth--
-		if v.committed[out] > 0 {
-			v.committed[out]--
-		}
-	}
-	return c
-}
-
-type egressQ struct {
-	receivers int
-	capacity  int
-	q         voq.FIFO
-}
-
 // board adapts the switch's VOQ state to the scheduler interface.
 type board struct{ s *Switch }
 
@@ -318,56 +261,13 @@ func (b board) Receivers() int { return b.s.cfg.Receivers }
 // arbiter never over-grants a fault-degraded output.
 func (b board) ReceiversAt(out int) int { return b.s.upCount[out] }
 
-func (b board) Demand(in, out int) int {
-	v := b.s.voqs[in]
-	d := v.backlog(out) - v.committed[out]
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-func (b board) Commit(in, out int) {
-	b.s.voqs[in].committed[out]++
-	b.s.demandSync(in, out)
-}
-
-func (b board) Uncommit(in, out int) {
-	v := b.s.voqs[in]
-	if v.committed[out] > 0 {
-		v.committed[out]--
-	}
-	b.s.demandSync(in, out)
-}
-
-// DemandRowBits implements sched.Board from the incrementally
-// maintained row bitset — one word copy per 64 outputs instead of 64
-// Demand calls.
-func (b board) DemandRowBits(in int, row []uint64) {
-	copy(row, b.s.rowBits[in*b.s.words:(in+1)*b.s.words])
-}
-
-// DemandColBits implements sched.Board.
-func (b board) DemandColBits(out int, col []uint64) {
-	copy(col, b.s.colBits[out*b.s.words:(out+1)*b.s.words])
-}
-
-// demandSync re-derives the (in, out) demand bit after any transition
-// that can change whether Demand(in, out) is positive.
-func (s *Switch) demandSync(in, out int) {
-	v := s.voqs[in]
-	mask := uint64(1) << (uint(out) & 63)
-	cmask := uint64(1) << (uint(in) & 63)
-	ri := in*s.words + out>>6
-	ci := out*s.words + in>>6
-	if v.backlog(out)-v.committed[out] > 0 {
-		s.rowBits[ri] |= mask
-		s.colBits[ci] |= cmask
-	} else {
-		s.rowBits[ri] &^= mask
-		s.colBits[ci] &^= cmask
-	}
-}
+// Demand, Commit, Uncommit and the demand-bit reads delegate to the
+// bank, which maintains the bits incrementally.
+func (b board) Demand(in, out int) int              { return b.s.bank.Demand(in, out) }
+func (b board) Commit(in, out int)                  { b.s.bank.Commit(in, out) }
+func (b board) Uncommit(in, out int)                { b.s.bank.Uncommit(in, out) }
+func (b board) DemandRowBits(in int, row []uint64)  { b.s.bank.DemandRowBits(in, row) }
+func (b board) DemandColBits(out int, col []uint64) { b.s.bank.DemandColBits(out, col) }
 
 // New builds a switch from cfg, applying defaults: 64 ports, dual
 // receivers, FLPPR scheduler, OSMOSIS cell format.
@@ -388,20 +288,16 @@ func New(cfg Config) (*Switch, error) {
 		return nil, fmt.Errorf("crossbar: negative control RTT %d", cfg.ControlRTTCycles)
 	}
 	s := &Switch{cfg: cfg, format: cfg.Format}
-	s.voqs = make([]*voqSet, cfg.N)
-	s.egress = make([]*egressQ, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		s.voqs[i] = newVOQSet(cfg.N)
-		s.egress[i] = &egressQ{receivers: cfg.Receivers, capacity: cfg.EgressCapacity}
+	s.bank = voq.NewBank(cfg.N)
+	s.egress = make([]*voq.Egress, cfg.N)
+	for i := range s.egress {
+		s.egress[i] = voq.NewEgress(cfg.Receivers, cfg.EgressCapacity)
 	}
 	s.alloc = packet.NewAllocator()
 	s.order = packet.NewOrderChecker()
 	s.metrics.CycleTime = cfg.Format.CycleTime()
 	s.metrics.SrcOffered = make([]uint64, cfg.N)
 	s.metrics.SrcDelivered = make([]uint64, cfg.N)
-	s.words = (cfg.N + 63) / 64
-	s.rowBits = make([]uint64, cfg.N*s.words)
-	s.colBits = make([]uint64, cfg.N*s.words)
 	s.match = sched.NewMatching(cfg.N)
 	s.grantDelay = make([]sched.Matching, cfg.ControlRTTCycles)
 	for i := range s.grantDelay {
@@ -566,8 +462,7 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 			s.receive(c, c.Dst)
 			continue
 		}
-		s.voqs[in].push(c, c.Dst)
-		s.demandSync(in, c.Dst)
+		s.bank.Push(in, c, c.Dst)
 	}
 	// 2. Arbitrate and (after the control RTT) execute the matching.
 	if !s.cfg.IdealOQ {
@@ -620,12 +515,11 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 				}
 				continue
 			}
-			c := s.voqs[in].pop(out)
-			s.demandSync(in, out)
+			c := s.bank.Pop(in, out)
 			if c == nil {
-				// A matching edge found no cell (possible only with a
-				// mis-behaving scheduler); surface it loudly in tests.
-				continue
+				// Scheduler promised a cell that is not there — a bug.
+				//lint:ignore panicfree,hotpath scheduler/VOQ bookkeeping invariant: a grant without a cell is a scheduler bug, not a runtime condition; the Sprintf only runs on that dead path
+				panic(fmt.Sprintf("crossbar: granted empty VOQ in=%d out=%d slot=%d", in, out, s.slot))
 			}
 			// Deterministic receiver assignment: inputs execute in index
 			// order and each cell takes the lowest-index healthy receiver
@@ -644,10 +538,10 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 	}
 	// 3. Egress lines each transmit one cell.
 	for _, e := range s.egress {
-		if e.q.Len() == 0 {
+		c := e.Drain()
+		if c == nil {
 			continue
 		}
-		c := e.q.Pop()
 		c.Delivered = now + s.metrics.CycleTime // line-out completes end of slot
 		if !s.order.Deliver(c) && s.measuring {
 			s.metrics.OrderViolations++
@@ -666,14 +560,12 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 		s.alloc.Free(c)
 	}
 	// 4. Depth tracking.
-	for _, v := range s.voqs {
-		if v.depth > s.metrics.MaxVOQDepth {
-			s.metrics.MaxVOQDepth = v.depth
-		}
+	if d := s.bank.MaxDepth(); d > s.metrics.MaxVOQDepth {
+		s.metrics.MaxVOQDepth = d
 	}
 	for _, e := range s.egress {
-		if e.q.Len() > s.metrics.MaxEgressDepth {
-			s.metrics.MaxEgressDepth = e.q.Len()
+		if e.Queued() > s.metrics.MaxEgressDepth {
+			s.metrics.MaxEgressDepth = e.Queued()
 		}
 	}
 	s.slot++
@@ -700,7 +592,7 @@ func (s *Switch) pickReceiver(out, used int) int {
 // receive delivers a cell across the crossbar into an egress queue.
 func (s *Switch) receive(c *packet.Cell, out int) {
 	e := s.egress[out]
-	if e.capacity > 0 && e.q.Len() >= e.capacity {
+	if e.Capacity > 0 && e.Queued() >= e.Capacity {
 		if s.measuring {
 			s.metrics.Dropped++
 			s.epoch.dropped++
@@ -709,18 +601,16 @@ func (s *Switch) receive(c *packet.Cell, out int) {
 		return
 	}
 	c.Hops++
-	e.q.Push(c)
+	e.Receive(c)
 }
 
 // Drained reports whether all queues are empty.
 func (s *Switch) Drained() bool {
-	for _, v := range s.voqs {
-		if v.depth > 0 {
-			return false
-		}
+	if s.bank.Resident() > 0 {
+		return false
 	}
 	for _, e := range s.egress {
-		if e.q.Len() > 0 {
+		if e.Queued() > 0 {
 			return false
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitrow"
 	"repro/internal/packet"
 	"repro/internal/sched"
 	"repro/internal/traffic"
@@ -24,7 +25,7 @@ func checkNodeBoards(t *testing.T, f *Fabric, phase string) {
 	t.Helper()
 	for ni, n := range f.nodes {
 		b := nodeBoard{n}
-		row := make([]uint64, n.words)
+		row := make([]uint64, bitrow.Words(n.radix))
 		for in := 0; in < n.radix; in++ {
 			b.DemandRowBits(in, row)
 			for out := 0; out < n.radix; out++ {
@@ -36,7 +37,7 @@ func checkNodeBoards(t *testing.T, f *Fabric, phase string) {
 				}
 			}
 		}
-		col := make([]uint64, n.words)
+		col := make([]uint64, bitrow.Words(n.radix))
 		for out := 0; out < n.radix; out++ {
 			b.DemandColBits(out, col)
 			for in := 0; in < n.radix; in++ {

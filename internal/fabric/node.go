@@ -33,8 +33,9 @@ type node struct {
 	// receivers per output (dual-receiver crossbar).
 	receivers int
 
-	// voqs[in] queues cells by *output port* of this switch.
-	voqs []*voq.VOQSet
+	// bank queues cells by input and *output port* of this switch, and
+	// maintains the demand columns, depth maximum and resident count.
+	bank *voq.Bank
 	// inputOccupancy[in] tracks total buffered cells for bounded
 	// inter-switch input ports (capacity enforced by upstream credits).
 	inputCapacity int
@@ -60,31 +61,22 @@ type node struct {
 	fcBlocked   uint64
 	maxVOQDepth int
 
-	// Incrementally-maintained demand board. words is the bitrow width
-	// for radix ports; colOcc[out*words .. +words) is the transposed
-	// occupancy matrix (bit in set iff voqs[in] has uncommitted cells for
-	// out), re-derived one bit at a time by syncDemand after every VOQ
-	// mutation; sendMask has bit out set iff the output may currently be
-	// granted (port in use, and — option 3 only — downstream credit
-	// available), updated only on CanSend transitions. Demand bits are
-	// derived state: checkpoints never carry them, LoadState rebuilds.
-	words    int
-	colOcc   []uint64
+	// sendMask has bit out set iff the output may currently be granted
+	// (port in use, and — option 3 only — downstream credit available),
+	// updated only on CanSend transitions; the board ANDs it onto the
+	// bank's demand rows. Derived state: checkpoints never carry it,
+	// LoadState rebuilds.
 	sendMask []uint64
 
-	// Active-set bookkeeping. resident counts cells held by this node
-	// (VOQs plus option-1 egress queues); the owning shard stops
-	// arbitrating the node while resident is zero and its scheduler can
-	// be fast-forwarded. schedSlot is the next slot the scheduler will
-	// observe; the gap to the current slot is the deferred idle stretch
-	// SkipIdle replays. depthHist[d] counts inputs whose VOQ set holds d
-	// cells and curMaxDepth is the histogram's maintained maximum, which
-	// turns the per-slot max-depth scan into O(1) updates at push/pop.
-	resident    int
+	// Active-set bookkeeping. egressCells counts cells in the option-1
+	// egress queues; with the bank's resident count it tells whether the
+	// node holds any cell, and the owning shard stops arbitrating the
+	// node while it holds none and its scheduler can be fast-forwarded.
+	// schedSlot is the next slot the scheduler will observe; the gap to
+	// the current slot is the deferred idle stretch SkipIdle replays.
+	egressCells int
 	skipper     sched.IdleSkipper
 	schedSlot   uint64
-	depthHist   []int
-	curMaxDepth int
 }
 
 // newNode builds a switch node.
@@ -103,10 +95,7 @@ func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapa
 		inputCapacity: inputCapacity,
 	}
 	k := n.radix
-	n.voqs = make([]*voq.VOQSet, k)
-	for i := range n.voqs {
-		n.voqs[i] = voq.NewVOQSet(k)
-	}
+	n.bank = voq.NewBank(k)
 	n.credits = make([]*fc.Credits, k)
 	for out, pi := range ports {
 		if pi.Kind == UpPort || pi.Kind == DownPort {
@@ -128,12 +117,8 @@ func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapa
 	n.match = sched.NewMatching(k)
 	n.launchBuf = make([]launch, k)
 	n.freedBuf = make([]int, k)
-	n.words = bitrow.Words(k)
-	n.colOcc = make([]uint64, k*n.words)
-	n.sendMask = make([]uint64, n.words)
+	n.sendMask = make([]uint64, bitrow.Words(k))
 	n.resetSendMask()
-	n.depthHist = make([]int, 1, 16)
-	n.depthHist[0] = k
 	n.skipper, _ = n.sch.(sched.IdleSkipper)
 	return n, nil
 }
@@ -154,50 +139,6 @@ func (n *node) resetSendMask() {
 			}
 		}
 		bitrow.Set(n.sendMask, out)
-	}
-}
-
-// syncDemand re-derives the transposed occupancy bit of one (in, out)
-// pair; called after every mutation of voqs[in] affecting out, so colOcc
-// stays exactly the transpose of the VOQ sets' occupancy rows.
-//
-//osmosis:hotpath
-//osmosis:shardsafe
-func (n *node) syncDemand(in, out int) {
-	bitrow.SetTo(n.colOcc[out*n.words:(out+1)*n.words], in, n.voqs[in].UncommittedAt(out))
-}
-
-// notePush maintains resident and the depth histogram for one cell
-// entering voqs[in]; must run after the VOQSet push.
-//
-//osmosis:shardsafe
-func (n *node) notePush(in int) {
-	n.resident++
-	d := n.voqs[in].Depth()
-	n.depthHist[d-1]--
-	if d == len(n.depthHist) {
-		//lint:ignore hotpath grows only when a never-before-seen max depth is reached; cap-stable in steady state
-		n.depthHist = append(n.depthHist, 0)
-	}
-	n.depthHist[d]++
-	if d > n.curMaxDepth {
-		n.curMaxDepth = d
-	}
-}
-
-// notePop maintains the depth histogram for one cell popped from
-// voqs[in]; must run after the VOQSet pop. (resident is settled once per
-// arbitrate from the launch count, since option-1 pops stay resident in
-// the egress queues.)
-//
-//osmosis:hotpath
-//osmosis:shardsafe
-func (n *node) notePop(in int) {
-	d := n.voqs[in].Depth()
-	n.depthHist[d+1]--
-	n.depthHist[d]++
-	if d+1 == n.curMaxDepth && n.depthHist[d+1] == 0 {
-		n.curMaxDepth--
 	}
 }
 
@@ -232,25 +173,19 @@ func (b nodeBoard) Demand(in, out int) int {
 			return 0
 		}
 	}
-	return n.voqs[in].Uncommitted(out)
+	return n.bank.Demand(in, out)
 }
 
-// Commit and Uncommit forward to the VOQ set and keep the node's
-// transposed occupancy bits in sync.
+// Commit and Uncommit forward to the bank, which keeps its demand
+// columns in sync.
 //
 //osmosis:hotpath
 //osmosis:shardsafe
-func (b nodeBoard) Commit(in, out int) {
-	b.n.voqs[in].Commit(out)
-	b.n.syncDemand(in, out)
-}
+func (b nodeBoard) Commit(in, out int) { b.n.bank.Commit(in, out) }
 
 //osmosis:hotpath
 //osmosis:shardsafe
-func (b nodeBoard) Uncommit(in, out int) {
-	b.n.voqs[in].Uncommit(out)
-	b.n.syncDemand(in, out)
-}
+func (b nodeBoard) Uncommit(in, out int) { b.n.bank.Uncommit(in, out) }
 
 // DemandRowBits implements sched.Board: input in's uncommitted
 // occupancy row ANDed against the grantable-output mask — exactly the
@@ -260,14 +195,14 @@ func (b nodeBoard) Uncommit(in, out int) {
 //osmosis:shardsafe
 func (b nodeBoard) DemandRowBits(in int, row []uint64) {
 	n := b.n
-	occ := n.voqs[in].UncommittedBits()
+	occ := n.bank.Row(in)
 	for w := range row {
 		row[w] = occ[w] & n.sendMask[w]
 	}
 }
 
-// DemandColBits implements sched.Board: the transposed occupancy
-// column for out when the output is grantable, all-zero otherwise.
+// DemandColBits implements sched.Board: the bank's demand column for
+// out when the output is grantable, all-zero otherwise.
 //
 //osmosis:hotpath
 //osmosis:shardsafe
@@ -279,7 +214,7 @@ func (b nodeBoard) DemandColBits(out int, col []uint64) {
 		}
 		return
 	}
-	copy(col, n.colOcc[out*n.words:(out+1)*n.words])
+	n.bank.DemandColBits(out, col)
 }
 
 // push enqueues a cell arriving on input port in; the output port is
@@ -291,14 +226,9 @@ func (n *node) push(c *packet.Cell, in int) error {
 	if err != nil {
 		return err
 	}
-	n.voqs[in].Push(c, out)
-	n.notePush(in)
-	n.syncDemand(in, out)
+	n.bank.Push(in, c, out)
 	return nil
 }
-
-// buffered reports total cells in input VOQs of one port.
-func (n *node) inputDepth(in int) int { return n.voqs[in].Depth() }
 
 // launch describes one cell leaving the switch this slot.
 type launch struct {
@@ -330,6 +260,7 @@ func (n *node) arbitrate(slot uint64) (launches []launch, freed []int) {
 			}
 			n.launchBuf[n.nLaunch] = launch{cell: e.Drain(), out: out}
 			n.nLaunch++
+			n.egressCells--
 		}
 	}
 	// Replay any slots skipped while the node was out of the active set:
@@ -355,8 +286,7 @@ func (n *node) arbitrate(slot uint64) (launches []launch, freed []int) {
 				ok, emptied := c.ConsumeEmptied()
 				if !ok {
 					n.fcBlocked++
-					n.voqs[in].Uncommit(out)
-					n.syncDemand(in, out)
+					n.bank.Uncommit(in, out)
 					continue
 				}
 				if emptied {
@@ -364,71 +294,44 @@ func (n *node) arbitrate(slot uint64) (launches []launch, freed []int) {
 				}
 			}
 		}
-		c := n.voqs[in].Pop(out)
+		c := n.bank.Pop(in, out)
 		if c == nil {
 			// Scheduler promised a cell that is not there — a bug.
 			//lint:ignore panicfree,hotpath scheduler/VOQ bookkeeping invariant: a grant without a cell is a scheduler bug, not a runtime condition; the Sprintf only runs on that dead path
 			panic(fmt.Sprintf("fabric: %v granted empty VOQ in=%d out=%d slot=%d", n.id, in, out, slot))
 		}
-		n.notePop(in)
-		n.syncDemand(in, out)
 		c.Hops++
 		freed[in]++
 		if n.egress != nil {
 			n.egress[out].Receive(c)
+			n.egressCells++
 		} else {
 			n.launchBuf[n.nLaunch] = launch{cell: c, out: out}
 			n.nLaunch++
 		}
 	}
-	// Depth tracking: the maintained histogram max equals the max the
-	// removed per-VOQ scan would sample at this exact point, so the
-	// MaxVOQDepth metric (part of the fingerprint) is bit-identical.
-	if n.curMaxDepth > n.maxVOQDepth {
-		n.maxVOQDepth = n.curMaxDepth
+	// Depth tracking: the bank's maintained maximum equals the max a
+	// per-VOQ scan would sample at this exact point, so the MaxVOQDepth
+	// metric (part of the fingerprint) is bit-identical.
+	if d := n.bank.MaxDepth(); d > n.maxVOQDepth {
+		n.maxVOQDepth = d
 	}
-	// Every launch this slot left the node: option-3 pops launch
-	// directly, option-1 launches drain the egress queues, and option-1
-	// pops merely move cells VOQ→egress (still resident).
-	n.resident -= n.nLaunch
 	return n.launchBuf[:n.nLaunch], freed
 }
 
 // idle reports whether the node holds no cells — O(1) from the
-// maintained resident counter (the scan it replaces is retained in
+// maintained counters (the scan they replace is retained in
 // shard_test.go as slowIdle and pinned equal by regression test).
-func (n *node) idle() bool { return n.resident == 0 }
+func (n *node) idle() bool { return n.bank.Resident() == 0 && n.egressCells == 0 }
 
-// rebuildDerived recomputes every derived structure — resident count,
-// depth histogram, transposed occupancy bits, grantable mask, scheduler
-// slot cursor — from restored VOQ/credit/egress state. Checkpoints never
-// serialize derived bits; LoadState calls this instead.
+// rebuildDerived recomputes the node's derived structures — egress cell
+// count, grantable mask, scheduler slot cursor — from restored
+// credit/egress state (the bank rebuilt its own on load). Checkpoints
+// never serialize derived bits; LoadState calls this instead.
 func (n *node) rebuildDerived(slot uint64) {
-	n.resident = 0
-	n.curMaxDepth = 0
-	for i := range n.depthHist {
-		n.depthHist[i] = 0
-	}
-	bitrow.ZeroAll(n.colOcc)
-	for in, v := range n.voqs {
-		d := v.Depth()
-		n.resident += d
-		for len(n.depthHist) <= d {
-			n.depthHist = append(n.depthHist, 0)
-		}
-		n.depthHist[d]++
-		if d > n.curMaxDepth {
-			n.curMaxDepth = d
-		}
-		occ := v.UncommittedBits()
-		for out := bitrow.NextSet(occ, n.radix, 0); out >= 0; out = bitrow.NextSet(occ, n.radix, out+1) {
-			bitrow.Set(n.colOcc[out*n.words:(out+1)*n.words], in)
-		}
-	}
-	if n.egress != nil {
-		for _, e := range n.egress {
-			n.resident += e.Queued()
-		}
+	n.egressCells = 0
+	for _, e := range n.egress {
+		n.egressCells += e.Queued()
 	}
 	n.resetSendMask()
 	n.schedSlot = slot

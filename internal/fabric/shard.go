@@ -179,7 +179,7 @@ func (s *shard) stepSlot(w int, inj *injectPlan) error {
 			return err
 		}
 		s.wake(d.node)
-		if depth := nd.inputDepth(d.port); depth > s.maxInterInputDepth {
+		if depth := nd.bank.Depth(d.port); depth > s.maxInterInputDepth {
 			s.maxInterInputDepth = depth
 		}
 	}
@@ -244,11 +244,11 @@ func (s *shard) stepSlot(w int, inj *injectPlan) error {
 			}
 		}
 		// Retire drained nodes from the work set. Requires an
-		// idle-skippable scheduler: resident == 0 means no VOQ or egress
+		// idle-skippable scheduler: an idle node holds no VOQ or egress
 		// cell and no outstanding commitment (commitments are only ever
 		// placed on queued cells), so every skipped slot would have been
 		// an idle tick — which SkipIdle replays exactly on wake-up.
-		if nd.resident == 0 && nd.skipper != nil {
+		if nd.idle() && nd.skipper != nil {
 			bitrow.Clear(s.active, rel)
 		}
 	}

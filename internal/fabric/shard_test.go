@@ -88,8 +88,8 @@ func (f *Fabric) nodesEmpty() bool {
 // the oracle for TestIdleMatchesSlowScan, which pins the O(1) resident
 // counter to this scan.
 func (n *node) slowIdle() bool {
-	for _, v := range n.voqs {
-		if v.Depth() > 0 {
+	for in := 0; in < n.radix; in++ {
+		if n.bank.Depth(in) > 0 {
 			return false
 		}
 	}
@@ -125,8 +125,8 @@ func TestIdleMatchesSlowScan(t *testing.T) {
 				t.Helper()
 				for ni, n := range f.nodes {
 					if got, want := n.idle(), n.slowIdle(); got != want {
-						t.Fatalf("%s slot %d: node %d idle()=%v but scan says %v (resident=%d)",
-							phase, f.Slot(), ni, got, want, n.resident)
+						t.Fatalf("%s slot %d: node %d idle()=%v but scan says %v (resident=%d egress=%d)",
+							phase, f.Slot(), ni, got, want, n.bank.Resident(), n.egressCells)
 					}
 				}
 			}

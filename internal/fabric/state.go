@@ -203,9 +203,7 @@ func (f *Fabric) saveNode(e *ckpt.Encoder, n *node) {
 		return
 	}
 	codec.SaveState(e)
-	for _, v := range n.voqs {
-		v.SaveState(e)
-	}
+	n.bank.SaveState(e)
 	ncred := 0
 	for _, c := range n.credits {
 		if c != nil {
@@ -248,10 +246,8 @@ func (f *Fabric) loadNode(d *ckpt.Decoder, n *node) error {
 	if err := codec.LoadState(d); err != nil {
 		return fmt.Errorf("fabric: node %v scheduler: %w", n.id, err)
 	}
-	for in, v := range n.voqs {
-		if err := v.LoadState(d); err != nil {
-			return fmt.Errorf("fabric: node %v voq input %d: %w", n.id, in, err)
-		}
+	if err := n.bank.LoadState(d); err != nil {
+		return fmt.Errorf("fabric: node %v %w", n.id, err)
 	}
 	cr := d.Record("ncred")
 	ncred := cr.Uint()
@@ -459,13 +455,14 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	// feeds Metrics.Offered, so the whole balance can live on shard 0.
 	f.shards[0].offered = shardOffered
 
-	// Rebuild every node's derived state — occupancy bits, grantable
-	// masks, resident counts, depth histograms, scheduler slot cursors —
-	// from the restored queues and counters. The checkpoint format never
-	// carries derived bits, so old snapshots restore unchanged. Shards
-	// leave all nodes in the active set (how newShard built them); empty
-	// nodes drop out after their first arbitrate, which is equivalent to
-	// skipping them outright because an idle tick IS SkipIdle(1).
+	// Rebuild every node's derived state — grantable masks, egress cell
+	// counts, scheduler slot cursors — from the restored queues and
+	// counters; each bank rebuilt its demand bits and depths on load.
+	// The checkpoint format never carries derived bits, so old
+	// snapshots restore unchanged. Shards leave all nodes in the active
+	// set (how newShard built them); empty nodes drop out after their
+	// first arbitrate, which is equivalent to skipping them outright
+	// because an idle tick IS SkipIdle(1).
 	for _, n := range f.nodes {
 		n.rebuildDerived(slot)
 	}

@@ -83,6 +83,7 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 					return fmt.Errorf("voq: cell %d class %v in class-%d queue", c.ID, c.Class, class)
 				}
 				v.queues[class][out].Push(c)
+				v.control += class
 				v.depth++
 			}
 		default:

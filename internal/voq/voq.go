@@ -91,6 +91,10 @@ type VOQSet struct {
 	// must not double-request them.
 	committed []int
 	depth     int // total cells across all queues
+	// control counts queued control-class cells, so Pop skips the
+	// control queue's header — a cache miss at large N — when the set
+	// holds none. Derived state, rebuilt on restore.
+	control int
 	// occ is the dense uncommitted-occupancy row: bit out is set iff
 	// Uncommitted(out) > 0. Maintained in O(1) by every mutator so
 	// demand boards can hand schedulers whole words instead of
@@ -128,7 +132,9 @@ func (v *VOQSet) syncOcc(out int) {
 //
 //osmosis:shardsafe
 func (v *VOQSet) Push(c *packet.Cell, out int) {
-	v.queues[classIndex(c.Class)][out].Push(c)
+	class := classIndex(c.Class)
+	v.queues[class][out].Push(c)
+	v.control += class
 	v.depth++
 	v.backlog[out]++
 	v.syncOcc(out)
@@ -187,8 +193,9 @@ func (v *VOQSet) Uncommit(out int) {
 //osmosis:shardsafe
 func (v *VOQSet) Pop(out int) *packet.Cell {
 	var c *packet.Cell
-	if v.queues[1][out].Len() > 0 {
+	if v.control > 0 && v.queues[1][out].Len() > 0 {
 		c = v.queues[1][out].Pop()
+		v.control--
 	} else {
 		c = v.queues[0][out].Pop()
 	}
