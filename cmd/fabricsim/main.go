@@ -87,12 +87,7 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
-	var m *fabric.Metrics
-	if f.ShardCount() > 1 {
-		m, err = f.RunParallel(gens, *warmup, *measure)
-	} else {
-		m, err = f.Run(gens, *warmup, *measure)
-	}
+	m, err := f.Run(gens, *warmup, *measure)
 	if err != nil {
 		fatal(err)
 	}

@@ -13,9 +13,7 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/fabric"
 	"repro/internal/stats"
-	"repro/internal/traffic"
 )
 
 // RunConfig tunes an experiment run.
@@ -31,18 +29,8 @@ type RunConfig struct {
 	// Par sets the spatial shard count for fabric-backed experiments
 	// (fig2, fig4, stages-sim, ablation-credits): the fabric's switches
 	// tick concurrently in conservative-lookahead windows. Results are
-	// byte-identical at any value; 0 or 1 runs the serial kernel.
+	// byte-identical at any value; 0 or 1 runs one shard.
 	Par int
-}
-
-// runFabric drives a fabric with the configured shard count: the serial
-// reference kernel at Par <= 1, RunParallel otherwise. Both paths
-// produce byte-identical metrics.
-func (c RunConfig) runFabric(f *fabric.Fabric, gens []traffic.Generator, warm, meas uint64) (*fabric.Metrics, error) {
-	if f.ShardCount() > 1 {
-		return f.RunParallel(gens, warm, meas)
-	}
-	return f.Run(gens, warm, meas)
 }
 
 // DefaultSeed is the seed a zero RunConfig runs with; every recorded

@@ -74,7 +74,7 @@ func runFig2(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := cfg.runFabric(f, gens, warm, meas)
+		m, err := f.Run(gens, warm, meas)
 		if err != nil {
 			return nil, err
 		}

@@ -13,10 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/bitrow"
-	"repro/internal/packet"
 	"repro/internal/sched"
 	"repro/internal/traffic"
-	"repro/internal/units"
 )
 
 // checkNodeBoards compares every node's bitboard against the scalar
@@ -84,16 +82,8 @@ func TestBitBoardMatchesScalarDemand(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 400; i++ {
-					now := units.Time(f.Slot()) * f.metrics.CycleTime
-					for h, g := range gens {
-						a, ok := g.Next(f.Slot())
-						if !ok {
-							continue
-						}
-						c := f.alloc.New(h, a.Dst, packet.Data, now)
-						if err := f.Inject(c); err != nil {
-							t.Fatal(err)
-						}
+					if err := injectArrivals(f, gens); err != nil {
+						t.Fatal(err)
 					}
 					if err := f.Step(); err != nil {
 						t.Fatal(err)

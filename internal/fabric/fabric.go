@@ -51,11 +51,11 @@ type Config struct {
 	// OSMOSIS demonstrator format.
 	Format packet.Format
 	// Shards partitions the switch nodes into contiguous groups that
-	// tick concurrently (RunParallel); Step and Run also arbitrate the
-	// groups in parallel, synchronizing every slot. 0 or 1 selects the
-	// serial single-shard kernel. Output is byte-identical at any shard
-	// count — the partition changes wall-clock time, never results.
-	// Values above the switch count are clamped.
+	// tick concurrently: Run and Session synchronize them at lookahead
+	// window barriers, Step every slot. 0 or 1 runs one shard on the
+	// calling goroutine. Output is byte-identical at any shard count —
+	// the partition changes wall-clock time, never results. Values
+	// above the switch count are clamped.
 	Shards int
 }
 
@@ -151,11 +151,15 @@ type Fabric struct {
 	slot      uint64
 	measuring bool
 	// measureFrom extends the measuring flag with a slot threshold so a
-	// windowed parallel run can cross the warm-up boundary mid-window.
+	// run can cross the warm-up boundary mid-window.
 	measureSet    bool
 	measureFrom   uint64
 	injectOffered uint64
 	metrics       Metrics
+
+	// inj is the running timeline's injection plan, held inline so a Run
+	// call allocates nothing.
+	inj injectPlan
 }
 
 // New builds a fabric, applying defaults.
@@ -337,8 +341,8 @@ func (f *Fabric) Inject(c *packet.Cell) error {
 // coordinator exchanges mailboxes and accounts deliveries.
 func (f *Fabric) Step() error { return f.runWindow(1, nil) }
 
-// injectPlan moves traffic generation into the shards for windowed
-// parallel runs: each shard drives its own hosts' generators.
+// injectPlan moves traffic generation into the shards for Run and
+// Session: each shard drives its own hosts' generators.
 type injectPlan struct {
 	gens []traffic.Generator
 	// until bounds injection (absolute slot, exclusive).
@@ -395,9 +399,10 @@ func (f *Fabric) exchange() {
 
 // processDelivered folds the shards' delivered-cell buffers into the
 // coordinator's order checker and metrics. Iterating window offset
-// first and shards second visits cells in exactly the (slot, host)
-// order the serial kernel uses, which keeps the latency collectors'
-// floating-point accumulation bit-identical at every shard count.
+// first and shards second visits cells in global (slot, host) order —
+// the order a one-slot, one-shard Step loop sees — which keeps the
+// latency collectors' floating-point accumulation bit-identical at
+// every shard count and window length.
 func (f *Fabric) processDelivered(n int, shardInject bool) {
 	for w := 0; w < n; w++ {
 		slot := f.slot + uint64(w)
@@ -433,7 +438,7 @@ func (f *Fabric) processDelivered(n int, shardInject bool) {
 
 // mergeStats folds per-node and per-shard counters into the metrics.
 // All merged quantities are sums or maxima of cumulative counters, so
-// merging at barriers yields exactly the per-slot serial values.
+// merging at barriers yields exactly the per-slot values.
 func (f *Fabric) mergeStats() {
 	var blocked uint64
 	maxVOQ := f.metrics.MaxVOQDepth
@@ -457,82 +462,65 @@ func (f *Fabric) mergeStats() {
 	f.metrics.MaxInterInputDepth = maxIn
 }
 
-// Run drives the fabric with per-host generators, injecting from the
-// coordinator and synchronizing every slot — the serial reference
-// kernel. RunParallel produces byte-identical metrics faster.
+// Run drives the fabric with per-host generators through a warm-up
+// then a measurement window: a whole Session timeline in one call.
+// The shards advance concurrently in conservative-lookahead windows of
+// LinkDelaySlots + 1 slots: an event emitted during a window cannot land
+// in another shard before the window ends (cells and credits both fly
+// for LinkDelaySlots + 1 slots), so shards only synchronize at window
+// barriers. With zero link delay the window is one slot. Each shard
+// drives its own hosts' generators (every one an independent seeded
+// stream) and delivered cells are accounted centrally in (slot, host)
+// order, so the metrics are byte-identical at any shard count — and to
+// hand-driving the same arrivals through Inject and Step.
 func (f *Fabric) Run(gens []traffic.Generator, warmup, measure uint64) (*Metrics, error) {
-	if len(gens) != f.cfg.Hosts {
-		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
+	if err := f.begin(gens, warmup, measure); err != nil {
+		return nil, err
 	}
-	total := warmup + measure
-	for t := uint64(0); t < total; t++ {
-		if t == warmup {
-			f.StartMeasurement()
-			f.metrics.MeasureSlots = measure
-		}
-		now := units.Time(f.slot) * f.metrics.CycleTime
-		for h, g := range gens {
-			a, ok := g.Next(f.slot)
-			if !ok {
-				continue
-			}
-			cls := packet.Data
-			if a.Class == traffic.ClassControl {
-				cls = packet.Control
-			}
-			c := f.alloc.New(h, a.Dst, cls, now)
-			if err := f.Inject(c); err != nil {
-				return nil, err
-			}
-		}
-		if err := f.Step(); err != nil {
-			return nil, err
-		}
+	if err := f.advance(warmup + measure); err != nil {
+		return nil, err
 	}
+	f.finish(measure)
 	return &f.metrics, nil
 }
 
-// RunParallel drives the fabric like Run, but advances the shards
-// concurrently in conservative-lookahead windows of LinkDelaySlots + 1
-// slots: an event emitted during a window cannot land in another shard
-// before the window ends (cells and credits both fly for
-// LinkDelaySlots + 1 slots), so shards only synchronize at window
-// barriers. With zero link delay the window is one slot — shards then
-// synchronize every slot but still arbitrate all switches in parallel.
-// Traffic generation moves into the shards (each host's generator is an
-// independent seeded stream) and delivered cells are accounted centrally
-// in (slot, host) order, so the metrics are byte-identical to Run's at
-// any shard count.
-func (f *Fabric) RunParallel(gens []traffic.Generator, warmup, measure uint64) (*Metrics, error) {
+// begin arms a warm-up + measurement timeline starting at the current
+// slot: gens inject shard-side until its end, and the measurement window
+// opens at slot+warmup, mid-window if need be.
+func (f *Fabric) begin(gens []traffic.Generator, warmup, measure uint64) error {
 	if len(gens) != f.cfg.Hosts {
-		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
+		return fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
 	}
-	base := f.slot
-	total := warmup + measure
 	if measure > 0 {
 		f.measureSet = true
-		f.measureFrom = base + warmup
+		f.measureFrom = f.slot + warmup
 		f.metrics.MeasureSlots = measure
 	}
-	inj := &injectPlan{gens: gens, until: base + total}
+	f.inj = injectPlan{gens: gens, until: f.slot + warmup + measure}
+	return nil
+}
+
+// advance runs lookahead windows until the timeline ends or maxSlots
+// are spent, pausing only at window barriers.
+func (f *Fabric) advance(maxSlots uint64) error {
 	window := uint64(f.cfg.LinkDelaySlots + 1)
-	for done := uint64(0); done < total; {
-		n := window
-		if total-done < n {
-			n = total - done
+	for maxSlots > 0 && f.slot < f.inj.until {
+		n := min(window, f.inj.until-f.slot, maxSlots)
+		if err := f.runWindow(int(n), &f.inj); err != nil {
+			return err
 		}
-		if err := f.runWindow(int(n), inj); err != nil {
-			return nil, err
-		}
-		done += n
+		maxSlots -= n
 	}
+	return nil
+}
+
+// finish closes the timeline, leaving the measuring flag set after a
+// measurement so later Drain deliveries still count.
+func (f *Fabric) finish(measure uint64) {
 	if measure > 0 {
-		// Leave the flag where serial Run would: later Drain deliveries
-		// still count into the measured metrics.
 		f.measuring = true
 	}
 	f.measureSet = false
-	return &f.metrics, nil
 }
 
 // Drain runs extra slots with no arrivals until all queues empty or the

@@ -9,20 +9,20 @@ import (
 )
 
 // Session is an incrementally drivable fabric run: the same warm-up plus
-// measurement experiment Run and RunParallel execute in one call, but
-// advanced in caller-sized steps with checkpoint/restore at every pause.
+// measurement timeline Run executes in one call, advanced in
+// caller-sized steps with checkpoint/restore at every pause.
 //
 // Determinism contract: a Session produces byte-identical metrics (see
-// Metrics.Fingerprint) to Run and RunParallel regardless of how Advance
-// calls partition the timeline, because shards only interact at window
-// barriers and Advance only pauses at barriers — the pause points change
-// the execution schedule, never the state. A Session saved at slot T and
+// Metrics.Fingerprint) to Run regardless of how Advance calls partition
+// the timeline, because shards only interact at window barriers and
+// Advance only pauses at barriers — the pause points change the
+// execution schedule, never the state. A Session saved at slot T and
 // resumed on a fresh fabric (at any shard count) finishes with the same
-// fingerprint as its uninterrupted twin.
+// fingerprint as its uninterrupted twin. A fabric drives one timeline at
+// a time: starting a Run or another Session on it abandons this one.
 type Session struct {
 	f    *Fabric
 	gens []traffic.Generator
-	inj  *injectPlan
 
 	base            uint64 // fabric slot when the session started
 	warmup, measure uint64
@@ -30,13 +30,13 @@ type Session struct {
 	finished        bool
 }
 
-// StartSession begins a warm-up + measurement run on f, mirroring
-// RunParallel's prologue. Every generator must be checkpointable
-// (implement traffic.StateCodec) for Save to work; this is verified at
-// save time, not here, so non-checkpointable sessions can still run.
+// StartSession begins a warm-up + measurement run on f, arming the same
+// timeline Run does. Every generator must be checkpointable (implement
+// traffic.StateCodec) for Save to work; this is verified at save time,
+// not here, so non-checkpointable sessions can still run.
 func StartSession(f *Fabric, gens []traffic.Generator, warmup, measure uint64) (*Session, error) {
-	if len(gens) != f.cfg.Hosts {
-		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
+	if err := f.begin(gens, warmup, measure); err != nil {
+		return nil, err
 	}
 	s := &Session{
 		f:       f,
@@ -44,50 +44,30 @@ func StartSession(f *Fabric, gens []traffic.Generator, warmup, measure uint64) (
 		base:    f.slot,
 		warmup:  warmup,
 		measure: measure,
-		end:     f.slot + warmup + measure,
+		end:     f.inj.until,
 	}
-	if measure > 0 {
-		f.measureSet = true
-		f.measureFrom = s.base + warmup
-		f.metrics.MeasureSlots = measure
-	}
-	s.inj = &injectPlan{gens: gens, until: s.end}
 	if s.end == s.base {
 		s.finish()
 	}
 	return s, nil
 }
 
-// finish applies RunParallel's epilogue: leave the measuring flag where
-// serial Run would, so later Drain deliveries still count.
+// finish closes the timeline the way Run does.
 func (s *Session) finish() {
-	if s.measure > 0 {
-		s.f.measuring = true
-	}
-	s.f.measureSet = false
+	s.f.finish(s.measure)
 	s.finished = true
 }
 
-// Advance drives the run forward by at most maxSlots packet cycles,
-// pausing at the first window barrier at or past the budget. It reports
-// whether the run has completed its warm-up + measurement timeline.
+// Advance drives the run forward by at most maxSlots packet cycles; the
+// window that spends the budget is cut short there, so the pause is a
+// barrier. It reports whether the run has completed its warm-up +
+// measurement timeline.
 func (s *Session) Advance(maxSlots uint64) (bool, error) {
 	if s.finished {
 		return true, nil
 	}
-	window := uint64(s.f.cfg.LinkDelaySlots + 1)
-	for maxSlots > 0 && s.f.slot < s.end {
-		n := window
-		if rem := s.end - s.f.slot; rem < n {
-			n = rem
-		}
-		if maxSlots < n {
-			n = maxSlots
-		}
-		if err := s.f.runWindow(int(n), s.inj); err != nil {
-			return false, err
-		}
-		maxSlots -= n
+	if err := s.f.advance(maxSlots); err != nil {
+		return false, err
 	}
 	if s.f.slot >= s.end {
 		s.finish()
@@ -217,6 +197,6 @@ func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*
 	if !finished && f.slot >= s.end {
 		return nil, fmt.Errorf("fabric: restored clock %d at timeline end but session not finished", f.slot)
 	}
-	s.inj = &injectPlan{gens: gens, until: s.end}
+	f.inj = injectPlan{gens: gens, until: s.end}
 	return s, nil
 }

@@ -45,8 +45,8 @@ type shard struct {
 	// global (slot, host) order.
 	delivered [][]*packet.Cell
 
-	// alloc feeds shard-side injection (RunParallel); recycled at the
-	// barrier from this shard's delivered cells.
+	// alloc feeds shard-side injection (Run and Session); recycled at
+	// the barrier from this shard's delivered cells.
 	alloc *packet.Allocator
 
 	// active is the arbitration work set: bit (ni - nodeLo) is set while
@@ -143,7 +143,7 @@ func (s *shard) stepSlot(w int, inj *injectPlan) error {
 	idx := int(slot) % f.ringLen
 	now := units.Time(slot) * f.metrics.CycleTime
 
-	// 0. Shard-side traffic injection (windowed runs only): every host's
+	// 0. Shard-side traffic injection (Run and Session): every host's
 	// generator is an independent seeded stream, so each shard can drive
 	// its own hosts' arrivals without coordination.
 	if inj != nil && slot < inj.until {

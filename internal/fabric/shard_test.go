@@ -131,16 +131,8 @@ func TestIdleMatchesSlowScan(t *testing.T) {
 				}
 			}
 			for i := 0; i < 600; i++ {
-				now := units.Time(f.Slot()) * f.metrics.CycleTime
-				for h, g := range gens {
-					a, ok := g.Next(f.Slot())
-					if !ok {
-						continue
-					}
-					c := f.alloc.New(h, a.Dst, packet.Data, now)
-					if err := f.Inject(c); err != nil {
-						t.Fatal(err)
-					}
+				if err := injectArrivals(f, gens); err != nil {
+					t.Fatal(err)
 				}
 				if err := f.Step(); err != nil {
 					t.Fatal(err)
@@ -281,8 +273,9 @@ func TestDefaultBufferSustainsFullRate(t *testing.T) {
 
 // TestStepZeroAllocsSteadyState pins the whole per-slot path — traffic
 // draw, injection, arbitration, link rings, delivery, cell recycling —
-// at zero heap allocations per slot once warm. Measurement is off so
-// the latency collectors (which legitimately grow) stay out of frame.
+// at zero heap allocations per slot once warm, both hand-driven
+// (Inject + Step) and through Run. Measurement is off so the latency
+// collectors (which legitimately grow) stay out of frame.
 func TestStepZeroAllocsSteadyState(t *testing.T) {
 	f := smallFabric(t, nil)
 	gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.7, Seed: 5})
@@ -290,16 +283,8 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := func() {
-		now := units.Time(f.Slot()) * f.metrics.CycleTime
-		for h, g := range gens {
-			a, ok := g.Next(f.Slot())
-			if !ok {
-				continue
-			}
-			c := f.alloc.New(h, a.Dst, packet.Data, now)
-			if err := f.Inject(c); err != nil {
-				t.Fatal(err)
-			}
+		if err := injectArrivals(f, gens); err != nil {
+			t.Fatal(err)
 		}
 		if err := f.Step(); err != nil {
 			t.Fatal(err)
@@ -335,12 +320,70 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(400, step); avg != 0 {
 		t.Errorf("post-drain re-burst slot allocates %.1f objects, want 0", avg)
 	}
+	// Run at its smallest call, one slot: shard-side injection draws
+	// from the shard allocators, so warm those the same way first. The
+	// inject plan lives inline in the fabric, so the call itself must
+	// not allocate either.
+	if _, err := f.Run(gens, 3000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if drained, err := f.Drain(20000); err != nil || !drained {
+		t.Fatalf("Run warm-up drain failed: %v", err)
+	}
+	runSlot := func() {
+		if _, err := f.Run(gens, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(400, runSlot); avg != 0 {
+		t.Errorf("Run(gens, 1, 0) allocates %.1f objects per call, want 0", avg)
+	}
 }
 
 // --- golden determinism across shard counts --------------------------
 
-// runSharded builds the fabric, runs it (serial reference Run when
-// shards == 0, RunParallel otherwise), drains, and fingerprints.
+// injectArrivals draws one slot of arrivals from gens and injects them
+// from the coordinator, through Inject and the fabric's own allocator.
+func injectArrivals(f *Fabric, gens []traffic.Generator) error {
+	now := units.Time(f.slot) * f.metrics.CycleTime
+	for h, g := range gens {
+		a, ok := g.Next(f.slot)
+		if !ok {
+			continue
+		}
+		cls := packet.Data
+		if a.Class == traffic.ClassControl {
+			cls = packet.Control
+		}
+		if err := f.Inject(f.alloc.New(h, a.Dst, cls, now)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// serialRun is Run's test oracle: the same warm-up + measurement
+// timeline driven one Step at a time, with every arrival injected by
+// the coordinator. Run — windowed, injecting shard-side — must match it
+// byte-for-byte at every shard count.
+func serialRun(f *Fabric, gens []traffic.Generator, warmup, measure uint64) (*Metrics, error) {
+	for t := uint64(0); t < warmup+measure; t++ {
+		if t == warmup {
+			f.StartMeasurement()
+			f.metrics.MeasureSlots = measure
+		}
+		if err := injectArrivals(f, gens); err != nil {
+			return nil, err
+		}
+		if err := f.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return &f.metrics, nil
+}
+
+// runSharded builds the fabric, runs it (the serialRun oracle on one
+// shard when shards == 0, Run otherwise), drains, and fingerprints.
 func runSharded(t *testing.T, cfg Config, tcfg traffic.Config, shards int, warmup, measure uint64) (string, *Metrics, *Fabric) {
 	t.Helper()
 	cfg.Shards = shards
@@ -354,9 +397,9 @@ func runSharded(t *testing.T, cfg Config, tcfg traffic.Config, shards int, warmu
 	}
 	var m *Metrics
 	if shards == 0 {
-		m, err = f.Run(gens, warmup, measure)
+		m, err = serialRun(f, gens, warmup, measure)
 	} else {
-		m, err = f.RunParallel(gens, warmup, measure)
+		m, err = f.Run(gens, warmup, measure)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +416,8 @@ func runSharded(t *testing.T, cfg Config, tcfg traffic.Config, shards int, warmu
 
 // TestGoldenDeterminism2048Ports is the acceptance run: the paper-scale
 // 2048-port, 3-stage fabric at 0.95 load must produce byte-identical
-// metrics from the serial reference kernel and from RunParallel at
-// shard counts 1, 2, and 4, while staying lossless and in order.
+// metrics from the serialRun oracle and from Run at shard counts 1, 2,
+// and 4, while staying lossless and in order.
 func TestGoldenDeterminism2048Ports(t *testing.T) {
 	cfg := Config{
 		Hosts:          2048,
@@ -517,18 +560,18 @@ func TestShardsClampAndPartition(t *testing.T) {
 	}
 }
 
-// TestRunParallelMidstreamWarmupCrossing pins the measuring window when
-// the warm-up boundary falls inside a lookahead window (warmup not a
-// multiple of LinkDelaySlots+1).
-func TestRunParallelMidstreamWarmupCrossing(t *testing.T) {
+// TestRunMidstreamWarmupCrossing pins the measuring window when the
+// warm-up boundary falls inside a lookahead window (warmup not a
+// multiple of LinkDelaySlots+1), on one shard as well as several.
+func TestRunMidstreamWarmupCrossing(t *testing.T) {
 	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3} // window = 4
-	ref, _, _ := runSharded(t, cfg,
-		traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.6, Seed: 21}, 0, 333, 777)
-	got, _, _ := runSharded(t, cfg,
-		traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.6, Seed: 21}, 4, 333, 777)
-	if got != ref {
-		t.Errorf("odd warmup/measure diverged:\n  ref: %s\n  got: %s", ref, got)
+	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.6, Seed: 21}
+	ref, _, _ := runSharded(t, cfg, tcfg, 0, 333, 777)
+	for _, shards := range []int{1, 4} {
+		if got, _, _ := runSharded(t, cfg, tcfg, shards, 333, 777); got != ref {
+			t.Errorf("shards=%d: odd warmup/measure diverged:\n  ref: %s\n  got: %s", shards, ref, got)
+		}
 	}
 }

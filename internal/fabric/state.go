@@ -113,8 +113,8 @@ func (f *Fabric) collectWires() ([]wireCell, []wireCredit) {
 
 // atBarrier reports whether the fabric is at a window barrier: every
 // cross-shard mailbox drained and every delivered buffer folded into the
-// metrics. True after New, Step, Run, RunParallel, and between Session
-// Advance calls; false only inside runWindow.
+// metrics. True after New, Step, Run, and between Session Advance
+// calls; false only inside runWindow.
 func (f *Fabric) atBarrier() bool {
 	for _, s := range f.shards {
 		for _, out := range s.outCells {

@@ -52,8 +52,8 @@ func sessionRun(t *testing.T, cfg Config, tcfg traffic.Config, warmup, measure u
 }
 
 // TestSessionMatchesRun: the incrementally driven session equals the
-// one-shot serial reference kernel byte-for-byte, for several awkward
-// chunkings (mid-window pauses, single-slot steps, giant steps).
+// one-shot serialRun oracle byte-for-byte, for several awkward chunkings
+// (mid-window pauses, single-slot steps, giant steps).
 func TestSessionMatchesRun(t *testing.T) {
 	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
@@ -68,14 +68,14 @@ func TestSessionMatchesRun(t *testing.T) {
 		"window":      {4},
 	} {
 		if got := sessionRun(t, cfg, tcfg, 200, 1000, chunks); got != ref {
-			t.Errorf("%s chunking diverged from serial Run:\n  ref: %s\n  got: %s", name, ref, got)
+			t.Errorf("%s chunking diverged from the serial oracle:\n  ref: %s\n  got: %s", name, ref, got)
 		}
 	}
 	// And with a sharded fabric under the session.
 	scfg := cfg
 	scfg.Shards = 3
 	if got := sessionRun(t, scfg, tcfg, 200, 1000, []uint64{5, 11}); got != ref {
-		t.Errorf("sharded session diverged from serial Run:\n  ref: %s\n  got: %s", ref, got)
+		t.Errorf("sharded session diverged from the serial oracle:\n  ref: %s\n  got: %s", ref, got)
 	}
 }
 
