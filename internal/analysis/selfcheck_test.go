@@ -73,6 +73,12 @@ func TestShardSafeSeedAnnotations(t *testing.T) {
 		"fc.Credits.Land",
 		"packet.Allocator.New",
 		"packet.Allocator.Free",
+		// Cell retirement and queueing run on the shard path: the
+		// order check of delivered cells and the cell-linked queue
+		// under every VOQ and egress adapter.
+		"packet.OrderChecker.Deliver",
+		"packet.Queue.Push",
+		"packet.Queue.Pop",
 		// The sharded fabric kernel: the whole per-slot path a shard
 		// executes concurrently with its siblings must stay provably
 		// free of shared mutable state.

@@ -9,8 +9,8 @@ import (
 )
 
 // benchFabricConfig is BenchmarkFabric2048's configuration: the paper's
-// 2048-port, 3-stage flagship at 0.95 load — the run ROADMAP item 1
-// wanted off the single core.
+// 2048-port, 3-stage flagship — the run ROADMAP item 1 wanted off the
+// single core.
 func benchFabricConfig(shards int) Config {
 	return Config{
 		Hosts:          2048,
@@ -27,6 +27,10 @@ func benchFabricConfig(shards int) Config {
 // one slot (amortized over a fixed-size run so window barriers are
 // included at their true frequency). On a multi-core host more shards
 // multiply slots/sec; on a single core they show the barrier overhead.
+// Load 0.75 (the repository benchmark's fabric_busy load) is below the
+// flagship's ~0.825 saturation, so queues reach a steady state and
+// ns/op and allocs/op do not drift with b.N; above saturation the
+// backlog grows every slot.
 func BenchmarkFabric2048(b *testing.B) {
 	const slotsPerRun = 64
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -36,7 +40,7 @@ func BenchmarkFabric2048(b *testing.B) {
 				b.Fatal(err)
 			}
 			gens, err := traffic.Build(traffic.Config{
-				Kind: traffic.KindUniform, N: 2048, Load: 0.95, Seed: 1})
+				Kind: traffic.KindUniform, N: 2048, Load: 0.75, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

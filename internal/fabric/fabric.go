@@ -121,9 +121,10 @@ type creditReturn struct {
 // owns its nodes' VOQ, credit, and egress state plus private
 // inflight/credit-return rings. Cells and credits crossing a shard
 // boundary travel through per-(source, destination)-shard mailboxes
-// that are exchanged at deterministic barriers; delivered cells are fed
-// to the coordinator's metrics in global (slot, host) order. The result
-// is byte-identical at any shard count.
+// that are exchanged at deterministic barriers. Each shard checks the
+// order of, and retires, the cells its hosts deliver; the coordinator
+// folds the shards' delivery records into the metrics in global (slot,
+// host) order. The result is byte-identical at any shard count.
 type Fabric struct {
 	cfg Config
 	net Net
@@ -132,9 +133,11 @@ type Fabric struct {
 	nodeIdx map[NodeID]int
 	// nodeShard[i] is the index of the shard owning node i.
 	nodeShard []int
-	// hostNode[h]/hostPort[h] locate host h's leaf attachment.
-	hostNode []int
-	hostPort []int
+	// hostNode[h]/hostPort[h] locate host h's leaf attachment;
+	// hostShard[h] is the shard owning that leaf.
+	hostNode  []int
+	hostPort  []int
+	hostShard []int
 
 	shards []*shard
 	// ringLen sizes every shard's inflight and credit rings: an event
@@ -144,9 +147,6 @@ type Fabric struct {
 
 	// hostEgress[h] is the egress adapter of host h.
 	hostEgress []*voq.Egress
-
-	alloc *packet.Allocator
-	order *packet.OrderChecker
 
 	slot      uint64
 	measuring bool
@@ -199,8 +199,6 @@ func New(cfg Config) (*Fabric, error) {
 		cfg:     cfg,
 		net:     cfg.Network,
 		nodeIdx: make(map[NodeID]int),
-		alloc:   packet.NewAllocator(),
-		order:   packet.NewOrderChecker(),
 	}
 	f.metrics.CycleTime = cfg.Format.CycleTime()
 	f.metrics.HopHistogram = make(map[int]uint64)
@@ -277,6 +275,10 @@ func (f *Fabric) partition(s int) error {
 	// shard order being global host order, so the attachment order must
 	// be contiguous per shard (true for XGFT, whose leaves lead the node
 	// list in host order).
+	f.hostShard = make([]int, f.cfg.Hosts)
+	for h := range f.hostShard {
+		f.hostShard[h] = f.nodeShard[f.hostNode[h]]
+	}
 	for i, sh := range f.shards {
 		sh.hostLo, sh.hostHi = -1, -1
 		for h := 0; h < f.cfg.Hosts; h++ {
@@ -293,6 +295,7 @@ func (f *Fabric) partition(s int) error {
 		if sh.hostLo < 0 {
 			sh.hostLo, sh.hostHi = 0, 0
 		}
+		sh.order = packet.NewOrderCheckerFor(sh.hostLo, sh.hostHi)
 	}
 	return nil
 }
@@ -365,14 +368,15 @@ func (f *Fabric) runWindow(n int, inj *injectPlan) error {
 		}
 	}
 	f.exchange()
-	f.processDelivered(n, inj != nil)
+	f.processDelivered(n)
 	f.mergeStats()
 	f.slot += uint64(n)
 	return nil
 }
 
 // exchange moves cross-shard mailbox contents into the destination
-// shards' rings. Entries are merged in fixed (destination, source,
+// shards' rings, and cells retired away from home onto their source
+// shard's free list. Entries are merged in fixed (destination, source,
 // generation) order, so the landing order inside every ring slot is
 // independent of the execution schedule; state is insensitive to it
 // anyway, because each link delivers at most one cell per slot and
@@ -383,6 +387,10 @@ func (f *Fabric) exchange() {
 			if s == t {
 				continue
 			}
+			for _, c := range s.retired[ti] {
+				t.alloc.Free(c)
+			}
+			s.retired[ti] = s.retired[ti][:0]
 			for _, fd := range s.outCells[ti] {
 				k := int(fd.at) % f.ringLen
 				t.inflight[k] = append(t.inflight[k], fd.d)
@@ -397,38 +405,26 @@ func (f *Fabric) exchange() {
 	}
 }
 
-// processDelivered folds the shards' delivered-cell buffers into the
-// coordinator's order checker and metrics. Iterating window offset
-// first and shards second visits cells in global (slot, host) order —
-// the order a one-slot, one-shard Step loop sees — which keeps the
-// latency collectors' floating-point accumulation bit-identical at
-// every shard count and window length.
-func (f *Fabric) processDelivered(n int, shardInject bool) {
+// processDelivered folds the shards' delivery records into the
+// metrics. Iterating window offset first and shards second visits them
+// in global (slot, host) order — the order a one-slot, one-shard Step
+// loop sees — which keeps the latency collectors' floating-point
+// accumulation bit-identical at every shard count and window length.
+func (f *Fabric) processDelivered(n int) {
 	for w := 0; w < n; w++ {
-		slot := f.slot + uint64(w)
-		measured := f.measuringAt(slot)
+		measured := f.measuringAt(f.slot + uint64(w))
 		for _, s := range f.shards {
-			for _, c := range s.delivered[w] {
-				ok := f.order.Deliver(c)
-				if measured {
+			if measured {
+				for _, r := range s.delivered[w] {
 					f.metrics.Delivered++
-					slots := float64(c.Delivered-c.Created) / float64(f.metrics.CycleTime)
-					f.metrics.LatencySlots.Add(units.Time(slots))
-					if c.Class == packet.Control {
-						f.metrics.ControlLatencySlots.Add(units.Time(slots))
+					f.metrics.LatencySlots.Add(r.latency)
+					if r.class == packet.Control {
+						f.metrics.ControlLatencySlots.Add(r.latency)
 					}
-					f.metrics.HopHistogram[c.Hops]++
-					if !ok {
+					f.metrics.HopHistogram[int(r.hops)]++
+					if !r.inOrder {
 						f.metrics.OrderViolations++
 					}
-				}
-				// Retire the cell: nothing downstream keeps a reference,
-				// so the allocator that feeds this run's injections can
-				// recycle it and the steady-state loop allocates nothing.
-				if shardInject {
-					s.alloc.Free(c)
-				} else {
-					f.alloc.Free(c)
 				}
 			}
 			s.delivered[w] = s.delivered[w][:0]

@@ -13,8 +13,9 @@ import (
 // shard owns a contiguous range of switch nodes and everything needed
 // to tick them without touching another shard: the inflight and
 // credit-return rings for links whose downstream end lands here, the
-// traffic injection for the hosts attached to its leaves, and a private
-// cell allocator. Events bound for another shard accumulate in
+// traffic injection for the hosts attached to its leaves, a private
+// cell allocator, and the order checker for the flows its hosts
+// receive. Events bound for another shard accumulate in
 // per-destination mailboxes that only the coordinator drains, at window
 // barriers — between barriers no two shards share mutable state, which
 // is exactly the property the //osmosis:shardsafe annotations on the
@@ -40,14 +41,23 @@ type shard struct {
 	outCells [][]farDelivery
 	outCreds [][]farCredit
 
-	// delivered[w] buffers cells that completed in window-offset slot w,
-	// in host order; the coordinator folds them into the metrics in
-	// global (slot, host) order.
-	delivered [][]*packet.Cell
+	// delivered[w] records the cells that completed in window-offset
+	// slot w, in host order; the coordinator folds them into the
+	// metrics in global (slot, host) order.
+	delivered [][]deliveryRecord
 
-	// alloc feeds shard-side injection (Run and Session); recycled at
-	// the barrier from this shard's delivered cells.
+	// alloc issues the cells of the hosts this shard owns (Run and
+	// Session inject from it; tests driving Inject draw from it too).
+	// Every such cell comes back to it at delivery: directly when this
+	// shard delivers it, through retired otherwise.
 	alloc *packet.Allocator
+	// retired[t] holds the cells this shard delivered that shard t's
+	// allocator issued; the coordinator hands them over at the barrier.
+	// Entry [idx] stays empty.
+	retired [][]*packet.Cell
+	// order checks the Table-1 delivery order of every flow toward this
+	// shard's hosts — the only flows it delivers.
+	order *packet.OrderChecker
 
 	// active is the arbitration work set: bit (ni - nodeLo) is set while
 	// node ni may need to arbitrate. Every cell push sets the owner's bit
@@ -65,6 +75,15 @@ type shard struct {
 	maxInterInputDepth int
 	// err latches the first step failure; checked at every barrier.
 	err error
+}
+
+// deliveryRecord is what the metrics need of one delivered cell, so
+// the shard can retire the cell itself before the barrier.
+type deliveryRecord struct {
+	latency units.Time // end-to-end delay in slots
+	hops    int32
+	class   packet.Class
+	inOrder bool
 }
 
 // farDelivery is a cell crossing a shard boundary: the absolute landing
@@ -93,7 +112,8 @@ func newShard(f *Fabric, idx, lo, hi, nShards, window int) *shard {
 	s.creditWire = make([][]creditReturn, f.ringLen)
 	s.outCells = make([][]farDelivery, nShards)
 	s.outCreds = make([][]farCredit, nShards)
-	s.delivered = make([][]*packet.Cell, window)
+	s.delivered = make([][]deliveryRecord, window)
+	s.retired = make([][]*packet.Cell, nShards)
 	// All nodes start active: the first slot arbitrates everything once
 	// (matching the pre-active-set kernel exactly), and empty nodes with
 	// skippable schedulers fall out of the set right after.
@@ -253,7 +273,9 @@ func (s *shard) stepSlot(w int, inj *injectPlan) error {
 		}
 	}
 
-	// 3. Owned host egress lines transmit one cell each; metric
+	// 3. Owned host egress lines transmit one cell each. The shard
+	// checks the cell's flow order, records what the metrics need, and
+	// retires the cell to the allocator that issued it; metric
 	// accounting happens at the coordinator, in global (slot, host)
 	// order, after the barrier.
 	for h := s.hostLo; h < s.hostHi; h++ {
@@ -262,8 +284,20 @@ func (s *shard) stepSlot(w int, inj *injectPlan) error {
 			continue
 		}
 		c.Delivered = now + f.metrics.CycleTime
+		slots := float64(c.Delivered-c.Created) / float64(f.metrics.CycleTime)
 		//lint:ignore hotpath delivered buffer is drained every barrier; capacity is cap-stable after the first window
-		s.delivered[w] = append(s.delivered[w], c)
+		s.delivered[w] = append(s.delivered[w], deliveryRecord{
+			latency: units.Time(slots),
+			hops:    int32(c.Hops),
+			class:   c.Class,
+			inOrder: s.order.Deliver(c),
+		})
+		if t := f.hostShard[c.Src]; t == s.idx {
+			s.alloc.Free(c)
+		} else {
+			//lint:ignore hotpath retire list is handed over every barrier; capacity is cap-stable after the first window
+			s.retired[t] = append(s.retired[t], c)
+		}
 	}
 	s.slot++
 	return nil

@@ -21,7 +21,7 @@ import (
 func TestIdleSeesInFlightCredits(t *testing.T) {
 	f := smallFabric(t, nil)
 	// One cross-leaf cell: host 0 -> host 4 traverses leaf, spine, leaf.
-	c := f.alloc.New(0, 4, packet.Data, 0)
+	c := f.hostAlloc(0).New(0, 4, packet.Data, 0)
 	if err := f.Inject(c); err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +31,6 @@ func TestIdleSeesInFlightCredits(t *testing.T) {
 		if f.Idle() {
 			idleAt = f.Slot()
 			break
-		}
-		if f.Metrics().Delivered == 0 && f.order.Violations() == 0 {
-			// still in flight
 		}
 		if err := f.Step(); err != nil {
 			t.Fatal(err)
@@ -206,7 +203,7 @@ func TestCreditLoopRTTMatchesSizingFormula(t *testing.T) {
 			seen := uint64(0)
 			f.StartMeasurement()
 			for slot := uint64(0); slot < 40*want; slot++ {
-				c := f.alloc.New(0, 4, packet.Data, units.Time(slot)*f.metrics.CycleTime)
+				c := f.hostAlloc(0).New(0, 4, packet.Data, units.Time(slot)*f.metrics.CycleTime)
 				if err := f.Inject(c); err != nil {
 					t.Fatal(err)
 				}
@@ -249,7 +246,7 @@ func TestDefaultBufferSustainsFullRate(t *testing.T) {
 		f.StartMeasurement()
 		const slots = 400
 		for slot := uint64(0); slot < slots; slot++ {
-			c := f.alloc.New(0, 4, packet.Data, units.Time(slot)*f.metrics.CycleTime)
+			c := f.hostAlloc(0).New(0, 4, packet.Data, units.Time(slot)*f.metrics.CycleTime)
 			if err := f.Inject(c); err != nil {
 				t.Fatal(err)
 			}
@@ -338,12 +335,97 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 	if avg := testing.AllocsPerRun(400, runSlot); avg != 0 {
 		t.Errorf("Run(gens, 1, 0) allocates %.1f objects per call, want 0", avg)
 	}
+
+	// Two shards under hotspot traffic: shard 0's hosts send most of
+	// their cells to hot port 31 on shard 1, so shard 1 delivers far
+	// more cells than it issues. Each delivered cell must go back to
+	// the allocator of its source's shard; freed where it was delivered
+	// instead, shard 0 would heap-allocate about every other cell while
+	// shard 1's free list grew without bound. A two-shard window pays a
+	// fixed allocation cost for its worker fan-out, so the busy slots
+	// are held to exactly what idle two-shard slots allocate, counted
+	// over 400 slots at once (AllocsPerRun truncates a per-call mean).
+	hf := smallFabric(t, func(c *Config) { c.Shards = 2 })
+	hot, err := traffic.Build(traffic.Config{Kind: traffic.KindHotspot, N: 32, Load: 0.05,
+		HotFraction: 0.5, HotPort: 31, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hf.hostShard[0] == hf.hostShard[31] {
+		t.Fatal("hot port shares shard 0; the case lost its cross-shard traffic")
+	}
+	if _, err := hf.Run(hot, 3000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if drained, err := hf.Drain(20000); err != nil || !drained {
+		t.Fatalf("hotspot warm-up drain failed: %v", err)
+	}
+	const slots = 400
+	idle := testing.AllocsPerRun(1, func() {
+		for i := 0; i < slots; i++ {
+			if err := hf.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	busy := testing.AllocsPerRun(1, func() {
+		for i := 0; i < slots; i++ {
+			if _, err := hf.Run(hot, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if busy != idle {
+		t.Errorf("2-shard hotspot: %d Run(gens, 1, 0) calls allocate %.0f objects, %d idle slots %.0f; want equal",
+			slots, busy, slots, idle)
+	}
+}
+
+// TestOrderViolationReachesMetrics hand-reorders one flow — the second
+// cell injected a few slots before the first — and checks that the
+// shard-side order check reports exactly one violation in the metrics,
+// on one shard and on two (where the flow crosses the shard boundary).
+func TestOrderViolationReachesMetrics(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		f := smallFabric(t, func(c *Config) { c.Shards = shards })
+		const src, dst = 0, 28
+		if shards == 2 && f.hostShard[src] == f.hostShard[dst] {
+			t.Fatal("flow stays inside one shard; the case lost its cross-shard path")
+		}
+		f.StartMeasurement()
+		a := f.hostAlloc(src)
+		first := a.New(src, dst, packet.Data, 0)
+		second := a.New(src, dst, packet.Data, 0)
+		if err := f.Inject(second); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := f.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Inject(first); err != nil {
+			t.Fatal(err)
+		}
+		if drained, err := f.Drain(1000); err != nil || !drained {
+			t.Fatalf("shards=%d: drain failed: %v", shards, err)
+		}
+		m := f.Metrics()
+		if m.Delivered != 2 || m.OrderViolations != 1 {
+			t.Errorf("shards=%d: delivered %d, violations %d; want 2 and 1", shards, m.Delivered, m.OrderViolations)
+		}
+	}
 }
 
 // --- golden determinism across shard counts --------------------------
 
+// hostAlloc is the allocator that issues host h's cells: the one of the
+// shard owning h's leaf, which is where delivery returns them.
+func (f *Fabric) hostAlloc(h int) *packet.Allocator { return f.shards[f.hostShard[h]].alloc }
+
 // injectArrivals draws one slot of arrivals from gens and injects them
-// from the coordinator, through Inject and the fabric's own allocator.
+// from the coordinator, through Inject and the source hosts' shard
+// allocators.
 func injectArrivals(f *Fabric, gens []traffic.Generator) error {
 	now := units.Time(f.slot) * f.metrics.CycleTime
 	for h, g := range gens {
@@ -355,7 +437,7 @@ func injectArrivals(f *Fabric, gens []traffic.Generator) error {
 		if a.Class == traffic.ClassControl {
 			cls = packet.Control
 		}
-		if err := f.Inject(f.alloc.New(h, a.Dst, cls, now)); err != nil {
+		if err := f.Inject(f.hostAlloc(h).New(h, a.Dst, cls, now)); err != nil {
 			return err
 		}
 	}

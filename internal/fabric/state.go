@@ -17,8 +17,8 @@ package fabric
 //	  clock <slot> <measuring01> <measureSet01> <measureFrom>
 //	        <injectOffered> <shardOffered>
 //	  begin metrics ... end metrics
-//	  order/oflow records        (delivery-order checker)
-//	  alloc/flow records         (merged cell-identity counters)
+//	  order/oflow records        (the shards' order checkers, merged)
+//	  alloc/flow records         (the shards' cell identities, merged)
 //	  begin nodes   one "begin node" per switch, in Net.NodeIDs order
 //	  begin hosts   one egress section per host port
 //	  begin wires   in-flight cells then aggregated credit returns,
@@ -134,6 +134,18 @@ func (f *Fabric) atBarrier() bool {
 		}
 	}
 	return true
+}
+
+// shardBooks lists the shards' order checkers and allocators in shard
+// order — ascending destination ranges for the checkers, which is the
+// order the merged "order" records need.
+func (f *Fabric) shardBooks() ([]*packet.OrderChecker, []*packet.Allocator) {
+	orders := make([]*packet.OrderChecker, len(f.shards))
+	allocs := make([]*packet.Allocator, len(f.shards))
+	for i, s := range f.shards {
+		orders[i], allocs[i] = s.order, s.alloc
+	}
+	return orders, allocs
 }
 
 func (f *Fabric) saveMetrics(e *ckpt.Encoder) {
@@ -318,12 +330,8 @@ func (f *Fabric) SaveState(e *ckpt.Encoder) {
 		ckpt.Uint(f.slot), ckpt.Bool(f.measuring), ckpt.Bool(f.measureSet),
 		ckpt.Uint(f.measureFrom), ckpt.Uint(f.injectOffered), ckpt.Uint(shardOffered))
 	f.saveMetrics(e)
-	f.order.SaveState(e)
-	allocs := make([]*packet.Allocator, 0, 1+len(f.shards))
-	allocs = append(allocs, f.alloc)
-	for _, s := range f.shards {
-		allocs = append(allocs, s.alloc)
-	}
+	orders, allocs := f.shardBooks()
+	packet.SaveMergedOrderState(e, orders...)
 	packet.SaveMergedState(e, allocs...)
 
 	e.Begin("nodes")
@@ -367,8 +375,13 @@ func (f *Fabric) SaveState(e *ckpt.Encoder) {
 // partition. After LoadState the fabric continues bit-exactly — same
 // metrics, same fingerprint — as the fabric that saved.
 func (f *Fabric) LoadState(d *ckpt.Decoder) error {
-	if f.slot != 0 || f.alloc.Issued() != 0 || f.metrics.Delivered > 0 {
-		return fmt.Errorf("fabric: restore target must be freshly built (slot %d, %d cells issued)", f.slot, f.alloc.Issued())
+	orders, allocs := f.shardBooks()
+	var issued uint64
+	for _, a := range allocs {
+		issued += a.Issued()
+	}
+	if f.slot != 0 || issued != 0 || f.metrics.Delivered > 0 {
+		return fmt.Errorf("fabric: restore target must be freshly built (slot %d, %d cells issued)", f.slot, issued)
 	}
 	if err := d.Begin("fabric"); err != nil {
 		return err
@@ -403,13 +416,8 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	if err := f.loadMetrics(d); err != nil {
 		return err
 	}
-	if err := f.order.LoadState(d); err != nil {
+	if err := packet.LoadSplitOrderState(d, orders...); err != nil {
 		return err
-	}
-	allocs := make([]*packet.Allocator, 0, 1+len(f.shards))
-	allocs = append(allocs, f.alloc)
-	for _, s := range f.shards {
-		allocs = append(allocs, s.alloc)
 	}
 	if err := packet.LoadMergedState(d, allocs...); err != nil {
 		return err

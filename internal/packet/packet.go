@@ -11,6 +11,7 @@ package packet
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/units"
@@ -50,6 +51,14 @@ type Cell struct {
 	Src, Dst int
 	// Class is the traffic mode; Control has strict priority.
 	Class Class
+	// Hops counts crossbar traversals (stages crossed).
+	Hops int
+	// next links the cell to the one queued behind it in the Queue
+	// holding it; it means nothing once the cell is the tail or leaves
+	// the queue. Kept beside the fields every hop touches (Src, Dst,
+	// Class, Hops), so a queue operation and a hop's reads tend to share
+	// a cache line.
+	next *Cell
 	// Seq is the per (Src, Dst, Class) flow sequence number, used to
 	// verify the Table-1 in-order delivery requirement.
 	Seq uint64
@@ -59,8 +68,6 @@ type Cell struct {
 	Injected units.Time
 	// Delivered is set by the egress adapter at final delivery.
 	Delivered units.Time
-	// Hops counts crossbar traversals (stages crossed).
-	Hops int
 	// Retransmits counts link-level retransmissions the cell suffered.
 	Retransmits int
 	// Payload is optional user data, used by the FEC/link-layer paths;
@@ -77,7 +84,8 @@ func (c *Cell) String() string {
 }
 
 // Allocator hands out cells with unique IDs and per-flow sequence
-// numbers. One allocator is shared per simulation run.
+// numbers. Each independent cell source of a run (the crossbar, or one
+// fabric shard) keeps its own.
 //
 // Retired cells can be handed back with Free; New then recycles them
 // instead of heap-allocating, so a steady-state simulation loop whose
@@ -102,10 +110,13 @@ type Allocator struct {
 // control half, and a row is always the smallest power of two (at least
 // minFlowRow) covering the highest destination seen: the table settles
 // at the port count, rounded up, whatever order flows are first touched
-// in. class must be Data or Control — which Class is by construction
-// everywhere cells are made.
+// in. A table with a nonzero width allocates every row at exactly that
+// width instead (the order checker of a destination range knows its
+// row length up front). class must be Data or Control — which Class is
+// by construction everywhere cells are made.
 type flowTable struct {
-	rows [][2][]uint64 // [src][class][dst]
+	rows  [][2][]uint64 // [src][class][dst]
+	width int
 }
 
 // minFlowRow is the smallest row a flow table allocates.
@@ -121,8 +132,12 @@ func (t *flowTable) slot(src, dst int, class Class) *uint64 {
 	}
 	row := t.rows[src][class]
 	if dst >= len(row) {
-		//lint:ignore hotpath rows grow to the next power of two past the highest destination and stop; cap-stable once every flow has been seen
-		grown := make([]uint64, max(minFlowRow, 1<<bits.Len(uint(dst))))
+		n := max(minFlowRow, 1<<bits.Len(uint(dst)))
+		if dst < t.width {
+			n = t.width
+		}
+		//lint:ignore hotpath rows grow to the table width, or the next power of two past the highest destination, and stop; cap-stable once every flow has been seen
+		grown := make([]uint64, n)
 		copy(grown, row)
 		row = grown
 		t.rows[src][class] = row
@@ -134,12 +149,22 @@ func (t *flowTable) slot(src, dst int, class Class) *uint64 {
 // class) order — the iteration the checkpoint codecs rely on for
 // byte-deterministic serialization.
 func (t *flowTable) each(fn func(src, dst int, class Class, v uint64)) {
-	for src, pair := range t.rows {
-		for dst := 0; dst < max(len(pair[0]), len(pair[1])); dst++ {
-			for class, row := range pair {
-				if dst < len(row) && row[dst] != 0 {
-					fn(src, dst, Class(class), row[dst])
-				}
+	for src := range t.rows {
+		t.eachFrom(src, fn)
+	}
+}
+
+// eachFrom calls fn for every nonzero flow of one source, in (dst,
+// class) order.
+func (t *flowTable) eachFrom(src int, fn func(src, dst int, class Class, v uint64)) {
+	if src >= len(t.rows) {
+		return
+	}
+	pair := t.rows[src]
+	for dst := 0; dst < max(len(pair[0]), len(pair[1])); dst++ {
+		for class, row := range pair {
+			if dst < len(row) && row[dst] != 0 {
+				fn(src, dst, Class(class), row[dst])
 			}
 		}
 	}
@@ -162,7 +187,7 @@ func (t *flowTable) count() uint64 {
 
 // clone returns a deep copy of the table.
 func (t *flowTable) clone() flowTable {
-	c := flowTable{rows: make([][2][]uint64, len(t.rows))}
+	c := flowTable{rows: make([][2][]uint64, len(t.rows)), width: t.width}
 	for src, pair := range t.rows {
 		for class, row := range pair {
 			if len(row) > 0 {
@@ -224,27 +249,44 @@ func (a *Allocator) Issued() uint64 { return a.nextID }
 // OrderChecker verifies the Table-1 requirement that packet order is
 // maintained between every input/output pair (per class). It records
 // the last sequence number delivered per flow and counts violations.
+//
+// A checker covers the flows toward one destination range [lo, hi), so
+// a partitioned engine can give each partition a checker for the
+// destinations it delivers to: the tables split the flow space instead
+// of each covering all of it.
 type OrderChecker struct {
 	// last holds lastSeq+1 per flow (0 means the flow has never
-	// delivered), folding the seen-flag into the same cell so the hot
-	// Deliver path does one table access per cell.
+	// delivered), keyed by (src, dst-lo, class), folding the seen-flag
+	// into the same cell so the hot Deliver path does one table access
+	// per cell.
 	last       flowTable
+	lo, hi     int
 	violations uint64
 	delivered  uint64
 }
 
-// NewOrderChecker returns an empty checker.
+// NewOrderChecker returns an empty checker for every destination.
 func NewOrderChecker() *OrderChecker {
-	return &OrderChecker{}
+	return &OrderChecker{hi: math.MaxInt}
+}
+
+// NewOrderCheckerFor returns an empty checker for the flows toward
+// destinations [lo, hi). Its rows are exactly hi-lo entries long.
+func NewOrderCheckerFor(lo, hi int) *OrderChecker {
+	return &OrderChecker{last: flowTable{width: hi - lo}, lo: lo, hi: hi}
 }
 
 // Deliver records a delivery; it returns false if the cell arrived out
 // of order with respect to its flow. A sequence gap is not a violation
 // by itself (the missing cell may still be in flight and would then
 // arrive late, which is caught as a non-increasing sequence); delivery
-// must only be strictly increasing per flow.
+// must only be strictly increasing per flow. c.Dst must lie in the
+// checker's destination range.
+//
+//osmosis:hotpath
+//osmosis:shardsafe
 func (o *OrderChecker) Deliver(c *Cell) bool {
-	p := o.last.slot(c.Src, c.Dst, c.Class)
+	p := o.last.slot(c.Src, c.Dst-o.lo, c.Class)
 	o.delivered++
 	if v := *p; v != 0 && c.Seq < v {
 		o.violations++

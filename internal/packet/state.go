@@ -59,23 +59,33 @@ func saveFlows(e *ckpt.Encoder, name string, t *flowTable, sub uint64) {
 	})
 }
 
-// readFlow reads one per-flow record written by saveFlows, returning a
-// validated pointer into t's value cell for that flow plus the stored
-// value. The caller checks *p for duplicates (live flows are nonzero).
-func readFlow(d *ckpt.Decoder, name string, t *flowTable) (p *uint64, v uint64, err error) {
+// parseFlow reads and validates one per-flow record written by
+// saveFlows.
+func parseFlow(d *ckpt.Decoder, name string) (src, dst int, class Class, v uint64, err error) {
 	fr := d.Record(name)
-	src, dst, class := fr.IntAsInt(), fr.IntAsInt(), Class(fr.Uint())
+	src, dst, class = fr.IntAsInt(), fr.IntAsInt(), Class(fr.Uint())
 	v = fr.Uint()
 	if err := fr.Done(); err != nil {
-		return nil, 0, err
+		return 0, 0, 0, 0, err
 	}
 	if class > Control {
-		return nil, 0, fmt.Errorf("packet: %s flow class %d out of range", name, class)
+		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow class %d out of range", name, class)
 	}
 	// The dense table allocates per-source rows sized to the largest
 	// destination, so bound both indices before trusting them.
 	if src < 0 || dst < 0 || src >= 1<<24 || dst >= 1<<24 {
-		return nil, 0, fmt.Errorf("packet: %s flow %d->%d outside supported port range", name, src, dst)
+		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d outside supported port range", name, src, dst)
+	}
+	return src, dst, class, v, nil
+}
+
+// readFlow reads one per-flow record written by saveFlows, returning a
+// pointer into t's value cell for that flow plus the stored value. The
+// caller checks *p for duplicates (live flows are nonzero).
+func readFlow(d *ckpt.Decoder, name string, t *flowTable) (p *uint64, v uint64, err error) {
+	src, dst, class, v, err := parseFlow(d, name)
+	if err != nil {
+		return nil, 0, err
 	}
 	return t.slot(src, dst, class), v, nil
 }
@@ -119,10 +129,10 @@ func (a *Allocator) LoadState(d *ckpt.Decoder) error {
 }
 
 // SaveMergedState serializes the combined identity state of several
-// allocators as one logical allocator. The fabric engine issues cells
-// from the coordinator's allocator (serial drive) or from per-shard
-// allocators (parallel drive); each flow is only ever ADVANCED by one of
-// them, so taking each flow's maximum counter yields a
+// allocators as one logical allocator. The fabric engine issues each
+// host's cells from the allocator of the shard owning the host; each
+// flow is only ever ADVANCED by one of them, so taking each flow's
+// maximum counter yields a
 // partition-independent snapshot: the same traffic produces the same
 // merged flow state at any shard count. Maximum (not sum) also makes the
 // merge idempotent across restore cycles — LoadMergedState hands every
@@ -184,31 +194,72 @@ func LoadMergedState(d *ckpt.Decoder, allocs ...*Allocator) error {
 // number seen per flow. The record carries the actual last sequence
 // number (the in-memory lastSeq+1 encoding is undone), so the byte
 // format is independent of the checker's internal representation.
-func (o *OrderChecker) SaveState(e *ckpt.Encoder) {
-	e.Put("order", ckpt.Uint(o.delivered), ckpt.Uint(o.violations), ckpt.Uint(o.last.count()))
-	saveFlows(e, "oflow", &o.last, 1)
-}
+func (o *OrderChecker) SaveState(e *ckpt.Encoder) { SaveMergedOrderState(e, o) }
 
 // LoadState restores the order checker, replacing current state.
-func (o *OrderChecker) LoadState(d *ckpt.Decoder) error {
+func (o *OrderChecker) LoadState(d *ckpt.Decoder) error { return LoadSplitOrderState(d, o) }
+
+// SaveMergedOrderState serializes checkers covering disjoint destination
+// ranges, given in ascending range order, as the one checker covering
+// their union: summed totals, then every flow in (src, dst, class)
+// order. A partitioned engine with one checker per destination range
+// thus writes the bytes a single whole-range checker would.
+func SaveMergedOrderState(e *ckpt.Encoder, checkers ...*OrderChecker) {
+	var delivered, violations, flows uint64
+	rows := 0
+	for _, o := range checkers {
+		delivered += o.delivered
+		violations += o.violations
+		flows += o.last.count()
+		rows = max(rows, len(o.last.rows))
+	}
+	e.Put("order", ckpt.Uint(delivered), ckpt.Uint(violations), ckpt.Uint(flows))
+	for src := 0; src < rows; src++ {
+		for _, o := range checkers {
+			o.last.eachFrom(src, func(src, dst int, class Class, v uint64) {
+				e.Put("oflow", ckpt.Int(int64(src)), ckpt.Int(int64(dst+o.lo)),
+					ckpt.Uint(uint64(class)), ckpt.Uint(v-1))
+			})
+		}
+	}
+}
+
+// LoadSplitOrderState restores a SaveMergedOrderState snapshot into
+// checkers, replacing their state: each takes the flows toward its own
+// destination range, and the first takes the totals (only their sum is
+// ever saved). A flow outside every range is an error.
+func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 	r := d.Record("order")
 	delivered, violations, n := r.Uint(), r.Uint(), r.Uint()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	var last flowTable
+	tables := make([]flowTable, len(checkers))
+	for k, o := range checkers {
+		tables[k].width = o.last.width
+	}
 	for i := uint64(0); i < n; i++ {
-		p, v, err := readFlow(d, "oflow", &last)
+		src, dst, class, v, err := parseFlow(d, "oflow")
 		if err != nil {
 			return err
 		}
+		k := 0
+		for k < len(checkers) && (dst < checkers[k].lo || dst >= checkers[k].hi) {
+			k++
+		}
+		if k == len(checkers) {
+			return fmt.Errorf("packet: order flow record %d toward %d outside every checker's destination range", i, dst)
+		}
+		p := tables[k].slot(src, dst-checkers[k].lo, class)
 		if *p != 0 {
 			return fmt.Errorf("packet: order flow record %d duplicated", i)
 		}
 		*p = v + 1
 	}
-	o.delivered = delivered
-	o.violations = violations
-	o.last = last
+	for k, o := range checkers {
+		o.last = tables[k]
+		o.delivered, o.violations = 0, 0
+	}
+	checkers[0].delivered, checkers[0].violations = delivered, violations
 	return nil
 }

@@ -103,6 +103,88 @@ func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOrderCheckerMergedStateMatchesWhole splits the destination space
+// across range checkers (one of them empty) the way the fabric's shards
+// do: the ranges must judge every delivery as one whole-range checker
+// does, save to the same bytes, and, restored split, keep judging alike.
+func TestOrderCheckerMergedStateMatchesWhole(t *testing.T) {
+	const ports = 12
+	whole := NewOrderChecker()
+	ranges := []*OrderChecker{NewOrderCheckerFor(0, 5), NewOrderCheckerFor(0, 0), NewOrderCheckerFor(5, ports)}
+	owner := func(cs []*OrderChecker, dst int) *OrderChecker {
+		if dst < 5 {
+			return cs[0]
+		}
+		return cs[2]
+	}
+	alloc := NewAllocator()
+	var late []*Cell
+	for i := 0; i < 400; i++ {
+		c := alloc.New(i%7, (i*5)%ports, Class(i%2), units.Time(i))
+		if i%9 == 0 {
+			late = append(late, c) // delivered after its successors
+			continue
+		}
+		if a, b := whole.Deliver(c), owner(ranges, c.Dst).Deliver(c); a != b {
+			t.Fatalf("cell %d: whole judged %v, range %v", i, a, b)
+		}
+	}
+	for _, c := range late[:len(late)/2] {
+		if a, b := whole.Deliver(c), owner(ranges, c.Dst).Deliver(c); a != b {
+			t.Fatalf("late cell %v: whole judged %v, range %v", c, a, b)
+		}
+	}
+	if whole.Violations() == 0 {
+		t.Fatal("test setup: expected violations")
+	}
+	if got := len(ranges[2].last.rows[0][Data]); got != ports-5 {
+		t.Errorf("range checker row holds %d destinations, want exactly %d", got, ports-5)
+	}
+
+	save := func(cs ...*OrderChecker) string {
+		var buf strings.Builder
+		e := ckpt.NewEncoder(&buf)
+		SaveMergedOrderState(e, cs...)
+		if err := e.Close(); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		return buf.String()
+	}
+	snap := save(ranges...)
+	if want := save(whole); snap != want {
+		t.Fatalf("merged range checkers saved\n%s\nwhole checker\n%s", snap, want)
+	}
+
+	restored := []*OrderChecker{NewOrderCheckerFor(0, 5), NewOrderCheckerFor(0, 0), NewOrderCheckerFor(5, ports)}
+	d, err := ckpt.NewDecoder(strings.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadSplitOrderState(d, restored...); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := save(restored...); got != snap {
+		t.Fatalf("restored checkers re-save differently:\n%s\nwant\n%s", got, snap)
+	}
+	for _, c := range late[len(late)/2:] {
+		if a, b := whole.Deliver(c), owner(restored, c.Dst).Deliver(c); a != b {
+			t.Fatalf("post-restore cell %v: whole judged %v, range %v", c, a, b)
+		}
+	}
+
+	// A flow toward a destination no checker covers is refused.
+	d, err = ckpt.NewDecoder(strings.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadSplitOrderState(d, NewOrderCheckerFor(0, 5)); err == nil {
+		t.Fatal("flows toward destinations 5.. restored into a checker for [0, 5)")
+	}
+}
+
 func TestCellCodecRoundTripAndPayloadRejection(t *testing.T) {
 	c := &Cell{ID: 7, Src: 1, Dst: 2, Class: Control, Seq: 9,
 		Created: 100, Injected: 110, Delivered: 0, Hops: 3, Retransmits: 1}

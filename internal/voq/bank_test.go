@@ -30,7 +30,12 @@ func checkBank(t *testing.T, b *Bank, step int) {
 			if got := b.Demand(in, out) > 0; got != want {
 				t.Fatalf("step %d: Demand(%d,%d)=%d disagrees with Uncommitted=%d", step, in, out, b.Demand(in, out), b.sets[in].Uncommitted(out))
 			}
-			cells += b.sets[in].queues[0][out].Len() + b.sets[in].queues[1][out].Len()
+			s := &b.sets[in]
+			queued := s.outs[out].data.Len() + s.ctrl[out].Len()
+			if s.Backlog(out) != queued {
+				t.Fatalf("step %d: backlog (in=%d,out=%d)=%d, queues hold %d", step, in, out, s.Backlog(out), queued)
+			}
+			cells += queued
 		}
 		if cells != b.Depth(in) {
 			t.Fatalf("step %d: input %d depth %d, queues hold %d", step, in, b.Depth(in), cells)

@@ -6,6 +6,7 @@ package voq
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/packet"
@@ -16,22 +17,23 @@ import (
 func (v *VOQSet) SaveState(e *ckpt.Encoder) {
 	e.Begin("voqs")
 	e.Put("voqset", ckpt.Int(int64(v.n)))
-	for out := 0; out < v.n; out++ {
-		if c := v.committed[out]; c != 0 {
+	for out := range v.outs {
+		if c := v.outs[out].committed; c != 0 {
 			e.Put("comm", ckpt.Int(int64(out)), ckpt.Int(int64(c)))
 		}
 	}
-	for class := 0; class < 2; class++ {
-		for out := 0; out < v.n; out++ {
-			q := &v.queues[class][out]
-			if q.Len() == 0 {
-				continue
-			}
-			e.Put("q", ckpt.Int(int64(class)), ckpt.Int(int64(out)), ckpt.Int(int64(q.Len())))
-			for i := 0; i < q.Len(); i++ {
-				packet.SaveCell(e, q.At(i))
-			}
+	save := func(class, out int, q *packet.Queue) {
+		if q.Len() == 0 {
+			return
 		}
+		e.Put("q", ckpt.Int(int64(class)), ckpt.Int(int64(out)), ckpt.Int(int64(q.Len())))
+		q.Each(func(c *packet.Cell) { packet.SaveCell(e, c) })
+	}
+	for out := range v.outs {
+		save(0, out, &v.outs[out].data)
+	}
+	for out := range v.ctrl {
+		save(1, out, &v.ctrl[out])
 	}
 	e.End("voqs")
 }
@@ -61,10 +63,10 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 			if err := cr.Done(); err != nil {
 				return err
 			}
-			if out < 0 || out >= v.n || c < 0 {
+			if out < 0 || out >= v.n || c < 0 || c > math.MaxInt32 {
 				return fmt.Errorf("voq: checkpoint commitment %d at output %d out of range", c, out)
 			}
-			v.committed[out] = c
+			v.outs[out].committed = int32(c)
 		case "q":
 			qr := d.Record("q")
 			class, out, count := qr.IntAsInt(), qr.IntAsInt(), qr.IntAsInt()
@@ -74,28 +76,27 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 			if class < 0 || class > 1 || out < 0 || out >= v.n || count <= 0 {
 				return fmt.Errorf("voq: checkpoint queue (%d,%d) x%d out of range", class, out, count)
 			}
+			if v.Backlog(out)+count > math.MaxInt32 {
+				return fmt.Errorf("voq: checkpoint output %d holds more than %d cells", out, math.MaxInt32)
+			}
 			for i := 0; i < count; i++ {
 				c, err := packet.LoadCell(d)
 				if err != nil {
 					return err
 				}
-				if classIndex(c.Class) != class {
+				if c.Class != packet.Class(class) {
 					return fmt.Errorf("voq: cell %d class %v in class-%d queue", c.ID, c.Class, class)
 				}
-				v.queues[class][out].Push(c)
-				v.control += class
-				v.depth++
+				v.Push(c, out)
 			}
 		default:
 			return fmt.Errorf("voq: unexpected record %q in VOQ checkpoint", key)
 		}
 	}
-	// The backlog counters and occupancy row are derived state: rebuild
-	// them from the restored queues and commitment counters instead of
-	// trusting (or storing) serialized copies — the checkpoint format
-	// stays oblivious to both.
-	for out := 0; out < v.n; out++ {
-		v.backlog[out] = v.queues[0][out].Len() + v.queues[1][out].Len()
+	// The backlog counters and occupancy row are derived state, kept by
+	// Push and re-synced here after the commitments: the checkpoint
+	// format stays oblivious to both.
+	for out := range v.outs {
 		v.syncOcc(out)
 	}
 	return d.End("voqs")
@@ -106,9 +107,7 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 func (e *Egress) SaveState(enc *ckpt.Encoder) {
 	enc.Begin("egress")
 	enc.Put("eg", ckpt.Uint(e.received), ckpt.Uint(e.drained), ckpt.Int(int64(e.q.Len())))
-	for i := 0; i < e.q.Len(); i++ {
-		packet.SaveCell(enc, e.q.At(i))
-	}
+	e.q.Each(func(c *packet.Cell) { packet.SaveCell(enc, c) })
 	enc.End("egress")
 }
 

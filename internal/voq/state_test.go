@@ -137,3 +137,44 @@ func TestVOQLoadRejectsWrongShape(t *testing.T) {
 		t.Fatal("4-output VOQ checkpoint restored into 8-output set")
 	}
 }
+
+// TestDeepQueueCheckpointRoundTrip saves and restores a VOQ set whose
+// data and control queues toward one output hold 10k cells between
+// them. The encoders walk each queue once in order, so the save is
+// linear in the queue depth, and the restored queue must pop the same
+// cells in the same order, control first.
+func TestDeepQueueCheckpointRoundTrip(t *testing.T) {
+	const deep = 10000
+	alloc := packet.NewAllocator()
+	v := NewVOQSet(4)
+	for i := 0; i < deep; i++ {
+		class := packet.Data
+		if i%5 == 0 {
+			class = packet.Control
+		}
+		v.Push(alloc.New(0, 3, class, units.Time(i)), 3)
+	}
+	v.Pop(3)
+	v.Commit(3)
+
+	fresh := roundTripVOQ(t, v)
+	if fresh.Depth() != deep-1 || fresh.Backlog(3) != deep-1 || fresh.Uncommitted(3) != deep-2 {
+		t.Fatalf("restored depth/backlog/uncommitted %d/%d/%d, want %d/%d/%d",
+			fresh.Depth(), fresh.Backlog(3), fresh.Uncommitted(3), deep-1, deep-1, deep-2)
+	}
+	for i := 0; ; i++ {
+		a, b := v.Pop(3), fresh.Pop(3)
+		if (a == nil) != (b == nil) {
+			t.Fatalf("pop %d: drain length diverged", i)
+		}
+		if a == nil {
+			if i != deep-1 {
+				t.Fatalf("drained %d cells, want %d", i, deep-1)
+			}
+			break
+		}
+		if a.ID != b.ID || a.Seq != b.Seq || a.Class != b.Class || a.Created != b.Created {
+			t.Fatalf("pop %d: cell diverged: %v vs %v", i, a, b)
+		}
+	}
+}

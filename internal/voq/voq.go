@@ -17,103 +17,47 @@ import (
 	"repro/internal/units"
 )
 
-// FIFO is a cell queue on a power-of-two ring that doubles when full.
-// Queues hold only a few cells in steady state (credits bound them), so
-// the ring starts at minRing slots and stays at the smallest power of
-// two covering the deepest backlog the queue has ever held. The header
-// is 32 bytes — a slice plus two uint32 cursors — because engines
-// allocate and zero one per (input, output, class).
-type FIFO struct {
-	buf     []*packet.Cell
-	head, n uint32
-}
-
-// minRing is the first ring size a queue allocates.
-const minRing = 4
-
-// Len reports the number of queued cells.
-func (f *FIFO) Len() int { return int(f.n) }
-
-// Push appends a cell.
-func (f *FIFO) Push(c *packet.Cell) {
-	if int(f.n) == len(f.buf) {
-		f.grow()
-	}
-	f.buf[(f.head+f.n)&uint32(len(f.buf)-1)] = c
-	f.n++
-}
-
-// grow doubles the ring (or allocates the first one), unwrapping the
-// queued cells to the front of the new ring.
-func (f *FIFO) grow() {
-	//lint:ignore hotpath rings double only past their deepest backlog so far; cap-stable once queues hit their credit-bounded steady-state depth
-	buf := make([]*packet.Cell, max(minRing, 2*len(f.buf)))
-	k := copy(buf, f.buf[f.head:])
-	copy(buf[k:], f.buf[:f.head])
-	f.buf = buf
-	f.head = 0
-}
-
-// Pop removes and returns the oldest cell, or nil if empty.
-func (f *FIFO) Pop() *packet.Cell {
-	if f.n == 0 {
-		return nil
-	}
-	c := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) & uint32(len(f.buf)-1)
-	f.n--
-	return c
-}
-
-// Peek returns the oldest cell without removing it, or nil.
-func (f *FIFO) Peek() *packet.Cell {
-	if f.n == 0 {
-		return nil
-	}
-	return f.buf[f.head]
-}
-
-// At returns the i-th oldest queued cell (At(0) is Peek); i must lie in
-// [0, Len()). Walking At(0..Len()-1) visits the queue in FIFO order.
-func (f *FIFO) At(i int) *packet.Cell {
-	return f.buf[(f.head+uint32(i))&uint32(len(f.buf)-1)]
+// outQueue is one (input, output) entry of a VOQ set: the data-class
+// queue and the two counters every hop reads beside it, packed into
+// 32 bytes so a push, pop or demand check touches one record. Control
+// cells queue in a separate array (VOQSet.ctrl), read only for outputs
+// whose backlog exceeds their data queue.
+type outQueue struct {
+	data packet.Queue
+	// backlog counts queued cells of both classes.
+	backlog int32
+	// committed counts cells already promised to in-flight pipelined
+	// matchings and not yet transmitted; pipelined schedulers must not
+	// double-request them.
+	committed int32
 }
 
 // VOQSet is the virtual-output-queue array of one ingress adapter:
 // one queue per (output, class).
 type VOQSet struct {
-	n int
-	// queues[class][output]
-	queues [2][]FIFO
-	// committed[output] counts cells already promised to in-flight
-	// pipelined matchings and not yet transmitted; pipelined schedulers
-	// must not double-request them.
-	committed []int
-	depth     int // total cells across all queues
-	// control counts queued control-class cells, so Pop skips the
-	// control queue's header — a cache miss at large N — when the set
-	// holds none. Derived state, rebuilt on restore.
-	control int
+	n    int
+	outs []outQueue
+	// ctrl[out] is the control-class queue. It is non-empty exactly
+	// when outs[out].backlog exceeds outs[out].data.Len(), so Pop reads
+	// it only for outputs holding control cells.
+	ctrl  []packet.Queue
+	depth int // total cells across all queues
 	// occ is the dense uncommitted-occupancy row: bit out is set iff
 	// Uncommitted(out) > 0. Maintained in O(1) by every mutator so
 	// demand boards can hand schedulers whole words instead of
-	// re-deriving two FIFO lengths and a counter per (in, out) pair.
+	// re-deriving a backlog and a commitment count per (in, out) pair.
 	// Derived state: checkpoint codecs rebuild it instead of saving it.
 	occ []uint64
-	// backlog[output] mirrors queues[0][out].Len()+queues[1][out].Len()
-	// so the Backlog/Uncommitted hot reads touch one contiguous counter
-	// array instead of two FIFO headers on separate cache lines. Derived
-	// state, rebuilt on restore like occ.
-	backlog []int
 }
 
 // NewVOQSet creates VOQs for a switch with n outputs.
 func NewVOQSet(n int) *VOQSet {
-	v := &VOQSet{n: n, committed: make([]int, n), occ: make([]uint64, bitrow.Words(n)), backlog: make([]int, n)}
-	v.queues[0] = make([]FIFO, n)
-	v.queues[1] = make([]FIFO, n)
-	return v
+	return &VOQSet{
+		n:    n,
+		outs: make([]outQueue, n),
+		ctrl: make([]packet.Queue, n),
+		occ:  make([]uint64, bitrow.Words(n)),
+	}
 }
 
 // N reports the output count.
@@ -125,18 +69,22 @@ func (v *VOQSet) N() int { return v.n }
 //osmosis:hotpath
 //osmosis:shardsafe
 func (v *VOQSet) syncOcc(out int) {
-	bitrow.SetTo(v.occ, out, v.Backlog(out) > v.committed[out])
+	o := &v.outs[out]
+	bitrow.SetTo(v.occ, out, o.backlog > o.committed)
 }
 
 // Push enqueues a cell toward its destination queue.
 //
 //osmosis:shardsafe
 func (v *VOQSet) Push(c *packet.Cell, out int) {
-	class := classIndex(c.Class)
-	v.queues[class][out].Push(c)
-	v.control += class
+	o := &v.outs[out]
+	if c.Class == packet.Control {
+		v.ctrl[out].Push(c)
+	} else {
+		o.data.Push(c)
+	}
 	v.depth++
-	v.backlog[out]++
+	o.backlog++
 	v.syncOcc(out)
 }
 
@@ -145,21 +93,18 @@ func (v *VOQSet) Push(c *packet.Cell, out int) {
 //osmosis:hotpath
 //osmosis:shardsafe
 func (v *VOQSet) Backlog(out int) int {
-	return v.backlog[out]
+	return int(v.outs[out].backlog)
 }
 
 // Uncommitted reports cells for an output not yet promised to an
 // in-flight matching; this is what a pipelined scheduler may request.
 func (v *VOQSet) Uncommitted(out int) int {
-	u := v.Backlog(out) - v.committed[out]
-	if u < 0 {
-		return 0
-	}
-	return u
+	o := &v.outs[out]
+	return int(max(o.backlog-o.committed, 0))
 }
 
 // UncommittedAt reports whether Uncommitted(out) is positive, from the
-// maintained occupancy bit — no FIFO-length re-derivation.
+// maintained occupancy bit — no counter re-derivation.
 func (v *VOQSet) UncommittedAt(out int) bool { return bitrow.Has(v.occ, out) }
 
 // UncommittedBits exposes the maintained uncommitted-occupancy row (bit
@@ -172,7 +117,7 @@ func (v *VOQSet) UncommittedBits() []uint64 { return v.occ }
 //osmosis:hotpath
 //osmosis:shardsafe
 func (v *VOQSet) Commit(out int) {
-	v.committed[out]++
+	v.outs[out].committed++
 	v.syncOcc(out)
 }
 
@@ -181,8 +126,8 @@ func (v *VOQSet) Commit(out int) {
 //osmosis:hotpath
 //osmosis:shardsafe
 func (v *VOQSet) Uncommit(out int) {
-	if v.committed[out] > 0 {
-		v.committed[out]--
+	if o := &v.outs[out]; o.committed > 0 {
+		o.committed--
 		v.syncOcc(out)
 	}
 }
@@ -192,18 +137,18 @@ func (v *VOQSet) Uncommit(out int) {
 //
 //osmosis:shardsafe
 func (v *VOQSet) Pop(out int) *packet.Cell {
+	o := &v.outs[out]
 	var c *packet.Cell
-	if v.control > 0 && v.queues[1][out].Len() > 0 {
-		c = v.queues[1][out].Pop()
-		v.control--
+	if int(o.backlog) > o.data.Len() {
+		c = v.ctrl[out].Pop()
 	} else {
-		c = v.queues[0][out].Pop()
+		c = o.data.Pop()
 	}
 	if c != nil {
 		v.depth--
-		v.backlog[out]--
-		if v.committed[out] > 0 {
-			v.committed[out]--
+		o.backlog--
+		if o.committed > 0 {
+			o.committed--
 		}
 		v.syncOcc(out)
 	}
@@ -217,23 +162,16 @@ func (v *VOQSet) Depth() int { return v.depth }
 // zero when empty; schedulers may use it for longest-wait policies.
 func (v *VOQSet) HeadWait(out int, now units.Time) units.Time {
 	var oldest *packet.Cell
-	if c := v.queues[1][out].Peek(); c != nil {
+	if c := v.ctrl[out].Peek(); c != nil {
 		oldest = c
 	}
-	if c := v.queues[0][out].Peek(); c != nil && (oldest == nil || c.Injected < oldest.Injected) {
+	if c := v.outs[out].data.Peek(); c != nil && (oldest == nil || c.Injected < oldest.Injected) {
 		oldest = c
 	}
 	if oldest == nil {
 		return 0
 	}
 	return now - oldest.Injected
-}
-
-func classIndex(c packet.Class) int {
-	if c == packet.Control {
-		return 1
-	}
-	return 0
 }
 
 // Egress models one output adapter: up to Receivers cells may arrive per
@@ -247,7 +185,7 @@ type Egress struct {
 	// queue is full the egress withholds credits (remote flow control).
 	Capacity int
 
-	q        FIFO
+	q        packet.Queue
 	received uint64
 	drained  uint64
 }

@@ -9,8 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
+// The FIFO tests drive packet.Queue, the cell-linked queue every VOQ,
+// control queue and egress adapter is built on.
+
 func TestFIFOOrder(t *testing.T) {
-	var f FIFO
+	var f packet.Queue
 	if f.Pop() != nil || f.Peek() != nil {
 		t.Error("empty FIFO should return nil")
 	}
@@ -30,12 +33,18 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	var f FIFO
-	// Interleave pushes and pops so the ring wraps many times.
+	var f packet.Queue
+	// Interleave pushes and pops so the queue empties and refills many
+	// times, re-pushing cells that have been through it before.
+	pool := make([]*packet.Cell, 10)
+	for i := range pool {
+		pool[i] = &packet.Cell{}
+	}
 	next, want := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
-			f.Push(&packet.Cell{ID: uint64(next)})
+			pool[i].ID = uint64(next)
+			f.Push(pool[i])
 			next++
 		}
 		for i := 0; i < 10; i++ {
@@ -46,21 +55,21 @@ func TestFIFOCompaction(t *testing.T) {
 			want++
 		}
 	}
-	if f.Len() != 0 {
-		t.Errorf("len %d after drain", f.Len())
+	if f.Len() != 0 || f.Peek() != nil {
+		t.Errorf("len %d, head %v after drain", f.Len(), f.Peek())
 	}
 }
 
-// TestFIFOMatchesSliceModel drives a FIFO and a plain-slice reference
-// queue with the same random Push/Pop/Peek/At sequence. Bursts of pushes
-// grow the ring while its contents wrap past the end of the buffer, so
-// the unwrapping copy in grow is exercised, not just the happy path.
+// TestFIFOMatchesSliceModel drives a queue and a plain-slice reference
+// queue with the same random Push/Pop/Peek/Each sequence. Popped cells
+// go back to a pool that later pushes draw from, so relinking a cell
+// that was queued before is exercised, not just fresh cells.
 func TestFIFOMatchesSliceModel(t *testing.T) {
 	rng := sim.NewRNG(11)
-	var f FIFO
-	var model []*packet.Cell
+	var f packet.Queue
+	var model, pool []*packet.Cell
 	next := uint64(0)
-	wrappedGrowth := 0
+	reused := 0
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4:
@@ -69,10 +78,14 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 				burst = 1 + rng.Intn(40)
 			}
 			for i := 0; i < burst; i++ {
-				if f.Len() == len(f.buf) && f.head != 0 {
-					wrappedGrowth++
+				var c *packet.Cell
+				if n := len(pool); n > 0 && rng.Intn(2) == 0 {
+					c, pool = pool[n-1], pool[:n-1]
+					reused++
+				} else {
+					c = &packet.Cell{}
 				}
-				c := &packet.Cell{ID: next}
+				c.ID = next
 				next++
 				f.Push(c)
 				model = append(model, c)
@@ -82,6 +95,7 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 			var want *packet.Cell
 			if len(model) > 0 {
 				want, model = model[0], model[1:]
+				pool = append(pool, want)
 			}
 			if got != want {
 				t.Fatalf("step %d: Pop = %v, model %v", step, got, want)
@@ -95,63 +109,40 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 				t.Fatalf("step %d: Peek = %v, model %v", step, got, want)
 			}
 		default:
-			for i, want := range model {
-				if got := f.At(i); got != want {
-					t.Fatalf("step %d: At(%d) = %v, model %v", step, i, got, want)
+			i := 0
+			f.Each(func(got *packet.Cell) {
+				if i >= len(model) || got != model[i] {
+					t.Fatalf("step %d: Each visit %d = %v, model %v", step, i, got, model)
 				}
+				i++
+			})
+			if i != len(model) {
+				t.Fatalf("step %d: Each visited %d cells, model %d", step, i, len(model))
 			}
 		}
 		if f.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", step, f.Len(), len(model))
 		}
 	}
-	if wrappedGrowth == 0 {
-		t.Error("no push grew a wrapped ring; the model test lost its coverage")
+	if reused == 0 {
+		t.Error("no push reused a popped cell; the model test lost its coverage")
 	}
 }
 
-// TestFIFORingStaysSmall pins the memory bound: a queue that never holds
-// more than d cells keeps a ring of max(4, nextPow2(d)) slots however
-// many cells pass through it. Engines keep one FIFO per (input, output,
-// class), so a per-queue leak of a few hundred bytes is hundreds of MB
-// at 2048 ports.
-func TestFIFORingStaysSmall(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 4, 5, 8, 13, 64} {
-		var f FIFO
-		rng := sim.NewRNG(uint64(d))
-		for cycle := 0; cycle < 10000; cycle++ {
-			for f.Len() < 1+rng.Intn(d) {
-				f.Push(&packet.Cell{})
-			}
-			for n := rng.Intn(f.Len() + 1); n > 0; n-- {
-				f.Pop()
-			}
-		}
-		limit := minRing
-		for limit < d {
-			limit *= 2
-		}
-		if len(f.buf) > limit {
-			t.Errorf("depth <= %d: ring grew to %d slots, want <= %d", d, len(f.buf), limit)
-		}
-	}
-}
-
-// TestFIFOHeaderSize: fabric.New zeroes one FIFO header per (input,
-// output, class) — ~786k at the 2048-port flagship — so any growth past
-// a slice plus two uint32 cursors (32 bytes on 64-bit) shows up directly
-// in set-up time.
+// TestFIFOHeaderSize: fabric.New zeroes one per-output VOQ record per
+// (input, output) — ~262k at the 2048-port flagship — so any growth past
+// the queue header plus two 32-bit counters (32 bytes on 64-bit) shows
+// up directly in set-up time and in the working set every hop touches.
 func TestFIFOHeaderSize(t *testing.T) {
-	want := unsafe.Sizeof([]*packet.Cell(nil)) + 2*unsafe.Sizeof(uint32(0))
-	if got := unsafe.Sizeof(FIFO{}); got > want {
-		t.Errorf("FIFO header is %d bytes, want <= %d", got, want)
+	want := unsafe.Sizeof(packet.Queue{}) + 2*unsafe.Sizeof(int32(0))
+	if got := unsafe.Sizeof(outQueue{}); got > want || got > 32 {
+		t.Errorf("per-output VOQ record is %d bytes, want <= %d and <= 32", got, want)
 	}
 }
 
-// TestFIFOSteadyStateAllocs: once the ring covers the working depth,
-// push/pop cycles allocate nothing.
+// TestFIFOSteadyStateAllocs: push/pop cycles never allocate.
 func TestFIFOSteadyStateAllocs(t *testing.T) {
-	var f FIFO
+	var f packet.Queue
 	cells := []*packet.Cell{{ID: 1}, {ID: 2}, {ID: 3}}
 	cycle := func() {
 		for _, c := range cells {
@@ -160,12 +151,11 @@ func TestFIFOSteadyStateAllocs(t *testing.T) {
 		for range cells {
 			f.Pop()
 		}
-		f.Push(cells[0]) // leave one behind so the cursor keeps moving
+		f.Push(cells[0])
 		f.Pop()
 	}
-	cycle()
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
-		t.Errorf("steady-depth push/pop allocates %.1f times per cycle, want 0", allocs)
+		t.Errorf("push/pop allocates %.1f times per cycle, want 0", allocs)
 	}
 }
 
