@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint bench perfbench verify daemon-smoke
+.PHONY: build vet test race lint bench perfbench fuzz verify daemon-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,17 @@ perfbench:
 	cd _perfbench && $(GO) test .
 	for w in fabric_busy paper_quick daemon_sweep; do \
 		bash _perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit $$?; \
+	done
+
+# Every fuzz target in the module, 10 s each: go test -fuzz takes one
+# target per run, so list them per package with go test -list. Plain
+# `go test` already replays each target's seed corpus.
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg || exit $$?; \
+		done; \
 	done
 
 # End-to-end osmosisd acceptance: uninterrupted reference run, then a

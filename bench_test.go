@@ -27,8 +27,9 @@ import (
 	"repro/internal/units"
 )
 
-// stepBench builds a crossbar switch plus generators and times Step.
-func stepBench(b *testing.B, cfg crossbar.Config, load float64) *crossbar.Switch {
+// stepBench builds a crossbar switch plus generators and times Step; it
+// returns the switch's metrics.
+func stepBench(b *testing.B, cfg crossbar.Config, load float64) *crossbar.Metrics {
 	b.Helper()
 	sw, err := crossbar.New(cfg)
 	if err != nil {
@@ -38,14 +39,16 @@ func stepBench(b *testing.B, cfg crossbar.Config, load float64) *crossbar.Switch
 	if err != nil {
 		b.Fatal(err)
 	}
+	// A zero-length Run steps nothing; it hands back the metrics the
+	// Step loop below fills.
+	m, err := sw.Run(gens, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	alloc := packet.NewAllocator()
 	arrivals := make([]*packet.Cell, sw.N())
-	cycle := sw.Metrics().CycleTime
-	// Warm up out of the timed region.
-	warm := uint64(500)
-	step := func() {
-		slot := sw.Slot()
-		now := units.Time(slot) * cycle
+	step := func(slot uint64) {
+		now := units.Time(slot) * m.CycleTime
 		for i, g := range gens {
 			arrivals[i] = nil
 			if a, ok := g.Next(slot); ok {
@@ -54,16 +57,18 @@ func stepBench(b *testing.B, cfg crossbar.Config, load float64) *crossbar.Switch
 		}
 		sw.Step(arrivals)
 	}
-	for i := uint64(0); i < warm; i++ {
-		step()
+	// Warm up out of the timed region.
+	const warm = 500
+	for slot := uint64(0); slot < warm; slot++ {
+		step(slot)
 	}
 	sw.StartMeasurement(uint64(b.N))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	for slot := uint64(warm); slot < warm+uint64(b.N); slot++ {
+		step(slot)
 	}
 	b.StopTimer()
-	return sw
+	return m
 }
 
 // BenchmarkTable1Requirements: the ASIC-target switch near saturation;
@@ -74,8 +79,7 @@ func BenchmarkTable1Requirements(b *testing.B) {
 		Scheduler: sched.NewFLPPR(64, 0),
 		Format:    core.ASICTargetFormat(),
 	}
-	sw := stepBench(b, cfg, 0.99)
-	m := sw.Metrics()
+	m := stepBench(b, cfg, 0.99)
 	b.ReportMetric(m.ThroughputPerPort(64), "thrpt/port")
 	b.ReportMetric(core.ASICTargetFormat().EffectiveUserBandwidthFraction(), "eff-bw")
 	b.ReportMetric(float64(m.OrderViolations), "ooo")
@@ -111,7 +115,8 @@ func BenchmarkFig2BufferPlacement(b *testing.B) {
 		})
 }
 
-// benchFabric drives a fabric Step loop under the timer.
+// benchFabric warms a fabric up, then times its Run driver over b.N
+// measured slots.
 func benchFabric(b *testing.B, fcfg fabric.Config, tcfg traffic.Config, report func(*fabric.Metrics)) {
 	b.Helper()
 	f, err := fabric.New(fcfg)
@@ -122,37 +127,15 @@ func benchFabric(b *testing.B, fcfg fabric.Config, tcfg traffic.Config, report f
 	if err != nil {
 		b.Fatal(err)
 	}
-	alloc := packet.NewAllocator()
-	cycle := f.Metrics().CycleTime
-	step := func() {
-		slot := f.Slot()
-		now := units.Time(slot) * cycle
-		for h, g := range gens {
-			if a, ok := g.Next(slot); ok {
-				cls := packet.Data
-				if a.Class == traffic.ClassControl {
-					cls = packet.Control
-				}
-				if err := f.Inject(alloc.New(h, a.Dst, cls, now)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		if err := f.Step(); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := f.Run(gens, 300, 0); err != nil {
+		b.Fatal(err)
 	}
-	for i := 0; i < 300; i++ {
-		step()
-	}
-	f.StartMeasurement()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	m, err := f.Run(gens, 0, uint64(b.N))
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
-	m := f.Metrics()
-	m.MeasureSlots = uint64(b.N)
 	if report != nil {
 		report(m)
 	}
@@ -176,29 +159,29 @@ func BenchmarkFig4FlowControl(b *testing.B) {
 // BenchmarkFig6FLPPRLatency / BenchmarkFig6PriorArtLatency: grant
 // latency at light load for the two arbiters of Fig. 6.
 func BenchmarkFig6FLPPRLatency(b *testing.B) {
-	sw := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}, 0.1)
-	b.ReportMetric(sw.Metrics().GrantLatency.Mean(), "grant-cycles")
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}, 0.1)
+	b.ReportMetric(m.GrantLatency.Mean(), "grant-cycles")
 }
 
 func BenchmarkFig6PriorArtLatency(b *testing.B) {
-	sw := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewPipelinedISLIP(64, 0)}, 0.1)
-	b.ReportMetric(sw.Metrics().GrantLatency.Mean(), "grant-cycles")
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewPipelinedISLIP(64, 0)}, 0.1)
+	b.ReportMetric(m.GrantLatency.Mean(), "grant-cycles")
 }
 
 // BenchmarkFig7 benches the three delay-vs-throughput curves at 0.9 load.
 func BenchmarkFig7DualReceiver(b *testing.B) {
-	sw := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}, 0.9)
-	b.ReportMetric(sw.Metrics().MeanLatencySlots(), "delay-cycles")
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}, 0.9)
+	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
 func BenchmarkFig7SingleReceiver(b *testing.B) {
-	sw := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewFLPPR(64, 0)}, 0.9)
-	b.ReportMetric(sw.Metrics().MeanLatencySlots(), "delay-cycles")
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewFLPPR(64, 0)}, 0.9)
+	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
 func BenchmarkFig7IdealOQ(b *testing.B) {
-	sw := stepBench(b, crossbar.Config{N: 64, IdealOQ: true}, 0.9)
-	b.ReportMetric(sw.Metrics().MeanLatencySlots(), "delay-cycles")
+	m := stepBench(b, crossbar.Config{N: 64, IdealOQ: true}, 0.9)
+	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
 // BenchmarkFig10OSNRPenalty: the XGM model sweep; reports the DPSK
@@ -264,7 +247,10 @@ func BenchmarkSec7Scaling(b *testing.B) {
 		}
 		acc += p.Aggregate.TbPerSecond()
 	}
-	out := core.OutlookScale()
+	out, err := core.NewScalePoint(16, 16, 200*units.GigabitPerSecond)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(out.Aggregate.TbPerSecond(), "aggregate-tbps")
 	b.ReportMetric(float64(out.FLPPRSpeedupNeeded(4)), "flppr-k")
 	_ = acc
@@ -341,14 +327,14 @@ func BenchmarkAblationFLPPRK2(b *testing.B) { benchFLPPRK(b, 2) }
 func BenchmarkAblationFLPPRK6(b *testing.B) { benchFLPPRK(b, 6) }
 
 func benchFLPPRK(b *testing.B, k int) {
-	sw := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, k)}, 0.95)
-	b.ReportMetric(sw.Metrics().ThroughputPerPort(64), "thrpt/port")
-	b.ReportMetric(sw.Metrics().MeanLatencySlots(), "delay-cycles")
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, k)}, 0.95)
+	b.ReportMetric(m.ThroughputPerPort(64), "thrpt/port")
+	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
 func BenchmarkAblationISLIP1Iter(b *testing.B) {
-	sw := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewISLIP(64, 1)}, 0.95)
-	b.ReportMetric(sw.Metrics().ThroughputPerPort(64), "thrpt/port")
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewISLIP(64, 1)}, 0.95)
+	b.ReportMetric(m.ThroughputPerPort(64), "thrpt/port")
 }
 
 func BenchmarkAblationGuardTime(b *testing.B) {
@@ -506,31 +492,4 @@ func BenchmarkXGFTFiveStageStep(b *testing.B) {
 		func(m *fabric.Metrics) {
 			b.ReportMetric(float64(m.LatencySlots.Mean()), "latency-slots")
 		})
-}
-
-// BenchmarkCellTransport: serialize + FEC + channel + decode for one
-// 256 B cell over a clean hop (the per-cell link datapath cost).
-func BenchmarkCellTransport(b *testing.B) {
-	cd := link.Codec{}
-	c := &packet.Cell{ID: 1, Src: 2, Dst: 3, Payload: make([]byte, 256)}
-	ch := link.NewChannel(0, units.OSMOSISPortRate, 1e-9, 1)
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := link.MarshalCell(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		wire, err := cd.Encode(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := cd.Decode(ch.Corrupt(wire))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := link.UnmarshalCell(res.Payload); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,15 +1,18 @@
 // Command osmosislint runs the repository's domain-specific static
 // analyzers (determinism, unitsafety, panicfree, errcheck, hotpath,
-// shardsafe) over module packages and exits nonzero on any finding.
+// shardsafe, unused) over module packages and exits nonzero on any
+// finding.
 //
 // Usage:
 //
 //	osmosislint [-analyzers list] [-json] [-globals] [-par n] [packages ...]
 //
 // Package patterns are directories relative to the module root, with
-// "/..." expanding to a subtree; the default is "./...". All loaded
-// packages are analyzed as one program, so the transitive analyzers
-// (determinism, hotpath, shardsafe) see call chains across package
+// "/..." expanding to a subtree; the default is "./...", which also
+// loads each nested module (the benchmark harness) as a root package
+// whose uses count for the unused analyzer. All loaded packages are
+// analyzed as one program, so the transitive analyzers (determinism,
+// hotpath, shardsafe, unused) see call chains across package
 // boundaries. Findings are printed one per line as
 // path:line:col: analyzer: message; with -json they are emitted as a
 // sorted JSON array instead, each entry carrying the interprocedural

@@ -12,12 +12,54 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/crossbar"
 	"repro/internal/fabric"
 	"repro/internal/packet"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/traffic"
+	"repro/internal/units"
 )
+
+// latencySamples reads a collector's observations back, in insertion
+// order, from its checkpoint section.
+func latencySamples(t *testing.T, s *stats.LatencySample) []units.Time {
+	t.Helper()
+	var buf strings.Builder
+	e := ckpt.NewEncoder(&buf)
+	s.SaveState(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ckpt.NewDecoder(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run stats.Running
+	if err := d.Begin("latency"); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.LoadState(d); err != nil {
+		t.Fatal(err)
+	}
+	rec := d.Record("samples")
+	n := rec.IntAsInt()
+	if err := rec.Done(); err != nil {
+		t.Fatal(err)
+	}
+	var out []units.Time
+	for len(out) < n {
+		r := d.Record("s")
+		for i := r.Len(); i > 0; i-- {
+			out = append(out, units.Time(r.Int()))
+		}
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
 
 func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 	const n = 16
@@ -75,8 +117,8 @@ func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 						if len(fm.HopHistogram) != 1 || fm.HopHistogram[1] != fm.Delivered {
 							t.Errorf("one-switch fabric hop histogram %v, want {1: %d}", fm.HopHistogram, fm.Delivered)
 						}
-						xs := xm.Latency.SamplesAppend(nil)
-						fs := fm.LatencySlots.SamplesAppend(nil)
+						xs := latencySamples(t, &xm.Latency)
+						fs := latencySamples(t, &fm.LatencySlots)
 						if len(xs) != len(fs) {
 							t.Fatalf("%d crossbar latency samples, %d fabric", len(xs), len(fs))
 						}

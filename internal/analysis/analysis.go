@@ -4,7 +4,8 @@
 // picosecond accounting through units.Time (unitsafety), library code
 // that reports failures as errors rather than panics (panicfree), no
 // silently dropped error values (errcheck), allocation-free inner loops
-// (hotpath), and shard-partitionable state isolation (shardsafe).
+// (hotpath), shard-partitionable state isolation (shardsafe), and no
+// code that only tests reach (unused).
 //
 // The framework deliberately avoids golang.org/x/tools: packages are
 // loaded with go/parser, type-checked with go/types, and stdlib
@@ -122,7 +123,7 @@ func (d Diagnostic) String() string {
 
 // All returns the framework's analyzers in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, UnitSafety, PanicFree, ErrCheck, HotPath, ShardSafe}
+	return []*Analyzer{Determinism, UnitSafety, PanicFree, ErrCheck, HotPath, ShardSafe, Unused}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).
@@ -146,22 +147,16 @@ func ByName(list string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// RunAnalyzers applies each analyzer to the package as a single-package
-// Program and returns the surviving diagnostics: suppressed findings are
-// removed, and malformed or reasonless ignore directives are reported as
-// findings themselves. Cross-package call chains require building the
-// Program over every package instead (NewProgram + Run).
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return NewProgram([]*Package{pkg}).Run(analyzers, 1)
-}
-
 // Program is a set of packages analyzed as one unit: the call graph and
 // the propagated facts span every package it holds, so transitive
 // analyzers see through package boundaries.
 type Program struct {
-	// Pkgs are the member packages, in the caller's order (Loader.Load
-	// returns them sorted by import path).
+	// Pkgs are the member packages that are linted, in the caller's
+	// order (Loader.Load returns them sorted by import path).
 	Pkgs []*Package
+	// whole records that the program holds Root packages, which a load
+	// only adds when it spans the module (see Unused).
+	whole bool
 
 	sup       *suppressor
 	badByPath map[string][]Diagnostic
@@ -172,18 +167,26 @@ type Program struct {
 	// functions that write it — before suppression filtering, so the
 	// shared-state inventory reflects reality rather than annotations.
 	writers map[*types.Var]map[string]bool
+	// live holds the nodes some root reaches (unused.go).
+	live map[*cgNode]bool
 }
 
 // NewProgram builds the call graph over pkgs, collects per-function base
-// facts for every fact kind, and propagates them to a fixpoint. The
-// result is immutable and safe for concurrent Run calls.
+// facts for every fact kind, and propagates them to a fixpoint. Root
+// packages join the call graph but are not linted. The result is
+// immutable and safe for concurrent Run calls.
 func NewProgram(pkgs []*Package) *Program {
-	p := &Program{
-		Pkgs:    pkgs,
-		writers: map[*types.Var]map[string]bool{},
+	p := &Program{writers: map[*types.Var]map[string]bool{}}
+	for _, pkg := range pkgs {
+		if pkg.Root {
+			p.whole = true
+		} else {
+			p.Pkgs = append(p.Pkgs, pkg)
+		}
 	}
-	p.sup, p.badByPath = newSuppressor(pkgs)
+	p.sup, p.badByPath = newSuppressor(p.Pkgs)
 	p.graph = buildCallGraph(pkgs)
+	p.live = p.reachable()
 	p.collectBaseFacts()
 	p.facts[factNondet] = propagate(p.graph, p.baseFacts[factNondet], func(n *cgNode) bool {
 		return !inScope(n.pkg.Path, determinismScope)

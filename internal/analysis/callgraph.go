@@ -25,16 +25,26 @@ import (
 //     expression) adds a may-call edge from the referencing function,
 //     since the reference can be invoked later.
 //
+// References in package-level variable initializers have no enclosing
+// function; they are kept as initRefs, roots for the unused analyzer.
+//
 // Known blind spots, by construction: calls through function-typed
 // struct fields or variables (the hook pattern — the value's origin is
-// not tracked), and calls that happen inside the standard library
-// (sort.Sort invoking Less). Code inside a function literal is
-// attributed to the enclosing declared function.
+// not tracked, so the reference where a function is stored stands in
+// for every later call, and unused counts a stored function as used
+// even if the field is never called), calls that happen inside the
+// standard library (sort.Sort invoking Less; unused roots such methods
+// by interface instead), and reflection. Code inside a function literal
+// is attributed to the enclosing declared function.
 type callGraph struct {
 	nodes map[*types.Func]*cgNode
 	// list holds the nodes in deterministic order: packages in program
 	// order, declarations in file/position order.
 	list []*cgNode
+	// initRefs are the functions that package-level variable
+	// initializers call or reference (an analyzer's Run: runX field).
+	// No declared function holds those references, so they are roots.
+	initRefs []*cgNode
 }
 
 // cgNode is one declared function or method.
@@ -49,7 +59,6 @@ type cgNode struct {
 	shardsafe bool
 	callees   []*cgEdge
 	callers   []*cgEdge
-	order     int
 }
 
 // cgEdge is one caller→callee relation at a specific source position.
@@ -113,7 +122,6 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 					pkg:       pkg,
 					hotpath:   hasDirective(fn, hotPathDirective),
 					shardsafe: hasDirective(fn, shardSafeDirective),
-					order:     len(g.list),
 				}
 				g.nodes[obj] = n
 				g.list = append(g.list, n)
@@ -124,6 +132,17 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 	implCache := map[*types.Func][]*cgNode{}
 	for _, n := range g.list {
 		g.addEdges(n, concrete, implCache)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					g.refs(pkg.TypesInfo, gd, concrete, implCache, func(callee *cgNode, _ token.Pos, _ *types.Func) {
+						g.initRefs = append(g.initRefs, callee)
+					})
+				}
+			}
+		}
 	}
 	for _, n := range g.list {
 		sort.SliceStable(n.callees, func(i, j int) bool {
@@ -139,10 +158,15 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 }
 
 // concreteTypes lists every non-interface named type declared in the
-// program, the candidate set for interface-dispatch resolution.
+// program, the candidate set for interface-dispatch resolution. Root
+// packages are left out: the module cannot import them, so its
+// interface calls never reach their types.
 func concreteTypes(pkgs []*Package) []types.Type {
 	var out []types.Type
 	for _, pkg := range pkgs {
+		if pkg.Root {
+			continue
+		}
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() { // Names() is sorted
 			tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -162,26 +186,33 @@ func concreteTypes(pkgs []*Package) []types.Type {
 // addEdges scans n's body (function literals included — their calls are
 // attributed to n) and records every callee the type checker resolves.
 func (g *callGraph) addEdges(n *cgNode, concrete []types.Type, implCache map[*types.Func][]*cgNode) {
-	info := n.pkg.TypesInfo
-	handled := map[*ast.Ident]bool{}
 	type edgeKey struct {
 		callee *cgNode
 		pos    token.Pos
 	}
 	seen := map[edgeKey]bool{}
-	add := func(callee *cgNode, pos token.Pos, iface *types.Func) {
-		if callee == nil {
-			return
-		}
+	g.refs(n.pkg.TypesInfo, n.decl, concrete, implCache, func(callee *cgNode, pos token.Pos, iface *types.Func) {
 		k := edgeKey{callee, pos}
 		if seen[k] {
 			return
 		}
 		seen[k] = true
-		e := &cgEdge{caller: n, callee: callee, pos: pos, iface: iface}
-		n.callees = append(n.callees, e)
+		n.callees = append(n.callees, &cgEdge{caller: n, callee: callee, pos: pos, iface: iface})
+	})
+}
+
+// refs walks root and hands every declared function it calls or
+// references to visit, with the call site and, for interface dispatch,
+// the interface method named there.
+func (g *callGraph) refs(info *types.Info, root ast.Node, concrete []types.Type, implCache map[*types.Func][]*cgNode,
+	visit func(callee *cgNode, pos token.Pos, iface *types.Func)) {
+	handled := map[*ast.Ident]bool{}
+	add := func(fn *types.Func, pos token.Pos, iface *types.Func) {
+		if callee := g.nodes[fn.Origin()]; callee != nil {
+			visit(callee, pos, iface)
+		}
 	}
-	ast.Inspect(n.decl, func(nd ast.Node) bool {
+	ast.Inspect(root, func(nd ast.Node) bool {
 		switch e := nd.(type) {
 		case *ast.SelectorExpr:
 			handled[e.Sel] = true
@@ -194,23 +225,23 @@ func (g *callGraph) addEdges(n *cgNode, concrete []types.Type, implCache map[*ty
 				if sig, ok := m.Type().(*types.Signature); ok &&
 					sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 					for _, impl := range g.implementers(sig.Recv().Type(), m, concrete, implCache) {
-						add(impl, e.Sel.Pos(), m)
+						visit(impl, e.Sel.Pos(), m)
 					}
 					return true
 				}
-				add(g.nodes[m], e.Sel.Pos(), nil)
+				add(m, e.Sel.Pos(), nil)
 				return true
 			}
 			// Package-qualified identifier (pkg.F).
 			if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-				add(g.nodes[fn], e.Sel.Pos(), nil)
+				add(fn, e.Sel.Pos(), nil)
 			}
 		case *ast.Ident:
 			if handled[e] {
 				return true
 			}
 			if fn, ok := info.Uses[e].(*types.Func); ok {
-				add(g.nodes[fn], e.Pos(), nil)
+				add(fn, e.Pos(), nil)
 			}
 		}
 		return true
@@ -243,7 +274,7 @@ func (g *callGraph) implementers(recv types.Type, m *types.Func, concrete []type
 		if !ok {
 			continue
 		}
-		if node := g.nodes[fn]; node != nil {
+		if node := g.nodes[fn.Origin()]; node != nil {
 			impls = append(impls, node)
 		}
 	}

@@ -52,16 +52,6 @@ var Determinism = &Analyzer{
 	Run:  runDeterminism,
 }
 
-// DeterminismIntra is the pre-call-graph, single-function half of
-// Determinism: it sees only a function's own body, never its callees.
-// Retained so tests can prove exactly what transitivity adds (and as a
-// fast mode for editors); not part of All().
-var DeterminismIntra = &Analyzer{
-	Name: "determinism",
-	Doc:  "intra-procedural determinism check (no call-chain analysis)",
-	Run:  runDeterminismDirect,
-}
-
 // inScope reports whether pkgPath falls under one of the subtrees.
 func inScope(pkgPath string, subtrees []string) bool {
 	for _, s := range subtrees {

@@ -48,13 +48,20 @@ func loadFixture(t *testing.T, dir, pkgPath string) (*analysis.Package, map[stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	wants := map[string][]*expectation{}
+	return loadFixtureInto(t, loader, dir, pkgPath, wants), wants
+}
+
+// loadFixtureInto is loadFixture on a shared loader, adding to wants; a
+// later fixture package can import an earlier one by its pkgPath.
+func loadFixtureInto(t *testing.T, loader *analysis.Loader, dir, pkgPath string, wants map[string][]*expectation) *analysis.Package {
+	t.Helper()
 	root := filepath.Join("testdata", dir)
 	entries, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var files []*ast.File
-	wants := map[string][]*expectation{}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -80,7 +87,30 @@ func loadFixture(t *testing.T, dir, pkgPath string) (*analysis.Package, map[stri
 	if err != nil {
 		t.Fatalf("type-check fixtures in %s: %v", root, err)
 	}
-	return pkg, wants
+	return pkg
+}
+
+// checkWants matches every diagnostic to an expectation and reports
+// the unexpected diagnostics and the unmet expectations.
+func checkWants(t *testing.T, diags []analysis.Diagnostic, wants map[string][]*expectation) {
+	t.Helper()
+	for _, d := range diags {
+		key := fmt.Sprintf("%s:%d", d.Position.Filename, d.Position.Line)
+		exp := match(wants[key], d)
+		if exp == nil {
+			t.Errorf("unexpected diagnostic: %s", d)
+			continue
+		}
+		exp.matched = true
+	}
+	for key, exps := range wants {
+		for _, exp := range exps {
+			if !exp.matched {
+				t.Errorf("%s: expected %s diagnostic matching %q, got none",
+					key, exp.analyzer, exp.substr)
+			}
+		}
+	}
 }
 
 // TestFixtures proves every analyzer fires on each seeded violation
@@ -89,24 +119,7 @@ func TestFixtures(t *testing.T) {
 	for _, tc := range fixtureCases {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkg, wants := loadFixture(t, tc.dir, tc.pkgPath)
-			diags := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{tc.analyzer})
-			for _, d := range diags {
-				key := fmt.Sprintf("%s:%d", d.Position.Filename, d.Position.Line)
-				exp := match(wants[key], d)
-				if exp == nil {
-					t.Errorf("unexpected diagnostic: %s", d)
-					continue
-				}
-				exp.matched = true
-			}
-			for key, exps := range wants {
-				for _, exp := range exps {
-					if !exp.matched {
-						t.Errorf("%s: expected %s diagnostic matching %q, got none",
-							key, exp.analyzer, exp.substr)
-					}
-				}
-			}
+			checkWants(t, analysis.RunAnalyzers(pkg, []*analysis.Analyzer{tc.analyzer}), wants)
 		})
 	}
 }
@@ -123,6 +136,45 @@ func match(exps []*expectation, d analysis.Diagnostic) *expectation {
 		return exp
 	}
 	return nil
+}
+
+// TestUnusedFixture runs the unused analyzer over a three-package
+// fixture program — a library, a main package and a root package
+// standing for a nested module — and checks exactly what it reports:
+// dead functions, methods, call chains and uncalled interface methods,
+// but not main's callees, init, initializer references, a String only
+// fmt calls, or what only the root package uses.
+func TestUnusedFixture(t *testing.T) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := map[string][]*expectation{}
+	lib := loadFixtureInto(t, loader, "unused/lib", "repro/internal/fixture/lib", wants)
+	cmd := loadFixtureInto(t, loader, "unused/cmd", "repro/cmd/fixture", wants)
+	bench := loadFixtureInto(t, loader, "unused/bench", "repro/fixturebench", wants)
+	bench.Root = true
+	prog := analysis.NewProgram([]*analysis.Package{lib, cmd, bench})
+	checkWants(t, prog.Run([]*analysis.Analyzer{analysis.Unused}, 1), wants)
+}
+
+// TestUnusedQuietOnPartialLoad: a load of one package cannot see the
+// callers elsewhere in the module, so unused must not report exported
+// API there — osmosislint ./internal/sim stays clean.
+func TestUnusedQuietOnPartialLoad(t *testing.T) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []string{"./internal/sim", "./internal/fc"} {
+		pkgs, err := loader.Load(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range analysis.NewProgram(pkgs).Run([]*analysis.Analyzer{analysis.Unused}, 1) {
+			t.Errorf("partial load %s: %s", pattern, d)
+		}
+	}
 }
 
 // TestScopedAnalyzersStayQuietOutOfScope re-checks the determinism and
@@ -210,8 +262,8 @@ func helper(s string) int {
 // TestByName resolves analyzer subsets and rejects unknown names.
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 6 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := analysis.ByName("determinism, errcheck")
 	if err != nil || len(two) != 2 {

@@ -40,15 +40,6 @@ var HotPath = &Analyzer{
 	Run:  runHotPath,
 }
 
-// HotPathIntra is the pre-call-graph half of HotPath: it inspects only
-// the annotated function's own body, never its callees. Retained so
-// tests can prove exactly what transitivity adds; not part of All().
-var HotPathIntra = &Analyzer{
-	Name: "hotpath",
-	Doc:  "intra-procedural hotpath check (no call-chain analysis)",
-	Run:  runHotPathDirect,
-}
-
 // hotPathDirective marks a function as a steady-state inner loop.
 const hotPathDirective = "//osmosis:hotpath"
 

@@ -27,6 +27,10 @@ type Package struct {
 	Types *types.Package
 	// TypesInfo records types and object resolution for every expression.
 	TypesInfo *types.Info
+	// Root marks a package loaded only to root the unused analyzer's
+	// reachability: a nested module that imports this one, such as the
+	// benchmark harness. Its calls count as uses; it is not linted.
+	Root bool
 }
 
 // Loader parses and type-checks packages of a single module using only
@@ -80,12 +84,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModuleRoot reports the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
-// ModulePath reports the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // modulePathOf extracts the module path from a go.mod file.
 func modulePathOf(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
@@ -103,11 +101,13 @@ func modulePathOf(gomod string) (string, error) {
 
 // Load resolves patterns into type-checked packages. Supported forms:
 // "./..." (every package under the module root), "dir/..." (a
-// subtree), and plain directories ("./internal/sim"). Results are
+// subtree), and plain directories ("./internal/sim"). A pattern that
+// spans the whole module also loads its Root packages. Results are
 // sorted by import path and deduplicated.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	seen := map[string]bool{}
 	var pkgs []*Package
+	whole := false
 	add := func(dir string) error {
 		pkg, err := l.loadDir(dir)
 		if err != nil {
@@ -134,6 +134,14 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			}
 			continue
 		}
+		if base == l.moduleRoot && !whole {
+			whole = true
+			roots, err := l.loadRoots()
+			if err != nil {
+				return nil, err
+			}
+			pkgs = append(pkgs, roots...)
+		}
 		dirs, err := packageDirs(base)
 		if err != nil {
 			return nil, err
@@ -146,6 +154,54 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
+}
+
+// loadRoots loads every nested module under the module root (a
+// directory with its own go.mod) as one Root package: all of its
+// top-level .go files, tests included, type-checked together under the
+// nested module's path.
+func (l *Loader) loadRoots() ([]*Package, error) {
+	var roots []*Package
+	err := filepath.WalkDir(l.moduleRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == l.moduleRoot {
+			return err
+		}
+		if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor" {
+			return filepath.SkipDir
+		}
+		modPath, err := modulePathOf(filepath.Join(path, "go.mod"))
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		entries, err := os.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		var files []*ast.File
+		for _, e := range entries {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			f, err := l.ParseFile(filepath.Join(path, e.Name()), nil)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+		}
+		if len(files) > 0 {
+			pkg, err := l.check(modPath, files)
+			if err != nil {
+				return err
+			}
+			pkg.Dir, pkg.Root = path, true
+			roots = append(roots, pkg)
+		}
+		return filepath.SkipDir
+	})
+	return roots, err
 }
 
 // packageDirs walks root collecting directories that hold non-test Go
@@ -285,21 +341,6 @@ func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
-}
-
-// CheckSource type-checks the given parsed files as a package with an
-// arbitrary import path. Fixture tests use this to run analyzers over
-// sources pretending to live in a scoped package such as
-// "repro/internal/sim". The result is registered with the loader, so a
-// later CheckSource call can import it by its synthetic path — which is
-// how multi-package call-graph fixtures are assembled.
-func (l *Loader) CheckSource(path string, files []*ast.File) (*Package, error) {
-	pkg, err := l.check(path, files)
-	if err != nil {
-		return nil, err
-	}
-	l.extra[path] = pkg.Types
-	return pkg, nil
 }
 
 // ParseFile parses one file into the loader's shared FileSet.

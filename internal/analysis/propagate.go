@@ -62,6 +62,9 @@ func (p *Program) collectBaseFacts() {
 		p.baseFacts[kind][n] = append(p.baseFacts[kind][n], baseFact{pos: pos, msg: msg})
 	}
 	for _, n := range p.graph.list {
+		if n.pkg.Root {
+			continue
+		}
 		node := n
 		scanNondet(node.pkg.TypesInfo, node.decl, func(pos token.Pos, msg string) {
 			record(node, factNondet, pos, msg)

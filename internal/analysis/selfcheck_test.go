@@ -68,9 +68,6 @@ func TestShardSafeSeedAnnotations(t *testing.T) {
 		"voq.Egress.Receive",
 		"voq.Egress.Drain",
 		"fc.Credits.Consume",
-		"fc.Credits.Release",
-		"fc.Credits.Tick",
-		"fc.Credits.Land",
 		"packet.Allocator.New",
 		"packet.Allocator.Free",
 		// Cell retirement and queueing run on the shard path: the
@@ -108,8 +105,7 @@ func TestShardSafeSeedAnnotations(t *testing.T) {
 		"fc.Credits.LandRefilled",
 		"packet.flowTable.slot",
 		// The switch core both engines share: its mutators maintain the
-		// demand columns, depth histogram and resident count that
-		// fabric.node.syncDemand/notePush/notePop used to.
+		// demand columns, depth histogram and resident count.
 		"voq.Bank.sync",
 		"voq.Bank.Push",
 		"voq.Bank.Pop",
@@ -119,7 +115,6 @@ func TestShardSafeSeedAnnotations(t *testing.T) {
 		"voq.Bank.DemandColBits",
 		"fabric.node.landCredit",
 		"fabric.nodeBoard.Commit",
-		"fabric.nodeBoard.Uncommit",
 		"fabric.nodeBoard.DemandRowBits",
 		"fabric.nodeBoard.DemandColBits",
 		"fabric.shard.wake",

@@ -223,20 +223,6 @@ func runShardSafe(pass *Pass) {
 	}
 }
 
-// ShardSafeFuncs lists every //osmosis:shardsafe-annotated function in
-// the program by its chain name (pkg.Type.Method), sorted — the
-// machine-readable annotation inventory the seed tests pin.
-func (p *Program) ShardSafeFuncs() []string {
-	var out []string
-	for _, n := range p.graph.list {
-		if n.shardsafe {
-			out = append(out, nodeName(n))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // GlobalVar is one entry of the shared-state inventory: a package-level
 // variable and the declared functions that write it.
 type GlobalVar struct {

@@ -153,9 +153,6 @@ func (e *Encoder) Close() error {
 	return e.err
 }
 
-// Err reports the latched error, if any, without closing.
-func (e *Encoder) Err() error { return e.err }
-
 // Fail latches a caller-side error (e.g. a component whose live state is
 // not checkpointable); the encode is poisoned and Close reports it.
 func (e *Encoder) Fail(err error) {
@@ -214,7 +211,6 @@ func validName(s string) bool {
 type Decoder struct {
 	r        *bufio.Reader
 	sum      interface{ Sum64() uint64 }
-	hashed   uint64 // checksum state folded over consumed lines
 	sections []string
 	peeked   *string // one-line lookahead (already hashed)
 	err      error
@@ -315,9 +311,6 @@ func (d *Decoder) fail(format string, args ...any) error {
 	}
 	return d.err
 }
-
-// Err reports the latched error, if any.
-func (d *Decoder) Err() error { return d.err }
 
 // Begin consumes the opening line of the named section.
 func (d *Decoder) Begin(section string) error {

@@ -187,8 +187,3 @@ func (s *System) RunWorkload(t traffic.Config, warmup, measure uint64) (*crossba
 func (s *System) RunUniform(load float64, warmup, measure uint64) (*crossbar.Metrics, error) {
 	return s.RunWorkload(traffic.Config{Kind: traffic.KindUniform, Load: load}, warmup, measure)
 }
-
-// buildUniform is a small helper for fabric verification runs.
-func buildUniform(hosts int, load float64, seed uint64) ([]traffic.Generator, error) {
-	return traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: hosts, Load: load, Seed: seed})
-}

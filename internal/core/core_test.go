@@ -127,7 +127,7 @@ func TestMultistageLatencyFitsBudget(t *testing.T) {
 	// A 3-stage fabric with ~65 ns per stage plus one room crossing
 	// stays within the 500 ns budget — the paper's architecture point.
 	budget := PaperBudget()
-	perStage := budget.PerStageBudget(3)
+	perStage := budget.Switches / 3
 	got := MultistageLatency(3, perStage-51200*units.Picosecond, 51200*units.Picosecond, 50)
 	if got > budget.Total {
 		t.Errorf("multistage latency %v exceeds budget %v", got, budget.Total)

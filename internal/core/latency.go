@@ -82,15 +82,6 @@ func PaperBudget() FabricLatencyBudget {
 	}
 }
 
-// PerStageBudget reports the switch-latency allowance per stage for a
-// given stage count.
-func (b FabricLatencyBudget) PerStageBudget(stages int) units.Time {
-	if stages < 1 {
-		stages = 1
-	}
-	return b.Switches / units.Time(stages)
-}
-
 // ASICTargetFormat is the commercialization target the requirements
 // address (§VII): IB 12x QDR rates (12 GByte/s), shorter guard time from
 // DPSK-saturated SOAs and ASIC burst-mode receivers.

@@ -55,23 +55,6 @@ func DemonstratorScale() ScalePoint {
 	return p
 }
 
-// OutlookScale is the §VII claim: 256 ports at 200 Gb/s in one stage,
-// beyond 50 Tb/s aggregate.
-func OutlookScale() ScalePoint {
-	p, _ := NewScalePoint(16, 16, 200*units.GigabitPerSecond)
-	return p
-}
-
-// ElectronicLimit is the paper's single-stage electronic ceiling
-// (§VII): 6-8 Tb/s aggregate given pin counts and CMOS speeds.
-const ElectronicLimit units.Bandwidth = 8 * units.TerabitPerSecond
-
-// ExceedsElectronicLimit reports whether a scale point is beyond what a
-// single-stage electronic switch could offer.
-func (p ScalePoint) ExceedsElectronicLimit() bool {
-	return p.Aggregate > ElectronicLimit
-}
-
 // FLPPRSpeedupNeeded reports how many sub-schedulers FLPPR needs so all
 // required iterations complete within one cell time, given that one
 // iteration takes one cell time of the demonstrator (51.2 ns) scaled by

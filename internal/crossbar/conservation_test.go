@@ -91,10 +91,10 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(m.Latency.Min() <= m.Latency.Median() &&
-		m.Latency.Median() <= m.Latency.P99() &&
+	if !(m.Latency.Min() <= m.Latency.Quantile(0.5) &&
+		m.Latency.Quantile(0.5) <= m.Latency.P99() &&
 		m.Latency.P99() <= m.Latency.Max()) {
 		t.Errorf("percentiles disordered: min %v p50 %v p99 %v max %v",
-			m.Latency.Min(), m.Latency.Median(), m.Latency.P99(), m.Latency.Max())
+			m.Latency.Min(), m.Latency.Quantile(0.5), m.Latency.P99(), m.Latency.Max())
 	}
 }

@@ -33,8 +33,6 @@ type Config struct {
 	Scheduler sched.Scheduler
 	// Format defines the cell timing; zero value selects OSMOSISFormat.
 	Format packet.Format
-	// EgressCapacity bounds egress queues in cells; 0 means unbounded.
-	EgressCapacity int
 	// IdealOQ bypasses the crossbar entirely: every arrival lands in its
 	// egress queue in the same slot. This is the output-queued reference
 	// curve traditional electronic fabrics achieve (§III, ref [16]).
@@ -54,8 +52,8 @@ type Config struct {
 type Metrics struct {
 	// Offered and Delivered count cells during the measurement window.
 	Offered, Delivered uint64
-	// Dropped counts cells lost to egress overflow (must be zero in any
-	// valid HPC configuration; kept to prove losslessness).
+	// Dropped counts cells lost inside the switch. Egress queues are
+	// unbounded, so it stays zero; reports print it to show losslessness.
 	Dropped uint64
 	// MeasureSlots is the length of the measurement window.
 	MeasureSlots uint64
@@ -175,12 +173,10 @@ func (m *Metrics) MeanLatencySlots() float64 {
 
 // Switch is a runnable single-stage switch instance.
 type Switch struct {
-	cfg    Config
-	format packet.Format
+	cfg Config
 
 	// bank holds the VOQs and the demand bits the board serves to the
-	// scheduler; egress[out] is the output adapter, bounded by
-	// EgressCapacity (receive drops on overflow).
+	// scheduler; egress[out] is the output adapter.
 	bank   *voq.Bank
 	egress []*voq.Egress
 	alloc  *packet.Allocator
@@ -220,9 +216,9 @@ type Switch struct {
 // epochState accumulates the measurement counters since the last
 // CutEpoch call, for per-fault-epoch degradation reporting.
 type epochState struct {
-	from                                 uint64
-	offered, delivered, dropped, rejects uint64
-	lat                                  stats.LatencySample
+	from                        uint64
+	offered, delivered, rejects uint64
+	lat                         stats.LatencySample
 }
 
 // Epoch is one segment of a degradation run: the measurement window
@@ -254,9 +250,6 @@ func (e Epoch) Throughput(n int) float64 {
 // board adapts the switch's VOQ state to the scheduler interface.
 type board struct{ s *Switch }
 
-func (b board) N() int         { return b.s.cfg.N }
-func (b board) Receivers() int { return b.s.cfg.Receivers }
-
 // ReceiversAt reports the live receiver count at one egress, so the
 // arbiter never over-grants a fault-degraded output.
 func (b board) ReceiversAt(out int) int { return b.s.upCount[out] }
@@ -287,11 +280,11 @@ func New(cfg Config) (*Switch, error) {
 	if cfg.ControlRTTCycles < 0 {
 		return nil, fmt.Errorf("crossbar: negative control RTT %d", cfg.ControlRTTCycles)
 	}
-	s := &Switch{cfg: cfg, format: cfg.Format}
+	s := &Switch{cfg: cfg}
 	s.bank = voq.NewBank(cfg.N)
 	s.egress = make([]*voq.Egress, cfg.N)
 	for i := range s.egress {
-		s.egress[i] = voq.NewEgress(cfg.Receivers, cfg.EgressCapacity)
+		s.egress[i] = new(voq.Egress)
 	}
 	s.alloc = packet.NewAllocator()
 	s.order = packet.NewOrderChecker()
@@ -350,13 +343,6 @@ func (s *Switch) ReceiversDown() int {
 	return down
 }
 
-// ReceiverLoad reports how many cells receiver rx at the given egress
-// has taken since the switch was built (execution-time assignment, so
-// the dual-receiver tie-break is directly observable).
-func (s *Switch) ReceiverLoad(egress, rx int) uint64 {
-	return s.rxLoad[egress*s.cfg.Receivers+rx]
-}
-
 // Stall freezes the arbiter for n upcoming slots: no Tick runs, the
 // grant pipeline is fed empty matchings, and in-flight grants still
 // execute — a transient scheduler-pipeline outage.
@@ -386,7 +372,6 @@ func (s *Switch) CutEpoch() Epoch {
 		ToSlot:          s.slot,
 		Offered:         s.epoch.offered,
 		Delivered:       s.epoch.delivered,
-		Dropped:         s.epoch.dropped,
 		ReceiverRejects: s.epoch.rejects,
 		ReceiversDown:   s.ReceiversDown(),
 	}
@@ -404,12 +389,6 @@ func (s *Switch) CutEpoch() Epoch {
 
 // N reports the port count.
 func (s *Switch) N() int { return s.cfg.N }
-
-// Slot reports the current cycle number.
-func (s *Switch) Slot() uint64 { return s.slot }
-
-// Metrics exposes the collected measurements.
-func (s *Switch) Metrics() *Metrics { return &s.metrics }
 
 // now reports the simulated time at the current slot.
 func (s *Switch) now() units.Time {
@@ -432,7 +411,7 @@ func (s *Switch) StartMeasurement(measureSlots uint64) {
 
 // Step advances the switch by one packet cycle. arrivals[i], when
 // non-nil, is the cell arriving at input i this cycle. The switch takes
-// ownership of the cells: delivered and dropped cells are returned to
+// ownership of the cells: delivered cells are returned to
 // the switch's allocator for reuse, so callers must not retain them.
 //
 // The steady-state Step performs zero heap allocations (pinned by the
@@ -591,30 +570,8 @@ func (s *Switch) pickReceiver(out, used int) int {
 
 // receive delivers a cell across the crossbar into an egress queue.
 func (s *Switch) receive(c *packet.Cell, out int) {
-	e := s.egress[out]
-	if e.Capacity > 0 && e.Queued() >= e.Capacity {
-		if s.measuring {
-			s.metrics.Dropped++
-			s.epoch.dropped++
-		}
-		s.alloc.Free(c)
-		return
-	}
 	c.Hops++
-	e.Receive(c)
-}
-
-// Drained reports whether all queues are empty.
-func (s *Switch) Drained() bool {
-	if s.bank.Resident() > 0 {
-		return false
-	}
-	for _, e := range s.egress {
-		if e.Queued() > 0 {
-			return false
-		}
-	}
-	return true
+	s.egress[out].Receive(c)
 }
 
 // RunResult couples a config and its metrics for reporting.

@@ -152,28 +152,6 @@ func TestControlRTTWithNonCommittingScheduler(t *testing.T) {
 	}
 }
 
-func TestEgressCapacityLossAccounting(t *testing.T) {
-	// A deliberately tiny egress with dual receivers must overflow and
-	// count drops — proving the loss accounting works (the real system
-	// avoids this by flow control).
-	cfg := Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0), EgressCapacity: 1}
-	sw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens, err := traffic.Build(traffic.Config{Kind: traffic.KindHotspot, N: 16, Load: 0.9, HotPort: 0, HotFraction: 0.9, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sw.Run(gens, 100, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dropped == 0 {
-		t.Error("expected drops with capacity-1 egress under hotspot overload")
-	}
-}
-
 func TestBimodalControlPriority(t *testing.T) {
 	// Control cells must see lower latency than data under load.
 	cfg := Config{N: 32, Receivers: 2, Scheduler: sched.NewFLPPR(32, 0)}

@@ -62,7 +62,6 @@ func arenaTraffic(kind traffic.Kind, seed uint64) traffic.Config {
 }
 
 type arenaScore struct {
-	throughput float64 // delivered cells/port/slot
 	acceptance float64 // delivered/offered
 	p99        float64 // end-to-end p99 delay, packet cycles
 	fairness   float64 // Jain index over per-source service ratios
@@ -91,7 +90,6 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 			return arenaScore{err: err}
 		}
 		return arenaScore{
-			throughput: m.ThroughputPerPort(arenaN),
 			acceptance: m.AcceptanceRatio(),
 			p99:        float64(m.Latency.P99()) / float64(m.CycleTime),
 			fairness:   m.ServiceFairness(),

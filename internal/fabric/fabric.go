@@ -11,6 +11,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fc"
 	"repro/internal/packet"
@@ -47,9 +48,6 @@ type Config struct {
 	// EgressBuffered selects buffer-placement option 1 (in- and output
 	// buffers per stage) instead of the paper's option 3 (input only).
 	EgressBuffered bool
-	// Format supplies timing for metric scaling; zero value selects the
-	// OSMOSIS demonstrator format.
-	Format packet.Format
 	// Shards partitions the switch nodes into contiguous groups that
 	// tick concurrently: Run and Session synchronize them at lookahead
 	// window barriers, Step every slot. 0 or 1 runs one shard on the
@@ -162,6 +160,20 @@ type Fabric struct {
 	inj injectPlan
 }
 
+// CheckLinkDelay reports whether a one-way link delay can build a
+// fabric: it must be non-negative, and small enough that the slot rings
+// (2*delay+2 entries) and the credit window sized from the loop RTT
+// (2*delay+4 cells) fit in an int.
+func CheckLinkDelay(slots int) error {
+	if slots < 0 {
+		return fmt.Errorf("fabric: negative link delay %d", slots)
+	}
+	if slots > (math.MaxInt-4)/2 {
+		return fmt.Errorf("fabric: link delay %d slots overflows the slot rings", slots)
+	}
+	return nil
+}
+
 // New builds a fabric, applying defaults.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Network == nil {
@@ -183,11 +195,8 @@ func New(cfg Config) (*Fabric, error) {
 		radix := cfg.Radix
 		cfg.NewScheduler = func() sched.Scheduler { return sched.NewFLPPR(radix, 0) }
 	}
-	if cfg.LinkDelaySlots < 0 {
-		return nil, fmt.Errorf("fabric: negative link delay %d", cfg.LinkDelaySlots)
-	}
-	if cfg.Format.CellBytes == 0 {
-		cfg.Format = packet.OSMOSISFormat()
+	if err := CheckLinkDelay(cfg.LinkDelaySlots); err != nil {
+		return nil, err
 	}
 	if cfg.InputCapacity == 0 {
 		// Deterministic FC loop sizing: credits must cover the full
@@ -200,7 +209,7 @@ func New(cfg Config) (*Fabric, error) {
 		net:     cfg.Network,
 		nodeIdx: make(map[NodeID]int),
 	}
-	f.metrics.CycleTime = cfg.Format.CycleTime()
+	f.metrics.CycleTime = packet.OSMOSISFormat().CycleTime()
 	f.metrics.HopHistogram = make(map[int]uint64)
 
 	for _, id := range f.net.NodeIDs() {
@@ -214,7 +223,7 @@ func New(cfg Config) (*Fabric, error) {
 
 	f.hostEgress = make([]*voq.Egress, cfg.Hosts)
 	for h := range f.hostEgress {
-		f.hostEgress[h] = voq.NewEgress(cfg.Receivers, 0)
+		f.hostEgress[h] = new(voq.Egress)
 	}
 	f.hostNode = make([]int, cfg.Hosts)
 	f.hostPort = make([]int, cfg.Hosts)
@@ -306,37 +315,13 @@ func (f *Fabric) Network() Net { return f.net }
 // Metrics exposes the measurements.
 func (f *Fabric) Metrics() *Metrics { return &f.metrics }
 
-// Slot reports the current cycle.
-func (f *Fabric) Slot() uint64 { return f.slot }
-
 // ShardCount reports the spatial partition width the fabric runs with.
 func (f *Fabric) ShardCount() int { return len(f.shards) }
-
-// StartMeasurement begins the measurement window.
-func (f *Fabric) StartMeasurement() { f.measuring = true }
 
 // measuringAt reports whether deliveries and arrivals in the given slot
 // fall inside the measurement window.
 func (f *Fabric) measuringAt(slot uint64) bool {
 	return f.measuring || (f.measureSet && slot >= f.measureFrom)
-}
-
-// Inject places a newly arrived cell into its source leaf's ingress
-// adapter (the first-stage input buffer).
-func (f *Fabric) Inject(c *packet.Cell) error {
-	if c.Src < 0 || c.Src >= f.cfg.Hosts {
-		return fmt.Errorf("fabric: source %d out of range", c.Src)
-	}
-	ni := f.hostNode[c.Src]
-	c.Injected = units.Time(f.slot) * f.metrics.CycleTime
-	if f.measuring {
-		f.injectOffered++
-	}
-	if err := f.nodes[ni].push(c, f.hostPort[c.Src]); err != nil {
-		return err
-	}
-	f.shards[f.nodeShard[ni]].wake(ni)
-	return nil
 }
 
 // Step advances the whole fabric one packet cycle: every shard ticks

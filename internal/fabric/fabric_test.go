@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sched"
@@ -48,6 +49,13 @@ func TestFabricValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Hosts: 4, LinkDelaySlots: -1}); err == nil {
 		t.Error("negative delay accepted")
+	}
+	// A delay whose 2*d+2 slot rings overflow int used to reach
+	// makeslice and panic; it must come back as an error.
+	for _, d := range []int{1 << 62, math.MaxInt} {
+		if _, err := New(Config{Hosts: 4, LinkDelaySlots: d}); err == nil {
+			t.Errorf("link delay %d accepted", d)
+		}
 	}
 	if _, err := New(Config{Hosts: 8, Radix: 7}); err == nil {
 		t.Error("odd radix accepted")

@@ -36,9 +36,6 @@ type node struct {
 	// bank queues cells by input and *output port* of this switch, and
 	// maintains the demand columns, depth maximum and resident count.
 	bank *voq.Bank
-	// inputOccupancy[in] tracks total buffered cells for bounded
-	// inter-switch input ports (capacity enforced by upstream credits).
-	inputCapacity int
 
 	// credits[out] guards the downstream input buffer of inter-switch
 	// links; nil for host outputs (host egress is paced separately) and
@@ -86,13 +83,12 @@ func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapa
 		return nil, err
 	}
 	n := &node{
-		id:            id,
-		net:           net,
-		radix:         net.SwitchRadix(),
-		ports:         ports,
-		sch:           mk(),
-		receivers:     receivers,
-		inputCapacity: inputCapacity,
+		id:        id,
+		net:       net,
+		radix:     net.SwitchRadix(),
+		ports:     ports,
+		sch:       mk(),
+		receivers: receivers,
 	}
 	k := n.radix
 	n.bank = voq.NewBank(k)
@@ -101,7 +97,7 @@ func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapa
 		if pi.Kind == UpPort || pi.Kind == DownPort {
 			// rttSlots 1 because the return flight is modeled on the
 			// fabric's credit wire, not inside the counter (see Land).
-			c, err := fc.NewCredits(inputCapacity, 1)
+			c, err := fc.NewCredits(inputCapacity)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +107,7 @@ func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapa
 	if egressBuffered {
 		n.egress = make([]*voq.Egress, k)
 		for out := range n.egress {
-			n.egress[out] = voq.NewEgress(receivers, 0)
+			n.egress[out] = new(voq.Egress)
 		}
 	}
 	n.match = sched.NewMatching(k)
@@ -157,8 +153,6 @@ func (n *node) landCredit(port int) {
 // flow-control credit — the §IV.B "scheduler as FC manager" role.
 type nodeBoard struct{ n *node }
 
-func (b nodeBoard) N() int              { return b.n.radix }
-func (b nodeBoard) Receivers() int      { return b.n.receivers }
 func (b nodeBoard) ReceiversAt(int) int { return b.n.receivers }
 
 func (b nodeBoard) Demand(in, out int) int {
@@ -176,16 +170,11 @@ func (b nodeBoard) Demand(in, out int) int {
 	return n.bank.Demand(in, out)
 }
 
-// Commit and Uncommit forward to the bank, which keeps its demand
-// columns in sync.
+// Commit forwards to the bank, which keeps its demand columns in sync.
 //
 //osmosis:hotpath
 //osmosis:shardsafe
 func (b nodeBoard) Commit(in, out int) { b.n.bank.Commit(in, out) }
-
-//osmosis:hotpath
-//osmosis:shardsafe
-func (b nodeBoard) Uncommit(in, out int) { b.n.bank.Uncommit(in, out) }
 
 // DemandRowBits implements sched.Board: input in's uncommitted
 // occupancy row ANDed against the grantable-output mask — exactly the

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/ckpt"
 	"repro/internal/traffic"
@@ -87,15 +86,6 @@ func (s *Session) Fabric() *Fabric { return s.f }
 // Metrics exposes the run's measurements.
 func (s *Session) Metrics() *Metrics { return s.f.Metrics() }
 
-// Save writes a complete osmosis-ckpt v1 snapshot of the session — the
-// fabric state plus every traffic generator and the session timeline —
-// to w. Only legal at a barrier, which is wherever Advance pauses.
-func (s *Session) Save(w io.Writer) error {
-	e := ckpt.NewEncoder(w)
-	s.SaveState(e)
-	return e.Close()
-}
-
 // SaveState writes the session snapshot as a "session" section on an
 // open encoder, so embedding formats (the osmosisd job checkpoint) can
 // wrap it in their own framing. Save is the standalone form.
@@ -116,25 +106,6 @@ func (s *Session) SaveState(e *ckpt.Encoder) {
 	}
 	e.End("gens")
 	e.End("session")
-}
-
-// ResumeSession restores a Save snapshot onto a freshly built fabric of
-// the same configuration (any shard count) and freshly built generators
-// of the same traffic configuration, returning a session that continues
-// the saved run bit-exactly.
-func ResumeSession(f *Fabric, gens []traffic.Generator, r io.Reader) (*Session, error) {
-	d, err := ckpt.NewDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	s, err := ResumeSessionState(f, gens, d)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // ResumeSessionState reads a "session" section from an open decoder —

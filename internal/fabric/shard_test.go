@@ -54,7 +54,7 @@ func TestIdleSeesInFlightCredits(t *testing.T) {
 			if cr == nil {
 				continue
 			}
-			if got := cr.Available(); got != f.cfg.InputCapacity {
+			if got := creditsHeld(cr); got != f.cfg.InputCapacity {
 				t.Errorf("node %v out %d: %d credits after idle, want %d",
 					n.id, out, got, f.cfg.InputCapacity)
 			}
@@ -164,7 +164,7 @@ func TestDrainRestoresCredits(t *testing.T) {
 			if cr == nil {
 				continue
 			}
-			if got := cr.Available(); got != f.cfg.InputCapacity {
+			if got := creditsHeld(cr); got != f.cfg.InputCapacity {
 				t.Errorf("node %v out %d: %d credits after drain, want %d",
 					n.id, out, got, f.cfg.InputCapacity)
 			}

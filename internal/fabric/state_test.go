@@ -293,7 +293,7 @@ func TestCheckpointDrainEquivalence(t *testing.T) {
 			if cr == nil {
 				continue
 			}
-			if got := cr.Available(); got != rf.cfg.InputCapacity {
+			if got := creditsHeld(cr); got != rf.cfg.InputCapacity {
 				t.Errorf("restored node %v out %d: %d credits after drain, want %d",
 					n.id, out, got, rf.cfg.InputCapacity)
 			}

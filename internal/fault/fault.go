@@ -28,7 +28,8 @@ import (
 type Kind string
 
 // Fault kinds. Receiver and SOA faults address the optical data path;
-// BER bursts and credit loss address the link/flow-control stack; a
+// BER bursts and credit loss address the link/flow-control stack (no
+// engine hooks them yet, so the injector counts them as skipped); a
 // scheduler stall models a transient arbiter-pipeline outage.
 const (
 	// ReceiverLoss takes one of an egress adapter's receivers out of
@@ -194,9 +195,6 @@ type Spec struct {
 	RandomDuration uint64
 }
 
-// IsZero reports whether the spec schedules nothing.
-func (s Spec) IsZero() bool { return len(s.Events) == 0 && s.RandomCount == 0 }
-
 // Schedule is a compiled, deterministically ordered fault campaign.
 type Schedule struct {
 	events []Event
@@ -264,6 +262,10 @@ func less(a, b Event) bool {
 	return a.Duration < b.Duration
 }
 
+// maxRandomFaults bounds a spec's random component, so a fault spec
+// from an untrusted source cannot make Compile allocate without limit.
+const maxRandomFaults = 1 << 16
+
 // Compile validates the explicit events, expands the random component
 // on the derived fault stream, and returns the canonicalized schedule.
 // The result is a pure function of (spec, dims, seed): the fault RNG is
@@ -277,6 +279,12 @@ func Compile(spec Spec, d Dims, seed uint64) (Schedule, error) {
 	if spec.RandomCount > 0 {
 		if spec.WindowEnd <= spec.WindowStart {
 			return Schedule{}, fmt.Errorf("fault: random window [%d,%d) is empty", spec.WindowStart, spec.WindowEnd)
+		}
+		if spec.WindowEnd-spec.WindowStart > math.MaxInt {
+			return Schedule{}, fmt.Errorf("fault: random window [%d,%d) is too wide", spec.WindowStart, spec.WindowEnd)
+		}
+		if spec.RandomCount > maxRandomFaults {
+			return Schedule{}, fmt.Errorf("fault: %d random faults, at most %d", spec.RandomCount, maxRandomFaults)
 		}
 		kinds := spec.RandomKinds
 		if len(kinds) == 0 {

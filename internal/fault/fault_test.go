@@ -48,7 +48,7 @@ func TestParseSpecErrors(t *testing.T) {
 		}
 	}
 	spec, err := ParseSpec("")
-	if err != nil || !spec.IsZero() {
+	if err != nil || len(spec.Events) != 0 || spec.RandomCount != 0 {
 		t.Fatalf("empty spec: got %+v, %v", spec, err)
 	}
 }
@@ -141,8 +141,9 @@ func TestBoundaries(t *testing.T) {
 }
 
 // TestInjectorTransitions drives a mixed schedule through an Injector
-// with all hooks registered and checks ordering, lifetimes, and the
-// active count.
+// with every hook an engine registers and checks ordering, lifetimes,
+// and the active count. No engine models link BER bursts or credit
+// loss, so those transitions are counted as skipped.
 func TestInjectorTransitions(t *testing.T) {
 	spec, err := ParseSpec("rx:1.1@100+50,ber:3=1e-4@100+25,credit:5=2@110,stall:7@120")
 	if err != nil {
@@ -160,8 +161,6 @@ func TestInjectorTransitions(t *testing.T) {
 	}
 	var calls []call
 	inj.OnReceiver(func(e, r int, up bool) { calls = append(calls, call{"rx", e, r, up}) })
-	inj.OnLinkBER(func(l int, ber float64, active bool) { calls = append(calls, call{"ber", l, 0, active}) })
-	inj.OnCredits(func(l, n int) { calls = append(calls, call{"credit", l, n, false}) })
 	inj.OnStall(func(s uint64) { calls = append(calls, call{"stall", int(s), 0, false}) })
 
 	if inj.Tick(99) {
@@ -182,17 +181,14 @@ func TestInjectorTransitions(t *testing.T) {
 		t.Fatal("injector not done after final tick")
 	}
 	want := []call{
-		{"rx", 1, 1, false},     // 100: receiver down
-		{"ber", 3, 0, true},     // 100: burst on
-		{"credit", 5, 2, false}, // 110
-		{"stall", 7, 0, false},  // 120
-		{"ber", 3, 0, false},    // 125: burst clears
-		{"rx", 1, 1, true},      // 150: receiver back
+		{"rx", 1, 1, false},    // 100: receiver down
+		{"stall", 7, 0, false}, // 120
+		{"rx", 1, 1, true},     // 150: receiver back
 	}
 	if !reflect.DeepEqual(calls, want) {
 		t.Fatalf("calls:\n got %+v\nwant %+v", calls, want)
 	}
-	if inj.Applied != 6 || inj.Skipped != 0 {
+	if inj.Applied != 3 || inj.Skipped != 3 {
 		t.Fatalf("applied=%d skipped=%d", inj.Applied, inj.Skipped)
 	}
 }

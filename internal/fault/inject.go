@@ -30,8 +30,6 @@ type Injector struct {
 
 	onReceiver func(egress, rx int, up bool)
 	onGate     func(e Event, mode GateMode)
-	onLinkBER  func(link int, ber float64, active bool)
-	onCredits  func(link, n int)
 	onStall    func(slots uint64)
 
 	// Applied and Skipped count transitions delivered to a hook vs.
@@ -83,31 +81,12 @@ func (inj *Injector) OnReceiver(fn func(egress, rx int, up bool)) { inj.onReceiv
 // OnGate registers the SOA-gate hook; mode is GateHealthy on clear.
 func (inj *Injector) OnGate(fn func(e Event, mode GateMode)) { inj.onGate = fn }
 
-// OnLinkBER registers the BER-burst hook (active=false on clear).
-func (inj *Injector) OnLinkBER(fn func(link int, ber float64, active bool)) { inj.onLinkBER = fn }
-
-// OnCredits registers the credit-loss hook (fired once per event).
-func (inj *Injector) OnCredits(fn func(link, n int)) { inj.onCredits = fn }
-
 // OnStall registers the scheduler-stall hook (fired once per event,
 // with the stall length in slots).
 func (inj *Injector) OnStall(fn func(slots uint64)) { inj.onStall = fn }
 
 // Active reports how many scheduled faults are currently in effect.
 func (inj *Injector) Active() int { return inj.active }
-
-// Done reports whether every transition has fired.
-func (inj *Injector) Done() bool { return inj.next >= len(inj.trans) }
-
-// NextTransition reports the slot of the next unfired transition, or
-// Permanent when none remain — the epoch edge degradation metrics cut
-// on.
-func (inj *Injector) NextTransition() uint64 {
-	if inj.Done() {
-		return Permanent
-	}
-	return inj.trans[inj.next].slot
-}
 
 // Tick fires every transition due at or before slot, in canonical
 // order, and reports whether any fired. Call once per simulated slot
@@ -152,18 +131,6 @@ func (inj *Injector) apply(e Event, begin bool) {
 			}
 		}
 		inj.onGate(e, mode)
-	case BERBurst:
-		if inj.onLinkBER == nil {
-			inj.Skipped++
-			return
-		}
-		inj.onLinkBER(e.Link, e.BER, begin)
-	case CreditLoss:
-		if inj.onCredits == nil {
-			inj.Skipped++
-			return
-		}
-		inj.onCredits(e.Link, e.Credits)
 	case SchedStall:
 		if inj.onStall == nil {
 			inj.Skipped++

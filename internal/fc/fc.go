@@ -15,38 +15,23 @@ package fc
 import "fmt"
 
 // Credits tracks the upstream view of one downstream buffer: the number
-// of cells that may still be sent. Returns travel back with a fixed
-// delay measured in packet cycles; the pipeline models cells "in flight
-// back" so the view is exactly what deterministic hardware would hold.
+// of cells that may still be sent. The return flight is modelled by the
+// caller: the fabric's credit wire carries each return for the reverse
+// time-of-flight and lands it here with LandRefilled, so the end-to-end
+// loop is exactly LoopRTT slots.
 type Credits struct {
 	avail int
-	// returning[i] credits arrive i+1 Tick calls from now.
-	returning []int
-	pos       int
 	// Shortfalls counts cycles in which a send was refused.
 	Shortfalls uint64
-	// Lost counts credits destroyed by Drop (fault injection); until a
-	// resync they permanently shrink the loop's sustainable window.
-	Lost uint64
 }
 
-// NewCredits builds a counter with initial credits and a return delay
-// of rttSlots cycles (the remote FC loop RTT). rttSlots must be
-// positive: a non-positive RTT means the caller mis-sized the loop
-// (LoopRTT never yields less than 1), and silently clamping it would
-// hide the sizing bug.
-func NewCredits(initial, rttSlots int) (*Credits, error) {
+// NewCredits builds a counter holding initial credits.
+func NewCredits(initial int) (*Credits, error) {
 	if initial < 0 {
 		return nil, fmt.Errorf("fc: negative initial credits %d", initial)
 	}
-	if rttSlots < 1 {
-		return nil, fmt.Errorf("fc: non-positive credit-return RTT %d slots; size the loop with LoopRTT", rttSlots)
-	}
-	return &Credits{avail: initial, returning: make([]int, rttSlots)}, nil
+	return &Credits{avail: initial}, nil
 }
-
-// Available reports the usable credits right now.
-func (c *Credits) Available() int { return c.avail }
 
 // CanSend reports whether one cell may be launched.
 func (c *Credits) CanSend() bool { return c.avail > 0 }
@@ -80,78 +65,15 @@ func (c *Credits) ConsumeEmptied() (ok, emptied bool) {
 	return true, c.avail == 0
 }
 
-// Release queues one credit for return (the downstream buffer freed a
-// slot); it becomes usable after the loop RTT.
-//
-//osmosis:shardsafe
-func (c *Credits) Release() {
-	c.returning[(c.pos+len(c.returning)-1)%len(c.returning)]++
-}
-
-// Land makes one credit usable immediately. It is the arrival half of a
-// return loop whose flight time the caller models externally: the
-// fabric's credit wire carries each return for the full reverse
-// time-of-flight and calls Land when it arrives back at the upstream
-// scheduler, so the end-to-end loop is exactly LoopRTT slots — cell
-// flight down, pop, and credit flight back — with no second pipeline
-// stacked on top. Callers that have no external transport use
-// Release/Tick instead, which model the flight here.
-//
-//osmosis:shardsafe
-func (c *Credits) Land() { c.avail++ }
-
-// LandRefilled is Land with a CanSend-transition signal: refilled
-// reports that this landing made the counter usable again (CanSend
-// flipped false→true) — the other edge of ConsumeEmptied.
+// LandRefilled makes one returned credit usable. refilled reports that
+// this landing made the counter usable again (CanSend flipped
+// false→true) — the other edge of ConsumeEmptied.
 //
 //osmosis:hotpath
 //osmosis:shardsafe
 func (c *Credits) LandRefilled() (refilled bool) {
 	c.avail++
 	return c.avail == 1
-}
-
-// Tick advances one packet cycle, landing any credits whose return
-// delay elapsed.
-//
-//osmosis:shardsafe
-func (c *Credits) Tick() {
-	c.avail += c.returning[c.pos]
-	c.returning[c.pos] = 0
-	c.pos = (c.pos + 1) % len(c.returning)
-}
-
-// InFlight reports credits still travelling back.
-func (c *Credits) InFlight() int {
-	total := 0
-	for _, v := range c.returning {
-		total += v
-	}
-	return total
-}
-
-// Drop destroys up to n credits — in-flight returns first (earliest
-// landing first, the ones a corrupted FC message would have carried),
-// then available credits — and reports how many were actually
-// destroyed. Lost credits shrink the loop's window until an external
-// resync; the counter makes the damage auditable.
-func (c *Credits) Drop(n int) int {
-	dropped := 0
-	for i := 0; i < len(c.returning) && dropped < n; i++ {
-		slot := (c.pos + i) % len(c.returning)
-		take := c.returning[slot]
-		if take > n-dropped {
-			take = n - dropped
-		}
-		c.returning[slot] -= take
-		dropped += take
-	}
-	for c.avail > 0 && dropped < n {
-		c.avail--
-		dropped++
-	}
-	c.Lost += uint64(dropped)
-	return dropped
 }
 
 // BufferFor reports the ingress-buffer capacity (in cells) needed to

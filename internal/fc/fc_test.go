@@ -5,13 +5,55 @@ import (
 	"testing/quick"
 )
 
-func TestCreditsBasics(t *testing.T) {
-	c, err := NewCredits(3, 2)
+// returnLoop models a credit-return loop around one counter: the credit
+// of a freed downstream slot lands rtt ticks later. In the program the
+// fabric's credit wire is that loop; the model lets these tests state the
+// paper's sizing claims about BufferFor on a single counter.
+type returnLoop struct {
+	c *Credits
+	// returning[i] credits land i+1 tick calls from now.
+	returning []int
+	pos       int
+}
+
+func newReturnLoop(t *testing.T, initial, rtt int) *returnLoop {
+	t.Helper()
+	c, err := NewCredits(initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Available() != 3 || !c.CanSend() {
-		t.Errorf("initial credits %d", c.Available())
+	return &returnLoop{c: c, returning: make([]int, rtt)}
+}
+
+// release queues one credit for return after the loop RTT.
+func (l *returnLoop) release() {
+	l.returning[(l.pos+len(l.returning)-1)%len(l.returning)]++
+}
+
+// tick advances one packet cycle, landing the credits due now.
+func (l *returnLoop) tick() {
+	for ; l.returning[l.pos] > 0; l.returning[l.pos]-- {
+		l.c.LandRefilled()
+	}
+	l.pos = (l.pos + 1) % len(l.returning)
+}
+
+// inFlight reports credits still travelling back.
+func (l *returnLoop) inFlight() int {
+	total := 0
+	for _, v := range l.returning {
+		total += v
+	}
+	return total
+}
+
+func TestCreditsBasics(t *testing.T) {
+	c, err := NewCredits(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.avail != 3 || !c.CanSend() {
+		t.Errorf("initial credits %d", c.avail)
 	}
 	for i := 0; i < 3; i++ {
 		if !c.Consume() {
@@ -24,28 +66,37 @@ func TestCreditsBasics(t *testing.T) {
 	if c.Shortfalls != 1 {
 		t.Errorf("shortfalls %d", c.Shortfalls)
 	}
+	if ok, emptied := c.ConsumeEmptied(); ok || emptied || c.Shortfalls != 2 {
+		t.Errorf("ConsumeEmptied on an empty counter = %v, %v (shortfalls %d)", ok, emptied, c.Shortfalls)
+	}
+	if !c.LandRefilled() || c.LandRefilled() || c.avail != 2 {
+		t.Errorf("LandRefilled must report only the empty-to-usable edge; avail %d", c.avail)
+	}
+	if ok, emptied := c.ConsumeEmptied(); !ok || emptied {
+		t.Errorf("ConsumeEmptied with 2 credits = %v, %v", ok, emptied)
+	}
+	if ok, emptied := c.ConsumeEmptied(); !ok || !emptied {
+		t.Errorf("ConsumeEmptied of the last credit = %v, %v", ok, emptied)
+	}
 }
 
 func TestCreditsReturnDelay(t *testing.T) {
-	c, err := NewCredits(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Consume()
-	c.Release()
-	if c.InFlight() != 1 {
-		t.Errorf("in flight %d", c.InFlight())
+	l := newReturnLoop(t, 1, 3)
+	l.c.Consume()
+	l.release()
+	if l.inFlight() != 1 {
+		t.Errorf("in flight %d", l.inFlight())
 	}
 	// The credit must land exactly after 3 ticks.
 	for i := 0; i < 2; i++ {
-		c.Tick()
-		if c.Available() != 0 {
+		l.tick()
+		if l.c.CanSend() {
 			t.Fatalf("credit landed early at tick %d", i+1)
 		}
 	}
-	c.Tick()
-	if c.Available() != 1 {
-		t.Errorf("credit not landed after RTT: %d", c.Available())
+	l.tick()
+	if l.c.avail != 1 {
+		t.Errorf("credit not landed after RTT: %d", l.c.avail)
 	}
 }
 
@@ -54,17 +105,14 @@ func TestCreditsSustainFullRateWhenSizedByRTT(t *testing.T) {
 	// initial credits = RTT, a sender can launch one cell every tick
 	// forever (downstream freeing each cell on arrival).
 	const rtt = 5
-	c, err := NewCredits(BufferFor(rtt, 0), rtt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newReturnLoop(t, BufferFor(rtt, 0), rtt)
 	sent := 0
 	for tick := 0; tick < 1000; tick++ {
-		if c.Consume() {
+		if l.c.Consume() {
 			sent++
-			c.Release() // downstream consumes and frees immediately
+			l.release() // downstream consumes and frees immediately
 		}
-		c.Tick()
+		l.tick()
 	}
 	if sent < 1000 {
 		t.Errorf("sent %d of 1000 with RTT-sized credits; full rate requires 1000", sent)
@@ -74,14 +122,14 @@ func TestCreditsSustainFullRateWhenSizedByRTT(t *testing.T) {
 func TestCreditsUndersizedStarve(t *testing.T) {
 	// With fewer credits than the RTT the link cannot sustain full rate.
 	const rtt = 6
-	c, _ := NewCredits(rtt/2, rtt)
+	l := newReturnLoop(t, rtt/2, rtt)
 	sent := 0
 	for tick := 0; tick < 1000; tick++ {
-		if c.Consume() {
+		if l.c.Consume() {
 			sent++
-			c.Release()
+			l.release()
 		}
-		c.Tick()
+		l.tick()
 	}
 	if sent > 600 {
 		t.Errorf("undersized credits sustained %d/1000; expected starvation", sent)
@@ -89,39 +137,36 @@ func TestCreditsUndersizedStarve(t *testing.T) {
 }
 
 func TestCreditsConservationProperty(t *testing.T) {
-	// available + inFlight is invariant under Release/Tick and only
+	// available + inFlight is invariant under release/tick and only
 	// Consume decreases it.
 	f := func(ops []uint8) bool {
-		c, err := NewCredits(4, 3)
-		if err != nil {
-			return false
-		}
+		l := &returnLoop{c: &Credits{avail: 4}, returning: make([]int, 3)}
 		outstanding := 0 // consumed but not yet released
 		for _, op := range ops {
-			total := c.Available() + c.InFlight()
+			total := l.c.avail + l.inFlight()
 			switch op % 3 {
 			case 0:
-				if c.Consume() {
+				if l.c.Consume() {
 					outstanding++
-					if c.Available()+c.InFlight() != total-1 {
+					if l.c.avail+l.inFlight() != total-1 {
 						return false
 					}
 				}
 			case 1:
 				if outstanding > 0 {
-					c.Release()
+					l.release()
 					outstanding--
-					if c.Available()+c.InFlight() != total+1 {
+					if l.c.avail+l.inFlight() != total+1 {
 						return false
 					}
 				}
 			case 2:
-				c.Tick()
-				if c.Available()+c.InFlight() != total {
+				l.tick()
+				if l.c.avail+l.inFlight() != total {
 					return false
 				}
 			}
-			if c.Available()+c.InFlight()+outstanding != 4 {
+			if l.c.avail+l.inFlight()+outstanding != 4 {
 				return false
 			}
 		}
@@ -133,65 +178,11 @@ func TestCreditsConservationProperty(t *testing.T) {
 }
 
 func TestNewCreditsValidation(t *testing.T) {
-	if _, err := NewCredits(-1, 1); err == nil {
+	if _, err := NewCredits(-1); err == nil {
 		t.Error("negative credits accepted")
 	}
-	// A non-positive RTT means the caller mis-sized the loop; it must be
-	// rejected like a negative credit count, not silently clamped.
-	if _, err := NewCredits(0, 0); err == nil {
-		t.Error("zero RTT accepted; mis-sized loop should error")
-	}
-	if _, err := NewCredits(0, -3); err == nil {
-		t.Error("negative RTT accepted")
-	}
-	if c, err := NewCredits(0, 1); err != nil || c == nil {
-		t.Errorf("minimal valid loop rejected: %v", err)
-	}
-}
-
-func TestCreditsDrop(t *testing.T) {
-	c, err := NewCredits(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Put two credits in flight at different landing times.
-	c.Consume()
-	c.Consume()
-	c.Release()
-	c.Tick()
-	c.Release()
-	if c.InFlight() != 2 {
-		t.Fatalf("in flight %d, want 2", c.InFlight())
-	}
-	// Drop one: the earliest-landing return dies first.
-	if got := c.Drop(1); got != 1 {
-		t.Fatalf("Drop(1) destroyed %d", got)
-	}
-	if c.InFlight() != 1 || c.Lost != 1 {
-		t.Errorf("after drop: inflight=%d lost=%d", c.InFlight(), c.Lost)
-	}
-	// Drain the remaining return and verify the window shrank: started
-	// with 4 total, both consumed cells released, 1 credit dropped ->
-	// only 3 of the original 4 remain reachable.
-	for i := 0; i < 4; i++ {
-		c.Tick()
-	}
-	if c.Available()+c.InFlight() != 3 {
-		t.Errorf("window after drop: avail=%d inflight=%d, want 3 total", c.Available(), c.InFlight())
-	}
-	// Dropping more than exists destroys in-flight then available, and
-	// reports the true count.
-	c2, err := NewCredits(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.Consume()
-	c2.Release()
-	if got := c2.Drop(10); got != 2 {
-		t.Errorf("Drop(10) destroyed %d, want 2 (1 in flight + 1 available)", got)
-	}
-	if c2.Available() != 0 || c2.InFlight() != 0 || c2.Lost != 2 {
-		t.Errorf("after over-drop: avail=%d inflight=%d lost=%d", c2.Available(), c2.InFlight(), c2.Lost)
+	if c, err := NewCredits(0); err != nil || c == nil || c.CanSend() {
+		t.Errorf("empty counter: %v, %v", c, err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package fc
 
-// Checkpoint suite for the credit counter, pinning the PR 9 audit
-// finding: the in-flight return ring is real wire state. A restore that
-// collapsed it to a sum (or forgot it, the PR 7 Idle() bug class) would
-// land credits on the wrong slots and change every downstream
-// scheduling decision.
+// Checkpoint suite for the credit counter: a restored counter continues
+// exactly like the original, and the record keeps its historic layout.
 
 import (
 	"strings"
@@ -38,99 +35,78 @@ func loadCredits(t *testing.T, c *Credits, text string) error {
 }
 
 // TestCreditsDrainVsRestoreEquivalence: run a random credit workload,
-// checkpoint mid-flight (with returns on the wire), and compare the
-// original draining out against a restored twin draining out — every
-// Tick must land the same credits on the same slot.
+// checkpoint it mid-run, and drive the original and a restored twin with
+// the same continuation — every step must leave both counters equal.
 func TestCreditsDrainVsRestoreEquivalence(t *testing.T) {
-	for _, rtt := range []int{1, 2, 5, 11} {
-		orig, err := NewCredits(rtt+2, rtt)
+	for _, seed := range []uint64{1, 2, 5, 11} {
+		orig, err := NewCredits(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := sim.NewRNG(uint64(rtt))
-		// Mixed workload: consumes, releases, ticks — leaves a nontrivial
-		// ring population.
-		for i := 0; i < 200; i++ {
-			switch rng.Intn(3) {
-			case 0:
-				orig.Consume()
-			case 1:
-				if orig.InFlight()+orig.Available() < rtt+2 {
-					orig.Release()
-				}
-			default:
-				orig.Tick()
+		rng := sim.NewRNG(seed)
+		step := func(c *Credits, op int) {
+			if op == 0 {
+				c.ConsumeEmptied()
+			} else {
+				c.LandRefilled()
 			}
 		}
-		if orig.InFlight() == 0 {
-			orig.Consume()
-			orig.Release()
+		for i := 0; i < 200; i++ {
+			step(orig, rng.Intn(2))
 		}
-
-		twin, err := NewCredits(rtt+2, rtt)
+		twin, err := NewCredits(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := loadCredits(t, twin, saveCredits(t, orig)); err != nil {
-			t.Fatalf("rtt %d: load: %v", rtt, err)
+			t.Fatalf("seed %d: load: %v", seed, err)
 		}
-		if twin.Available() != orig.Available() || twin.InFlight() != orig.InFlight() ||
-			twin.Shortfalls != orig.Shortfalls || twin.Lost != orig.Lost {
-			t.Fatalf("rtt %d: restored summary diverged: avail %d/%d inflight %d/%d",
-				rtt, twin.Available(), orig.Available(), twin.InFlight(), orig.InFlight())
-		}
-		// Drain both: every landing must occur on the same Tick.
-		for tick := 0; tick < 2*rtt+2; tick++ {
-			orig.Tick()
-			twin.Tick()
-			if twin.Available() != orig.Available() || twin.InFlight() != orig.InFlight() {
-				t.Fatalf("rtt %d tick %d: drain diverged: avail %d/%d inflight %d/%d — ring offsets not preserved",
-					rtt, tick, twin.Available(), orig.Available(), twin.InFlight(), orig.InFlight())
+		for i := 0; i < 200; i++ {
+			if *twin != *orig {
+				t.Fatalf("seed %d step %d: restored counter %+v diverged from %+v", seed, i, *twin, *orig)
 			}
-		}
-		if orig.InFlight() != 0 {
-			t.Fatalf("rtt %d: ring not drained after RTT ticks", rtt)
+			op := rng.Intn(2)
+			step(orig, op)
+			step(twin, op)
 		}
 	}
 }
 
-// TestCreditsSumOnlyRestoreWouldDiverge documents why the ring offsets
-// are serialized: two states with identical (avail, in-flight-sum)
-// but different landing slots are distinguishable through Tick, and the
-// checkpoint keeps them distinct.
-func TestCreditsSumOnlyRestoreWouldDiverge(t *testing.T) {
-	early, _ := NewCredits(0, 4)
-	late, _ := NewCredits(0, 4)
-	early.Release() // lands after 4 ticks from each counter's epoch
-	late.Release()
-	early.Tick() // early's return is now 3 ticks out; late's still 4
-	late.Release()
-	late.Tick()
-	late.Tick()
-	// Both now: avail 0. early in-flight 1, late in-flight 2 — restore
-	// each and verify the landing schedule round-trips exactly.
-	for name, c := range map[string]*Credits{"early": early, "late": late} {
-		twin, _ := NewCredits(0, 4)
-		if err := loadCredits(t, twin, saveCredits(t, c)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for tick := 0; tick < 5; tick++ {
-			c.Tick()
-			twin.Tick()
-			if c.Available() != twin.Available() {
-				t.Fatalf("%s tick %d: avail %d vs restored %d", name, tick, c.Available(), twin.Available())
-			}
-		}
-	}
-}
-
+// TestCreditsCheckpointRejectsRTTMismatch pins the record layout and
+// refuses a record of the old return-ring form that carries credits in
+// flight or lost: this counter cannot land them on their slots.
 func TestCreditsCheckpointRejectsRTTMismatch(t *testing.T) {
-	orig, _ := NewCredits(4, 3)
-	orig.Consume()
-	orig.Release()
-	text := saveCredits(t, orig)
-	twin, _ := NewCredits(4, 5)
-	if err := loadCredits(t, twin, text); err == nil {
-		t.Fatal("RTT-3 checkpoint restored into RTT-5 counter")
+	c, _ := NewCredits(4)
+	c.Consume()
+	c.Consume()
+	c.Consume()
+	c.Consume()
+	c.Consume()
+	text := saveCredits(t, c)
+	if !strings.Contains(text, "credits 0 1 0 1 0\n") {
+		t.Fatalf("credits record changed layout:\n%s", text)
+	}
+	for name, put := range map[string]func(e *ckpt.Encoder){
+		"longer ring": func(e *ckpt.Encoder) {
+			e.Put("credits", ckpt.Int(4), ckpt.Uint(0), ckpt.Uint(0), ckpt.Int(3), ckpt.Int(0))
+		},
+		"return in flight": func(e *ckpt.Encoder) {
+			e.Put("credits", ckpt.Int(3), ckpt.Uint(0), ckpt.Uint(0), ckpt.Int(1), ckpt.Int(1))
+			e.Put("ret", ckpt.Int(0), ckpt.Int(1))
+		},
+		"lost credits": func(e *ckpt.Encoder) {
+			e.Put("credits", ckpt.Int(3), ckpt.Uint(0), ckpt.Uint(1), ckpt.Int(1), ckpt.Int(0))
+		},
+	} {
+		var buf strings.Builder
+		e := ckpt.NewEncoder(&buf)
+		put(e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		twin, _ := NewCredits(0)
+		if err := loadCredits(t, twin, buf.String()); err == nil {
+			t.Errorf("%s: checkpoint restored into a landed-credit counter", name)
+		}
 	}
 }

@@ -38,28 +38,12 @@ func init() {
 	}
 }
 
-// Add returns a + b in GF(2⁸) (carry-less addition = XOR).
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2⁸).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}
 	return gfExp[gfLog[a]+gfLog[b]]
-}
-
-// Div returns a / b in GF(2⁸). Division by zero panics — it is always a
-// caller bug in this package.
-func Div(a, b byte) byte {
-	if b == 0 {
-		//lint:ignore panicfree GF(256) division by zero mirrors integer division: always a caller bug in hot codec loops
-		panic("fec: division by zero in GF(256)")
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[gfLog[a]-gfLog[b]+255]
 }
 
 // Inv returns the multiplicative inverse of a. Zero panics.
@@ -81,40 +65,4 @@ func Log(a byte) int {
 		panic("fec: log of zero in GF(256)")
 	}
 	return gfLog[a]
-}
-
-// MulPoly multiplies two polynomials over GF(2⁸) (coefficient slices,
-// index = degree). Used by tests to cross-check table arithmetic.
-func MulPoly(a, b []byte) []byte {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]byte, len(a)+len(b)-1)
-	for i, ai := range a {
-		if ai == 0 {
-			continue
-		}
-		for j, bj := range b {
-			out[i+j] ^= Mul(ai, bj)
-		}
-	}
-	return out
-}
-
-// mulNoTable is the shift-and-reduce reference multiplication; tests use
-// it to validate the log/exp tables.
-func mulNoTable(a, b byte) byte {
-	var p uint16
-	aa, bb := uint16(a), uint16(b)
-	for bb != 0 {
-		if bb&1 != 0 {
-			p ^= aa
-		}
-		aa <<= 1
-		if aa&0x100 != 0 {
-			aa ^= fieldPoly
-		}
-		bb >>= 1
-	}
-	return byte(p)
 }

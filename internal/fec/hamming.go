@@ -125,13 +125,6 @@ func Decode(block []byte) ([]byte, DecodeStatus, error) {
 	return decode(block, false)
 }
 
-// DecodeSymbol is the unrestricted variant correcting any single-symbol
-// error pattern (up to 8 adjacent bit flips in one byte); it trades the
-// all-double-bit-detection guarantee for intra-symbol burst correction.
-func DecodeSymbol(block []byte) ([]byte, DecodeStatus, error) {
-	return decode(block, true)
-}
-
 func decode(block []byte, symbolMode bool) ([]byte, DecodeStatus, error) {
 	s0, s1, err := Syndrome(block)
 	if err != nil {
@@ -173,9 +166,6 @@ func NewInterleaver(depth int) (*Interleaver, error) {
 	}
 	return &Interleaver{depth: depth}, nil
 }
-
-// Depth reports the interleaving depth.
-func (iv *Interleaver) Depth() int { return iv.depth }
 
 // Interleave reorders depth concatenated coded blocks (depth×34 bytes)
 // into wire order.

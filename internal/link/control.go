@@ -82,9 +82,6 @@ func (cc *ControlChannel) Enqueue(out, cells int) error {
 	return nil
 }
 
-// AdapterCount reports ground truth for an output.
-func (cc *ControlChannel) AdapterCount(out int) int { return cc.adapterCounts[out] }
-
 // SchedulerView reports the scheduler's belief for an output.
 func (cc *ControlChannel) SchedulerView(out int) int { return cc.schedView[out] }
 

@@ -168,10 +168,9 @@ func (cd Codec) Encode(payload []byte) ([]byte, error) {
 
 // DecodeResult tallies a frame decode.
 type DecodeResult struct {
-	Payload    []byte
-	Corrected  int  // blocks repaired
-	Detected   int  // blocks flagged uncorrectable
-	Undetected bool // set by tests comparing against ground truth
+	Payload   []byte
+	Corrected int // blocks repaired
+	Detected  int // blocks flagged uncorrectable
 }
 
 // Decode deinterleaves and decodes a wire frame; blocks flagged

@@ -90,9 +90,6 @@ func (l *ReliableLink) Send(payload []byte) error {
 	return nil
 }
 
-// InFlight reports unacknowledged frames.
-func (l *ReliableLink) InFlight() int { return int(l.next - l.base) }
-
 // Done reports whether every queued frame has been acknowledged.
 func (l *ReliableLink) Done() bool { return l.base == l.next }
 

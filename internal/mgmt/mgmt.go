@@ -61,11 +61,6 @@ type Manager struct {
 // New wraps a built system.
 func New(sys *core.System) *Manager { return &Manager{sys: sys} }
 
-// AttachSwitch points the self-tests at a live switch instance so the
-// BIST can observe runtime damage (failed receivers) that a freshly
-// built switch would not show. Pass nil to detach.
-func (m *Manager) AttachSwitch(sw *crossbar.Switch) { m.sw = sw }
-
 // Inventory reports the managed configuration.
 func (m *Manager) Inventory() Inventory {
 	cfg := m.sys.Config()

@@ -355,9 +355,3 @@ func (xb *Crossbar) VerifyAllPaths() (worst units.DB, err error) {
 	}
 	return worst, nil
 }
-
-// AggregateBandwidth reports the fabric's aggregate data bandwidth for a
-// given per-port line rate — the §VII scaling headline (50+ Tb/s).
-func (p Params) AggregateBandwidth(lineRate units.Bandwidth) units.Bandwidth {
-	return units.Bandwidth(float64(lineRate) * float64(p.Ports))
-}

@@ -25,9 +25,8 @@ const osnrConst = 58.0
 
 // stageNoise describes one active element for the OSNR walk.
 type stageNoise struct {
-	name string
-	in   units.DBm
-	nf   units.DB
+	in units.DBm
+	nf units.DB
 }
 
 // PathOSNR walks the amplifier chain of the in -> module path and
@@ -46,9 +45,9 @@ func (xb *Crossbar) PathOSNR(in, m int) (units.DB, error) {
 	for _, st := range b.Stages {
 		switch st.Name {
 		case "amplifier":
-			stages = append(stages, stageNoise{st.Name, prev, p.AmpNoiseFigure})
+			stages = append(stages, stageNoise{prev, p.AmpNoiseFigure})
 		case "fiber-select-soa", "color-select-soa":
-			stages = append(stages, stageNoise{st.Name, prev, p.Soa.NoiseFigure})
+			stages = append(stages, stageNoise{prev, p.Soa.NoiseFigure})
 		}
 		prev = st.Power
 	}

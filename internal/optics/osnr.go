@@ -63,14 +63,6 @@ const (
 	BER1e10
 )
 
-// Value reports the numeric BER of the target.
-func (b BERTarget) Value() float64 {
-	if b == BER1e10 {
-		return 1e-10
-	}
-	return 1e-6
-}
-
 // String names the target.
 func (b BERTarget) String() string {
 	if b == BER1e10 {

@@ -124,16 +124,6 @@ func (s *SOA) Set(on bool) units.Time {
 	return s.GuardTime
 }
 
-// Through reports the output power for a given input power in the
-// current state: amplified when passing, suppressed to the extinction
-// floor when dark.
-func (s *SOA) Through(in units.DBm) units.DBm {
-	if s.Passing() {
-		return in.Add(s.Gain)
-	}
-	return in.Add(s.Gain).Add(s.Extinction)
-}
-
 // String formats the gate for diagnostics.
 func (s *SOA) String() string {
 	state := "off"

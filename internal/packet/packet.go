@@ -75,9 +75,6 @@ type Cell struct {
 	Payload []byte
 }
 
-// Latency reports the end-to-end delay, valid once Delivered is set.
-func (c *Cell) Latency() units.Time { return c.Delivered - c.Created }
-
 // String formats the cell identity for diagnostics.
 func (c *Cell) String() string {
 	return fmt.Sprintf("cell{id=%d %d->%d %v seq=%d}", c.ID, c.Src, c.Dst, c.Class, c.Seq)
@@ -299,9 +296,6 @@ func (o *OrderChecker) Deliver(c *Cell) bool {
 // Violations reports how many deliveries broke per-flow order.
 func (o *OrderChecker) Violations() uint64 { return o.violations }
 
-// Delivered reports the total deliveries checked.
-func (o *OrderChecker) Delivered() uint64 { return o.delivered }
-
 // Format describes the fixed cell format of a fabric configuration and
 // the resulting timing, following §V of the paper: the 256-byte OSMOSIS
 // cell includes the guard time, giving a 51.2 ns packet cycle at 40 Gb/s.
@@ -362,9 +356,4 @@ func (f Format) UserBytes() float64 {
 // bandwidth" metric: user payload bits divided by raw line-rate bits.
 func (f Format) EffectiveUserBandwidthFraction() float64 {
 	return f.UserBytes() / float64(f.CellBytes)
-}
-
-// EffectiveUserBandwidth reports the absolute user bandwidth of a port.
-func (f Format) EffectiveUserBandwidth() units.Bandwidth {
-	return units.Bandwidth(float64(f.LineRate) * f.EffectiveUserBandwidthFraction())
 }

@@ -46,8 +46,8 @@ func TestOrderCheckerInOrder(t *testing.T) {
 			t.Fatalf("in-order delivery %d flagged", i)
 		}
 	}
-	if o.Violations() != 0 || o.Delivered() != 100 {
-		t.Errorf("violations %d delivered %d", o.Violations(), o.Delivered())
+	if o.Violations() != 0 || o.delivered != 100 {
+		t.Errorf("violations %d delivered %d", o.Violations(), o.delivered)
 	}
 }
 
@@ -131,10 +131,6 @@ func TestEffectiveUserBandwidthNear75(t *testing.T) {
 	got := f.EffectiveUserBandwidthFraction()
 	if got < 0.72 || got > 0.85 {
 		t.Errorf("effective user bandwidth %.3f, want near 0.75", got)
-	}
-	abs := f.EffectiveUserBandwidth()
-	if math.Abs(float64(abs)-got*float64(f.LineRate)) > 1 {
-		t.Errorf("absolute effective bandwidth inconsistent: %v", abs)
 	}
 }
 

@@ -51,14 +51,6 @@ func (q *Queue) Pop() *Cell {
 	return c
 }
 
-// Peek returns the oldest cell without removing it, or nil.
-func (q *Queue) Peek() *Cell {
-	if q.n == 0 {
-		return nil
-	}
-	return q.head
-}
-
 // Each calls fn for every queued cell, oldest first. fn must not push
 // to or pop from q.
 func (q *Queue) Each(fn func(*Cell)) {

@@ -91,9 +91,9 @@ func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if twin.Delivered() != orig.Delivered() || twin.Violations() != orig.Violations() {
+	if twin.delivered != orig.delivered || twin.Violations() != orig.Violations() {
 		t.Fatalf("counters diverged: %d/%d vs %d/%d",
-			twin.Delivered(), twin.Violations(), orig.Delivered(), orig.Violations())
+			twin.delivered, twin.Violations(), orig.delivered, orig.Violations())
 	}
 	// The other late cell must be judged identically by both.
 	a, b := orig.Deliver(cells[25]), twin.Deliver(cells[25])

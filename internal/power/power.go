@@ -83,11 +83,6 @@ func DefaultOptical(n, r, c int, rate units.Bandwidth) OpticalSwitch {
 	}
 }
 
-// Aggregate reports total data bandwidth.
-func (o OpticalSwitch) Aggregate() units.Bandwidth {
-	return units.Bandwidth(float64(o.PortRate) * float64(o.Ports))
-}
-
 // Power reports electrical power (W) at the given packet rate (packets
 // per second per port). Data rate does not appear: that is the paper's
 // central power claim.

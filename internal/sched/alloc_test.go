@@ -51,7 +51,7 @@ func TestTickIntoStaysAllocationFree(t *testing.T) {
 func TestResetStaysAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		s    Scheduler
+		s    resetter
 	}{
 		{"islip", NewISLIP(64, 0)},
 		{"flppr", NewFLPPR(64, 0)},

@@ -49,12 +49,6 @@ func NewBvN(n int) *BvN {
 	return b
 }
 
-// N reports the port count.
-func (b *BvN) N() int { return b.n }
-
-// Slot reports the current cycle number.
-func (b *BvN) Slot() uint64 { return b.slot }
-
 // Step advances one switching cycle. arrivals[i] is the cell arriving at
 // input i this cycle (nil for none). Stage 1 connects input i to
 // intermediate port (i + slot) mod N; stage 2 connects intermediate port
@@ -88,15 +82,4 @@ func (b *BvN) Step(arrivals []*packet.Cell) {
 		q.cells = append(q.cells, bvnCell{c: c, arrived: t})
 	}
 	b.slot++
-}
-
-// Buffered reports the total cells held in the intermediate stage.
-func (b *BvN) Buffered() int {
-	total := 0
-	for j := range b.mid {
-		for d := range b.mid[j] {
-			total += len(b.mid[j][d].cells)
-		}
-	}
-	return total
 }

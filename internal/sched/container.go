@@ -34,8 +34,8 @@ type ContainerSwitch struct {
 	assembling [][][]containerCell
 	// queued[in][out] holds sealed containers awaiting a grant.
 	queued [][][]container
-	// grantPtr/acceptPtr: round-robin matching state over containers.
-	grantPtr, acceptPtr []int
+	// acceptPtr is the round-robin matching state over containers.
+	acceptPtr []int
 	// transmitting[in] is the container on the wire this epoch (nil if idle).
 	transmitting []*container
 
@@ -50,7 +50,6 @@ type containerCell struct {
 }
 
 type container struct {
-	out   int
 	cells []containerCell
 }
 
@@ -66,17 +65,10 @@ func NewContainerSwitch(n, b int) *ContainerSwitch {
 		cs.assembling[i] = make([][]containerCell, n)
 		cs.queued[i] = make([][]container, n)
 	}
-	cs.grantPtr = make([]int, n)
 	cs.acceptPtr = make([]int, n)
 	cs.transmitting = make([]*container, n)
 	return cs
 }
-
-// N reports the port count; B the container size in cells.
-func (cs *ContainerSwitch) N() int { return cs.n }
-
-// B reports the container size in cells.
-func (cs *ContainerSwitch) B() int { return cs.b }
 
 // Step advances one cell slot. arrivals[i] is the cell arriving at
 // input i (nil for none).
@@ -114,7 +106,7 @@ func (cs *ContainerSwitch) Step(arrivals []*packet.Cell) {
 // seal moves an assembly into the container queue.
 func (cs *ContainerSwitch) seal(in, out int) {
 	cs.queued[in][out] = append(cs.queued[in][out],
-		container{out: out, cells: cs.assembling[in][out]})
+		container{cells: cs.assembling[in][out]})
 	cs.assembling[in][out] = nil
 }
 
@@ -151,26 +143,4 @@ func (cs *ContainerSwitch) epochBoundary() {
 			break
 		}
 	}
-}
-
-// QueuedContainers reports containers awaiting grants.
-func (cs *ContainerSwitch) QueuedContainers() int {
-	total := 0
-	for in := range cs.queued {
-		for out := range cs.queued[in] {
-			total += len(cs.queued[in][out])
-		}
-	}
-	return total
-}
-
-// Assembling reports cells still filling open containers.
-func (cs *ContainerSwitch) Assembling() int {
-	total := 0
-	for in := range cs.assembling {
-		for out := range cs.assembling[in] {
-			total += len(cs.assembling[in][out])
-		}
-	}
-	return total
 }

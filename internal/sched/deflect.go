@@ -84,18 +84,6 @@ func NewDeflect(n, loopSlots, maxDeflections int) *Deflect {
 	return d
 }
 
-// N reports the port count.
-func (d *Deflect) N() int { return d.n }
-
-// Recirculating reports cells currently in the loop.
-func (d *Deflect) Recirculating() int {
-	total := 0
-	for _, batch := range d.loop {
-		total += len(batch)
-	}
-	return total
-}
-
 // get wraps a cell in a recycled (or new) deflCell.
 func (d *Deflect) get(c *packet.Cell, arrived uint64) *deflCell {
 	if n := len(d.free); n > 0 {

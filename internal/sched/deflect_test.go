@@ -10,12 +10,12 @@ import (
 func driveDeflect(d *Deflect, load float64, slots int, seed uint64) (offered uint64) {
 	rng := sim.NewRNG(seed)
 	alloc := packet.NewAllocator()
-	arrivals := make([]*packet.Cell, d.N())
+	arrivals := make([]*packet.Cell, d.n)
 	for s := 0; s < slots; s++ {
 		for i := range arrivals {
 			arrivals[i] = nil
 			if rng.Bernoulli(load) {
-				arrivals[i] = alloc.New(i, rng.Intn(d.N()), packet.Data, 0)
+				arrivals[i] = alloc.New(i, rng.Intn(d.n), packet.Data, 0)
 				offered++
 			}
 		}

@@ -75,10 +75,10 @@ func runEquivalence(t *testing.T, ticks int, seed uint64,
 	t.Helper()
 	rngGot := sim.NewRNG(seed)
 	rngWant := sim.NewRNG(seed)
-	if degrade && gb.r > 1 {
+	if degrade && gb.recv[1] > 1 {
 		// One output lost a receiver to a fault before the run.
-		gb.recv[1] = gb.r - 1
-		wb.recv[1] = wb.r - 1
+		gb.recv[1]--
+		wb.recv[1]--
 	}
 	var m Matching
 	for tick := 0; tick < ticks; tick++ {

@@ -68,26 +68,9 @@ func NewFLPPR(n, k int) *FLPPR {
 // Name implements Scheduler.
 func (f *FLPPR) Name() string { return "flppr" }
 
-// K reports the sub-scheduler count.
-func (f *FLPPR) K() int { return f.k }
-
 // GrantLatency implements Scheduler: at light load a request joins the
 // next-completing matching and is granted one cycle later.
 func (f *FLPPR) GrantLatency() int { return 1 }
-
-// Reset implements Scheduler. All pointer and pipeline state is zeroed
-// in place; nothing is reallocated.
-func (f *FLPPR) Reset() {
-	for s := 0; s < f.k; s++ {
-		clear(f.grantPtr[s])
-		clear(f.acceptPtr[s])
-	}
-	for j := range f.pend {
-		f.pend[j].m.Reset()
-		f.pend[j].sub = j % f.k
-	}
-	f.head = 0
-}
 
 // TickInto implements Scheduler: one iteration of work on every
 // in-flight matching, earliest-completing first so new requests land in

@@ -51,14 +51,6 @@ func (s *ISLIP) Name() string { return "islip" }
 // the same cycle the request is made.
 func (s *ISLIP) GrantLatency() int { return 1 }
 
-// Reset implements Scheduler. The pointer slices are zeroed in place —
-// never reallocated — so Reset is allocation-free and no stale snapshot
-// can keep aliasing the pointer state the arbiter mutates.
-func (s *ISLIP) Reset() {
-	clear(s.grantPtr)
-	clear(s.acceptPtr)
-}
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath

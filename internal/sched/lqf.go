@@ -44,9 +44,6 @@ func (l *LQF) GrantLatency() int { return 1 }
 // SelfCommits implements Scheduler.
 func (l *LQF) SelfCommits() bool { return false }
 
-// Reset implements Scheduler.
-func (l *LQF) Reset() {}
-
 // SkipIdle implements IdleSkipper: LQF is memoryless between ticks.
 //
 //osmosis:hotpath

@@ -7,9 +7,9 @@ package sched
 // switch around it: the management arbiter self-test, and this
 // package's tests and benchmarks.
 type MatrixBoard struct {
-	n, r, words int
-	// recv[out] is ReceiversAt(out): r unless a test lowers it to model
-	// a receiver fault.
+	n, words int
+	// recv[out] is ReceiversAt(out): the board's receiver count unless a
+	// test lowers it to model a receiver fault.
 	recv []int
 	// queued and committed are indexed in*n + out.
 	queued, committed []int
@@ -23,7 +23,7 @@ type MatrixBoard struct {
 func NewMatrixBoard(n, r int) *MatrixBoard {
 	w := bitWords(n)
 	b := &MatrixBoard{
-		n: n, r: r, words: w,
+		n: n, words: w,
 		recv:      make([]int, n),
 		queued:    make([]int, n*n),
 		committed: make([]int, n*n),
@@ -35,12 +35,6 @@ func NewMatrixBoard(n, r int) *MatrixBoard {
 	}
 	return b
 }
-
-// N implements Board.
-func (b *MatrixBoard) N() int { return b.n }
-
-// Receivers implements Board.
-func (b *MatrixBoard) Receivers() int { return b.r }
 
 // ReceiversAt implements Board.
 func (b *MatrixBoard) ReceiversAt(out int) int { return b.recv[out] }
@@ -64,14 +58,6 @@ func (b *MatrixBoard) DemandColBits(out int, col []uint64) {
 func (b *MatrixBoard) Commit(in, out int) {
 	b.committed[in*b.n+out]++
 	b.sync(in, out)
-}
-
-// Uncommit implements Board. Releasing an absent reservation is a no-op.
-func (b *MatrixBoard) Uncommit(in, out int) {
-	if b.committed[in*b.n+out] > 0 {
-		b.committed[in*b.n+out]--
-		b.sync(in, out)
-	}
 }
 
 // Queued reports the cells waiting at VOQ(in, out), committed or not.

@@ -58,9 +58,6 @@ func (p *PIM) Name() string { return "pim" }
 // GrantLatency implements Scheduler.
 func (p *PIM) GrantLatency() int { return 1 }
 
-// Reset implements Scheduler.
-func (p *PIM) Reset() { p.rng = sim.NewRNG(p.seed) }
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath

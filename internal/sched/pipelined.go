@@ -54,17 +54,6 @@ func (s *PipelinedISLIP) Name() string { return "pipelined-islip" }
 // pipeline depth.
 func (s *PipelinedISLIP) GrantLatency() int { return s.depth }
 
-// Reset implements Scheduler. Pointers and the delay ring are zeroed in
-// place; nothing is reallocated.
-func (s *PipelinedISLIP) Reset() {
-	clear(s.grantPtr)
-	clear(s.acceptPtr)
-	for i := range s.delay {
-		s.delay[i].Reset()
-	}
-	s.pos = 0
-}
-
 // TickInto implements Scheduler.
 //
 //osmosis:hotpath

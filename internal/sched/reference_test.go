@@ -17,7 +17,7 @@ import (
 // accept protocol over per-(in,out) Demand interface calls, allocating
 // its grant bookkeeping every iteration.
 func refIterate(b Board, m *Matching, grantPtr, acceptPtr []int, iters int, demandUsed [][]int) int {
-	n := b.N()
+	n := len(m.Out)
 	outLoad := m.OutputLoad(n)
 	added := 0
 	for it := 0; it < iters; it++ {
@@ -218,7 +218,7 @@ func newRefPIM(n, iters int, seed uint64) *refPIM {
 func (p *refPIM) SelfCommits() bool { return false }
 
 func (p *refPIM) Tick(_ uint64, b Board) Matching {
-	n := b.N()
+	n := p.n
 	m := NewMatching(n)
 	outLoad := make([]int, n)
 	for it := 0; it < p.iters; it++ {
@@ -281,7 +281,7 @@ func newRefLQF(n int) *refLQF { return &refLQF{n: n} }
 func (l *refLQF) SelfCommits() bool { return false }
 
 func (l *refLQF) Tick(_ uint64, b Board) Matching {
-	n := b.N()
+	n := l.n
 	edges := make([]lqfEdge, 0, n*4)
 	for in := 0; in < n; in++ {
 		for out := 0; out < n; out++ {

@@ -15,15 +15,9 @@ import "fmt"
 
 // Board is the scheduler's view of the ingress VOQ state.
 type Board interface {
-	// N reports the port count.
-	N() int
-	// Receivers reports how many cells one output can nominally accept
-	// per cycle (1 = single receiver, 2 = the OSMOSIS dual-receiver
-	// option).
-	Receivers() int
 	// ReceiversAt reports the capacity currently available at one
-	// output: Receivers() minus any receivers a fault has taken out of
-	// service. Schedulers must size per-output grants with this, so a
+	// output: the receivers it nominally has (1, or 2 for the OSMOSIS
+	// dual-receiver option) minus any a fault has taken out of service. Schedulers must size per-output grants with this, so a
 	// degraded egress is arbitrated exactly like a narrower healthy one.
 	ReceiversAt(out int) int
 	// Demand reports the number of uncommitted queued cells at input in
@@ -40,8 +34,6 @@ type Board interface {
 	// Commit reserves one queued cell of VOQ(in,out) for a grant that a
 	// pipelined scheduler will deliver in a future cycle.
 	Commit(in, out int)
-	// Uncommit releases a reservation that will not turn into a grant.
-	Uncommit(in, out int)
 }
 
 // Matching is the arbitration result for one cycle: Out[i] is the list
@@ -77,17 +69,6 @@ func (m *Matching) ensure(n int) {
 		return
 	}
 	m.Out = m.Out[:n]
-}
-
-// Size reports the number of matched inputs.
-func (m Matching) Size() int {
-	s := 0
-	for _, o := range m.Out {
-		if o >= 0 {
-			s++
-		}
-	}
-	return s
 }
 
 // OutputLoad reports how many inputs were matched to each output.
@@ -146,8 +127,6 @@ type Scheduler interface {
 	// switch delays matchings (control-RTT modelling), the switch engine
 	// must commit the edges itself to keep demand accounting correct.
 	SelfCommits() bool
-	// Reset clears all pointer and pipeline state.
-	Reset()
 }
 
 // IdleSkipper is an optional Scheduler extension: SkipIdle(n) must leave

@@ -232,7 +232,7 @@ func TestFLPPRSingleRequestGrantLatency(t *testing.T) {
 }
 
 func TestSchedulerReset(t *testing.T) {
-	for _, s := range []Scheduler{NewISLIP(8, 0), NewPIM(8, 0, 1), NewFLPPR(8, 0), NewPipelinedISLIP(8, 0)} {
+	for _, s := range []resetter{NewISLIP(8, 0), NewPIM(8, 0, 1), NewFLPPR(8, 0), NewPipelinedISLIP(8, 0)} {
 		b := NewMatrixBoard(8, 1)
 		for in := 0; in < 8; in++ {
 			b.Add(in, (in+1)%8, 3)

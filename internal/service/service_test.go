@@ -505,6 +505,23 @@ func TestRejectsBadSubmissionsAndCorruptRestores(t *testing.T) {
 	}
 }
 
+// TestOverflowingLinkDelayRejected: a link delay whose slot rings
+// overflow int used to pass validation and then panic the batch worker
+// building the fabric, taking the whole daemon down. It must be refused
+// at submission, and the daemon must keep serving.
+func TestOverflowingLinkDelayRejected(t *testing.T) {
+	_, hs := testServer(t, Options{BatchWindow: time.Millisecond})
+	body := `{"fabric":{"hosts":16,"radix":4,"link_delay_slots":4611686018427387904},"traffic":{"kind":"uniform","load":0.5},"measure_slots":100}`
+	if code, data := postJSON(t, hs.URL+"/v1/jobs", []byte(body)); code != http.StatusBadRequest {
+		t.Fatalf("overflowing link delay: HTTP %d (want 400): %s", code, data)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after rejected job: HTTP %d: %s", code, data)
+	}
+	id := submit(t, hs.URL, smallSpec("after", 53))
+	waitState(t, hs.URL, id, stateDone)
+}
+
 // TestCancelQueuedAndRunning covers both cancellation paths.
 func TestCancelQueuedAndRunning(t *testing.T) {
 	// Queued: a dispatcher that never fires within the test window.

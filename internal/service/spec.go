@@ -157,6 +157,9 @@ func (s *JobSpec) validate() error {
 		return fmt.Errorf("service: fabric needs hosts > 0 and radix > 1 (got %d, %d)",
 			s.Fabric.Hosts, s.Fabric.Radix)
 	}
+	if err := fabric.CheckLinkDelay(s.Fabric.LinkDelaySlots); err != nil {
+		return err
+	}
 	if _, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Fabric.SchedParam, s.Traffic.Seed); err != nil {
 		return err
 	}

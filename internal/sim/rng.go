@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 	"math/bits"
 )
 
@@ -132,16 +131,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	default:
 		return r.Float64() < p
 	}
-}
-
-// Exp returns an exponentially distributed float64 with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	// Guard against log(0).
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
 }
 
 // Geometric returns the number of Bernoulli(p) failures before the first

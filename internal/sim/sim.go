@@ -67,11 +67,9 @@ type Handle struct{ s *scheduled }
 //
 // The zero value is not usable; create kernels with New.
 type Kernel struct {
-	now     units.Time
-	seq     uint64
-	heap    eventHeap
-	stopped bool
-	fired   uint64
+	now  units.Time
+	seq  uint64
+	heap eventHeap
 }
 
 // New returns an empty kernel at time zero.
@@ -81,20 +79,6 @@ func New() *Kernel {
 
 // Now reports the current simulated time.
 func (k *Kernel) Now() units.Time { return k.now }
-
-// EventsFired reports how many events have executed so far.
-func (k *Kernel) EventsFired() uint64 { return k.fired }
-
-// Pending reports how many events are waiting in the future-event list.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, s := range k.heap {
-		if !s.dead {
-			n++
-		}
-	}
-	return n
-}
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // panics: it always indicates a model bug, and silently reordering time
@@ -128,15 +112,11 @@ func (k *Kernel) Cancel(h Handle) {
 	h.s.dead = true
 }
 
-// Stop makes the current Run call return after the in-flight event.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until the future-event list drains, the horizon is
-// passed, or Stop is called. It returns the time of the last event fired.
-// A horizon of units.Infinity runs to exhaustion.
+// Run executes events until the future-event list drains or the horizon
+// is passed. It returns the time of the last event fired. A horizon of
+// units.Infinity runs to exhaustion.
 func (k *Kernel) Run(horizon units.Time) units.Time {
-	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
+	for len(k.heap) > 0 {
 		s := k.heap[0]
 		if s.dead {
 			heap.Pop(&k.heap)
@@ -149,28 +129,7 @@ func (k *Kernel) Run(horizon units.Time) units.Time {
 		}
 		heap.Pop(&k.heap)
 		k.now = s.at
-		k.fired++
 		s.fn(k.now)
 	}
 	return k.now
-}
-
-// RunUntilIdle runs with no horizon.
-func (k *Kernel) RunUntilIdle() units.Time { return k.Run(units.Infinity) }
-
-// Ticker invokes fn every period, starting at start, until fn returns
-// false. It is the building block for the synchronous cell-slotted
-// operation of the OSMOSIS switch (51.2 ns packet cycles).
-func (k *Kernel) Ticker(start, period units.Time, fn func(now units.Time) bool) {
-	if period <= 0 {
-		//lint:ignore panicfree a non-positive period would loop the kernel at one instant forever; a caller bug
-		panic(fmt.Sprintf("sim: ticker period %v must be positive", period))
-	}
-	var tick Event
-	tick = func(now units.Time) {
-		if fn(now) {
-			k.At(now+period, tick)
-		}
-	}
-	k.At(start, tick)
 }

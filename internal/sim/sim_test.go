@@ -12,15 +12,12 @@ func TestEventOrdering(t *testing.T) {
 	k.At(30*units.Nanosecond, func(units.Time) { order = append(order, 3) })
 	k.At(10*units.Nanosecond, func(units.Time) { order = append(order, 1) })
 	k.At(20*units.Nanosecond, func(units.Time) { order = append(order, 2) })
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("events fired in order %v", order)
 	}
 	if k.Now() != 30*units.Nanosecond {
 		t.Errorf("final time %v", k.Now())
-	}
-	if k.EventsFired() != 3 {
-		t.Errorf("fired %d", k.EventsFired())
 	}
 }
 
@@ -31,7 +28,7 @@ func TestSameTimeFIFO(t *testing.T) {
 		i := i
 		k.At(5*units.Nanosecond, func(units.Time) { order = append(order, i) })
 	}
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-timestamp events reordered: pos %d got %d", i, v)
@@ -42,7 +39,7 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestScheduleInPastPanics(t *testing.T) {
 	k := New()
 	k.At(10*units.Nanosecond, func(units.Time) {})
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past should panic")
@@ -67,7 +64,7 @@ func TestCancel(t *testing.T) {
 	h := k.At(10*units.Nanosecond, func(units.Time) { fired = true })
 	k.Cancel(h)
 	k.Cancel(h) // double cancel is a no-op
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	if fired {
 		t.Error("cancelled event fired")
 	}
@@ -88,20 +85,9 @@ func TestHorizon(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Errorf("pending %d, want 1", k.Pending())
 	}
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	if fired != 2 {
 		t.Errorf("fired %d after full run", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := New()
-	fired := 0
-	k.At(1, func(units.Time) { fired++; k.Stop() })
-	k.At(2, func(units.Time) { fired++ })
-	k.RunUntilIdle()
-	if fired != 1 {
-		t.Errorf("Stop did not halt the run: fired %d", fired)
 	}
 }
 
@@ -112,7 +98,7 @@ func TestTicker(t *testing.T) {
 		ticks = append(ticks, now)
 		return len(ticks) < 5
 	})
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks", len(ticks))
 	}
@@ -144,7 +130,7 @@ func TestEventsCanSchedule(t *testing.T) {
 		}
 	}
 	k.At(0, recurse)
-	k.RunUntilIdle()
+	k.Run(units.Infinity)
 	if depth != 10 {
 		t.Errorf("recursive scheduling depth %d", depth)
 	}

@@ -134,16 +134,6 @@ func (t *Table) AddSeries(name string) *Series {
 	return s
 }
 
-// Lookup returns the series with the given name, or nil.
-func (t *Table) Lookup(name string) *Series {
-	for _, s := range t.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // xValues returns the sorted union of x values across all series,
 // collapsing values that differ only by floating-point noise (sameX)
 // into one row — otherwise two series computing "the same" load from

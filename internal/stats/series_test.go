@@ -225,9 +225,6 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "-") {
 		t.Errorf("missing point should render as '-':\n%s", out)
 	}
-	if tb.Lookup("single") != a || tb.Lookup("nope") != nil {
-		t.Error("Lookup misbehaved")
-	}
 }
 
 func TestTableXValuesSorted(t *testing.T) {

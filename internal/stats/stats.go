@@ -1,6 +1,6 @@
 // Package stats provides the streaming statistics used to evaluate the
-// fabric simulations: running moments, latency histograms with
-// percentiles, time-weighted occupancy averages, and warm-up trimming.
+// fabric simulations: running moments, latency samples with exact
+// percentiles, and series tables.
 //
 // Most collectors are single-goroutine by design: the simulation kernel
 // is sequential, so they avoid locks entirely. The one exception is
@@ -44,9 +44,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// N reports the number of observations.
-func (r *Running) N() uint64 { return r.n }
-
 // Mean reports the sample mean, or NaN with no observations.
 func (r *Running) Mean() float64 {
 	if r.n == 0 {
@@ -57,8 +54,8 @@ func (r *Running) Mean() float64 {
 
 // Variance reports the unbiased sample variance, or NaN with fewer
 // than two observations: one sample carries no spread information, and
-// the 0 this used to return made StdErr/CI95 claim perfect precision
-// for n=1 — exactly when the estimate is least trustworthy.
+// the 0 this used to return claimed perfect precision for n=1 — exactly
+// when the estimate is least trustworthy.
 func (r *Running) Variance() float64 {
 	if r.n < 2 {
 		return math.NaN()
@@ -85,19 +82,6 @@ func (r *Running) Max() float64 {
 	}
 	return r.max
 }
-
-// StdErr reports the standard error of the mean, or NaN with fewer
-// than two observations (see Variance).
-func (r *Running) StdErr() float64 {
-	if r.n < 2 {
-		return math.NaN()
-	}
-	return r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// CI95 reports a normal-approximation 95% confidence half-width, or
-// NaN with fewer than two observations (see Variance).
-func (r *Running) CI95() float64 { return 1.96 * r.StdErr() }
 
 // Merge folds other into r (parallel-batch combination).
 func (r *Running) Merge(other *Running) {
@@ -237,9 +221,6 @@ func (s *LatencySample) quantileLocked(q float64) units.Time {
 	return s.scratch[lo] + units.Time(math.Round(frac*float64(s.scratch[hi]-s.scratch[lo])))
 }
 
-// Median reports the 50th percentile.
-func (s *LatencySample) Median() units.Time { return s.Quantile(0.5) }
-
 // P99 reports the 99th percentile.
 func (s *LatencySample) P99() units.Time { return s.Quantile(0.99) }
 
@@ -286,16 +267,6 @@ func (s *LatencySample) Merge(other *LatencySample) {
 	s.mu.Unlock()
 }
 
-// SamplesAppend appends the retained observations, in insertion order,
-// to dst and returns the extended slice. Checkpoint writers use it to
-// serialize the collector's exact state; the returned values are a copy,
-// safe to hold across further Adds.
-func (s *LatencySample) SamplesAppend(dst []units.Time) []units.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append(dst, s.samples...)
-}
-
 // Reset clears all samples.
 func (s *LatencySample) Reset() {
 	s.mu.Lock()
@@ -315,74 +286,4 @@ func (s *LatencySample) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		len(s.samples), units.Time(math.Round(s.run.Mean())),
 		s.quantileLocked(0.5), s.quantileLocked(0.99), units.Time(s.run.Max()))
-}
-
-// TimeWeighted tracks a piecewise-constant quantity (queue occupancy,
-// link busy state) and reports its time-average.
-type TimeWeighted struct {
-	last     units.Time
-	value    float64
-	area     float64
-	started  bool
-	maxValue float64
-}
-
-// Set records that the quantity changed to v at time now.
-func (w *TimeWeighted) Set(now units.Time, v float64) {
-	if w.started {
-		if now < w.last {
-			//lint:ignore panicfree non-monotonic samples mean the kernel invariant already failed; corrupt integrals must not look like results
-			panic(fmt.Sprintf("stats: time went backwards: %v < %v", now, w.last))
-		}
-		w.area += w.value * float64(now-w.last)
-	} else {
-		w.started = true
-		w.maxValue = v
-	}
-	if v > w.maxValue {
-		w.maxValue = v
-	}
-	w.last = now
-	w.value = v
-}
-
-// Value reports the current quantity.
-func (w *TimeWeighted) Value() float64 { return w.value }
-
-// MaxValue reports the largest value ever set.
-func (w *TimeWeighted) MaxValue() float64 { return w.maxValue }
-
-// Average reports the time-average over [start of observation, now].
-func (w *TimeWeighted) Average(now units.Time) float64 {
-	if !w.started || now <= 0 {
-		return 0
-	}
-	area := w.area + w.value*float64(now-w.last)
-	elapsed := float64(now)
-	if elapsed == 0 {
-		return 0
-	}
-	return area / elapsed
-}
-
-// Counter is a monotone event counter with a rate helper.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n uint64) { c.n += n }
-
-// Value reports the count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Rate reports events per second of simulated time.
-func (c *Counter) Rate(elapsed units.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsed.Seconds()
 }

@@ -34,8 +34,8 @@ func TestRunningBasics(t *testing.T) {
 }
 
 // TestRunningSmallN: below two observations the spread statistics are
-// undefined and must report NaN — the old 0 return made StdErr/CI95
-// read as "perfectly precise" exactly when nothing is known yet.
+// undefined and must report NaN — the old 0 return read as "perfectly
+// precise" exactly when nothing is known yet.
 func TestRunningSmallN(t *testing.T) {
 	var r Running
 	for _, n := range []int{0, 1} {
@@ -44,7 +44,6 @@ func TestRunningSmallN(t *testing.T) {
 		}
 		for name, f := range map[string]func() float64{
 			"Variance": r.Variance, "StdDev": r.StdDev,
-			"StdErr": r.StdErr, "CI95": r.CI95,
 		} {
 			if got := f(); !math.IsNaN(got) {
 				t.Errorf("n=%d: %s = %v, want NaN", n, name, got)
@@ -62,11 +61,8 @@ func TestRunningSmallN(t *testing.T) {
 	if got := r.Variance(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("n=2 variance = %v, want 2", got)
 	}
-	if got := r.StdErr(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("n=2 stderr = %v, want 1", got)
-	}
-	if got := r.CI95(); math.Abs(got-1.96) > 1e-12 {
-		t.Errorf("n=2 CI95 = %v, want 1.96", got)
+	if got := r.StdDev(); math.Abs(got-math.Sqrt2) > 1e-12 {
+		t.Errorf("n=2 stddev = %v, want sqrt(2)", got)
 	}
 	// A single-sample latency collector reports NaN spread, not 0.
 	var s LatencySample

@@ -16,7 +16,6 @@
 package timing
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -49,12 +48,6 @@ func DemonstratorClockTree() ClockTree {
 		JitterPerLevel:      80 * units.Picosecond,
 		CalibrationResidual: 200 * units.Picosecond,
 	}
-}
-
-// WorstCaseSkew reports the uncalibrated skew bound between any two
-// adapters (two independent paths of Levels stages).
-func (ct ClockTree) WorstCaseSkew() units.Time {
-	return 2 * units.Time(ct.Levels) * ct.SkewPerLevel
 }
 
 // RMSJitter reports the root-sum-square dynamic jitter of one path.
@@ -158,20 +151,6 @@ func (a *Aligner) MeasureSpread(trials int) units.Time {
 		}
 	}
 	return worst
-}
-
-// VerifyAlignment checks that the measured spread fits the analytic
-// window and that the window fits the given jitter share of the guard.
-func (a *Aligner) VerifyAlignment(trials int, jitterBudget units.Time) error {
-	window := a.Tree.AlignmentWindow()
-	spread := a.MeasureSpread(trials)
-	if spread > window {
-		return fmt.Errorf("timing: measured spread %v exceeds analytic window %v", spread, window)
-	}
-	if window > jitterBudget {
-		return fmt.Errorf("timing: alignment window %v exceeds the %v jitter budget", window, jitterBudget)
-	}
-	return nil
 }
 
 // GuardBudget decomposes a cell guard time per §IV.C.

@@ -76,8 +76,7 @@ const (
 	TerabitPerSecond Bandwidth = 1e12
 	GBytePerSecond   Bandwidth = 8e9 // one GByte/s in bits/s
 	OSMOSISPortRate  Bandwidth = 40 * GigabitPerSecond
-	IB12xQDRPortRate Bandwidth = 12 * GBytePerSecond    // 96 Gb/s raw target
-	PaperAggregateBW Bandwidth = 200 * TerabitPerSecond // 25 TByte/s aggregate target
+	IB12xQDRPortRate Bandwidth = 12 * GBytePerSecond // 96 Gb/s raw target
 )
 
 // GbPerSecond reports the bandwidth in Gb/s.
@@ -85,9 +84,6 @@ func (b Bandwidth) GbPerSecond() float64 { return float64(b) / 1e9 }
 
 // TbPerSecond reports the bandwidth in Tb/s.
 func (b Bandwidth) TbPerSecond() float64 { return float64(b) / 1e12 }
-
-// GBytePerSec reports the bandwidth in GByte/s.
-func (b Bandwidth) GBytePerSec() float64 { return float64(b) / 8e9 }
 
 // String formats the bandwidth with an adaptive unit.
 func (b Bandwidth) String() string {
@@ -143,9 +139,6 @@ type DB float64
 
 // DBm is an absolute optical power referenced to 1 mW.
 type DBm float64
-
-// Ratio converts a dB value to a linear power ratio.
-func (d DB) Ratio() float64 { return math.Pow(10, float64(d)/10) }
 
 // RatioToDB converts a linear power ratio to dB.
 func RatioToDB(ratio float64) DB {

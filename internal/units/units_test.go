@@ -63,7 +63,7 @@ func TestBandwidthString(t *testing.T) {
 	if got := OSMOSISPortRate.String(); got != "40Gb/s" {
 		t.Errorf("got %q", got)
 	}
-	if got := PaperAggregateBW.String(); got != "200Tb/s" {
+	if got := (200 * TerabitPerSecond).String(); got != "200Tb/s" {
 		t.Errorf("got %q", got)
 	}
 	if got := IB12xQDRPortRate.GBytePerSec(); got != 12 {

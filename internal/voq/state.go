@@ -129,9 +129,6 @@ func (e *Egress) LoadState(d *ckpt.Decoder) error {
 	if queued < 0 {
 		return fmt.Errorf("voq: checkpoint egress queue length %d", queued)
 	}
-	if e.Capacity > 0 && queued > e.Capacity {
-		return fmt.Errorf("voq: checkpoint egress holds %d cells, capacity %d", queued, e.Capacity)
-	}
 	e.received = received
 	e.drained = drained
 	for i := 0; i < queued; i++ {

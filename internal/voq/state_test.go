@@ -17,7 +17,7 @@ func roundTripVOQ(t *testing.T, v *VOQSet) *VOQSet {
 	if err := e.Close(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	fresh := NewVOQSet(v.N())
+	fresh := NewVOQSet(v.n)
 	d, err := ckpt.NewDecoder(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("decoder: %v", err)
@@ -79,7 +79,7 @@ func TestVOQSetCheckpointRoundTrip(t *testing.T) {
 
 func TestEgressCheckpointRoundTrip(t *testing.T) {
 	alloc := packet.NewAllocator()
-	eg := NewEgress(2, 0)
+	eg := new(Egress)
 	for i := 0; i < 7; i++ {
 		eg.Receive(alloc.New(1, 2, packet.Data, units.Time(i)))
 	}
@@ -92,7 +92,7 @@ func TestEgressCheckpointRoundTrip(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	fresh := NewEgress(2, 0)
+	fresh := new(Egress)
 	d, err := ckpt.NewDecoder(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("decoder: %v", err)

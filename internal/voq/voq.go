@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bitrow"
 	"repro/internal/packet"
-	"repro/internal/units"
 )
 
 // outQueue is one (input, output) entry of a VOQ set: the data-class
@@ -59,9 +58,6 @@ func NewVOQSet(n int) *VOQSet {
 		occ:  make([]uint64, bitrow.Words(n)),
 	}
 }
-
-// N reports the output count.
-func (v *VOQSet) N() int { return v.n }
 
 // syncOcc re-derives the occupancy bit of one output after a mutation —
 // the only place the bit is ever written, so occ is exact by induction.
@@ -158,60 +154,14 @@ func (v *VOQSet) Pop(out int) *packet.Cell {
 // Depth reports total cells queued across all outputs and classes.
 func (v *VOQSet) Depth() int { return v.depth }
 
-// HeadWait reports the age of the oldest head-of-line cell for out, or
-// zero when empty; schedulers may use it for longest-wait policies.
-func (v *VOQSet) HeadWait(out int, now units.Time) units.Time {
-	var oldest *packet.Cell
-	if c := v.ctrl[out].Peek(); c != nil {
-		oldest = c
-	}
-	if c := v.outs[out].data.Peek(); c != nil && (oldest == nil || c.Injected < oldest.Injected) {
-		oldest = c
-	}
-	if oldest == nil {
-		return 0
-	}
-	return now - oldest.Injected
-}
-
-// Egress models one output adapter: up to Receivers cells may arrive per
-// slot from the crossbar (the dual-receiver broadcast-and-select option
-// gives two paths per output), queue them, and drain exactly one cell
-// per slot onto the output line.
+// Egress models one output adapter: the cells that cross the crossbar
+// in a slot (one per healthy receiver at most; the switch enforces
+// that) queue here, and exactly one cell per slot drains onto the
+// output line. The queue is unbounded. The zero value is ready to use.
 type Egress struct {
-	// Receivers is the number of simultaneously usable receive paths.
-	Receivers int
-	// Capacity bounds the egress queue; zero means unbounded. When the
-	// queue is full the egress withholds credits (remote flow control).
-	Capacity int
-
 	q        packet.Queue
 	received uint64
 	drained  uint64
-}
-
-// NewEgress creates an egress adapter with r receivers.
-func NewEgress(r, capacity int) *Egress {
-	if r < 1 {
-		r = 1
-	}
-	return &Egress{Receivers: r, Capacity: capacity}
-}
-
-// SlotBudget reports how many cells the egress can accept this slot,
-// respecting both receiver count and remaining queue space.
-func (e *Egress) SlotBudget() int {
-	b := e.Receivers
-	if e.Capacity > 0 {
-		room := e.Capacity - e.q.Len()
-		if room < b {
-			b = room
-		}
-	}
-	if b < 0 {
-		return 0
-	}
-	return b
 }
 
 // Receive accepts a cell from the crossbar.
@@ -236,12 +186,6 @@ func (e *Egress) Drain() *packet.Cell {
 
 // Queued reports the egress queue occupancy.
 func (e *Egress) Queued() int { return e.q.Len() }
-
-// Received reports total cells accepted from the crossbar.
-func (e *Egress) Received() uint64 { return e.received }
-
-// Drained reports total cells put on the line.
-func (e *Egress) Drained() uint64 { return e.drained }
 
 // String summarizes the egress state.
 func (e *Egress) String() string {

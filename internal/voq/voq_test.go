@@ -14,7 +14,7 @@ import (
 
 func TestFIFOOrder(t *testing.T) {
 	var f packet.Queue
-	if f.Pop() != nil || f.Peek() != nil {
+	if f.Pop() != nil || peek(&f) != nil {
 		t.Error("empty FIFO should return nil")
 	}
 	cells := make([]*packet.Cell, 200)
@@ -55,8 +55,8 @@ func TestFIFOCompaction(t *testing.T) {
 			want++
 		}
 	}
-	if f.Len() != 0 || f.Peek() != nil {
-		t.Errorf("len %d, head %v after drain", f.Len(), f.Peek())
+	if f.Len() != 0 || peek(&f) != nil {
+		t.Errorf("len %d, head %v after drain", f.Len(), peek(&f))
 	}
 }
 
@@ -105,7 +105,7 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 			if len(model) > 0 {
 				want = model[0]
 			}
-			if got := f.Peek(); got != want {
+			if got := peek(&f); got != want {
 				t.Fatalf("step %d: Peek = %v, model %v", step, got, want)
 			}
 		default:
@@ -242,34 +242,30 @@ func TestVOQCommitNeverExceedsBacklogProperty(t *testing.T) {
 }
 
 func TestEgressBudgetAndDrain(t *testing.T) {
-	e := NewEgress(2, 3)
-	if e.SlotBudget() != 2 {
-		t.Errorf("budget %d", e.SlotBudget())
-	}
+	e := new(Egress)
 	e.Receive(&packet.Cell{ID: 1})
 	e.Receive(&packet.Cell{ID: 2})
-	if e.SlotBudget() != 1 {
-		t.Errorf("budget with 1 slot left: %d", e.SlotBudget())
-	}
 	e.Receive(&packet.Cell{ID: 3})
-	if e.SlotBudget() != 0 {
-		t.Errorf("budget when full: %d", e.SlotBudget())
-	}
 	if c := e.Drain(); c == nil || c.ID != 1 {
 		t.Errorf("drain order wrong: %v", c)
 	}
 	if e.Received() != 3 || e.Drained() != 1 || e.Queued() != 2 {
 		t.Errorf("counters rx=%d drained=%d q=%d", e.Received(), e.Drained(), e.Queued())
 	}
+	e.Drain()
+	e.Drain()
+	if c := e.Drain(); c != nil || e.Drained() != 3 {
+		t.Errorf("idle drain returned %v, drained=%d", c, e.Drained())
+	}
 }
 
 func TestEgressUnbounded(t *testing.T) {
-	e := NewEgress(1, 0)
+	e := new(Egress)
 	for i := 0; i < 100; i++ {
 		e.Receive(&packet.Cell{})
 	}
-	if e.SlotBudget() != 1 {
-		t.Errorf("unbounded egress budget %d", e.SlotBudget())
+	if e.Queued() != 100 {
+		t.Errorf("unbounded egress holds %d of 100 cells", e.Queued())
 	}
 }
 
