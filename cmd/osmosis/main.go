@@ -73,7 +73,7 @@ func main() {
 		sweepStr  = flag.String("sweep", "", "comma-separated loads for a delay-vs-load sweep")
 		table1    = flag.Bool("table1", false, "verify Table 1 at the ASIC target format and exit")
 		asic      = flag.Bool("asic", false, "use the ASIC-target cell format (12 GByte/s ports)")
-		faultSpec = flag.String("faults", "", "fault campaign, e.g. rx:3@2000,ber:0=1e-4@5000+1000,stall:50@4000,rand:4@1000-8000")
+		faultSpec = flag.String("faults", "", "fault campaign, e.g. rx:3@2000,stall:50@4000,rand:4@1000-8000")
 	)
 	pf := prof.Register()
 	flag.Parse()

@@ -42,20 +42,16 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:9077", "HTTP listen address")
-		ckptDir     = flag.String("ckpt-dir", "", "checkpoint directory for suspend-on-signal and restore-on-start")
-		maxBatch    = flag.Int("max-batch", 8, "max shape-compatible jobs per batch")
-		batchWindow = flag.Duration("batch-window", 25*time.Millisecond, "how long to wait for compatible jobs to accumulate")
-		workers     = flag.Int("workers", 0, "per-batch parallelism (0 = GOMAXPROCS)")
-		chunkSlots  = flag.Uint64("chunk-slots", 0, "slots per engine chunk between progress publications and checkpoint rendezvous (0 = default 256; larger amortizes per-chunk quantile cost on long runs)")
+		addr       = flag.String("addr", "127.0.0.1:9077", "HTTP listen address")
+		ckptDir    = flag.String("ckpt-dir", "", "checkpoint directory for suspend-on-signal and restore-on-start")
+		workers    = flag.Int("workers", 0, "jobs run at once; further jobs queue (0 = GOMAXPROCS)")
+		chunkSlots = flag.Uint64("chunk-slots", 0, "slots per engine chunk between progress publications and checkpoint rendezvous (0 = default 256; larger amortizes per-chunk quantile cost on long runs)")
 	)
 	flag.Parse()
 
 	srv := service.NewServer(service.Options{
-		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
-		Workers:     *workers,
-		ChunkSlots:  *chunkSlots,
+		Workers:    *workers,
+		ChunkSlots: *chunkSlots,
 	})
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {

@@ -8,14 +8,12 @@ import (
 )
 
 // FaultDims reports the fault target space of this system: the switch
-// dimensions plus the optical fiber count (SOA gate indices) and one
-// addressable link per port (BER bursts, credit loss).
+// dimensions plus the optical fiber count (SOA gate indices).
 func (s *System) FaultDims() fault.Dims {
 	return fault.Dims{
 		Ports:     s.cfg.Ports,
 		Receivers: s.cfg.Receivers,
 		Fibers:    s.cfg.Optics.Fibers(),
-		Links:     s.cfg.Ports,
 	}
 }
 
@@ -31,8 +29,8 @@ func (s *System) CompileFaults() (fault.Schedule, error) {
 // switching module serving the targeted egress receiver). Gate faults
 // change what the §VI.A self-tests observe — path health, selectivity,
 // leak detection — while the cell engine models their service impact
-// through the receiver-loss channel; link BER and credit faults live at
-// the link layer and are exercised there.
+// through the receiver-loss channel. Link BER bursts live at the link
+// layer and are exercised there (internal/link).
 func (s *System) AttachFaults(sw *crossbar.Switch, inj *fault.Injector) {
 	sw.AttachFaults(inj)
 	inj.OnGate(func(e fault.Event, mode fault.GateMode) {
@@ -56,7 +54,7 @@ type DegradationResult struct {
 	// RunWorkload).
 	Metrics *crossbar.Metrics
 	// Applied and Skipped count injector transitions delivered to hooks
-	// vs. dropped for want of one (link-layer kinds in a switch-only run).
+	// vs. dropped for want of one (a component the run did not attach).
 	Applied, Skipped int
 	// Stalls is the number of slots the arbiter spent frozen.
 	Stalls uint64

@@ -4,16 +4,16 @@
 // retransmission, and scheduler-relayed flow control only earn their
 // cost if the fabric degrades gracefully when components actually fail.
 // This package injects those failures — SOA gates stuck off or on,
-// receiver loss at an egress, raw-BER bursts on a link, lost
-// flow-control credits, transient scheduler-pipeline stalls — on a
-// schedule that is a pure function of (base seed, spec), derived through
+// receiver loss at an egress, transient scheduler-pipeline stalls — on
+// a schedule that is a pure function of (base seed, spec), derived through
 // sim.DeriveSeed so that a faulted run is byte-identical at any
 // parallelism, exactly like the healthy runs.
 //
 // The package knows nothing about the components it breaks: an Injector
 // turns a compiled Schedule into calls on per-kind hooks that the
-// crossbar engine, the optical fabric, the link layer, and the
-// flow-control loops register (see internal/core for the wiring).
+// crossbar engine and the optical fabric register (see internal/core
+// for the wiring). Link-layer error bursts are exercised in
+// internal/link, which takes a BER directly.
 package fault
 
 import (
@@ -28,9 +28,7 @@ import (
 type Kind string
 
 // Fault kinds. Receiver and SOA faults address the optical data path;
-// BER bursts and credit loss address the link/flow-control stack (no
-// engine hooks them yet, so the injector counts them as skipped); a
-// scheduler stall models a transient arbiter-pipeline outage.
+// a scheduler stall models a transient arbiter-pipeline outage.
 const (
 	// ReceiverLoss takes one of an egress adapter's receivers out of
 	// service (the Fig.-7 dual-receiver path degrades to single).
@@ -41,12 +39,6 @@ const (
 	// SOAStuckOn wedges a gate on: the module loses selectivity and
 	// leaks a second input (a crosstalk fault, §V).
 	SOAStuckOn Kind = "soa-stuck-on"
-	// BERBurst raises a link's raw bit-error rate for the duration,
-	// driving FEC uncorrectables into go-back-N retransmission.
-	BERBurst Kind = "ber-burst"
-	// CreditLoss destroys in-flight flow-control credits on a loop,
-	// permanently shrinking its sustainable window until resync.
-	CreditLoss Kind = "credit-loss"
 	// SchedStall freezes the scheduler pipeline for Duration slots: no
 	// new grants are issued while it lasts.
 	SchedStall Kind = "sched-stall"
@@ -81,22 +73,11 @@ type Event struct {
 	// Gate is the fiber-select gate index within the switching module
 	// for SOA faults.
 	Gate int
-
-	// Link addresses BER bursts and credit loss.
-	Link int
-	// BER is the elevated raw bit-error rate during a burst.
-	BER float64
-	// Credits is the number of in-flight credits a CreditLoss destroys.
-	Credits int
 }
 
 // End reports the first slot at which the fault is no longer active
-// (Permanent for Duration 0). Instantaneous kinds (CreditLoss) are
-// active only at Start.
+// (Permanent for Duration 0).
 func (e Event) End() uint64 {
-	if e.Kind == CreditLoss {
-		return e.Start + 1
-	}
 	if e.Duration == 0 {
 		return Permanent
 	}
@@ -106,9 +87,7 @@ func (e Event) End() uint64 {
 // String renders the event for reports and degradation tables.
 func (e Event) String() string {
 	life := "permanent"
-	if e.Kind == CreditLoss {
-		life = "instant"
-	} else if e.Duration > 0 {
+	if e.Duration > 0 {
 		life = fmt.Sprintf("%d slots", e.Duration)
 	}
 	switch e.Kind {
@@ -116,10 +95,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s egress=%d rx=%d @%d (%s)", e.Kind, e.Egress, e.Receiver, e.Start, life)
 	case SOAStuckOff, SOAStuckOn:
 		return fmt.Sprintf("%s egress=%d rx=%d gate=%d @%d (%s)", e.Kind, e.Egress, e.Receiver, e.Gate, e.Start, life)
-	case BERBurst:
-		return fmt.Sprintf("%s link=%d ber=%.1e @%d (%s)", e.Kind, e.Link, e.BER, e.Start, life)
-	case CreditLoss:
-		return fmt.Sprintf("%s link=%d credits=%d @%d", e.Kind, e.Link, e.Credits, e.Start)
 	case SchedStall:
 		return fmt.Sprintf("%s @%d (%d slots)", e.Kind, e.Start, e.Duration)
 	}
@@ -132,9 +107,6 @@ type Dims struct {
 	Ports, Receivers int
 	// Fibers is the broadcast-fiber count (gate indices for SOA faults).
 	Fibers int
-	// Links is the addressable link count for BER/credit faults; 0
-	// disables link-targeted events.
-	Links int
 }
 
 // validate checks one event against the dims.
@@ -149,23 +121,6 @@ func (d Dims) validate(e Event) error {
 		}
 		if e.Kind != ReceiverLoss && (e.Gate < 0 || (d.Fibers > 0 && e.Gate >= d.Fibers)) {
 			return fmt.Errorf("fault: %s gate %d out of range [0,%d)", e.Kind, e.Gate, d.Fibers)
-		}
-	case BERBurst:
-		if d.Links > 0 && (e.Link < 0 || e.Link >= d.Links) {
-			return fmt.Errorf("fault: %s link %d out of range [0,%d)", e.Kind, e.Link, d.Links)
-		}
-		if e.BER <= 0 || e.BER > 1 {
-			return fmt.Errorf("fault: burst BER %g not in (0,1]", e.BER)
-		}
-		if e.Duration == 0 {
-			return fmt.Errorf("fault: %s needs a finite duration", e.Kind)
-		}
-	case CreditLoss:
-		if d.Links > 0 && (e.Link < 0 || e.Link >= d.Links) {
-			return fmt.Errorf("fault: %s link %d out of range [0,%d)", e.Kind, e.Link, d.Links)
-		}
-		if e.Credits <= 0 {
-			return fmt.Errorf("fault: credit loss of %d credits", e.Credits)
 		}
 	case SchedStall:
 		if e.Duration == 0 {
@@ -233,8 +188,7 @@ func (s Schedule) Boundaries(lo, hi uint64) []uint64 {
 
 // kindRank fixes the sort order of simultaneous events.
 var kindRank = map[Kind]int{
-	ReceiverLoss: 0, SOAStuckOff: 1, SOAStuckOn: 2,
-	BERBurst: 3, CreditLoss: 4, SchedStall: 5,
+	ReceiverLoss: 0, SOAStuckOff: 1, SOAStuckOn: 2, SchedStall: 3,
 }
 
 // less is the canonical event order: by start slot, then kind, then
@@ -255,9 +209,6 @@ func less(a, b Event) bool {
 	}
 	if a.Gate != b.Gate {
 		return a.Gate < b.Gate
-	}
-	if a.Link != b.Link {
-		return a.Link < b.Link
 	}
 	return a.Duration < b.Duration
 }

@@ -5,21 +5,20 @@ import (
 	"testing"
 )
 
-var testDims = Dims{Ports: 64, Receivers: 2, Fibers: 16, Links: 64}
+var testDims = Dims{Ports: 64, Receivers: 2, Fibers: 16}
 
 func TestParseSpecClauses(t *testing.T) {
-	spec, err := ParseSpec("rx:3@2000, soaoff:5.1.2@100+50, ber:0=1e-4@5000+1000, credit:7=3@400, stall:10@900, rand:4@1000-8000+200")
+	spec, err := ParseSpec("rx:3@2000, soaoff:5.1.2@100+50, soaon:6.0@300, stall:10@900, rand:4@1000-8000+200")
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if len(spec.Events) != 5 {
-		t.Fatalf("want 5 explicit events, got %d", len(spec.Events))
+	if len(spec.Events) != 4 {
+		t.Fatalf("want 4 explicit events, got %d", len(spec.Events))
 	}
 	want := []Event{
 		{Kind: ReceiverLoss, Egress: 3, Receiver: ReceiverHighest, Start: 2000},
 		{Kind: SOAStuckOff, Egress: 5, Receiver: 1, Gate: 2, Start: 100, Duration: 50},
-		{Kind: BERBurst, Link: 0, BER: 1e-4, Start: 5000, Duration: 1000},
-		{Kind: CreditLoss, Link: 7, Credits: 3, Start: 400},
+		{Kind: SOAStuckOn, Egress: 6, Receiver: 0, Start: 300},
 		{Kind: SchedStall, Start: 900, Duration: 10},
 	}
 	if !reflect.DeepEqual(spec.Events, want) {
@@ -33,11 +32,11 @@ func TestParseSpecClauses(t *testing.T) {
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
 		"nope:1@0",              // unknown kind
+		"ber:0=1e-4@5000+1000",  // no engine applies link BER bursts
+		"credit:7=3@400",        // no engine applies credit loss
 		"rx:1",                  // missing @start
 		"rx:a@0",                // bad egress
 		"rx:1.2.3@0",            // rx has no gate field
-		"ber:0@100+10",          // missing =value
-		"ber:0=x@100+10",        // bad BER
 		"stall:0@100",           // zero stall
 		"rand:2@50-50",          // empty window
 		"rand:1@0-9,rand:1@0-9", // duplicate rand
@@ -68,7 +67,7 @@ func TestCompileValidatesAndResolves(t *testing.T) {
 	}
 
 	// Out-of-range targets must be rejected.
-	for _, s := range []string{"rx:64@0", "rx:0.2@0", "soaoff:0.0.16@0", "ber:64=1e-4@0+10", "credit:0=0@0"} {
+	for _, s := range []string{"rx:64@0", "rx:0.2@0", "soaoff:0.0.16@0", "soaon:0.0.-1@0", "stall:1@0,rx:-1.0@0"} {
 		spec, err := ParseSpec(s)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", s, err)
@@ -118,7 +117,7 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 func TestBoundaries(t *testing.T) {
-	spec, err := ParseSpec("rx:1@100,soaoff:2.1.0@200+50,ber:0=1e-4@200+100,credit:0=1@400")
+	spec, err := ParseSpec("rx:1@100,soaoff:2.1.0@200+50,soaon:3.0.1@200+100,stall:5@400")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +125,10 @@ func TestBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Edges: 100 (rx), 200 (soaoff+ber begin), 250 (soaoff end),
-	// 300 (ber end), 400, 401 (credit loss instant).
+	// Edges: 100 (rx), 200 (soaoff+soaon begin), 250 (soaoff end),
+	// 300 (soaon end), 400, 405 (stall).
 	got := sched.Boundaries(0, 1000)
-	want := []uint64{100, 200, 250, 300, 400, 401}
+	want := []uint64{100, 200, 250, 300, 400, 405}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Boundaries: got %v, want %v", got, want)
 	}
@@ -141,11 +140,17 @@ func TestBoundaries(t *testing.T) {
 }
 
 // TestInjectorTransitions drives a mixed schedule through an Injector
-// with every hook an engine registers and checks ordering, lifetimes,
-// and the active count. No engine models link BER bursts or credit
-// loss, so those transitions are counted as skipped.
+// with receiver and stall hooks and checks ordering, lifetimes, and the
+// active count. The SOA fault has no hook here, so its two transitions
+// are counted as skipped. Link BER bursts and credit loss, which no
+// engine applies, never reach an injector: the parser rejects them.
 func TestInjectorTransitions(t *testing.T) {
-	spec, err := ParseSpec("rx:1.1@100+50,ber:3=1e-4@100+25,credit:5=2@110,stall:7@120")
+	for _, s := range []string{"ber:3=1e-4@100+25", "credit:5=2@110"} {
+		if _, err := ParseSpec(s); err == nil {
+			t.Errorf("ParseSpec(%q): want error, got nil", s)
+		}
+	}
+	spec, err := ParseSpec("rx:1.1@100+50,soaon:3.0.1@100+25,stall:7@120")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +174,9 @@ func TestInjectorTransitions(t *testing.T) {
 	if !inj.Tick(100) || inj.Active() != 2 {
 		t.Fatalf("at 100: active=%d want 2", inj.Active())
 	}
-	inj.Tick(115) // credit loss: instantaneous, active count unchanged
+	inj.Tick(120) // stall: instantaneous, active count unchanged
 	if inj.Active() != 2 {
-		t.Fatalf("after credit loss: active=%d want 2", inj.Active())
+		t.Fatalf("after stall: active=%d want 2", inj.Active())
 	}
 	inj.Tick(1000) // everything else
 	if inj.Active() != 0 {
@@ -188,7 +193,7 @@ func TestInjectorTransitions(t *testing.T) {
 	if !reflect.DeepEqual(calls, want) {
 		t.Fatalf("calls:\n got %+v\nwant %+v", calls, want)
 	}
-	if inj.Applied != 3 || inj.Skipped != 3 {
+	if inj.Applied != 3 || inj.Skipped != 2 {
 		t.Fatalf("applied=%d skipped=%d", inj.Applied, inj.Skipped)
 	}
 }

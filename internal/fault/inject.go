@@ -70,10 +70,10 @@ func NewInjector(s Schedule) *Injector {
 	return inj
 }
 
-// instantaneous kinds have no end transition: credit loss is a one-shot
-// destruction, and a stall's lifetime is managed by the stalled
-// component itself (the pipeline refills after Duration slots).
-func instantaneous(k Kind) bool { return k == CreditLoss || k == SchedStall }
+// instantaneous kinds have no end transition: a stall's lifetime is
+// managed by the stalled component itself (the pipeline refills after
+// Duration slots).
+func instantaneous(k Kind) bool { return k == SchedStall }
 
 // OnReceiver registers the receiver-loss hook (up=false on begin).
 func (inj *Injector) OnReceiver(fn func(egress, rx int, up bool)) { inj.onReceiver = fn }

@@ -14,8 +14,6 @@ import (
 //	soaoff:E[.R[.G]]@START[+DUR] fiber gate G of egress E / receiver R's
 //	                            module stuck off (R defaults high, G to 0)
 //	soaon:E[.R[.G]]@START[+DUR]  same gate stuck on (crosstalk fault)
-//	ber:L=RATE@START+DUR        link L raw BER raised to RATE for DUR
-//	credit:L=N@START            N in-flight credits destroyed on link L
 //	stall:N@START               scheduler pipeline frozen for N slots
 //	rand:K@LO-HI[+DUR]          K random receiver/gate faults with start
 //	                            slots uniform in [LO,HI)
@@ -23,7 +21,7 @@ import (
 // START and DUR are packet-cycle slots; omitting +DUR makes the fault
 // permanent. Example:
 //
-//	rx:3@2000,ber:0=1e-4@5000+1000,rand:4@1000-8000
+//	rx:3@2000,stall:50@4000,rand:4@1000-8000
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	for _, clause := range strings.Split(s, ",") {
@@ -43,10 +41,6 @@ func ParseSpec(s string) (Spec, error) {
 			err = parseTargeted(&spec, SOAStuckOff, rest, clause)
 		case "soaon":
 			err = parseTargeted(&spec, SOAStuckOn, rest, clause)
-		case "ber":
-			err = parseLink(&spec, BERBurst, rest, clause)
-		case "credit":
-			err = parseLink(&spec, CreditLoss, rest, clause)
 		case "stall":
 			err = parseStall(&spec, rest, clause)
 		case "rand":
@@ -103,34 +97,6 @@ func parseTargeted(spec *Spec, kind Kind, rest, clause string) error {
 	if len(parts) > 2 {
 		if e.Gate, err = strconv.Atoi(parts[2]); err != nil {
 			return fmt.Errorf("fault: clause %q: bad gate %q", clause, parts[2])
-		}
-	}
-	spec.Events = append(spec.Events, e)
-	return nil
-}
-
-// parseLink handles ber/credit clauses: L=VALUE.
-func parseLink(spec *Spec, kind Kind, rest, clause string) error {
-	body, start, dur, err := splitTiming(rest, clause)
-	if err != nil {
-		return err
-	}
-	linkStr, valStr, ok := strings.Cut(body, "=")
-	if !ok {
-		return fmt.Errorf("fault: clause %q: want link=value@start", clause)
-	}
-	e := Event{Kind: kind, Start: start, Duration: dur}
-	if e.Link, err = strconv.Atoi(linkStr); err != nil {
-		return fmt.Errorf("fault: clause %q: bad link %q", clause, linkStr)
-	}
-	switch kind {
-	case BERBurst:
-		if e.BER, err = strconv.ParseFloat(valStr, 64); err != nil {
-			return fmt.Errorf("fault: clause %q: bad BER %q", clause, valStr)
-		}
-	case CreditLoss:
-		if e.Credits, err = strconv.Atoi(valStr); err != nil {
-			return fmt.Errorf("fault: clause %q: bad credit count %q", clause, valStr)
 		}
 	}
 	spec.Events = append(spec.Events, e)

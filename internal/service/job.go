@@ -52,7 +52,6 @@ type Job struct {
 	id       string
 	spec     JobSpec
 	specJSON []byte
-	key      string
 
 	state string
 	err   string
@@ -251,7 +250,7 @@ func finishJobDecode(d *ckpt.Decoder) error {
 // header. For running-phase checkpoints the session payload is decoded
 // against a freshly built engine — a full dry run of the restore — so a
 // corrupt or mismatched upload is rejected at the HTTP boundary, not
-// inside a batch hours later.
+// on a pool worker hours later.
 func parseJobCheckpoint(data []byte) (*jobHeader, error) {
 	d, err := ckpt.NewDecoder(bytes.NewReader(data))
 	if err != nil {
@@ -333,7 +332,7 @@ func (j *Job) control(kind ctlKind) ([]byte, error) {
 	}
 }
 
-// runJob is the engine loop, executed on a parallel.Run worker. It
+// runJob is the engine loop, executed on a pool worker. It
 // advances the session in chunks, publishing progress and servicing
 // control requests at every pause, then drains the fabric to idle and
 // records the result.

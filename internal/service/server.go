@@ -8,24 +8,18 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/parallel"
 )
 
 // Options tune the daemon; zero values select production defaults.
 type Options struct {
-	// MaxBatch caps how many shape-compatible jobs one parallel.Run
-	// batch executes together (default 8).
-	MaxBatch int
-	// BatchWindow is how long the dispatcher waits after a submission
-	// for compatible jobs to accumulate (default 25ms).
-	BatchWindow time.Duration
-	// Workers bounds per-batch parallelism (default GOMAXPROCS).
+	// Workers is the size of the job pool: how many jobs run at once
+	// (default GOMAXPROCS). Further jobs wait in the queue.
 	Workers int
 	// ChunkSlots is the engine pause granularity: progress publication
 	// and control rendezvous happen every ChunkSlots (default 256).
@@ -39,39 +33,35 @@ type Options struct {
 	MaxBodyBytes int64
 }
 
-// Server is the osmosisd daemon core: job registry, batcher, and HTTP
-// surface. One mutex guards all job bookkeeping; engines only take it
-// at chunk boundaries.
+// Server is the osmosisd daemon core: job registry, worker pool, and
+// HTTP surface. One mutex guards all job bookkeeping; engines only take
+// it at chunk boundaries.
 type Server struct {
 	mu     sync.Mutex
+	ready  *sync.Cond // on mu: signaled per queued job, broadcast on close
 	jobs   map[string]*Job
 	order  []*Job // submission order, for listings
-	queue  []*Job // awaiting dispatch
+	queue  []*Job // waiting for a worker, oldest first
 	nextID int
 
 	slotsTotal uint64
 	started    time.Time
 
-	maxBatch     int
-	batchWindow  time.Duration
-	workers      int
 	chunkSlots   uint64
 	stepDelay    time.Duration
 	maxBodyBytes int64
 
-	wake      chan struct{}
-	closed    chan struct{}
+	closed    chan struct{} // closed under mu when the daemon shuts down
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
-// NewServer builds a daemon and starts its dispatcher.
+// NewServer builds a daemon and starts its Workers pool goroutines.
+// Each takes the oldest queued job, runs it to a terminal state, and
+// repeats until Close or Suspend.
 func NewServer(opts Options) *Server {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 8
-	}
-	if opts.BatchWindow <= 0 {
-		opts.BatchWindow = 25 * time.Millisecond
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.ChunkSlots == 0 {
 		opts.ChunkSlots = 256
@@ -82,24 +72,44 @@ func NewServer(opts Options) *Server {
 	s := &Server{
 		jobs:         make(map[string]*Job),
 		started:      time.Now(),
-		maxBatch:     opts.MaxBatch,
-		batchWindow:  opts.BatchWindow,
-		workers:      opts.Workers,
 		chunkSlots:   opts.ChunkSlots,
 		stepDelay:    opts.StepDelay,
 		maxBodyBytes: opts.MaxBodyBytes,
-		wake:         make(chan struct{}, 1),
 		closed:       make(chan struct{}),
 	}
-	s.wg.Add(1)
-	go s.dispatch()
+	s.ready = sync.NewCond(&s.mu)
+	s.wg.Add(opts.Workers)
+	for i := 0; i < opts.Workers; i++ {
+		go s.work()
+	}
 	return s
 }
 
-// Close stops the dispatcher, cancels live jobs, and waits for all
-// engines to exit. Job state stays readable afterwards.
+// shutdown stops the pool: no queued job starts after it returns, and
+// idle workers exit.
+func (s *Server) shutdown() {
+	s.closeOnce.Do(func() {
+		s.mu.Lock()
+		close(s.closed)
+		s.mu.Unlock()
+		s.ready.Broadcast()
+	})
+}
+
+// closingLocked reports whether shutdown has begun; callers hold mu.
+func (s *Server) closingLocked() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// Close stops the pool, cancels live jobs, and waits for all engines to
+// exit. Job state stays readable afterwards.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.closed) })
+	s.shutdown()
 	for _, j := range s.liveJobs() {
 		s.cancelJob(j)
 	}
@@ -119,77 +129,49 @@ func (s *Server) liveJobs() []*Job {
 	return live
 }
 
-// dispatch is the batcher loop: on a submission wake-up it sleeps one
-// batch window (letting shape-compatible jobs accumulate), then drains
-// the queue into batches keyed by engine shape, each handed to one
-// parallel.Run.
-func (s *Server) dispatch() {
+// work is one pool goroutine: it runs queued jobs oldest first until
+// the daemon shuts down.
+func (s *Server) work() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.closed:
-			return
-		case <-s.wake:
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closingLocked() {
+			s.ready.Wait()
 		}
-		t := time.NewTimer(s.batchWindow)
-		select {
-		case <-s.closed:
-			t.Stop()
+		if s.closingLocked() {
+			s.mu.Unlock()
 			return
-		case <-t.C:
 		}
-		for {
-			batch := s.takeBatch()
-			if len(batch) == 0 {
-				break
-			}
-			s.wg.Add(1)
-			go func(batch []*Job) {
-				defer s.wg.Done()
-				parallel.Run(len(batch), parallel.Workers(s.workers, len(batch)), func(i int) {
-					s.runJob(batch[i])
-				})
-			}(batch)
+		j := s.queue[0]
+		s.queue = s.queue[1:]
+		j.state = stateRunning
+		s.mu.Unlock()
+		s.runJob(j)
+	}
+}
+
+// dequeueLocked removes a queued job from the queue; callers hold mu.
+func (s *Server) dequeueLocked(j *Job) {
+	for i, q := range s.queue {
+		if q == j {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			return
 		}
 	}
 }
 
-// takeBatch removes up to maxBatch queued jobs sharing the head job's
-// engine shape and marks them running.
-func (s *Server) takeBatch() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return nil
-	}
-	key := s.queue[0].key
-	var batch, rest []*Job
-	for _, j := range s.queue {
-		if j.key == key && len(batch) < s.maxBatch {
-			batch = append(batch, j)
-			j.state = stateRunning
-		} else {
-			rest = append(rest, j)
-		}
-	}
-	s.queue = rest
-	return batch
-}
-
-// submit registers a job (fresh or restored) and wakes the dispatcher.
+// submit registers a job (fresh or restored) and wakes one worker.
 func (s *Server) submit(spec JobSpec, specJSON, resume []byte) (*Job, error) {
-	select {
-	case <-s.closed:
-		return nil, fmt.Errorf("service: daemon is shutting down")
-	default:
-	}
 	s.mu.Lock()
+	if s.closingLocked() {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("service: daemon is shutting down")
+	}
 	s.nextID++
 	j := &Job{
 		id:       fmt.Sprintf("j%d", s.nextID),
 		spec:     spec,
 		specJSON: specJSON,
-		key:      spec.batchKey(),
 		state:    stateQueued,
 		resume:   resume,
 		endSlot:  spec.totalSlots(),
@@ -201,10 +183,7 @@ func (s *Server) submit(spec JobSpec, specJSON, resume []byte) (*Job, error) {
 	s.order = append(s.order, j)
 	s.queue = append(s.queue, j)
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.ready.Signal()
 	return j, nil
 }
 
@@ -243,12 +222,7 @@ func (s *Server) cancelJob(j *Job) bool {
 	s.mu.Lock()
 	switch j.state {
 	case stateQueued:
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
+		s.dequeueLocked(j)
 		j.state = stateCanceled
 		s.mu.Unlock()
 		close(j.done)
@@ -284,7 +258,7 @@ func (s *Server) checkpointJob(j *Job) ([]byte, error) {
 // were persisted; a later RestoreDir on a fresh daemon continues them
 // bit-exactly.
 func (s *Server) Suspend(dir string) (int, error) {
-	s.closeOnce.Do(func() { close(s.closed) })
+	s.shutdown()
 	var saved int
 	var firstErr error
 	for _, j := range s.liveJobs() {
@@ -297,12 +271,7 @@ func (s *Server) Suspend(dir string) (int, error) {
 		case stateQueued:
 			if data, err = encodeQueuedCheckpoint(j.id, j.specJSON); err == nil {
 				s.mu.Lock()
-				for i, q := range s.queue {
-					if q == j {
-						s.queue = append(s.queue[:i], s.queue[i+1:]...)
-						break
-					}
-				}
+				s.dequeueLocked(j)
 				j.state = stateSuspended
 				s.mu.Unlock()
 				close(j.done)

@@ -1,8 +1,8 @@
 package service
 
 // Daemon-level determinism tests. The contract under test is the
-// tentpole acceptance criterion: a job's result is a function of its
-// spec alone — two concurrent batched jobs with equal specs produce
+// daemon's determinism contract: a job's result is a function of its
+// spec alone — two concurrent jobs with equal specs produce
 // byte-identical result documents, a job checkpointed over HTTP,
 // killed, and restored on a fresh daemon finishes byte-identical to an
 // uninterrupted twin, and all of it holds under the race detector while
@@ -15,6 +15,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -42,6 +44,19 @@ func longSpec(name string, seed uint64) JobSpec {
 	s.MeasureSlots = 20000
 	return s
 }
+
+// endlessSpec is a job that never finishes within a test: it holds a
+// pool worker until it is canceled or suspended.
+func endlessSpec(name string, seed uint64) JobSpec {
+	s := smallSpec(name, seed)
+	s.MeasureSlots = 1 << 40
+	return s
+}
+
+// blockerOptions is a one-worker pool whose engines pause between
+// small chunks, so an endlessSpec job holds the only worker while
+// staying responsive to cancel and suspend.
+var blockerOptions = Options{Workers: 1, ChunkSlots: 128, StepDelay: time.Millisecond}
 
 // testServer starts a daemon plus its HTTP frontend.
 func testServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -148,7 +163,7 @@ func resultDoc(t *testing.T, base, id string) []byte {
 
 // directFingerprint runs the spec's engine in-process — no daemon — and
 // returns the final metrics fingerprint. This anchors the daemon's
-// results to the fabric library: batching, chunking, and HTTP plumbing
+// results to the fabric library: queueing, chunking, and HTTP plumbing
 // must not perturb the engine.
 func directFingerprint(t *testing.T, spec JobSpec) string {
 	t.Helper()
@@ -186,13 +201,13 @@ func fingerprintOf(t *testing.T, doc []byte) string {
 }
 
 // TestConcurrentBatchedJobsDeterministic is the service acceptance run:
-// four shape-compatible jobs submitted together (so the batcher coalesces
-// them onto one parallel.Run), two of them with identical specs. The
-// twins must produce byte-identical result documents, every job must
-// match its in-process engine run, and a repeat submission on the same
-// live daemon must reproduce the first round exactly.
+// four jobs submitted together run at once on a four-worker pool, two
+// of them with identical specs. The twins must produce byte-identical
+// result documents, every job must match its in-process engine run, and
+// a repeat submission on the same live daemon must reproduce the first
+// round exactly.
 func TestConcurrentBatchedJobsDeterministic(t *testing.T) {
-	_, hs := testServer(t, Options{MaxBatch: 8, BatchWindow: 10 * time.Millisecond, Workers: 4})
+	_, hs := testServer(t, Options{Workers: 4})
 	specs := []JobSpec{
 		smallSpec("twin-a", 7),
 		smallSpec("twin-b", 7), // identical engine work to twin-a
@@ -236,7 +251,7 @@ func TestCheckpointKillRestoreByteIdentical(t *testing.T) {
 	spec := longSpec("ckpt-victim", 11)
 
 	// Daemon A runs the job slowly so the checkpoint lands mid-timeline.
-	_, hsA := testServer(t, Options{BatchWindow: time.Millisecond, ChunkSlots: 256, StepDelay: 2 * time.Millisecond})
+	_, hsA := testServer(t, Options{ChunkSlots: 256, StepDelay: 2 * time.Millisecond})
 	id := submit(t, hsA.URL, spec)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -265,7 +280,7 @@ func TestCheckpointKillRestoreByteIdentical(t *testing.T) {
 
 	// Daemon B — fresh process state — continues from the snapshot at
 	// full speed, next to an uninterrupted twin of the same spec.
-	_, hsB := testServer(t, Options{BatchWindow: time.Millisecond})
+	_, hsB := testServer(t, Options{})
 	code, data := postJSON(t, hsB.URL+"/v1/restore", snap)
 	if code != http.StatusAccepted {
 		t.Fatalf("restore: HTTP %d: %s", code, data)
@@ -291,7 +306,7 @@ func TestSuspendRestoreDir(t *testing.T) {
 	dir := t.TempDir()
 	specs := []JobSpec{longSpec("restart-a", 21), longSpec("restart-b", 22)}
 
-	sA := NewServer(Options{BatchWindow: time.Millisecond, ChunkSlots: 256, StepDelay: 2 * time.Millisecond, Workers: 2})
+	sA := NewServer(Options{ChunkSlots: 256, StepDelay: 2 * time.Millisecond, Workers: 2})
 	hsA := httptest.NewServer(sA.Handler())
 	idByName := make(map[string]string)
 	for _, sp := range specs {
@@ -322,7 +337,7 @@ func TestSuspendRestoreDir(t *testing.T) {
 	}
 
 	// Restore the same way cmd/osmosisd does at start-up.
-	sB, hsB := testServer(t, Options{BatchWindow: time.Millisecond})
+	sB, hsB := testServer(t, Options{})
 	n, err := sB.RestoreDir(dir)
 	if err != nil {
 		t.Fatalf("restore dir: %v", err)
@@ -366,7 +381,7 @@ func TestSuspendRestoreDir(t *testing.T) {
 // mid-run — with -race this is the scrape-vs-Add regression test for
 // the whole daemon path (the stats.LatencySample fix made it legal).
 func TestMetricsScrapeDuringLiveRun(t *testing.T) {
-	_, hs := testServer(t, Options{BatchWindow: time.Millisecond, ChunkSlots: 128, StepDelay: time.Millisecond})
+	_, hs := testServer(t, Options{ChunkSlots: 128, StepDelay: time.Millisecond})
 	id := submit(t, hs.URL, longSpec("scraped", 31))
 	waitState(t, hs.URL, id, stateRunning)
 	stop := make(chan struct{})
@@ -411,7 +426,7 @@ func TestMetricsScrapeDuringLiveRun(t *testing.T) {
 // TestStreamFollowsJobToCompletion reads the NDJSON progress stream and
 // requires it to terminate with the job's terminal status line.
 func TestStreamFollowsJobToCompletion(t *testing.T) {
-	_, hs := testServer(t, Options{BatchWindow: time.Millisecond, ChunkSlots: 256, StepDelay: time.Millisecond})
+	_, hs := testServer(t, Options{ChunkSlots: 256, StepDelay: time.Millisecond})
 	id := submit(t, hs.URL, smallSpec("streamed", 41))
 	resp, err := http.Get(hs.URL + "/v1/jobs/" + id + "/stream")
 	if err != nil {
@@ -448,7 +463,7 @@ func TestStreamFollowsJobToCompletion(t *testing.T) {
 // malformed specs and damaged checkpoints fail loudly with 4xx, never
 // reach an engine, and name the problem.
 func TestRejectsBadSubmissionsAndCorruptRestores(t *testing.T) {
-	_, hs := testServer(t, Options{BatchWindow: time.Millisecond})
+	_, hs := testServer(t, Options{})
 	badSpecs := []struct {
 		name string
 		body string
@@ -477,12 +492,13 @@ func TestRejectsBadSubmissionsAndCorruptRestores(t *testing.T) {
 	// A genuine snapshot, then damaged variants of it.
 	id := submit(t, hs.URL, smallSpec("donor", 51))
 	waitState(t, hs.URL, id, stateDone)
-	// Done jobs refuse to checkpoint (409) — take one from a queued job
-	// on a daemon whose dispatcher is effectively stalled instead.
+	// Done jobs refuse to checkpoint (409) — take one from a job queued
+	// behind an endless one on a one-worker daemon instead.
 	if code, data := postJSON(t, hs.URL+"/v1/jobs/"+id+"/checkpoint", nil); code != http.StatusConflict {
 		t.Errorf("checkpoint of done job: HTTP %d (want 409): %s", code, data)
 	}
-	_, hsSlow := testServer(t, Options{BatchWindow: time.Hour})
+	_, hsSlow := testServer(t, blockerOptions)
+	waitState(t, hsSlow.URL, submit(t, hsSlow.URL, endlessSpec("blocker", 50)), stateRunning)
 	qid := submit(t, hsSlow.URL, smallSpec("queued-donor", 52))
 	code, snap := postJSON(t, hsSlow.URL+"/v1/jobs/"+qid+"/checkpoint", nil)
 	if code != http.StatusOK {
@@ -506,11 +522,11 @@ func TestRejectsBadSubmissionsAndCorruptRestores(t *testing.T) {
 }
 
 // TestOverflowingLinkDelayRejected: a link delay whose slot rings
-// overflow int used to pass validation and then panic the batch worker
+// overflow int used to pass validation and then panic the worker
 // building the fabric, taking the whole daemon down. It must be refused
 // at submission, and the daemon must keep serving.
 func TestOverflowingLinkDelayRejected(t *testing.T) {
-	_, hs := testServer(t, Options{BatchWindow: time.Millisecond})
+	_, hs := testServer(t, Options{})
 	body := `{"fabric":{"hosts":16,"radix":4,"link_delay_slots":4611686018427387904},"traffic":{"kind":"uniform","load":0.5},"measure_slots":100}`
 	if code, data := postJSON(t, hs.URL+"/v1/jobs", []byte(body)); code != http.StatusBadRequest {
 		t.Fatalf("overflowing link delay: HTTP %d (want 400): %s", code, data)
@@ -522,10 +538,30 @@ func TestOverflowingLinkDelayRejected(t *testing.T) {
 	waitState(t, hs.URL, id, stateDone)
 }
 
+// TestSchedParamRejected: a huge sched_param used to pass validation
+// and then panic the worker sizing the scheduler's tables, taking the
+// whole daemon down. The field is gone, so the spec is refused at
+// submission as an unknown field, and the daemon keeps serving.
+func TestSchedParamRejected(t *testing.T) {
+	_, hs := testServer(t, Options{})
+	for _, sched := range []string{"flppr", "pipelined-islip"} {
+		body := `{"fabric":{"hosts":16,"radix":4,"scheduler":"` + sched + `","sched_param":1152921504606846976},"traffic":{"kind":"uniform","load":0.5},"measure_slots":100}`
+		if code, data := postJSON(t, hs.URL+"/v1/jobs", []byte(body)); code != http.StatusBadRequest {
+			t.Fatalf("%s sched_param: HTTP %d (want 400): %s", sched, code, data)
+		}
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after rejected job: HTTP %d: %s", code, data)
+	}
+	id := submit(t, hs.URL, smallSpec("after", 54))
+	waitState(t, hs.URL, id, stateDone)
+}
+
 // TestCancelQueuedAndRunning covers both cancellation paths.
 func TestCancelQueuedAndRunning(t *testing.T) {
-	// Queued: a dispatcher that never fires within the test window.
-	_, hsSlow := testServer(t, Options{BatchWindow: time.Hour})
+	// Queued: parked behind an endless job on a one-worker daemon.
+	_, hsSlow := testServer(t, blockerOptions)
+	waitState(t, hsSlow.URL, submit(t, hsSlow.URL, endlessSpec("blocker", 60)), stateRunning)
 	qid := submit(t, hsSlow.URL, smallSpec("q-cancel", 61))
 	if code, _ := postJSON(t, hsSlow.URL+"/v1/jobs/"+qid+"/cancel", nil); code != http.StatusOK {
 		t.Fatalf("cancel queued: HTTP %d", code)
@@ -535,7 +571,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 
 	// Running: a slow engine canceled mid-run.
-	_, hs := testServer(t, Options{BatchWindow: time.Millisecond, ChunkSlots: 128, StepDelay: 2 * time.Millisecond})
+	_, hs := testServer(t, Options{ChunkSlots: 128, StepDelay: 2 * time.Millisecond})
 	rid := submit(t, hs.URL, longSpec("r-cancel", 62))
 	waitState(t, hs.URL, rid, stateRunning)
 	if code, _ := postJSON(t, hs.URL+"/v1/jobs/"+rid+"/cancel", nil); code != http.StatusOK {
@@ -557,49 +593,6 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
-// TestBatchingGroupsCompatibleShapes exercises the batcher directly:
-// equal-key jobs coalesce up to MaxBatch, foreign shapes stay behind.
-func TestBatchingGroupsCompatibleShapes(t *testing.T) {
-	s := NewServer(Options{BatchWindow: time.Hour}) // dispatcher stays out of the way
-	defer s.Close()
-	same := smallSpec("same", 71)
-	other := smallSpec("other", 72)
-	other.Fabric.Hosts = 64
-	other.Fabric.Radix = 8
-	var jobs []*Job
-	for i := 0; i < 3; i++ {
-		j, err := s.submit(same, mustJSON(t, same), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	oj, err := s.submit(other, mustJSON(t, other), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := s.takeBatch()
-	if len(batch) != 3 {
-		t.Fatalf("first batch has %d jobs, want the 3 compatible ones", len(batch))
-	}
-	for i, j := range batch {
-		if j != jobs[i] {
-			t.Errorf("batch[%d] is not submission %d", i, i)
-		}
-	}
-	second := s.takeBatch()
-	if len(second) != 1 || second[0] != oj {
-		t.Fatalf("second batch = %v, want just the foreign-shape job", second)
-	}
-	if s.takeBatch() != nil {
-		t.Error("third batch not empty")
-	}
-	// Mark them terminal so Close doesn't wait on engines that never ran.
-	for _, j := range append(batch, second...) {
-		s.setJobState(j, stateCanceled, "")
-	}
-}
-
 func mustJSON(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
 	data, err := spec.canonicalJSON()
@@ -607,4 +600,143 @@ func mustJSON(t *testing.T, spec JobSpec) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// jobState reads a job's state under the server lock.
+func jobState(s *Server, j *Job) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.state
+}
+
+// metricLine reports whether the /metrics page has the whole line.
+func metricLine(t *testing.T, base, line string) bool {
+	t.Helper()
+	_, page := getBody(t, base+"/metrics")
+	return strings.Contains(string(page), "\n"+line+"\n")
+}
+
+// TestPoolBoundsRunningJobs: Workers bounds every running job, whatever
+// its shape, and queued jobs start oldest first as workers free up.
+func TestPoolBoundsRunningJobs(t *testing.T) {
+	_, hs := testServer(t, Options{Workers: 2, ChunkSlots: 128, StepDelay: time.Millisecond})
+	other := endlessSpec("j2", 2)
+	other.Fabric.Hosts, other.Fabric.Radix = 64, 8
+	ids := []string{
+		submit(t, hs.URL, endlessSpec("j1", 1)),
+		submit(t, hs.URL, other),
+		submit(t, hs.URL, endlessSpec("j3", 3)),
+	}
+	waitState(t, hs.URL, ids[0], stateRunning)
+	waitState(t, hs.URL, ids[1], stateRunning)
+	if st := status(t, hs.URL, ids[2]); st.State != stateQueued {
+		t.Fatalf("third job is %q with both workers busy, want %q", st.State, stateQueued)
+	}
+	for _, line := range []string{`osmosisd_jobs{state="running"} 2`, `osmosisd_queue_depth 1`} {
+		if !metricLine(t, hs.URL, line) {
+			t.Errorf("metrics page lacks %q", line)
+		}
+	}
+	// Freeing a worker starts the oldest queued job, not a newer one.
+	ids = append(ids, submit(t, hs.URL, endlessSpec("j4", 4)))
+	if code, data := postJSON(t, hs.URL+"/v1/jobs/"+ids[0]+"/cancel", nil); code != http.StatusOK {
+		t.Fatalf("cancel: HTTP %d: %s", code, data)
+	}
+	waitState(t, hs.URL, ids[2], stateRunning)
+	if st := status(t, hs.URL, ids[3]); st.State != stateQueued {
+		t.Errorf("fourth job is %q, want %q behind the third", st.State, stateQueued)
+	}
+	if !metricLine(t, hs.URL, `osmosisd_queue_depth 1`) {
+		t.Error("metrics page lacks osmosisd_queue_depth 1 after the third job started")
+	}
+}
+
+// TestBackToBackJobsStartOnIdleWorkers: jobs submitted together on a
+// fresh pool all start at once. A wake-up signal that can drop a
+// submission would leave the second job queued next to an idle worker
+// until the first finished, which an endless first job never does.
+func TestBackToBackJobsStartOnIdleWorkers(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s := NewServer(Options{Workers: 2, ChunkSlots: 128, StepDelay: time.Millisecond})
+		var jobs []*Job
+		for i := 0; i < 2; i++ {
+			spec := endlessSpec(fmt.Sprintf("b%d", i), uint64(i+1))
+			j, err := s.submit(spec, mustJSON(t, spec), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for _, j := range jobs {
+			for st := jobState(s, j); st != stateRunning; st = jobState(s, j) {
+				if time.Now().After(deadline) {
+					s.Close()
+					t.Fatalf("round %d: job %s is %q next to an idle worker", round, j.id, st)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestCloseAndSuspendSettleQueuedJobs: a job still waiting for a worker
+// is canceled by Close and written as a spec-only checkpoint by Suspend.
+func TestCloseAndSuspendSettleQueuedJobs(t *testing.T) {
+	start := func() (*Server, *Job, *Job) {
+		s := NewServer(blockerOptions)
+		var jobs []*Job
+		for _, spec := range []JobSpec{endlessSpec("running", 81), smallSpec("queued", 82)} {
+			j, err := s.submit(spec, mustJSON(t, spec), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+		}
+		for jobState(s, jobs[0]) != stateRunning {
+			time.Sleep(time.Millisecond)
+		}
+		return s, jobs[0], jobs[1]
+	}
+
+	s, running, queued := start()
+	s.Close()
+	for _, j := range []*Job{running, queued} {
+		if got := jobState(s, j); got != stateCanceled {
+			t.Errorf("Close left %s %q, want %q", j.spec.Name, got, stateCanceled)
+		}
+	}
+	if _, err := s.submit(smallSpec("late", 83), nil, nil); err == nil {
+		t.Error("closed daemon accepted a job")
+	}
+
+	s, running, queued = start()
+	dir := t.TempDir()
+	saved, err := s.Suspend(dir)
+	if err != nil {
+		t.Fatalf("suspend: %v", err)
+	}
+	if saved != 2 {
+		t.Fatalf("suspend persisted %d jobs, want 2", saved)
+	}
+	for _, c := range []struct {
+		j     *Job
+		phase string
+	}{{running, phaseRunning}, {queued, phaseQueued}} {
+		if got := jobState(s, c.j); got != stateSuspended {
+			t.Errorf("Suspend left %s %q, want %q", c.j.spec.Name, got, stateSuspended)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, c.j.id+".ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := parseJobCheckpoint(data)
+		if err != nil {
+			t.Fatalf("%s checkpoint: %v", c.j.spec.Name, err)
+		}
+		if h.phase != c.phase {
+			t.Errorf("%s checkpoint phase %q, want %q", c.j.spec.Name, h.phase, c.phase)
+		}
+	}
 }

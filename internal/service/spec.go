@@ -1,9 +1,9 @@
 // Package service implements osmosisd: the fabric simulator as a
 // long-running HTTP/JSON daemon. Clients submit simulation jobs (a
 // fabric shape plus a traffic specification, including inline
-// osmosis-trace v1 uploads); the daemon batches shape-compatible jobs
-// onto the internal/parallel pool, streams incremental progress, and
-// exports Prometheus-style text metrics.
+// osmosis-trace v1 uploads); the daemon queues them for a fixed pool of
+// workers that each run one job at a time, streams incremental
+// progress, and exports Prometheus-style text metrics.
 //
 // The determinism contract is the whole point: a job's result is a
 // function of its spec alone. Jobs run on fabric.Session engines, so
@@ -11,8 +11,8 @@
 // osmosis-ckpt v1 snapshot (wrapped in an osmosisd-job section carrying
 // the spec), killed, and restored — on this daemon or another — to
 // finish with byte-identical metrics (fabric.Metrics.Fingerprint) to
-// its uninterrupted twin. Wall-clock concerns (batching windows,
-// scrape timing, HTTP scheduling) live out here and never touch engine
+// its uninterrupted twin. Wall-clock concerns (queueing, scrape
+// timing, HTTP scheduling) live out here and never touch engine
 // state, which is why this package is outside the determinism lint
 // scope while everything it drives is inside.
 package service
@@ -57,14 +57,12 @@ type FabricSpec struct {
 	// Receivers per output; 0 selects the dual-receiver demonstrator.
 	Receivers int `json:"receivers,omitempty"`
 	// Scheduler is flppr | islip | pipelined-islip | pim | lqf;
-	// "" selects flppr.
-	Scheduler string `json:"scheduler,omitempty"`
-	// SchedParam is the scheduler's iteration/sub-scheduler/depth
-	// parameter; 0 selects each scheduler's default.
-	SchedParam     int  `json:"sched_param,omitempty"`
-	LinkDelaySlots int  `json:"link_delay_slots,omitempty"`
-	InputCapacity  int  `json:"input_capacity,omitempty"`
-	EgressBuffered bool `json:"egress_buffered,omitempty"`
+	// "" selects flppr. Each runs with its default number of
+	// iterations, sub-schedulers or pipeline stages: log2 of the radix.
+	Scheduler      string `json:"scheduler,omitempty"`
+	LinkDelaySlots int    `json:"link_delay_slots,omitempty"`
+	InputCapacity  int    `json:"input_capacity,omitempty"`
+	EgressBuffered bool   `json:"egress_buffered,omitempty"`
 	// Shards partitions the engine spatially; results are byte-
 	// identical at any value, so this only trades wall-clock time.
 	Shards int `json:"shards,omitempty"`
@@ -97,18 +95,18 @@ var schedulerNames = []string{"flppr", "islip", "lqf", "pim", "pipelined-islip"}
 // requirement for checkpointing; seed feeds PIM's arbitration RNG so a
 // rebuilt engine starts from the same stream the checkpoint will then
 // overwrite.
-func newSchedulerFactory(name string, radix, param int, seed uint64) (func() sched.Scheduler, error) {
+func newSchedulerFactory(name string, radix int, seed uint64) (func() sched.Scheduler, error) {
 	switch name {
 	case "", "flppr":
-		return func() sched.Scheduler { return sched.NewFLPPR(radix, param) }, nil
+		return func() sched.Scheduler { return sched.NewFLPPR(radix, 0) }, nil
 	case "islip":
-		return func() sched.Scheduler { return sched.NewISLIP(radix, param) }, nil
+		return func() sched.Scheduler { return sched.NewISLIP(radix, 0) }, nil
 	case "lqf":
 		return func() sched.Scheduler { return sched.NewLQF(radix) }, nil
 	case "pim":
-		return func() sched.Scheduler { return sched.NewPIM(radix, param, seed) }, nil
+		return func() sched.Scheduler { return sched.NewPIM(radix, 0, seed) }, nil
 	case "pipelined-islip":
-		return func() sched.Scheduler { return sched.NewPipelinedISLIP(radix, param) }, nil
+		return func() sched.Scheduler { return sched.NewPipelinedISLIP(radix, 0) }, nil
 	}
 	return nil, fmt.Errorf("service: unknown scheduler %q (want %s)", name, strings.Join(schedulerNames, " | "))
 }
@@ -147,8 +145,8 @@ func (t *TrafficSpec) trafficConfig(hosts int) (traffic.Config, error) {
 }
 
 // validate rejects specs that cannot possibly build an engine, so
-// submission errors surface at the HTTP boundary instead of inside a
-// batch. Engine construction re-validates; this is the fast first line.
+// submission errors surface at the HTTP boundary instead of on a pool
+// worker. Engine construction re-validates; this is the fast first line.
 func (s *JobSpec) validate() error {
 	if s.MeasureSlots == 0 {
 		return fmt.Errorf("service: measure_slots must be > 0")
@@ -160,7 +158,7 @@ func (s *JobSpec) validate() error {
 	if err := fabric.CheckLinkDelay(s.Fabric.LinkDelaySlots); err != nil {
 		return err
 	}
-	if _, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Fabric.SchedParam, s.Traffic.Seed); err != nil {
+	if _, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Traffic.Seed); err != nil {
 		return err
 	}
 	if _, err := s.Traffic.trafficConfig(s.Fabric.Hosts); err != nil {
@@ -177,7 +175,7 @@ func (s *JobSpec) buildEngine() (*fabric.Fabric, []traffic.Generator, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	newSched, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Fabric.SchedParam, s.Traffic.Seed)
+	newSched, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Traffic.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,25 +215,6 @@ func (s *JobSpec) drainBound() uint64 {
 		return s.DrainSlots
 	}
 	return 1 << 20
-}
-
-// batchKey groups jobs that exercise the same engine shape: the batcher
-// coalesces equal-key jobs into one parallel.Run so a sweep campaign's
-// points tick together. Traffic parameters and seeds are deliberately
-// not part of the key — a sweep varies exactly those.
-func (s *JobSpec) batchKey() string {
-	fs := s.Fabric
-	recv := fs.Receivers
-	if recv == 0 {
-		recv = 2
-	}
-	schedName := fs.Scheduler
-	if schedName == "" {
-		schedName = "flppr"
-	}
-	return fmt.Sprintf("%dx%d-l%d-r%d-%s%d-d%d-c%d-e%t-s%d",
-		fs.Hosts, fs.Radix, fs.Levels, recv, schedName, fs.SchedParam,
-		fs.LinkDelaySlots, fs.InputCapacity, fs.EgressBuffered, fs.Shards)
 }
 
 // canonicalJSON renders the spec in Go's deterministic field order, the

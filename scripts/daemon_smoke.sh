@@ -2,7 +2,7 @@
 # Daemon smoke test (CI and `make daemon-smoke`): the end-to-end
 # checkpoint/restore acceptance run from ISSUE 9.
 #
-#   phase 1: start osmosisd, submit two concurrent batched jobs, let them
+#   phase 1: start osmosisd, submit two concurrent jobs, let them
 #            finish undisturbed, save their result documents;
 #   phase 2: fresh daemon with -ckpt-dir, submit the same two jobs,
 #            SIGTERM mid-run (suspend writes one osmosis-ckpt v1 file per
@@ -28,14 +28,14 @@ BASE="http://$ADDR"
 echo "daemon smoke: building osmosisd"
 go build -o "$WORK/osmosisd" ./cmd/osmosisd
 
-# Two shape-compatible jobs (the batcher coalesces them into one batch)
-# sized to run for several seconds, so the phase-2 SIGTERM lands mid-run.
+# Two jobs that run at once on the two workers, sized to run for several
+# seconds, so the phase-2 SIGTERM lands mid-run.
 spec() { # name seed
   printf '{"name":"%s","fabric":{"hosts":64,"radix":8},"traffic":{"kind":"uniform","load":0.8,"seed":%d},"warmup_slots":1000,"measure_slots":60000}' "$1" "$2"
 }
 
 start_daemon() { # extra flags...
-  "$WORK/osmosisd" -addr "$ADDR" -batch-window 50ms -workers 2 -chunk-slots 2048 "$@" 2>>"$WORK/daemon.log" &
+  "$WORK/osmosisd" -addr "$ADDR" -workers 2 -chunk-slots 2048 "$@" 2>>"$WORK/daemon.log" &
   DPID=$!
   for _ in $(seq 100); do
     curl -fsS "$BASE/healthz" >/dev/null 2>&1 && return 0
