@@ -19,7 +19,7 @@
 //	GET  /v1/jobs/{id}             job status
 //	GET  /v1/jobs/{id}/result      final metrics (409 until done)
 //	GET  /v1/jobs/{id}/stream      NDJSON progress stream
-//	POST /v1/jobs/{id}/checkpoint  osmosis-ckpt v1 snapshot (text)
+//	POST /v1/jobs/{id}/checkpoint  osmosis-ckpt v2 snapshot (text)
 //	POST /v1/jobs/{id}/cancel      cancel
 //	POST /v1/restore               resubmit a checkpoint snapshot
 //	GET  /metrics                  Prometheus-style text metrics

@@ -4,11 +4,14 @@ package repro
 // (Hosts = Radix = N) is a single switch with no inter-switch links,
 // credits or link delay, so where the features of crossbar.Switch and
 // fabric.Fabric overlap the two must produce the same run: the same
-// cells offered and delivered, the same VOQ high-water mark and every
-// latency sample equal, in delivery order.
+// arbitration decision in every busy slot, the same cells offered and
+// delivered, the same VOQ high-water mark, the same latency histogram
+// bin for bin, and the same order-sensitive Welford fold over the
+// latencies — so the same deliveries in the same order.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,9 +25,16 @@ import (
 	"repro/internal/units"
 )
 
-// latencySamples reads a collector's observations back, in insertion
-// order, from its checkpoint section.
-func latencySamples(t *testing.T, s *stats.LatencySample) []units.Time {
+// latencyBin is one (value, count) pair of a latency histogram.
+type latencyBin struct {
+	v units.Time
+	n uint64
+}
+
+// latencyState reads a collector's Welford record (n, mean, m2, min,
+// max) and its histogram, ascending by value, back from its checkpoint
+// section.
+func latencyState(t *testing.T, s *stats.LatencySample) (uint64, [4]float64, []latencyBin) {
 	t.Helper()
 	var buf strings.Builder
 	e := ckpt.NewEncoder(&buf)
@@ -36,29 +46,77 @@ func latencySamples(t *testing.T, s *stats.LatencySample) []units.Time {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var run stats.Running
 	if err := d.Begin("latency"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run.LoadState(d); err != nil {
-		t.Fatal(err)
-	}
-	rec := d.Record("samples")
-	n := rec.IntAsInt()
+	rec := d.Record("running")
+	n, moments := rec.Uint(), [4]float64{rec.Float(), rec.Float(), rec.Float(), rec.Float()}
 	if err := rec.Done(); err != nil {
 		t.Fatal(err)
 	}
-	var out []units.Time
-	for len(out) < n {
-		r := d.Record("s")
-		for i := r.Len(); i > 0; i-- {
-			out = append(out, units.Time(r.Int()))
-		}
+	var bins []latencyBin
+	for !d.AtEnd("latency") {
+		r := d.Record("bin")
+		bins = append(bins, latencyBin{v: units.Time(r.Int()), n: r.Uint()})
 		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return out
+	return n, moments, bins
+}
+
+// pow2Cycle is a cell format whose cycle is 2^16 ps. The crossbar
+// records latencies in picoseconds and the fabric in slots; with a
+// power-of-two cycle every step of the Welford fold scales exactly, so
+// the crossbar's moments must be the fabric's times the cycle, bit for
+// bit, exactly when both folded the same latencies in the same order.
+var pow2Cycle = packet.Format{CellBytes: 256, LineRate: 31.25 * units.GigabitPerSecond}
+
+// decision is one arbitration call as the scheduler saw it: the slot, a
+// digest of the board (every VOQ's demand and every egress's receiver
+// count) and the matching the scheduler returned.
+type decision struct {
+	slot  uint64
+	board uint64
+	out   []int
+}
+
+// recorder wraps a scheduler and logs its busy decisions — those with
+// demand on the board or an edge in the matching. Idle calls are not
+// logged, so the fabric, which skips an idle switch's ticks, and the
+// crossbar, which ticks every slot, log the same decisions.
+type recorder struct {
+	sched.Scheduler
+	n   int
+	log []decision
+}
+
+func (r *recorder) SkipIdle(n uint64) { r.Scheduler.(sched.IdleSkipper).SkipIdle(n) }
+
+func (r *recorder) TickInto(slot uint64, b sched.Board, m *sched.Matching) {
+	busy := false
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	mix := func(v int) {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	for in := 0; in < r.n; in++ {
+		for out := 0; out < r.n; out++ {
+			d := b.Demand(in, out)
+			busy = busy || d > 0
+			mix(d)
+		}
+	}
+	for out := 0; out < r.n; out++ {
+		mix(b.ReceiversAt(out))
+	}
+	r.Scheduler.TickInto(slot, b, m)
+	for _, o := range m.Out {
+		busy = busy || o >= 0
+	}
+	if busy {
+		r.log = append(r.log, decision{slot: slot, board: h, out: slices.Clone(m.Out)})
+	}
 }
 
 func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
@@ -85,7 +143,8 @@ func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sw, err := crossbar.New(crossbar.Config{N: n, Receivers: r, Scheduler: sc.mk()})
+						xr := &recorder{Scheduler: sc.mk(), n: n}
+						sw, err := crossbar.New(crossbar.Config{N: n, Receivers: r, Scheduler: xr, Format: pow2Cycle})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -96,13 +155,33 @@ func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 						if gens, err = traffic.Build(tcfg); err != nil {
 							t.Fatal(err)
 						}
-						f, err := fabric.New(fabric.Config{Hosts: n, Radix: n, Receivers: r, NewScheduler: sc.mk})
+						var frs []*recorder
+						f, err := fabric.New(fabric.Config{Hosts: n, Radix: n, Receivers: r,
+							NewScheduler: func() sched.Scheduler {
+								fr := &recorder{Scheduler: sc.mk(), n: n}
+								frs = append(frs, fr)
+								return fr
+							}})
 						if err != nil {
 							t.Fatal(err)
 						}
 						fm, err := f.Run(gens, warmup, measure)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if len(frs) != 1 {
+							t.Fatalf("one-switch fabric built %d schedulers", len(frs))
+						}
+						xl, fl := xr.log, frs[0].log
+						for i := 0; i < len(xl) && i < len(fl); i++ {
+							xd, fd := xl[i], fl[i]
+							if xd.slot != fd.slot || xd.board != fd.board || !slices.Equal(xd.out, fd.out) {
+								t.Fatalf("decision %d: crossbar slot %d board %016x grants %v, fabric slot %d board %016x grants %v",
+									i, xd.slot, xd.board, xd.out, fd.slot, fd.board, fd.out)
+							}
+						}
+						if len(xl) != len(fl) || len(xl) == 0 {
+							t.Fatalf("crossbar made %d busy decisions, fabric %d", len(xl), len(fl))
 						}
 						if xm.Offered != fm.Offered || xm.Delivered != fm.Delivered {
 							t.Fatalf("crossbar offered/delivered %d/%d, fabric %d/%d",
@@ -117,14 +196,25 @@ func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 						if len(fm.HopHistogram) != 1 || fm.HopHistogram[1] != fm.Delivered {
 							t.Errorf("one-switch fabric hop histogram %v, want {1: %d}", fm.HopHistogram, fm.Delivered)
 						}
-						xs := latencySamples(t, &xm.Latency)
-						fs := latencySamples(t, &fm.LatencySlots)
-						if len(xs) != len(fs) {
-							t.Fatalf("%d crossbar latency samples, %d fabric", len(xs), len(fs))
+						if xm.CycleTime != 1<<16 {
+							t.Fatalf("cycle %d ps, want 2^16", xm.CycleTime)
 						}
-						for i := range xs {
-							if got, want := xs[i]/xm.CycleTime, fs[i]; got != want || xs[i]%xm.CycleTime != 0 {
-								t.Fatalf("latency sample %d: crossbar %v (%d slots), fabric %d slots", i, xs[i], got, want)
+						xn, xmom, xh := latencyState(t, &xm.Latency)
+						fn, fmom, fh := latencyState(t, &fm.LatencySlots)
+						c := float64(xm.CycleTime)
+						// mean, m2, min, max: m2 scales with the square.
+						for i, scale := range []float64{c, c * c, c, c} {
+							if xn != fn || xmom[i] != fmom[i]*scale {
+								t.Fatalf("latency fold: crossbar n=%d %v, fabric n=%d %v scaled by the cycle", xn, xmom, fn, fmom)
+							}
+						}
+						if len(xh) != len(fh) {
+							t.Fatalf("%d distinct crossbar latencies, %d fabric", len(xh), len(fh))
+						}
+						for i := range xh {
+							if got, want := xh[i].v/xm.CycleTime, fh[i].v; got != want || xh[i].v%xm.CycleTime != 0 || xh[i].n != fh[i].n {
+								t.Fatalf("latency bin %d: crossbar %v (%d slots) x%d, fabric %d slots x%d",
+									i, xh[i].v, got, xh[i].n, want, fh[i].n)
 							}
 						}
 					})

@@ -1,4 +1,4 @@
-// Package ckpt implements the versioned "osmosis-ckpt v1" checkpoint
+// Package ckpt implements the versioned "osmosis-ckpt v2" checkpoint
 // format: a line-oriented ASCII container for simulator state snapshots.
 // A checkpoint taken at slot T and restored must reproduce the
 // uninterrupted run bit for bit, so the format is exact (float64 values
@@ -10,7 +10,7 @@
 //
 // Layout:
 //
-//	osmosis-ckpt v1
+//	osmosis-ckpt v2
 //	begin <section>
 //	<key> <field> <field> ...
 //	end <section>
@@ -20,9 +20,12 @@
 // Sections nest. Every record line is a key followed by space-separated
 // typed tokens: unsigned and signed integers in decimal, booleans as 0/1,
 // float64 in Go hexadecimal-float notation ('x' format, exact), strings
-// Go-quoted. The trailing checksum line carries the FNV-1a 64-bit hash of
-// every byte that precedes it; Decoder.Close verifies it and rejects
-// trailing garbage.
+// Go-quoted, one space apart. Every token must be the one form Encoder
+// writes for its value (no leading zeros or plus signs, no decimal
+// floats), so a checkpoint that decodes re-encodes byte for byte. The
+// trailing checksum line carries the FNV-1a 64-bit hash of every byte
+// that precedes it; Decoder.Close verifies it and rejects trailing
+// garbage.
 //
 // Both Encoder and Decoder latch their first error: after a failure every
 // later call is a no-op (Encoder) or returns the same error (Decoder), so
@@ -40,13 +43,15 @@ import (
 )
 
 // Version is the checkpoint format version this package reads and writes.
-const Version = 1
+// Version 2 stores latency collectors as (value, count) histograms where
+// version 1 listed every sample; a v1 file is refused as unsupported.
+const Version = 2
 
 // magic opens every checkpoint file.
 const magic = "osmosis-ckpt"
 
-// header is the exact first line of a version-1 checkpoint.
-const header = magic + " v1"
+// header is the exact first line of a version-2 checkpoint.
+const header = magic + " v2"
 
 // Encoder writes a checkpoint stream. Errors latch: after the first
 // write failure all later calls are no-ops and Close reports the error.
@@ -58,7 +63,7 @@ type Encoder struct {
 	err      error
 }
 
-// NewEncoder starts a version-1 checkpoint on w and writes the header.
+// NewEncoder starts a version-2 checkpoint on w and writes the header.
 func NewEncoder(w io.Writer) *Encoder {
 	h := fnv.New64a()
 	e := &Encoder{w: bufio.NewWriter(w), sum: h}
@@ -217,7 +222,7 @@ type Decoder struct {
 	hash     func(s string)
 }
 
-// NewDecoder wraps r and validates the version-1 header line.
+// NewDecoder wraps r and validates the version-2 header line.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	h := fnv.New64a()
 	d := &Decoder{r: bufio.NewReader(r), sum: h}
@@ -377,13 +382,15 @@ func (d *Decoder) Record(key string) *Rec {
 	if err != nil {
 		return rec
 	}
-	got, rest, _ := strings.Cut(line, " ")
+	got, rest, found := strings.Cut(line, " ")
 	if got != key {
 		_ = d.fail("want record %q, found %q", key, line)
 		return rec
 	}
-	if rest != "" {
-		rec.fields = strings.Fields(rest)
+	if found {
+		// Encoder separates fields by exactly one space, so a doubled or
+		// trailing space leaves an empty token that no typed read accepts.
+		rec.fields = strings.Split(rest, " ")
 	}
 	return rec
 }
@@ -444,6 +451,18 @@ func (r *Rec) token() (string, bool) {
 	return t, true
 }
 
+// canonical reports whether token t is exactly the rendering Encoder
+// writes for its parsed value (want), latching an error when it is not:
+// "+5", "007" or a decimal float parse, but no encoder writes them, and
+// a checkpoint that decodes must re-encode byte for byte.
+func (r *Rec) canonical(t, want string) bool {
+	if t != want {
+		_ = r.d.fail("record %q field %d: %q is not in canonical form %q", r.key, r.pos, t, want)
+		return false
+	}
+	return true
+}
+
 // Uint consumes an unsigned integer field.
 func (r *Rec) Uint() uint64 {
 	t, ok := r.token()
@@ -453,6 +472,9 @@ func (r *Rec) Uint() uint64 {
 	v, err := strconv.ParseUint(t, 10, 64)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
+		return 0
+	}
+	if !r.canonical(t, Uint(v)) {
 		return 0
 	}
 	return v
@@ -467,6 +489,9 @@ func (r *Rec) Int() int64 {
 	v, err := strconv.ParseInt(t, 10, 64)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
+		return 0
+	}
+	if !r.canonical(t, Int(v)) {
 		return 0
 	}
 	return v
@@ -491,6 +516,9 @@ func (r *Rec) Float() float64 {
 	v, err := strconv.ParseFloat(t, 64)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
+		return 0
+	}
+	if !r.canonical(t, Float(v)) {
 		return 0
 	}
 	return v
@@ -521,6 +549,9 @@ func (r *Rec) Str() string {
 	v, err := strconv.Unquote(t)
 	if err != nil {
 		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
+		return ""
+	}
+	if !r.canonical(t, Quote(v)) {
 		return ""
 	}
 	return v

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -236,7 +238,8 @@ func TestCorruptionRejection(t *testing.T) {
 	}{
 		{"empty", ""},
 		{"wrong magic", strings.Replace(good, "osmosis-ckpt", "osmosis-nope", 1)},
-		{"future version", strings.Replace(good, "osmosis-ckpt v1", "osmosis-ckpt v2", 1)},
+		{"future version", strings.Replace(good, "osmosis-ckpt v2", "osmosis-ckpt v3", 1)},
+		{"retired version", strings.Replace(good, "osmosis-ckpt v2", "osmosis-ckpt v1", 1)},
 		{"truncated mid-file", strings.Join(lines[:4], "\n") + "\n"},
 		{"missing trailer", strings.Join(lines[:len(lines)-1], "\n") + "\n"},
 		{"no final newline", strings.TrimSuffix(good, "\n")},
@@ -257,6 +260,35 @@ func TestCorruptionRejection(t *testing.T) {
 			t.Errorf("%s: corruption accepted", tc.name)
 		}
 	}
+
+	// Tokens that parse but are not what Encoder writes, behind a valid
+	// checksum: accepting one would break re-encoding byte for byte.
+	if err := consume(resum(good)); err != nil {
+		t.Fatalf("control: re-checksummed checkpoint rejected: %v", err)
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"signed unsigned", "slot 12345", "slot +12345"},
+		{"leading zero", "slot 12345", "slot 012345"},
+		{"doubled space", "slot 12345", "slot  12345"},
+		{"trailing space", "empty-rec\n", "empty-rec \n"},
+		{"decimal float", Float(1.5), "1.5"},
+		{"lowercase nan", "NaN", "nan"},
+		{"padded int", "-42", "-042"},
+		{"escaped letter", `"hello`, `"\x68ello`},
+	} {
+		if err := consume(resum(strings.Replace(good, tc.old, tc.new, 1))); err == nil {
+			t.Errorf("%s: non-canonical token accepted", tc.name)
+		}
+	}
+}
+
+// resum replaces text's checksum trailer with the one its body hashes
+// to, so an edit reaches the token parsers instead of the checksum.
+func resum(text string) string {
+	body := text[:strings.LastIndex(text, "checksum ")]
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(body))
+	return fmt.Sprintf("%schecksum %016x\n", body, h.Sum64())
 }
 
 // swapLines exchanges two (0-based) line indices of text.

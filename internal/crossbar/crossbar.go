@@ -192,11 +192,9 @@ type Switch struct {
 
 	// rxUp[out*Receivers+r] is the health of receiver r at egress out;
 	// upCount[out] caches the per-egress up total the scheduler sizes
-	// grants with. rxLoad counts cells each receiver has taken (the
-	// tie-break observability for the dual-receiver tests).
+	// grants with.
 	rxUp    []bool
 	upCount []int
-	rxLoad  []uint64
 	rxUsed  []int // per-slot receiver usage scratch
 
 	// stall freezes the arbiter for that many upcoming slots.
@@ -304,7 +302,6 @@ func New(cfg Config) (*Switch, error) {
 	for i := range s.upCount {
 		s.upCount[i] = cfg.Receivers
 	}
-	s.rxLoad = make([]uint64, cfg.N*cfg.Receivers)
 	s.rxUsed = make([]int, cfg.N)
 	return s, nil
 }
@@ -396,17 +393,11 @@ func (s *Switch) now() units.Time {
 }
 
 // StartMeasurement begins the measurement window (call after warm-up).
-// measureSlots is recorded for throughput normalization; the latency
-// collectors pre-size their sample buffers from the window length so the
-// measured loop does not start from empty buffers.
+// measureSlots is recorded for throughput normalization.
 func (s *Switch) StartMeasurement(measureSlots uint64) {
 	s.measuring = true
 	s.metrics.MeasureSlots = measureSlots
 	s.epoch = epochState{from: s.slot}
-	est := int(measureSlots)
-	s.metrics.Latency.Grow(est)
-	s.metrics.ControlLatency.Grow(est / 8)
-	s.epoch.lat.Grow(est)
 }
 
 // Step advances the switch by one packet cycle. arrivals[i], when
@@ -500,14 +491,7 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 				//lint:ignore panicfree,hotpath scheduler/VOQ bookkeeping invariant: a grant without a cell is a scheduler bug, not a runtime condition; the Sprintf only runs on that dead path
 				panic(fmt.Sprintf("crossbar: granted empty VOQ in=%d out=%d slot=%d", in, out, s.slot))
 			}
-			// Deterministic receiver assignment: inputs execute in index
-			// order and each cell takes the lowest-index healthy receiver
-			// not yet used this slot — the engine-level tie-break.
-			rx := s.pickReceiver(out, s.rxUsed[out])
 			s.rxUsed[out]++
-			if rx >= 0 {
-				s.rxLoad[out*s.cfg.Receivers+rx]++
-			}
 			if s.measuring {
 				wait := float64(now-c.Injected)/float64(s.metrics.CycleTime) + 1
 				s.metrics.GrantLatency.Add(wait)
@@ -548,24 +532,6 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 		}
 	}
 	s.slot++
-}
-
-// pickReceiver returns the index of the (used+1)-th healthy receiver at
-// an egress, or -1 when none remains — the deterministic lowest-index-
-// first assignment the dual-receiver tie-break tests pin down.
-func (s *Switch) pickReceiver(out, used int) int {
-	base := out * s.cfg.Receivers
-	skip := used
-	for r := 0; r < s.cfg.Receivers; r++ {
-		if !s.rxUp[base+r] {
-			continue
-		}
-		if skip == 0 {
-			return r
-		}
-		skip--
-	}
-	return -1
 }
 
 // receive delivers a cell across the crossbar into an egress queue.

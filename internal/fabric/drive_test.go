@@ -41,7 +41,7 @@ func (f *Fabric) Inject(c *packet.Cell) error {
 	return nil
 }
 
-// Save writes a complete osmosis-ckpt v1 snapshot of the session — the
+// Save writes a complete osmosis-ckpt v2 snapshot of the session — the
 // fabric state plus every traffic generator and the session timeline —
 // to w. Only legal at a barrier, which is wherever Advance pauses.
 func (s *Session) Save(w io.Writer) error {

@@ -1,6 +1,6 @@
 package fabric
 
-// Format-drift guard for osmosis-ckpt v1. testdata/xgft16_bimodal.ckpt
+// Format-drift guard for osmosis-ckpt v2. testdata/xgft16_bimodal.ckpt
 // was written by an earlier build; every later build must read it,
 // re-save it byte-for-byte, and finish the run exactly as the
 // uninterrupted twin does. The snapshot is taken mid-measurement at a

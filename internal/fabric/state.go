@@ -9,7 +9,7 @@ package fabric
 // fabric for any s' and continues bit-exactly: the partition is an
 // execution schedule, never state.
 //
-// Layout (osmosis-ckpt v1 body):
+// Layout (osmosis-ckpt v2 body):
 //
 //	begin fabric
 //	  shape <hosts> <radix> <receivers> <delay> <inputCap> <egress01>
@@ -191,7 +191,9 @@ func (f *Fabric) loadMetrics(d *ckpt.Decoder) error {
 	if err := hr.Done(); err != nil {
 		return err
 	}
-	m.HopHistogram = make(map[int]uint64, nh)
+	// No size hint: nh is read from the file, and the map grows only
+	// as its records are read.
+	m.HopHistogram = make(map[int]uint64)
 	for i := uint64(0); i < nh; i++ {
 		rec := d.Record("hop")
 		h, c := rec.IntAsInt(), rec.Uint()

@@ -152,7 +152,7 @@ func resultOf(spec *JobSpec, m *fabric.Metrics, drained uint64) *Result {
 // job's identity and spec, so a bare checkpoint file is sufficient to
 // reconstruct and continue the job on any daemon:
 //
-//	osmosis-ckpt v1
+//	osmosis-ckpt v2
 //	begin osmosisd-job
 //	job <id> <phase>          # phase: queued | running
 //	spec <canonical JSON>

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -271,8 +272,8 @@ func TestCheckpointKillRestoreByteIdentical(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("checkpoint: HTTP %d: %s", code, snap)
 	}
-	if !strings.HasPrefix(string(snap), "osmosis-ckpt v1\n") {
-		t.Fatalf("checkpoint does not open with the v1 header: %.40q", snap)
+	if !strings.HasPrefix(string(snap), "osmosis-ckpt v2\n") {
+		t.Fatalf("checkpoint does not open with the v2 header: %.40q", snap)
 	}
 	if code, data := postJSON(t, hsA.URL+"/v1/jobs/"+id+"/cancel", nil); code != http.StatusOK {
 		t.Fatalf("cancel: HTTP %d: %s", code, data)
@@ -516,8 +517,12 @@ func TestRejectsBadSubmissionsAndCorruptRestores(t *testing.T) {
 	if code, _ := postJSON(t, hs.URL+"/v1/restore", snap[:mid]); code != http.StatusBadRequest {
 		t.Errorf("truncated snapshot accepted: HTTP %d", code)
 	}
-	if code, _ := postJSON(t, hs.URL+"/v1/restore", []byte("osmosis-ckpt v2\n")); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, hs.URL+"/v1/restore", []byte("osmosis-ckpt v3\n")); code != http.StatusBadRequest {
 		t.Errorf("future-version snapshot accepted: HTTP %d", code)
+	}
+	v1 := strings.Replace(string(snap), "osmosis-ckpt v2\n", "osmosis-ckpt v1\n", 1)
+	if code, data := postJSON(t, hs.URL+"/v1/restore", []byte(v1)); code != http.StatusBadRequest || !strings.Contains(string(data), "unsupported version") {
+		t.Errorf("v1 snapshot: HTTP %d (want 400, unsupported version): %s", code, data)
 	}
 }
 
@@ -555,6 +560,60 @@ func TestSchedParamRejected(t *testing.T) {
 	}
 	id := submit(t, hs.URL, smallSpec("after", 54))
 	waitState(t, hs.URL, id, stateDone)
+}
+
+// TestHostileCheckpointCountRejected: a live job's checkpoint whose
+// first latency histogram claims a bin of 2^62 cells, behind a
+// recomputed checksum. The v1 sample list sized its buffer from such a
+// count and panicked the restore handler (the client saw EOF); the
+// histogram decoder refuses the count with a 400, and the daemon keeps
+// serving.
+func TestHostileCheckpointCountRejected(t *testing.T) {
+	_, hsSlow := testServer(t, blockerOptions)
+	id := submit(t, hsSlow.URL, endlessSpec("hostile-donor", 56))
+	deadline := time.Now().Add(30 * time.Second)
+	for st := status(t, hsSlow.URL, id); st.Slot < 300; st = status(t, hsSlow.URL, id) {
+		if st.State != stateQueued && st.State != stateRunning || time.Now().After(deadline) {
+			t.Fatalf("donor never reached its measurement window (state %q slot %d)", st.State, st.Slot)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	code, snap := postJSON(t, hsSlow.URL+"/v1/jobs/"+id+"/checkpoint", nil)
+	if code != http.StatusOK {
+		t.Fatalf("checkpoint: HTTP %d: %s", code, snap)
+	}
+	if code, data := postJSON(t, hsSlow.URL+"/v1/jobs/"+id+"/cancel", nil); code != http.StatusOK {
+		t.Fatalf("cancel: HTTP %d: %s", code, data)
+	}
+	text := string(snap)
+	// forge rewrites the first line starting with prefix and recomputes
+	// the checksum trailer over the edited body.
+	forge := func(prefix string, edit func(fields []string)) []byte {
+		t.Helper()
+		i := strings.Index(text, "\n"+prefix) + 1
+		if i == 0 {
+			t.Fatalf("checkpoint has no %q line", prefix)
+		}
+		j := i + strings.Index(text[i:], "\n")
+		fields := strings.Split(text[i:j], " ")
+		edit(fields)
+		body := text[:i] + strings.Join(fields, " ") + text[j:strings.LastIndex(text, "checksum ")]
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(body))
+		return []byte(fmt.Sprintf("%schecksum %016x\n", body, h.Sum64()))
+	}
+	if got := forge("bin ", func([]string) {}); !bytes.Equal(got, snap) {
+		t.Fatal("re-checksumming the unedited checkpoint changed it")
+	}
+	_, hs := testServer(t, Options{})
+	hostile := forge("bin ", func(f []string) { f[2] = "4611686018427387904" })
+	if code, data := postJSON(t, hs.URL+"/v1/restore", hostile); code != http.StatusBadRequest {
+		t.Fatalf("2^62-cell bin: HTTP %d (want 400): %s", code, data)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile restores: HTTP %d: %s", code, data)
+	}
+	waitState(t, hs.URL, submit(t, hs.URL, smallSpec("after", 57)), stateDone)
 }
 
 // TestCancelQueuedAndRunning covers both cancellation paths.

@@ -8,7 +8,7 @@
 // The determinism contract is the whole point: a job's result is a
 // function of its spec alone. Jobs run on fabric.Session engines, so
 // every job can be checkpointed at any pause point into an
-// osmosis-ckpt v1 snapshot (wrapped in an osmosisd-job section carrying
+// osmosis-ckpt v2 snapshot (wrapped in an osmosisd-job section carrying
 // the spec), killed, and restored — on this daemon or another — to
 // finish with byte-identical metrics (fabric.Metrics.Fingerprint) to
 // its uninterrupted twin. Wall-clock concerns (queueing, scrape

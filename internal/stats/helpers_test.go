@@ -8,7 +8,7 @@ import (
 
 // Test-side readers and the collectors no engine uses. The program
 // prints a collector's count, quantiles and moments through the methods
-// in stats.go; the tests also read the raw observation list.
+// in stats.go; the tests also read the latency histogram itself.
 
 // N reports the number of observations.
 func (r *Running) N() uint64 { return r.n }
@@ -16,14 +16,12 @@ func (r *Running) N() uint64 { return r.n }
 // Median reports the 50th percentile.
 func (s *LatencySample) Median() units.Time { return s.Quantile(0.5) }
 
-// SamplesAppend appends the retained observations, in insertion order,
-// to dst and returns the extended slice. Checkpoint writers use it to
-// serialize the collector's exact state; the returned values are a copy,
-// safe to hold across further Adds.
-func (s *LatencySample) SamplesAppend(dst []units.Time) []units.Time {
+// histogram returns a copy of the collector's (value, count) bins,
+// ascending by value.
+func (s *LatencySample) histogram() []bin {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append(dst, s.samples...)
+	return append([]bin(nil), s.bins...)
 }
 
 // TimeWeighted tracks a piecewise-constant quantity (queue occupancy,

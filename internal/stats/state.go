@@ -1,11 +1,12 @@
 // Checkpoint codecs for the collectors. The Welford moments are restored
 // word for word (hex floats), so a resumed collector continues the exact
-// floating-point recurrence of its uninterrupted twin; latency samples
-// are restored in insertion order, which Quantile never perturbs.
+// floating-point recurrence of its uninterrupted twin; a latency
+// histogram is restored count for count.
 package stats
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/units"
@@ -28,33 +29,23 @@ func (r *Running) LoadState(d *ckpt.Decoder) error {
 	return nil
 }
 
-// samplesPerLine batches latency samples into one record to keep
-// checkpoints compact without a per-sample line.
-const samplesPerLine = 8
-
-// SaveState serializes the collector: moments plus every sample in
-// insertion order.
+// SaveState serializes the collector: moments, then one (value, count)
+// record per histogram bin in ascending value order.
 func (s *LatencySample) SaveState(e *ckpt.Encoder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.Begin("latency")
 	s.run.SaveState(e)
-	e.Put("samples", ckpt.Int(int64(len(s.samples))))
-	for i := 0; i < len(s.samples); i += samplesPerLine {
-		end := i + samplesPerLine
-		if end > len(s.samples) {
-			end = len(s.samples)
-		}
-		fields := make([]string, 0, samplesPerLine)
-		for _, v := range s.samples[i:end] {
-			fields = append(fields, ckpt.Int(int64(v)))
-		}
-		e.Put("s", fields...)
+	for _, b := range s.bins {
+		e.Put("bin", ckpt.Int(int64(b.v)), ckpt.Uint(b.n))
 	}
 	e.End("latency")
 }
 
-// LoadState restores a collector saved by SaveState, replacing s.
+// LoadState restores a collector saved by SaveState, replacing s. The
+// bins must be strictly ascending with positive counts summing to the
+// moments' count. The section carries no bin count: bins are allocated
+// only as their records are read.
 func (s *LatencySample) LoadState(d *ckpt.Decoder) error {
 	if err := d.Begin("latency"); err != nil {
 		return err
@@ -63,38 +54,35 @@ func (s *LatencySample) LoadState(d *ckpt.Decoder) error {
 	if err := run.LoadState(d); err != nil {
 		return err
 	}
-	r := d.Record("samples")
-	n := r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if n < 0 {
-		return fmt.Errorf("stats: checkpoint sample count %d", n)
-	}
-	samples := make([]units.Time, 0, n)
-	for len(samples) < n {
-		rec := d.Record("s")
-		want := n - len(samples)
-		if want > samplesPerLine {
-			want = samplesPerLine
-		}
-		if rec.Len() != want {
-			return fmt.Errorf("stats: checkpoint sample batch holds %d values, want %d", rec.Len(), want)
-		}
-		for i := 0; i < want; i++ {
-			samples = append(samples, units.Time(rec.Int()))
-		}
+	var bins []bin
+	var total uint64
+	for !d.AtEnd("latency") {
+		rec := d.Record("bin")
+		b := bin{v: units.Time(rec.Int()), n: rec.Uint()}
 		if err := rec.Done(); err != nil {
 			return err
 		}
+		if b.n == 0 {
+			return fmt.Errorf("stats: checkpoint latency %d has count 0", b.v)
+		}
+		if len(bins) > 0 && b.v <= bins[len(bins)-1].v {
+			return fmt.Errorf("stats: checkpoint latency %d follows %d, want strictly ascending values", b.v, bins[len(bins)-1].v)
+		}
+		if b.n > math.MaxUint64-total {
+			return fmt.Errorf("stats: checkpoint latency counts overflow")
+		}
+		total += b.n
+		bins = append(bins, b)
 	}
 	if err := d.End("latency"); err != nil {
 		return err
 	}
+	if total != run.n {
+		return fmt.Errorf("stats: checkpoint latency counts sum to %d, moments count %d", total, run.n)
+	}
 	s.mu.Lock()
-	s.samples = samples
+	s.bins = bins
 	s.run = run
-	s.gen++
 	s.mu.Unlock()
 	return nil
 }

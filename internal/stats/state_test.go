@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +11,12 @@ import (
 
 // TestLatencySampleCheckpointRoundTrip: a restored collector reports the
 // same quantiles AND keeps accumulating identically (Welford moments and
-// insertion order both survive the round trip).
+// the histogram both survive the round trip).
 func TestLatencySampleCheckpointRoundTrip(t *testing.T) {
 	orig := &LatencySample{}
 	for i := 0; i < 500; i++ {
 		orig.Add(units.Time((i*7919)%1000 + 1))
 	}
-	// Force a sorted scratch so we verify the checkpoint captures
-	// insertion order, not the read-side sort artifact.
-	_ = orig.Median()
-
 	var buf strings.Builder
 	e := ckpt.NewEncoder(&buf)
 	orig.SaveState(e)
@@ -47,15 +44,8 @@ func TestLatencySampleCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("q%v diverged: %v vs %v", q, twin.Quantile(q), orig.Quantile(q))
 		}
 	}
-	a := orig.SamplesAppend(nil)
-	b := twin.SamplesAppend(nil)
-	if len(a) != len(b) {
-		t.Fatalf("sample count diverged: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("insertion order diverged at %d: %v vs %v", i, a[i], b[i])
-		}
+	if a, b := orig.histogram(), twin.histogram(); !slices.Equal(a, b) {
+		t.Fatalf("histogram diverged:\n  saved    %v\n  restored %v", a, b)
 	}
 	// Continued accumulation stays identical.
 	for i := 0; i < 100; i++ {

@@ -1,5 +1,5 @@
 // Package stats provides the streaming statistics used to evaluate the
-// fabric simulations: running moments, latency samples with exact
+// fabric simulations: running moments, latency histograms with exact
 // percentiles, and series tables.
 //
 // Most collectors are single-goroutine by design: the simulation kernel
@@ -12,7 +12,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/units"
@@ -110,67 +109,72 @@ func (r *Running) Merge(other *Running) {
 func (r *Running) Reset() { *r = Running{} }
 
 // LatencySample collects Time observations and reports exact quantiles.
-// It keeps every sample; fabric runs observe at most a few million cells,
-// which is cheap to retain and makes percentile math exact.
+// It keeps one count per distinct latency value, sorted by value: a
+// fabric latency is a whole number of slots and a crossbar latency a
+// whole number of cycles, so a run holds a few hundred distinct values
+// however many cells it delivers, and the order statistics Quantile
+// interpolates between are read off the cumulative counts exactly.
 //
-// Samples are retained in insertion order — the order is part of the
-// collector's observable state (checkpoints serialize it) and is never
-// perturbed by reads. Quantile sorts into a reusable scratch buffer
-// instead: after the buffer warms up, quantile reads cost zero
-// allocations. All methods are safe for concurrent use (one internal
-// mutex), so a metrics scrape may read quantiles from a live run while
-// the simulation goroutine is still adding. The one exception is Merge's
-// argument: other must be quiescent for the duration of the call.
+// The moments (Mean, StdDev, Min, Max) come from a Running fold in
+// observation order. All methods are safe for concurrent use (one
+// internal mutex), so a metrics scrape may read quantiles from a live
+// run while the simulation goroutine is still adding. The one exception
+// is Merge's argument: other must be quiescent for the duration of the
+// call.
 type LatencySample struct {
-	mu      sync.Mutex
-	samples []units.Time // insertion order, append-only between Resets
-	run     Running
-
-	// scratch is the sorted copy Quantile reads. It is valid iff
-	// scratchGen == gen; every mutation bumps gen. A generation counter
-	// (rather than comparing lengths) stays correct across Reset, where
-	// a later refill could coincidentally match the stale length.
-	scratch    []units.Time
-	gen        uint64
-	scratchGen uint64
+	mu   sync.Mutex
+	bins []bin // ascending by value; every count is positive
+	run  Running
 }
 
-// Add records one latency observation.
+// bin is one distinct latency value and how often it was observed.
+type bin struct {
+	v units.Time
+	n uint64
+}
+
+// Add records one latency observation. A value seen before costs a
+// binary search over the distinct values and no allocation.
 func (s *LatencySample) Add(t units.Time) {
 	s.mu.Lock()
-	//lint:ignore hotpath retaining every sample is the collector's contract (exact quantiles); Grow pre-sizes known measurement windows
-	s.samples = append(s.samples, t)
-	s.gen++
+	s.count(t, 1)
 	s.run.Add(float64(t))
 	s.mu.Unlock()
 }
 
-// Grow pre-sizes the sample buffer for at least n additional
-// observations, so a measurement window of known length can reserve its
-// capacity up front instead of growing the buffer mid-run.
-func (s *LatencySample) Grow(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 || cap(s.samples)-len(s.samples) >= n {
+// count adds c observations of v to the histogram.
+func (s *LatencySample) count(v units.Time, c uint64) {
+	lo, hi := 0, len(s.bins)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.bins[m].v < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(s.bins) && s.bins[lo].v == v {
+		s.bins[lo].n += c
 		return
 	}
-	grown := make([]units.Time, len(s.samples), len(s.samples)+n)
-	copy(grown, s.samples)
-	s.samples = grown
+	//lint:ignore hotpath only a value never seen before grows the histogram, so its growth is O(distinct values) over a run, not O(cells)
+	s.bins = append(s.bins, bin{})
+	copy(s.bins[lo+1:], s.bins[lo:])
+	s.bins[lo] = bin{v: v, n: c}
 }
 
 // N reports the number of observations.
 func (s *LatencySample) N() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.samples)
+	return int(s.run.n)
 }
 
 // Mean reports the mean latency.
 func (s *LatencySample) Mean() units.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	if s.run.n == 0 {
 		return 0
 	}
 	return units.Time(math.Round(s.run.Mean()))
@@ -185,10 +189,9 @@ func (s *LatencySample) StdDev() float64 {
 }
 
 // Quantile reports the q-th (0..1) sample quantile with linear
-// interpolation between order statistics. The samples themselves are
-// left in insertion order: the sort happens in a reusable scratch
-// buffer, so a read never mutates observable state and costs no
-// allocations once the buffer has grown to the sample count.
+// interpolation between order statistics. It walks the cumulative
+// counts to the two order statistics it needs, so a read never mutates
+// state and never allocates.
 func (s *LatencySample) Quantile(q float64) units.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,29 +199,37 @@ func (s *LatencySample) Quantile(q float64) units.Time {
 }
 
 func (s *LatencySample) quantileLocked(q float64) units.Time {
-	n := len(s.samples)
+	n := s.run.n
 	if n == 0 {
 		return 0
 	}
-	if s.scratchGen != s.gen || len(s.scratch) != n {
-		s.scratch = append(s.scratch[:0], s.samples...)
-		slices.Sort(s.scratch)
-		s.scratchGen = s.gen
-	}
+	last := s.bins[len(s.bins)-1].v
 	if q <= 0 {
-		return s.scratch[0]
+		return s.bins[0].v
 	}
 	if q >= 1 {
-		return s.scratch[n-1]
+		return last
 	}
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := lo + 1
-	if hi >= n {
-		return s.scratch[n-1]
+	lo := uint64(math.Floor(pos))
+	if lo+1 >= n {
+		return last
 	}
 	frac := pos - float64(lo)
-	return s.scratch[lo] + units.Time(math.Round(frac*float64(s.scratch[hi]-s.scratch[lo])))
+	// Order statistic lo lies in the first bin whose cumulative count
+	// passes it; lo+1 lies in the same bin or the next one.
+	var cum uint64
+	for i, b := range s.bins {
+		cum += b.n
+		if lo >= cum {
+			continue
+		}
+		if lo+1 < cum {
+			return b.v
+		}
+		return b.v + units.Time(math.Round(frac*float64(s.bins[i+1].v-b.v)))
+	}
+	return last
 }
 
 // P99 reports the 99th percentile.
@@ -228,7 +239,7 @@ func (s *LatencySample) P99() units.Time { return s.Quantile(0.99) }
 func (s *LatencySample) Max() units.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	if s.run.n == 0 {
 		return 0
 	}
 	return units.Time(s.run.Max())
@@ -238,31 +249,29 @@ func (s *LatencySample) Max() units.Time {
 func (s *LatencySample) Min() units.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	if s.run.n == 0 {
 		return 0
 	}
 	return units.Time(s.run.Min())
 }
 
-// Merge folds other's samples into s (parallel-batch combination):
-// after the merge, s reports exactly what one collector that had seen
-// both sample sets would report — quantiles included, since every raw
-// observation is retained. other is left unchanged and must not be
-// mutated concurrently with the call (s and other must be distinct).
+// Merge folds other's observations into s (parallel-batch
+// combination): the counts add, so s reports exactly the quantiles of
+// one collector that had seen both sample sets. other is left unchanged
+// and must not be mutated concurrently with the call (s and other must
+// be distinct).
 func (s *LatencySample) Merge(other *LatencySample) {
 	if other == nil || other == s {
 		return
 	}
 	other.mu.Lock()
-	otherSamples := other.samples
+	otherBins := other.bins
 	otherRun := other.run
 	other.mu.Unlock()
-	if len(otherSamples) == 0 {
-		return
-	}
 	s.mu.Lock()
-	s.samples = append(s.samples, otherSamples...)
-	s.gen++
+	for _, b := range otherBins {
+		s.count(b.v, b.n)
+	}
 	s.run.Merge(&otherRun)
 	s.mu.Unlock()
 }
@@ -270,8 +279,7 @@ func (s *LatencySample) Merge(other *LatencySample) {
 // Reset clears all samples.
 func (s *LatencySample) Reset() {
 	s.mu.Lock()
-	s.samples = s.samples[:0]
-	s.gen++
+	s.bins = s.bins[:0]
 	s.run.Reset()
 	s.mu.Unlock()
 }
@@ -280,10 +288,10 @@ func (s *LatencySample) Reset() {
 func (s *LatencySample) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	if s.run.n == 0 {
 		return "n=0"
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		len(s.samples), units.Time(math.Round(s.run.Mean())),
+		s.run.n, units.Time(math.Round(s.run.Mean())),
 		s.quantileLocked(0.5), s.quantileLocked(0.99), units.Time(s.run.Max()))
 }

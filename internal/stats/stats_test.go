@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -168,7 +169,7 @@ func TestRunningMergeKWayProperty(t *testing.T) {
 }
 
 // TestLatencySampleMergeKWayProperty: the sample merge is exact — the
-// merged collector holds every raw observation, so mean, min/max, and
+// merged collector's counts are the one-shot collector's, so min/max and
 // every quantile equal the one-shot collector's bit for bit.
 func TestLatencySampleMergeKWayProperty(t *testing.T) {
 	rng := sim.NewRNG(77)
@@ -183,15 +184,15 @@ func TestLatencySampleMergeKWayProperty(t *testing.T) {
 			whole.Add(v)
 			parts[i%k].Add(v)
 		}
-		// Query some partials before merging so pre-sorted state is
-		// exercised too.
+		// Query some partials before merging: a read must not disturb
+		// what Merge folds in.
 		_ = parts[0].Median()
 		var merged LatencySample
 		for i := range parts {
 			merged.Merge(&parts[i])
 		}
-		// Min/max/count and every quantile are exact (the raw samples are
-		// retained); the streaming moments match to float tolerance (the
+		// Min/max/count and every quantile are exact (the counts add);
+		// the streaming moments match to float tolerance (the
 		// pairwise merge reorders Welford's arithmetic).
 		if merged.N() != whole.N() ||
 			merged.Min() != whole.Min() || merged.Max() != whole.Max() {
@@ -246,7 +247,7 @@ func TestLatencySampleInterleavedAddQuery(t *testing.T) {
 	var s LatencySample
 	s.Add(10)
 	_ = s.Median()
-	s.Add(20) // must invalidate sorted state
+	s.Add(20) // a read between adds must not go stale
 	s.Add(5)
 	if got := s.Median(); got != 10 {
 		t.Errorf("median after re-add: %v", got)
@@ -306,26 +307,6 @@ func TestRNGIndependentOfStats(t *testing.T) {
 	}
 }
 
-// TestLatencySampleQuantilePreservesInsertionOrder: Quantile is a pure
-// read — it must not reorder the retained samples, whose insertion order
-// is checkpointed state.
-func TestLatencySampleQuantilePreservesInsertionOrder(t *testing.T) {
-	var s LatencySample
-	in := []units.Time{30, 10, 50, 20, 40}
-	for _, v := range in {
-		s.Add(v)
-	}
-	if got := s.Median(); got != 30 {
-		t.Fatalf("median %v, want 30", got)
-	}
-	got := s.SamplesAppend(nil)
-	for i, v := range in {
-		if got[i] != v {
-			t.Fatalf("sample %d after Quantile: got %v, want %v (insertion order destroyed)", i, got[i], v)
-		}
-	}
-}
-
 // TestLatencySampleScrapeWhileAddRace: the PR-9 regression — a metrics
 // scrape reading quantiles from a live collector while the simulation
 // goroutine adds. The old lazy in-place sort made every read a write;
@@ -365,28 +346,110 @@ func TestLatencySampleScrapeWhileAddRace(t *testing.T) {
 	}
 }
 
-// TestLatencySampleQuantileSteadyStateAllocs: once the scratch buffer has
-// warmed up, repeated quantile reads over an unchanged sample set cost
-// zero allocations.
+// TestLatencySampleQuantileSteadyStateAllocs: once every value has
+// been seen, Add and Quantile cost zero allocations, including a
+// Quantile straight after an Add.
 func TestLatencySampleQuantileSteadyStateAllocs(t *testing.T) {
 	var s LatencySample
 	rng := sim.NewRNG(5)
 	for i := 0; i < 10_000; i++ {
-		s.Add(units.Time(rng.Intn(1_000_000)))
+		s.Add(units.Time(rng.Intn(1_000)))
 	}
-	_ = s.Quantile(0.5) // warm the scratch buffer
 	if avg := testing.AllocsPerRun(100, func() {
 		_ = s.Quantile(0.5)
 		_ = s.Quantile(0.99)
 	}); avg != 0 {
 		t.Fatalf("steady-state Quantile allocates %v objects/op, want 0", avg)
 	}
-	// After more adds the scratch re-sorts but still reuses its buffer.
-	s.Add(1)
-	if avg := testing.AllocsPerRun(10, func() {
+	if avg := testing.AllocsPerRun(100, func() {
+		s.Add(units.Time(rng.Intn(1_000)))
+	}); avg != 0 {
+		t.Fatalf("Add of a value seen before allocates %v objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
 		s.Add(2)
 		_ = s.Quantile(0.9)
-	}); avg > 0 {
-		t.Fatalf("re-sort after Add allocates %v objects/op, want 0 (scratch not reused)", avg)
+	}); avg != 0 {
+		t.Fatalf("Quantile after Add allocates %v objects/op, want 0", avg)
+	}
+}
+
+// refQuantile is the brute-force reference: sort every observation and
+// interpolate linearly between the two order statistics around q(n-1).
+func refQuantile(obs []units.Time, q float64) units.Time {
+	n := len(obs)
+	if n == 0 {
+		return 0
+	}
+	sorted := slices.Clone(obs)
+	slices.Sort(sorted)
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[n-1]
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	if lo+1 >= n {
+		return sorted[n-1]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo] + units.Time(math.Round(frac*float64(sorted[lo+1]-sorted[lo])))
+}
+
+// TestLatencySampleMatchesSortedReference: the histogram answers every
+// quantile exactly as a sorted list of all observations would, through
+// interleaved Add/Quantile, k-way Merge and Reset, on values with many
+// duplicates.
+func TestLatencySampleMatchesSortedReference(t *testing.T) {
+	rng := sim.NewRNG(91)
+	check := func(trial int, what string, s *LatencySample, obs []units.Time) {
+		t.Helper()
+		if s.N() != len(obs) {
+			t.Fatalf("trial %d %s: N %d, reference %d", trial, what, s.N(), len(obs))
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1, rng.Float64()} {
+			if got, want := s.Quantile(q), refQuantile(obs, q); got != want {
+				t.Fatalf("trial %d %s: q=%v: histogram %v, reference %v", trial, what, q, got, want)
+			}
+		}
+		if len(obs) > 0 && (s.Min() != slices.Min(obs) || s.Max() != slices.Max(obs)) {
+			t.Fatalf("trial %d %s: min/max %v/%v, reference %v/%v",
+				trial, what, s.Min(), s.Max(), slices.Min(obs), slices.Max(obs))
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		distinct := 1 + rng.Intn(40) // few distinct values: heavy duplication
+		scale := units.Time(1 + rng.Intn(8000))
+		draw := func() units.Time { return units.Time(rng.Intn(distinct)) * scale }
+		k := 1 + rng.Intn(5)
+		parts := make([]LatencySample, k)
+		partObs := make([][]units.Time, k)
+		for i := 0; i < 1+rng.Intn(600); i++ {
+			p := rng.Intn(k)
+			v := draw()
+			parts[p].Add(v)
+			partObs[p] = append(partObs[p], v)
+			if rng.Intn(50) == 0 {
+				check(trial, "interleaved", &parts[p], partObs[p])
+			}
+		}
+		var merged LatencySample
+		var all []units.Time
+		for p := range parts {
+			merged.Merge(&parts[p])
+			all = append(all, partObs[p]...)
+			check(trial, "merge", &merged, all)
+		}
+		merged.Reset()
+		check(trial, "reset", &merged, nil)
+		all = all[:0]
+		for i := 0; i < rng.Intn(100); i++ {
+			v := draw()
+			merged.Add(v)
+			all = append(all, v)
+		}
+		check(trial, "refill", &merged, all)
 	}
 }

@@ -5,7 +5,7 @@
 #   phase 1: start osmosisd, submit two concurrent jobs, let them
 #            finish undisturbed, save their result documents;
 #   phase 2: fresh daemon with -ckpt-dir, submit the same two jobs,
-#            SIGTERM mid-run (suspend writes one osmosis-ckpt v1 file per
+#            SIGTERM mid-run (suspend writes one osmosis-ckpt v2 file per
 #            live job), restart the daemon (restore continues them), and
 #            cmp the finished results byte-for-byte against phase 1.
 #
@@ -130,7 +130,7 @@ if [ "$n" -ne 2 ]; then
   cat "$WORK/daemon.log" >&2
   exit 1
 fi
-head -1 "$CKPT"/*.ckpt | grep -q 'osmosis-ckpt v1' ||
+head -1 "$CKPT"/*.ckpt | grep -q 'osmosis-ckpt v2' ||
   { echo "daemon smoke: checkpoint files missing the v1 header" >&2; exit 1; }
 
 start_daemon -ckpt-dir "$CKPT" # restores and continues both jobs
