@@ -155,7 +155,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tb := stats.NewTable("delay vs load", "load", "value")
+		tb := stats.NewTable("delay vs load", "load")
 		d := tb.AddSeries("delay_cycles")
 		th := tb.AddSeries("throughput")
 		for _, r := range results {

@@ -26,7 +26,7 @@ func runAblationFLPPRK(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(1500, 6000)
 	const n = 64
 
-	tb := stats.NewTable("64 ports, uniform traffic", "k", "value")
+	tb := stats.NewTable("64 ports, uniform traffic", "k")
 	delayLight := tb.AddSeries("delay-cycles-at-0.3")
 	delayHeavy := tb.AddSeries("delay-cycles-at-0.95")
 	thrHeavy := tb.AddSeries("throughput-at-0.99")
@@ -71,7 +71,7 @@ func runAblationISLIPIters(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(1500, 6000)
 	const n = 32
 
-	tb := stats.NewTable("32 ports, diagonal pattern at 0.95 load", "iterations", "value")
+	tb := stats.NewTable("32 ports, diagonal pattern at 0.95 load", "iterations")
 	thr := tb.AddSeries("acceptance-ratio")
 	delay := tb.AddSeries("delay-cycles")
 	for _, iters := range []int{1, 2, 3, 5} {
@@ -106,7 +106,7 @@ func runAblationReceivers(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(1500, 6000)
 	const n = 64
 
-	tb := stats.NewTable("64 ports, uniform 0.9 load", "receivers", "delay_cycles")
+	tb := stats.NewTable("64 ports, uniform 0.9 load", "receivers")
 	delay := tb.AddSeries("mean-delay")
 	for _, r := range []int{1, 2, 3, 4} {
 		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: r},
@@ -141,7 +141,7 @@ func runAblationCredits(cfg RunConfig) (*Result, error) {
 	)
 	bound := fc.BufferFor(fc.LoopRTT(linkD, 1), 2)
 
-	tb := stats.NewTable("32-host fat tree, uniform 0.9 load", "capacity_cells", "throughput_per_host")
+	tb := stats.NewTable("32-host fat tree, uniform 0.9 load", "capacity_cells")
 	thr := tb.AddSeries("throughput")
 	for _, capacity := range []int{bound / 4, bound / 2, bound, bound * 2} {
 		if capacity < 1 {

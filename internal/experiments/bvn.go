@@ -22,7 +22,7 @@ func runBvN(cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "bvn", Title: "Birkhoff-von Neumann comparison (SVI.D)"}
 	warm, meas := cfg.warmupMeasure(500, 4000)
 
-	tb := stats.NewTable("Unloaded (5% load) mean latency vs port count", "ports", "latency_slots")
+	tb := stats.NewTable("Unloaded (5% load) mean latency vs port count", "ports")
 	bvnSeries := tb.AddSeries("load-balanced-bvn")
 	osmosisSeries := tb.AddSeries("osmosis-flppr")
 	halfN := tb.AddSeries("n-over-2")

@@ -25,7 +25,7 @@ func runContainer(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(2000, 20000)
 	const n = 16
 
-	tb := stats.NewTable("Unloaded (5% load) latency vs container size, 16 ports", "container_cells", "latency_slots")
+	tb := stats.NewTable("Unloaded (5% load) latency vs container size, 16 ports", "container_cells")
 	lat := tb.AddSeries("container-switch")
 	osm := tb.AddSeries("osmosis-flppr")
 

@@ -26,7 +26,7 @@ func runControlRTT(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(1500, 6000)
 	const n = 32
 
-	tb := stats.NewTable("32 ports, uniform traffic, FLPPR", "control_rtt_cycles", "value")
+	tb := stats.NewTable("32 ports, uniform traffic, FLPPR", "control_rtt_cycles")
 	delayLight := tb.AddSeries("delay-cycles-at-0.2")
 	delayHeavy := tb.AddSeries("delay-cycles-at-0.9")
 	voqDepth := tb.AddSeries("max-voq-depth-at-0.9")

@@ -24,7 +24,7 @@ func runDeflect(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(2000, 20000)
 	const n = 16
 
-	tb := stats.NewTable("Per-port throughput vs offered load, 16 ports", "load", "throughput")
+	tb := stats.NewTable("Per-port throughput vs offered load, 16 ports", "load")
 	defl := tb.AddSeries("deflection")
 	voqS := tb.AddSeries("osmosis-voq")
 

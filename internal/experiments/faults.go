@@ -91,7 +91,7 @@ func degradationCurve(res *Result, cfg RunConfig, n int, ks []int, warm, meas ui
 	const load = 0.92
 	seed := cfg.seed()
 	tb := stats.NewTable(fmt.Sprintf("Degradation vs failed receivers, %d ports, uniform load %.2f", n, load),
-		"failed_receivers", "value")
+		"failed_receivers")
 	thr := tb.AddSeries("throughput_per_port")
 	p99 := tb.AddSeries("p99_delay_cycles")
 	rej := tb.AddSeries("receiver_rejects")
@@ -194,7 +194,7 @@ func epochTable(res *Result, cfg RunConfig, n int, warm, meas uint64) error {
 	if err != nil {
 		return err
 	}
-	tb := stats.NewTable(fmt.Sprintf("Mid-run campaign epochs, %d ports, uniform load 0.90", n), "epoch", "value")
+	tb := stats.NewTable(fmt.Sprintf("Mid-run campaign epochs, %d ports, uniform load 0.90", n), "epoch")
 	thr := tb.AddSeries("throughput_per_port")
 	p99 := tb.AddSeries("p99_delay_cycles")
 	down := tb.AddSeries("receivers_down")
@@ -267,7 +267,7 @@ func berBurstTable(res *Result, cfg RunConfig) error {
 	// that a ≥3-flip miscorrection — which the (34,32) code cannot catch
 	// — stays below the horizon of the run.
 	const burstBER = 1e-3
-	tb := stats.NewTable(fmt.Sprintf("Reliable link through a BER burst (%.0e raw)", burstBER), "phase", "value")
+	tb := stats.NewTable(fmt.Sprintf("Reliable link through a BER burst (%.0e raw)", burstBER), "phase")
 	retx := tb.AddSeries("retransmissions")
 	cum := tb.AddSeries("delivered_frames")
 

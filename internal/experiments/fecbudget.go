@@ -21,7 +21,7 @@ func init() {
 func runFEC(_ RunConfig) (*Result, error) {
 	res := &Result{ID: "fec", Title: "FEC + retransmission error budget (SIV.C)"}
 
-	tb := stats.NewTable("Error-rate tiers vs raw optical BER", "raw_ber_exp", "ber")
+	tb := stats.NewTable("Error-rate tiers vs raw optical BER", "raw_ber_exp")
 	raw := tb.AddSeries("raw")
 	user := tb.AddSeries("after-fec")
 	resid := tb.AddSeries("after-retransmission")

@@ -23,7 +23,7 @@ func runFig1(cfg RunConfig) (*Result, error) {
 	sched := 100 * units.Nanosecond
 	budget := core.PaperBudget()
 
-	tb := stats.NewTable("Unloaded fabric latency vs machine-room diameter", "diameter_m", "latency_ns")
+	tb := stats.NewTable("Unloaded fabric latency vs machine-room diameter", "diameter_m")
 	single := tb.AddSeries("single-stage-2RTT")
 	multi := tb.AddSeries("multistage-3-stage")
 	budgetLine := tb.AddSeries("budget-500ns")

@@ -21,7 +21,7 @@ func runFig10(_ RunConfig) (*Result, error) {
 	res := &Result{ID: "fig10", Title: "OSNR penalty vs SOA input power (Fig. 10)"}
 	m := optics.NewXGMModel()
 
-	tb := stats.NewTable("OSNR penalty (dB) vs SOA input power (dBm)", "pin_dBm", "penalty_dB")
+	tb := stats.NewTable("OSNR penalty (dB) vs SOA input power (dBm)", "pin_dBm")
 	series := map[string]*stats.Series{}
 	for _, f := range []optics.Modulation{optics.NRZ, optics.DPSK} {
 		for _, b := range []optics.BERTarget{optics.BER1e6, optics.BER1e10} {

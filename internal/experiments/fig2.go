@@ -31,7 +31,7 @@ func runFig2(cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "fig2", Title: "Buffer placement options (Fig. 2)"}
 
 	const stages = 3
-	tb := stats.NewTable("Placement cost for a 3-stage 2048-port fat tree", "option", "value")
+	tb := stats.NewTable("Placement cost for a 3-stage 2048-port fat tree", "option")
 	oeo := tb.AddSeries("oeo-pairs-per-port-path")
 	cable := tb.AddSeries("request-grant-on-long-cable")
 	for opt := 1; opt <= 3; opt++ {
@@ -80,7 +80,7 @@ func runFig2(cfg RunConfig) (*Result, error) {
 		}
 		latency[egress] = float64(m.LatencySlots.Mean())
 	}
-	simTB := stats.NewTable("Simulated mean latency, 32-host fat tree at 0.6 load", "option", "latency_slots")
+	simTB := stats.NewTable("Simulated mean latency, 32-host fat tree at 0.6 load", "option")
 	s := simTB.AddSeries("mean-latency")
 	s.Add(1, latency[true])
 	s.Add(3, latency[false])

@@ -36,7 +36,7 @@ func runFig4(cfg RunConfig) (*Result, error) {
 	loopRTT := fc.LoopRTT(linkD, 1)
 	capacity := fc.BufferFor(loopRTT, margin)
 
-	tb := stats.NewTable("Hotspot overload, 32-host fat tree, hot port 0", "hot_fraction", "value")
+	tb := stats.NewTable("Hotspot overload, 32-host fat tree, hot port 0", "hot_fraction")
 	drops := tb.AddSeries("drops")
 	ooo := tb.AddSeries("order_violations")
 	maxDepth := tb.AddSeries("max_input_buffer_cells")

@@ -23,7 +23,7 @@ func runFig6(cfg RunConfig) (*Result, error) {
 	warm, meas := cfg.warmupMeasure(1000, 5000)
 	const n = 64
 
-	tb := stats.NewTable("Mean request-to-grant latency, 64 ports", "load", "grant_latency_cycles")
+	tb := stats.NewTable("Mean request-to-grant latency, 64 ports", "load")
 	flppr := tb.AddSeries("flppr")
 	prior := tb.AddSeries("prior-art-pipelined-islip")
 

@@ -26,7 +26,7 @@ func runFig7(cfg RunConfig) (*Result, error) {
 		loads = []float64{0.1, 0.5, 0.9, 0.99}
 	}
 
-	tb := stats.NewTable("Mean delay vs offered load, 64 ports, uniform Bernoulli", "load", "delay_cycles")
+	tb := stats.NewTable("Mean delay vs offered load, 64 ports, uniform Bernoulli", "load")
 	curves := map[string]*stats.Series{
 		"flppr-single-receiver": tb.AddSeries("flppr-single-receiver"),
 		"flppr-dual-receiver":   tb.AddSeries("flppr-dual-receiver"),

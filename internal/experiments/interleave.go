@@ -28,7 +28,7 @@ func runAblationInterleave(cfg RunConfig) (*Result, error) {
 		trials = 80
 	}
 
-	tb := stats.NewTable("Fraction of bursts fully corrected (8-block frames)", "burst_symbols", "fraction")
+	tb := stats.NewTable("Fraction of bursts fully corrected (8-block frames)", "burst_symbols")
 	depths := []int{1, 2, 4, 8}
 	series := map[int]*stats.Series{}
 	for _, d := range depths {

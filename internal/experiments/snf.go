@@ -20,7 +20,7 @@ func init() {
 // several stages of buffering vanish against the 250 ns cable budget.
 func runSNF(_ RunConfig) (*Result, error) {
 	res := &Result{ID: "snf", Title: "Store-and-forward penalty (SIV)"}
-	tb := stats.NewTable("Per-stage store time vs packet size", "packet_bytes", "value_ns")
+	tb := stats.NewTable("Per-stage store time vs packet size", "packet_bytes")
 	at12 := tb.AddSeries("store-ns-at-12GBps")
 	at40g := tb.AddSeries("store-ns-at-40Gbps")
 	threeStages := tb.AddSeries("3-stage-total-at-12GBps")
@@ -53,7 +53,7 @@ func runSNF(_ RunConfig) (*Result, error) {
 // Table-1 75% line and the §VII sub-ns improvement headroom.
 func runGuard(_ RunConfig) (*Result, error) {
 	res := &Result{ID: "guard", Title: "Guard time vs effective user bandwidth (SIV.C, SV, SVII)"}
-	tb := stats.NewTable("Effective user bandwidth vs guard time, 256 B cell at 40 Gb/s", "guard_ns", "fraction")
+	tb := stats.NewTable("Effective user bandwidth vs guard time, 256 B cell at 40 Gb/s", "guard_ns")
 	eff := tb.AddSeries("effective-user-bandwidth")
 	req := tb.AddSeries("table1-requirement")
 

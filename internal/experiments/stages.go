@@ -34,7 +34,7 @@ func runStages(_ RunConfig) (*Result, error) {
 		{"commodity-12", 12, 7},
 		{"commodity-8", 8, 9},
 	}
-	tb := stats.NewTable("2048-port fabric composition by switch technology", "radix", "value")
+	tb := stats.NewTable("2048-port fabric composition by switch technology", "radix")
 	stages := tb.AddSeries("stages")
 	switches := tb.AddSeries("switches")
 	cables := tb.AddSeries("inter-stage-cables")
@@ -71,7 +71,7 @@ func runStages(_ RunConfig) (*Result, error) {
 // packet-rate control term varying.
 func runPower(_ RunConfig) (*Result, error) {
 	res := &Result{ID: "power", Title: "Power scaling (SI, SVII)"}
-	tb := stats.NewTable("64-port switch power vs port rate", "port_rate_gbps", "power_w")
+	tb := stats.NewTable("64-port switch power vs port rate", "port_rate_gbps")
 	cmos := tb.AddSeries("cmos-electronic")
 	opt := tb.AddSeries("soa-optical")
 	tr := power.DefaultTransceiver()
@@ -146,7 +146,7 @@ func runPower(_ RunConfig) (*Result, error) {
 // absorbing the additional scheduler iterations.
 func runScaling(_ RunConfig) (*Result, error) {
 	res := &Result{ID: "scaling", Title: "Scaling outlook (SVII)"}
-	tb := stats.NewTable("Single-stage aggregate bandwidth by configuration", "ports", "aggregate_tbps")
+	tb := stats.NewTable("Single-stage aggregate bandwidth by configuration", "ports")
 	agg := tb.AddSeries("osmosis-aggregate")
 	limit := tb.AddSeries("electronic-limit")
 

@@ -35,7 +35,7 @@ func runStagesSim(cfg RunConfig) (*Result, error) {
 		{"9-stage-radix4", 4, 5},
 	}
 
-	tb := stats.NewTable("64 hosts, uniform 0.4 load, 2-slot cables", "stages", "value")
+	tb := stats.NewTable("64 hosts, uniform 0.4 load, 2-slot cables", "stages")
 	lat := tb.AddSeries("mean-latency-slots")
 	p99 := tb.AddSeries("p99-latency-slots")
 	hops := tb.AddSeries("max-hops")

@@ -40,7 +40,7 @@ func runTechSelect(_ RunConfig) (*Result, error) {
 
 	cell := packet.OSMOSISFormat()
 	cycle := cell.CycleTime()
-	tb := stats.NewTable("Effective user bandwidth of a 51.2 ns cell by gate technology", "guard_ns", "fraction")
+	tb := stats.NewTable("Effective user bandwidth of a 51.2 ns cell by gate technology", "guard_ns")
 	eff := tb.AddSeries("effective-user-bandwidth")
 	req := tb.AddSeries("table1-requirement")
 

@@ -110,9 +110,9 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 		legend[i] = fmt.Sprintf("%d=%s", i, name)
 	}
 	tbThr := stats.NewTable("Acceptance ratio (delivered/offered), 32 ports, load 0.9 ["+strings.Join(legend, " ")+"]",
-		"pattern_idx", "acceptance")
-	tbP99 := stats.NewTable("End-to-end p99 delay, packet cycles", "pattern_idx", "p99_cycles")
-	tbFair := stats.NewTable("Jain service fairness over per-source service ratios", "pattern_idx", "jain_fairness")
+		"pattern_idx")
+	tbP99 := stats.NewTable("End-to-end p99 delay, packet cycles", "pattern_idx")
+	tbFair := stats.NewTable("Jain service fairness over per-source service ratios", "pattern_idx")
 	for si, s := range arenaSchedulers {
 		thr := tbThr.AddSeries(s.name)
 		p99 := tbP99.AddSeries(s.name)

@@ -85,16 +85,64 @@ type arbScratch struct {
 	// grant[in*words .. +words): outputs granting to input in during
 	// the current iteration.
 	grant []uint64
-	// unmatched has bit in set while input in is unmatched in m.
-	unmatched []uint64
 	// hasGrant has bit in set while input in holds unprocessed grants.
 	hasGrant []uint64
 	// cand is the per-output grant-scan scratch row (inputs).
 	cand []uint64
-	// outLoad[out] counts inputs matched to out; outCap[out] snapshots
-	// ReceiversAt(out) for the current iterate call.
+	// want has bit out set iff some unmatched input requests out: the OR
+	// of the unmatched inputs' reqRow rows, rebuilt every iteration so
+	// the grant phase visits only outputs that have a requester.
+	want []uint64
+	// outCap[out] is ReceiversAt(out), read once per tick by snapshot.
+	outCap []int
+	// matched[:k] lists the inputs the last iterate call newly matched,
+	// in acceptance order, where k is that call's return value.
+	matched []int
+	// st is the matchState of a matching built from empty within one
+	// tick (see fresh).
+	st matchState
+}
+
+// matchState is what iterate reads of a partial matching besides its
+// Out row, kept in step with that row across calls so that no call
+// re-derives it.
+type matchState struct {
+	// unmatched has bit in set while input in is unmatched.
+	unmatched []uint64
+	// outLoad[out] counts inputs matched to out.
 	outLoad []int
-	outCap  []int
+}
+
+// newMatchState returns the state of an empty n-port matching.
+func newMatchState(n int) matchState {
+	s := matchState{unmatched: make([]uint64, bitWords(n)), outLoad: make([]int, n)}
+	s.reset()
+	return s
+}
+
+// reset returns the state to that of an empty matching (Matching.Reset).
+func (s *matchState) reset() {
+	for w := range s.unmatched {
+		s.unmatched[w] = ^uint64(0)
+	}
+	// Keep the bits past input n-1 clear (len(outLoad) is n).
+	if r := len(s.outLoad) & 63; r != 0 {
+		s.unmatched[len(s.unmatched)-1] = 1<<uint(r) - 1
+	}
+	clear(s.outLoad)
+}
+
+// derive rebuilds the state from a matching's Out row.
+func (s *matchState) derive(out []int) {
+	clearRow(s.unmatched)
+	clear(s.outLoad)
+	for in, o := range out {
+		if o >= 0 {
+			s.outLoad[o]++
+		} else {
+			setBit(s.unmatched, in)
+		}
+	}
 }
 
 // newArbScratch allocates the scratch for an n-port arbiter.
@@ -102,15 +150,23 @@ func newArbScratch(n int) *arbScratch {
 	w := bitWords(n)
 	return &arbScratch{
 		n: n, words: w,
-		reqRow:    make([]uint64, n*w),
-		reqCol:    make([]uint64, n*w),
-		grant:     make([]uint64, n*w),
-		unmatched: make([]uint64, w),
-		hasGrant:  make([]uint64, w),
-		cand:      make([]uint64, w),
-		outLoad:   make([]int, n),
-		outCap:    make([]int, n),
+		reqRow:   make([]uint64, n*w),
+		reqCol:   make([]uint64, n*w),
+		grant:    make([]uint64, n*w),
+		hasGrant: make([]uint64, w),
+		cand:     make([]uint64, w),
+		want:     make([]uint64, w),
+		outCap:   make([]int, n),
+		matched:  make([]int, n),
+		st:       newMatchState(n),
 	}
+}
+
+// fresh resets and returns the scratch's own matchState, for a caller
+// whose matching starts the tick empty.
+func (sc *arbScratch) fresh() *matchState {
+	sc.st.reset()
+	return &sc.st
 }
 
 // row returns the words of row i in an n×words flat matrix.
@@ -119,10 +175,11 @@ func (sc *arbScratch) row(matrix []uint64, i int) []uint64 {
 }
 
 // snapshot captures the board's uncommitted-demand matrix into
-// reqRow/reqCol, one row copy per input and one column copy per output.
-// The snapshot stays valid for the rest of the TickInto as long as every
-// demand change goes through patch (schedulers only reduce demand
-// mid-tick, via Board.Commit).
+// reqRow/reqCol, one row copy per input and one column copy per output,
+// and every output's receiver count into outCap. The snapshot stays
+// valid for the rest of the TickInto as long as every demand change goes
+// through patch (schedulers only reduce demand mid-tick, via
+// Board.Commit); receiver counts change only between ticks.
 //
 //osmosis:hotpath
 func (sc *arbScratch) snapshot(b Board) {
@@ -131,6 +188,7 @@ func (sc *arbScratch) snapshot(b Board) {
 	}
 	for out := 0; out < sc.n; out++ {
 		b.DemandColBits(out, sc.row(sc.reqCol, out))
+		sc.outCap[out] = b.ReceiversAt(out)
 	}
 }
 
@@ -148,57 +206,52 @@ func (sc *arbScratch) patch(b Board, in, out int) {
 
 // iterate runs up to iters iterations of the round-robin request/
 // grant/accept protocol on the (possibly pre-populated) partial
-// matching m, against the request snapshot currently held in
-// reqRow/reqCol. It reproduces the reference iSLIP protocol
-// bit-for-bit (the retained reference implementation in
-// reference_test.go pins the equivalence):
+// matching m, against the request snapshot and receiver counts that
+// snapshot holds. st must agree with m.Out on entry, and iterate keeps
+// it so. It reproduces the reference iSLIP protocol bit-for-bit (the
+// retained reference implementation in reference_test.go pins the
+// equivalence):
 //
 //   - grant phase: each output with spare receiver capacity grants up
 //     to that capacity among the unmatched requesting inputs, scanning
-//     round-robin from its grant pointer;
+//     round-robin from its grant pointer; outputs are visited in
+//     ascending order, and only those in want, since an output no
+//     unmatched input requests has nothing to grant;
 //   - accept phase: each granted input accepts the granting output
 //     closest in round-robin order from its accept pointer, skipping
 //     outputs that filled up;
 //   - pointers advance one past the match for first-iteration accepts
 //     only (the desynchronization rule).
 //
-// It returns the number of newly matched inputs.
+// It returns the number k of newly matched inputs and lists them in
+// matched[:k].
 //
 //osmosis:hotpath
-func (sc *arbScratch) iterate(b Board, m *Matching, grantPtr, acceptPtr []int, iters int) int {
+func (sc *arbScratch) iterate(m *Matching, st *matchState, grantPtr, acceptPtr []int, iters int) int {
 	n := sc.n
-	clearRow(sc.unmatched)
-	for i := range sc.outLoad {
-		sc.outLoad[i] = 0
-		sc.outCap[i] = b.ReceiversAt(i)
-	}
-	for in, out := range m.Out {
-		if out >= 0 {
-			sc.outLoad[out]++
-		} else {
-			setBit(sc.unmatched, in)
-		}
-	}
+	unmatched, outLoad := st.unmatched, st.outLoad
 	added := 0
 	for it := 0; it < iters; it++ {
 		// Grant phase.
+		clearRow(sc.want)
+		for w, u := range unmatched {
+			for ; u != 0; u &= u - 1 {
+				row := sc.row(sc.reqRow, w<<6+bits.TrailingZeros64(u))
+				for x := range sc.want {
+					sc.want[x] |= row[x]
+				}
+			}
+		}
 		clearRow(sc.hasGrant)
 		granted := false
-		for out := 0; out < n; out++ {
-			capacity := sc.outCap[out] - sc.outLoad[out]
+		for out := nextSetBit(sc.want, n, 0); out >= 0; out = nextSetBit(sc.want, n, out+1) {
+			capacity := sc.outCap[out] - outLoad[out]
 			if capacity <= 0 {
 				continue
 			}
 			col := sc.row(sc.reqCol, out)
-			empty := true
 			for w := range sc.cand {
-				sc.cand[w] = col[w] & sc.unmatched[w]
-				if sc.cand[w] != 0 {
-					empty = false
-				}
-			}
-			if empty {
-				continue
+				sc.cand[w] = col[w] & unmatched[w]
 			}
 			start := grantPtr[out]
 			for ; capacity > 0; capacity-- {
@@ -221,12 +274,13 @@ func (sc *arbScratch) iterate(b Board, m *Matching, grantPtr, acceptPtr []int, i
 			row := sc.row(sc.grant, in)
 			best := nextSetBitWrap(row, n, acceptPtr[in])
 			clearRow(row)
-			if best < 0 || sc.outLoad[best] >= sc.outCap[best] {
+			if best < 0 || outLoad[best] >= sc.outCap[best] {
 				continue
 			}
 			m.Out[in] = best
-			clearBit(sc.unmatched, in)
-			sc.outLoad[best]++
+			clearBit(unmatched, in)
+			outLoad[best]++
+			sc.matched[added] = in
 			added++
 			accepted = true
 			// iSLIP pointer rule: update on first-iteration accepts only.

@@ -67,25 +67,74 @@ func bitsMatchDemand(b *MatrixBoard) bool {
 	return true
 }
 
+// maskedBoard hides the outputs whose mask bit is clear from every
+// view of the demand, the way a fabric node's board hides outputs that
+// lack downstream credit.
+type maskedBoard struct {
+	*MatrixBoard
+	mask []uint64 // bit out set iff out may be granted
+}
+
+func (b maskedBoard) open(out int) bool { return b.mask[out>>6]>>(uint(out)&63)&1 != 0 }
+
+func (b maskedBoard) Demand(in, out int) int {
+	if !b.open(out) {
+		return 0
+	}
+	return b.MatrixBoard.Demand(in, out)
+}
+
+func (b maskedBoard) DemandRowBits(in int, row []uint64) {
+	b.MatrixBoard.DemandRowBits(in, row)
+	for w := range row {
+		row[w] &= b.mask[w]
+	}
+}
+
+func (b maskedBoard) DemandColBits(out int, col []uint64) {
+	if !b.open(out) {
+		clearRow(col)
+		return
+	}
+	b.MatrixBoard.DemandColBits(out, col)
+}
+
+// drawMask opens each of the n outputs with probability 0.8.
+func drawMask(mask []uint64, n int, rng *sim.RNG) {
+	clearRow(mask)
+	for out := 0; out < n; out++ {
+		if rng.Bernoulli(0.8) {
+			setBit(mask, out)
+		}
+	}
+}
+
 // runEquivalence drives got (against gb) and want (against an
 // identically seeded wb) for ticks cycles and fails on the first
-// divergence in matching or board state.
+// divergence in matching or board state. With masked set, both
+// schedulers see their board through a maskedBoard whose mask is
+// redrawn every tick.
 func runEquivalence(t *testing.T, ticks int, seed uint64,
-	gb *MatrixBoard, got Scheduler, wb *MatrixBoard, want refScheduler, degrade bool) {
+	gb *MatrixBoard, got Scheduler, wb *MatrixBoard, want refScheduler, masked bool) {
 	t.Helper()
 	rngGot := sim.NewRNG(seed)
 	rngWant := sim.NewRNG(seed)
-	if degrade && gb.recv[1] > 1 {
-		// One output lost a receiver to a fault before the run.
-		gb.recv[1]--
-		wb.recv[1]--
+	rngMask := sim.NewRNG(seed + 1)
+	var gv, wv Board = gb, wb
+	var mask []uint64
+	if masked {
+		mask = make([]uint64, gb.words)
+		gv, wv = maskedBoard{gb, mask}, maskedBoard{wb, mask}
 	}
 	var m Matching
 	for tick := 0; tick < ticks; tick++ {
 		arrive(gb, rngGot)
 		arrive(wb, rngWant)
-		got.TickInto(uint64(tick), gb, &m)
-		ref := want.Tick(uint64(tick), wb)
+		if masked {
+			drawMask(mask, gb.n, rngMask)
+		}
+		got.TickInto(uint64(tick), gv, &m)
+		ref := want.Tick(uint64(tick), wv)
 		if !matchingsEqual(m, ref) {
 			t.Fatalf("tick %d: matching diverged\n got %v\nwant %v", tick, m.Out, ref.Out)
 		}
@@ -139,7 +188,12 @@ func TestBitsetSchedulersMatchReference(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						gb := NewMatrixBoard(n, r)
 						wb := NewMatrixBoard(n, r)
-						runEquivalence(t, ticks, uint64(n*10+r), gb, p.got(), wb, p.want(), degrade)
+						if degrade {
+							// One output lost a receiver to a fault before the run.
+							gb.recv[1]--
+							wb.recv[1]--
+						}
+						runEquivalence(t, ticks, uint64(n*10+r), gb, p.got(), wb, p.want(), false)
 					})
 				}
 			}
@@ -150,7 +204,11 @@ func TestBitsetSchedulersMatchReference(t *testing.T) {
 // TestBitBoardFastPathMatchesReference re-runs the golden comparison on
 // a second seeded demand evolution per shape, so the bit-row fast path
 // and the reference's Demand walk are held equal on more than one
-// world.
+// world. The mixed worlds, at one and two row words, give output out
+// out%4 receivers (0 to 3) and mask a fifth of the outputs afresh every
+// tick, so the grant phase's want row, the per-tick receiver snapshot
+// and FLPPR's in-flight partial matchings all meet outputs that cannot
+// grant.
 func TestBitBoardFastPathMatchesReference(t *testing.T) {
 	for _, n := range []int{8, 64, 100} {
 		for _, r := range []int{1, 2} {
@@ -161,6 +219,87 @@ func TestBitBoardFastPathMatchesReference(t *testing.T) {
 					wb := NewMatrixBoard(n, r)
 					runEquivalence(t, 120, uint64(n*7+r), gb, p.got(), wb, p.want(), false)
 				})
+			}
+		}
+	}
+	for _, n := range []int{64, 100} {
+		for _, p := range schedulerPairs(n) {
+			t.Run(fmt.Sprintf("%s/n=%d/r=mixed/masked", p.name, n), func(t *testing.T) {
+				gb := NewMatrixBoard(n, 1)
+				wb := NewMatrixBoard(n, 1)
+				for out := 0; out < n; out++ {
+					gb.recv[out], wb.recv[out] = out%4, out%4
+				}
+				runEquivalence(t, 120, uint64(n*13), gb, p.got(), wb, p.want(), true)
+			})
+		}
+	}
+}
+
+// TestIteratePartialMatchingsMatchReference drives iterate directly
+// against refIterate from random pre-populated partial matchings, the
+// state FLPPR's in-flight matchings are in, with random pointers,
+// receiver counts of 0 to 3 and masked outputs, at one and two row
+// words. Besides the matching, the pointers and the count, it pins the
+// newly-matched list and the matchState iterate keeps, against a
+// re-derivation from the matching.
+func TestIteratePartialMatchingsMatchReference(t *testing.T) {
+	for _, n := range []int{64, 100} {
+		for _, iters := range []int{1, 3} {
+			rng := sim.NewRNG(uint64(n*10 + iters))
+			sc := newArbScratch(n)
+			for trial := 0; trial < 200; trial++ {
+				b := NewMatrixBoard(n, 1)
+				for out := range b.recv {
+					b.recv[out] = rng.Intn(4)
+				}
+				arrive(b, rng)
+				arrive(b, rng)
+				mask := make([]uint64, b.words)
+				drawMask(mask, n, rng)
+				view := maskedBoard{b, mask}
+				m := NewMatching(n)
+				load := make([]int, n)
+				for in := range m.Out {
+					if out := rng.Intn(n); rng.Bernoulli(0.4) && load[out] < b.recv[out] {
+						m.Out[in] = out
+						load[out]++
+					}
+				}
+				gp, ap := make([]int, n), make([]int, n)
+				for i := range gp {
+					gp[i], ap[i] = rng.Intn(n), rng.Intn(n)
+				}
+				before := slices.Clone(m.Out)
+				ref := Matching{Out: slices.Clone(m.Out)}
+				refG, refA := slices.Clone(gp), slices.Clone(ap)
+				want := refIterate(view, &ref, refG, refA, iters, nil)
+
+				st := newMatchState(n)
+				st.derive(m.Out)
+				sc.snapshot(view)
+				got := sc.iterate(&m, &st, gp, ap, iters)
+				if got != want || !slices.Equal(m.Out, ref.Out) || !slices.Equal(gp, refG) || !slices.Equal(ap, refA) {
+					t.Fatalf("n=%d iters=%d trial %d: iterate diverged from the reference", n, iters, trial)
+				}
+				var fresh []int
+				for in, out := range m.Out {
+					if out >= 0 && before[in] < 0 {
+						fresh = append(fresh, in)
+					}
+				}
+				listed := slices.Clone(sc.matched[:got])
+				if iters > 1 {
+					slices.Sort(listed)
+				}
+				if !slices.Equal(listed, fresh) {
+					t.Fatalf("n=%d iters=%d trial %d: matched list %v, newly matched %v", n, iters, trial, sc.matched[:got], fresh)
+				}
+				re := newMatchState(n)
+				re.derive(m.Out)
+				if !slices.Equal(st.unmatched, re.unmatched) || !slices.Equal(st.outLoad, re.outLoad) {
+					t.Fatalf("n=%d iters=%d trial %d: kept matchState drifted from the matching", n, iters, trial)
+				}
 			}
 		}
 	}

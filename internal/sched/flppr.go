@@ -32,13 +32,12 @@ type FLPPR struct {
 	// pend[j].sub selects the pointer pair.
 	pend []flpprPartial
 	head int
-	// prev holds the pre-iteration matching for commit diffing.
-	prev []int
 	sc   *arbScratch
 }
 
 type flpprPartial struct {
 	m   Matching
+	st  matchState
 	sub int
 }
 
@@ -58,9 +57,8 @@ func NewFLPPR(n, k int) *FLPPR {
 	}
 	f.pend = make([]flpprPartial, k)
 	for j := range f.pend {
-		f.pend[j] = flpprPartial{m: NewMatching(n), sub: j % k}
+		f.pend[j] = flpprPartial{m: NewMatching(n), st: newMatchState(n), sub: j % k}
 	}
-	f.prev = make([]int, n)
 	f.sc = newArbScratch(n)
 	return f
 }
@@ -75,7 +73,8 @@ func (f *FLPPR) GrantLatency() int { return 1 }
 // TickInto implements Scheduler: one iteration of work on every
 // in-flight matching, earliest-completing first so new requests land in
 // the soonest grant. The request snapshot is taken once and patched as
-// edges commit, which keeps it exactly equal to the live board demand.
+// edges commit, which keeps it exactly equal to the live board demand;
+// only the edges an iteration newly matched are committed and patched.
 //
 //osmosis:hotpath
 //osmosis:shardsafe
@@ -83,14 +82,11 @@ func (f *FLPPR) TickInto(slot uint64, b Board, m *Matching) {
 	f.sc.snapshot(b)
 	for j := 0; j < f.k; j++ {
 		p := &f.pend[(f.head+j)%f.k]
-		copy(f.prev, p.m.Out)
-		if f.sc.iterate(b, &p.m, f.grantPtr[p.sub], f.acceptPtr[p.sub], 1) > 0 {
-			for in, out := range p.m.Out {
-				if out >= 0 && f.prev[in] != out {
-					b.Commit(in, out)
-					f.sc.patch(b, in, out)
-				}
-			}
+		added := f.sc.iterate(&p.m, &p.st, f.grantPtr[p.sub], f.acceptPtr[p.sub], 1)
+		for _, in := range f.sc.matched[:added] {
+			out := p.m.Out[in]
+			b.Commit(in, out)
+			f.sc.patch(b, in, out)
 		}
 	}
 	issued := &f.pend[f.head]
@@ -98,6 +94,7 @@ func (f *FLPPR) TickInto(slot uint64, b Board, m *Matching) {
 	copy(m.Out, issued.m.Out)
 	// The issued slot becomes the new farthest-out partial matching.
 	issued.m.Reset()
+	issued.st.reset()
 	issued.sub = int(slot % uint64(f.k))
 	f.head = (f.head + 1) % f.k
 }

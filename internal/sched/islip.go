@@ -59,7 +59,7 @@ func (s *ISLIP) TickInto(_ uint64, b Board, m *Matching) {
 	m.ensure(s.n)
 	m.Reset()
 	s.sc.snapshot(b)
-	s.sc.iterate(b, m, s.grantPtr, s.acceptPtr, s.iters)
+	s.sc.iterate(m, s.sc.fresh(), s.grantPtr, s.acceptPtr, s.iters)
 }
 
 // SelfCommits implements Scheduler: the combinational arbiter's grants

@@ -89,7 +89,7 @@ func (l *LQF) TickInto(_ uint64, b Board, m *Matching) {
 	outLoad := l.outLoad
 	clear(outLoad)
 	for _, e := range edges {
-		if m.Out[e.in] >= 0 || outLoad[e.out] >= b.ReceiversAt(e.out) {
+		if m.Out[e.in] >= 0 || outLoad[e.out] >= l.sc.outCap[e.out] {
 			continue
 		}
 		m.Out[e.in] = e.out

@@ -18,18 +18,12 @@ type PIM struct {
 	seed     uint64
 
 	sc *arbScratch
-	// unmatched has bit in set while input in is unmatched.
-	unmatched []uint64
-	// cand is the per-output requester-scan scratch row.
-	cand []uint64
 	// grants[in] lists outputs granting to in this iteration; the rows
 	// are retained and re-sliced to length zero every iteration.
 	grants [][]int
 	// requesters/avail are the random-draw pools, retained across calls.
 	requesters []int
 	avail      []int
-	outLoad    []int
-	outCap     []int
 }
 
 // NewPIM returns an n-port PIM arbiter with the given iteration count
@@ -41,13 +35,9 @@ func NewPIM(n, iters int, seed uint64) *PIM {
 	p := &PIM{
 		n: n, iters: iters, rng: sim.NewRNG(seed), seed: seed,
 		sc:         newArbScratch(n),
-		unmatched:  make([]uint64, bitWords(n)),
-		cand:       make([]uint64, bitWords(n)),
 		grants:     make([][]int, n),
 		requesters: make([]int, 0, n),
 		avail:      make([]int, 0, n),
-		outLoad:    make([]int, n),
-		outCap:     make([]int, n),
 	}
 	return p
 }
@@ -67,12 +57,7 @@ func (p *PIM) TickInto(_ uint64, b Board, m *Matching) {
 	m.ensure(n)
 	m.Reset()
 	p.sc.snapshot(b)
-	clearRow(p.unmatched)
-	for in := 0; in < n; in++ {
-		setBit(p.unmatched, in)
-		p.outLoad[in] = 0
-		p.outCap[in] = b.ReceiversAt(in)
-	}
+	st, cand := p.sc.fresh(), p.sc.cand
 	for it := 0; it < p.iters; it++ {
 		// Grant: each output with live capacity picks random requesters.
 		for i := range p.grants {
@@ -80,16 +65,16 @@ func (p *PIM) TickInto(_ uint64, b Board, m *Matching) {
 		}
 		granted := false
 		for out := 0; out < n; out++ {
-			capacity := p.outCap[out] - p.outLoad[out]
+			capacity := p.sc.outCap[out] - st.outLoad[out]
 			if capacity <= 0 {
 				continue
 			}
 			requesters := p.requesters[:0]
 			col := p.sc.row(p.sc.reqCol, out)
-			for w := range p.cand {
-				p.cand[w] = col[w] & p.unmatched[w]
+			for w := range cand {
+				cand[w] = col[w] & st.unmatched[w]
 			}
-			for in := nextSetBit(p.cand, n, 0); in >= 0; in = nextSetBit(p.cand, n, in+1) {
+			for in := nextSetBit(cand, n, 0); in >= 0; in = nextSetBit(cand, n, in+1) {
 				//lint:ignore hotpath append into a retained scratch slice pre-sized to N; cap-stable, amortized alloc-free
 				requesters = append(requesters, in)
 			}
@@ -116,7 +101,7 @@ func (p *PIM) TickInto(_ uint64, b Board, m *Matching) {
 			// Filter grants whose output filled up this iteration.
 			avail := p.avail[:0]
 			for _, out := range gs {
-				if p.outLoad[out] < p.outCap[out] {
+				if st.outLoad[out] < p.sc.outCap[out] {
 					//lint:ignore hotpath append into a retained scratch slice pre-sized to N; cap-stable, amortized alloc-free
 					avail = append(avail, out)
 				}
@@ -126,8 +111,8 @@ func (p *PIM) TickInto(_ uint64, b Board, m *Matching) {
 			}
 			out := avail[p.rng.Intn(len(avail))]
 			m.Out[in] = out
-			clearBit(p.unmatched, in)
-			p.outLoad[out]++
+			clearBit(st.unmatched, in)
+			st.outLoad[out]++
 			accepted = true
 		}
 		if !accepted {

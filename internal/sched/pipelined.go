@@ -65,7 +65,7 @@ func (s *PipelinedISLIP) TickInto(_ uint64, b Board, m *Matching) {
 	w := &s.delay[(s.pos+d-1)%d]
 	w.Reset()
 	s.sc.snapshot(b)
-	s.sc.iterate(b, w, s.grantPtr, s.acceptPtr, s.iters)
+	s.sc.iterate(w, s.sc.fresh(), s.grantPtr, s.acceptPtr, s.iters)
 	for in, out := range w.Out {
 		if out >= 0 {
 			b.Commit(in, out)

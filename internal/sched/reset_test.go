@@ -19,6 +19,7 @@ func (f *FLPPR) Reset() {
 	}
 	for j := range f.pend {
 		f.pend[j].m.Reset()
+		f.pend[j].st.reset()
 		f.pend[j].sub = j % f.k
 	}
 	f.head = 0

@@ -127,6 +127,7 @@ func (f *FLPPR) LoadState(d *ckpt.Decoder) error {
 		if err := loadMatchingRow(d, "m", f.pend[j].m.Out, n); err != nil {
 			return err
 		}
+		f.pend[j].st.derive(f.pend[j].m.Out)
 	}
 	f.head = head
 	return d.End("sched-flppr")

@@ -616,6 +616,23 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 	waitState(t, hs.URL, submit(t, hs.URL, smallSpec("after", 57)), stateDone)
 }
 
+// TestHostileTraceCountRejected: a submit whose inline trace header
+// claims 2^62 events. The parser once sized its event slice from that
+// count and panicked the submit handler (the client saw EOF); the count
+// is now only checked against the events read, so the spec is refused
+// with a 400 and the daemon keeps serving.
+func TestHostileTraceCountRejected(t *testing.T) {
+	_, hs := testServer(t, Options{})
+	body := `{"fabric":{"hosts":4,"radix":4},"traffic":{"kind":"trace",` +
+		`"trace":"osmosis-trace v1 n=4 slots=1 events=4611686018427387904\n"},"measure_slots":1}`
+	if code, data := postJSON(t, hs.URL+"/v1/jobs", []byte(body)); code != http.StatusBadRequest {
+		t.Fatalf("2^62-event trace: HTTP %d (want 400): %s", code, data)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile trace: HTTP %d: %s", code, data)
+	}
+}
+
 // TestCancelQueuedAndRunning covers both cancellation paths.
 func TestCancelQueuedAndRunning(t *testing.T) {
 	// Queued: parked behind an endless job on a one-worker daemon.

@@ -118,13 +118,12 @@ func (s *Series) XWhereYDown(y float64) float64 {
 type Table struct {
 	Title  string
 	XLabel string
-	YLabel string
 	Series []*Series
 }
 
-// NewTable creates a table with the given labels.
-func NewTable(title, xLabel, yLabel string) *Table {
-	return &Table{Title: title, XLabel: xLabel, YLabel: yLabel}
+// NewTable creates a table with the given title and x-axis label.
+func NewTable(title, xLabel string) *Table {
+	return &Table{Title: title, XLabel: xLabel}
 }
 
 // AddSeries appends a new named series and returns it.

@@ -189,7 +189,7 @@ func TestSeriesYAtTolerance(t *testing.T) {
 // float noise share one table row instead of producing two half-empty
 // rows.
 func TestTableNearDuplicateXCollapse(t *testing.T) {
-	tb := NewTable("t", "x", "y")
+	tb := NewTable("t", "x")
 	a := tb.AddSeries("a")
 	b := tb.AddSeries("b")
 	xa := 0.1 + 0.2 // 0.30000000000000004
@@ -207,7 +207,7 @@ func TestTableNearDuplicateXCollapse(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	tb := NewTable("Fig. 7", "load", "delay")
+	tb := NewTable("Fig. 7", "load")
 	a := tb.AddSeries("single")
 	b := tb.AddSeries("dual")
 	a.Add(0.5, 2.1)
@@ -228,7 +228,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTableXValuesSorted(t *testing.T) {
-	tb := NewTable("t", "x", "y")
+	tb := NewTable("t", "x")
 	s := tb.AddSeries("s")
 	s.Add(3, 1)
 	s.Add(1, 1)

@@ -6,6 +6,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -121,8 +122,9 @@ func Build(cfg Config) ([]Generator, error) {
 			return nil, fmt.Errorf("traffic: hot port %d out of [0,%d)", cfg.HotPort, cfg.N)
 		}
 	case KindParetoOnOff:
-		if cfg.ParetoAlpha != 0 && cfg.ParetoAlpha <= 1 {
-			return nil, fmt.Errorf("traffic: pareto shape %v must be > 1 for a finite mean burst", cfg.ParetoAlpha)
+		// Negated so NaN is refused too; +Inf would make the scale NaN.
+		if cfg.ParetoAlpha != 0 && (!(cfg.ParetoAlpha > 1) || math.IsInf(cfg.ParetoAlpha, 1)) {
+			return nil, fmt.Errorf("traffic: pareto shape %v must be finite and > 1 for a finite mean burst", cfg.ParetoAlpha)
 		}
 	case KindAllToAll, KindRingAllReduce, KindTreeAllReduce:
 		if cfg.N < 2 {

@@ -7,6 +7,7 @@ package traffic
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -87,11 +88,35 @@ func (m *MMPP) Next(slot uint64) (Arrival, bool) {
 // accounting stays exact for the capped distribution.
 const paretoBurstCap = 1 << 20
 
+// paretoMeans memoises paretoCeilMean per (xm, alpha): at alpha = 1.5
+// the sum runs all paretoBurstCap terms, and experiments build Pareto
+// sources for the same shape many times, from several pool workers.
+var paretoMeans struct {
+	mu sync.Mutex
+	m  map[[2]float64]float64
+}
+
 // paretoCeilMean returns E[min(ceil(Y), cap)] for Y ~ Pareto(xm, alpha),
-// via E[L] = sum_{j>=0} P(L > j) with P(Y > j) = 1 for j < xm and
-// (xm/j)^alpha beyond. The sum has at most cap terms and is evaluated
-// once per Build, not per draw.
+// computed by paretoCeilSum once per (xm, alpha) per process.
 func paretoCeilMean(xm, alpha float64) float64 {
+	paretoMeans.mu.Lock()
+	defer paretoMeans.mu.Unlock()
+	key := [2]float64{xm, alpha}
+	if mean, ok := paretoMeans.m[key]; ok {
+		return mean
+	}
+	if paretoMeans.m == nil {
+		paretoMeans.m = make(map[[2]float64]float64)
+	}
+	mean := paretoCeilSum(xm, alpha)
+	paretoMeans.m[key] = mean
+	return mean
+}
+
+// paretoCeilSum evaluates E[min(ceil(Y), cap)] for Y ~ Pareto(xm,
+// alpha) via E[L] = sum_{j>=0} P(L > j) with P(Y > j) = 1 for j < xm
+// and (xm/j)^alpha beyond. The sum has at most cap terms.
+func paretoCeilSum(xm, alpha float64) float64 {
 	mean := 0.0
 	for j := 0; j < paretoBurstCap; j++ {
 		fj := float64(j)

@@ -426,3 +426,18 @@ func TestTreeAllReduceSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestParetoCeilMeanMemoBitExact pins the memo to the direct sum: the
+// first and the repeated lookup both return paretoCeilSum's exact bits,
+// for the default shape (whose sum runs all paretoBurstCap terms) and a
+// steeper one (whose tail bound cuts the sum short).
+func TestParetoCeilMeanMemoBitExact(t *testing.T) {
+	for _, c := range []struct{ xm, alpha float64 }{{16.0 / 3, 1.5}, {8, 1.9}, {1, 2}} {
+		want := math.Float64bits(paretoCeilSum(c.xm, c.alpha))
+		for i := 0; i < 2; i++ {
+			if got := math.Float64bits(paretoCeilMean(c.xm, c.alpha)); got != want {
+				t.Fatalf("xm=%v alpha=%v lookup %d: bits %#x, direct sum %#x", c.xm, c.alpha, i, got, want)
+			}
+		}
+	}
+}

@@ -120,7 +120,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if t.N <= 0 {
 		return nil, fmt.Errorf("traffic: trace with %d ports", t.N)
 	}
-	t.Events = make([]TraceEvent, 0, events)
+	// Events grow as lines are read: the header's count is checked
+	// against them at the end, never trusted to size an allocation.
 	prevSlot, prevPort := uint64(0), -1
 	for line := 1; ; line++ {
 		raw, err := br.ReadString('\n')

@@ -144,6 +144,7 @@ func TestReadTraceRejections(t *testing.T) {
 		{"missing header field", strings.Replace(good, " events=", " count=", 1)},
 		{"zero ports", strings.Replace(good, " n=4 ", " n=0 ", 1)},
 		{"event count mismatch", strings.Replace(good, "events=", "events=1", 1)},
+		{"2^62 event count", "osmosis-trace v1 n=4 slots=1 events=4611686018427387904\n"},
 		{"short line", good + "3 1\n"},
 		{"non-numeric field", good + "3 1 x 0\n"},
 		{"class out of range", lines[0] + "\n99 0 1 7\n"},

@@ -196,6 +196,8 @@ func TestBuildValidation(t *testing.T) {
 		{"hot port >= N", Config{Kind: KindHotspot, N: 4, Load: 0.5, HotFraction: 0.5, HotPort: 4}},
 		{"hot port < 0", Config{Kind: KindHotspot, N: 4, Load: 0.5, HotFraction: 0.5, HotPort: -1}},
 		{"pareto shape <= 1", Config{Kind: KindParetoOnOff, N: 4, Load: 0.5, ParetoAlpha: 1.0}},
+		{"pareto shape NaN", Config{Kind: KindParetoOnOff, N: 4, Load: 0.5, ParetoAlpha: math.NaN()}},
+		{"pareto shape +Inf", Config{Kind: KindParetoOnOff, N: 4, Load: 0.5, ParetoAlpha: math.Inf(1)}},
 		{"incast fan-in >= N", Config{Kind: KindIncast, N: 4, Load: 0.5, Fanin: 4}},
 		{"alltoall one port", Config{Kind: KindAllToAll, N: 1, Load: 0.5}},
 		{"ring one port", Config{Kind: KindRingAllReduce, N: 1, Load: 0.5}},
