@@ -566,6 +566,9 @@ func (s *Switch) RunEpochs(gens []traffic.Generator, warmup, measure uint64, cut
 	if len(gens) != s.cfg.N {
 		return nil, nil, fmt.Errorf("crossbar: %d generators for %d ports", len(gens), s.cfg.N)
 	}
+	if err := packet.CheckTimeline(s.slot, warmup, measure); err != nil {
+		return nil, nil, fmt.Errorf("crossbar: %w", err)
+	}
 	arrivals := make([]*packet.Cell, s.cfg.N)
 	total := warmup + measure
 	var epochs []Epoch

@@ -219,6 +219,42 @@ func TestMismatchedGeneratorsError(t *testing.T) {
 	}
 }
 
+// TestTimelinePastBoundRefused: Run and RunEpochs refuse a timeline
+// ending past packet.MaxTimelineSlots before any slot runs (the
+// allocator's 32-bit flow counters would wrap), including warm-up and
+// measure values whose uint64 sum wraps, and the switch stays usable.
+// No test steps that many slots.
+func TestTimelinePastBoundRefused(t *testing.T) {
+	sw, err := New(Config{N: 8, Scheduler: sched.NewFLPPR(8, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: 8, Load: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = packet.MaxTimelineSlots
+	for _, tc := range [][2]uint64{{bound, 1}, {1 << 63, 1 << 63}, {math.MaxUint64, math.MaxUint64}} {
+		if _, err := sw.Run(gens, tc[0], tc[1]); err == nil {
+			t.Errorf("Run(warmup %d, measure %d) accepted", tc[0], tc[1])
+		}
+		if _, _, err := sw.RunEpochs(gens, tc[0], tc[1], []uint64{2}); err == nil {
+			t.Errorf("RunEpochs(warmup %d, measure %d) accepted", tc[0], tc[1])
+		}
+	}
+	if sw.slot != 0 || sw.alloc.Issued() != 0 {
+		t.Fatalf("refused runs stepped the switch: slot %d, %d cells issued", sw.slot, sw.alloc.Issued())
+	}
+	m, err := sw.Run(gens, 10, 20)
+	if err != nil || m.Offered == 0 {
+		t.Fatalf("run after the refusals: %v, %d offered", err, m.Offered)
+	}
+	// The bound is on the timeline's last slot, not its length.
+	if _, err := sw.Run(gens, bound-30, 1); err == nil {
+		t.Error("a timeline from slot 30 ending at the bound + 1 accepted")
+	}
+}
+
 // renderSweep reduces sweep results to a canonical byte form so the
 // equivalence tests compare content bit-exactly.
 func renderSweep(res []RunResult) string {

@@ -12,6 +12,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/fc"
 	"repro/internal/packet"
@@ -453,8 +454,12 @@ func (f *Fabric) mergeStats() {
 // drives its own hosts' generators (every one an independent seeded
 // stream) and delivered cells are accounted centrally in (slot, host)
 // order, so the metrics are byte-identical at any shard count — and to
-// hand-driving the same arrivals through Inject and Step.
+// hand-driving the same arrivals through Inject and Step. A timeline
+// ending past packet.MaxTimelineSlots is refused before any slot runs.
 func (f *Fabric) Run(gens []traffic.Generator, warmup, measure uint64) (*Metrics, error) {
+	if err := packet.CheckTimeline(f.slot, warmup, measure); err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
+	}
 	if err := f.begin(gens, warmup, measure); err != nil {
 		return nil, err
 	}
@@ -472,18 +477,42 @@ func (f *Fabric) begin(gens []traffic.Generator, warmup, measure uint64) error {
 	if len(gens) != f.cfg.Hosts {
 		return fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
 	}
+	until, err := timelineEnd(f.slot, warmup, measure)
+	if err != nil {
+		return err
+	}
 	if measure > 0 {
 		f.measureSet = true
 		f.measureFrom = f.slot + warmup
 		f.metrics.MeasureSlots = measure
 	}
-	f.inj = injectPlan{gens: gens, until: f.slot + warmup + measure}
+	f.inj = injectPlan{gens: gens, until: until}
 	return nil
 }
 
+// timelineEnd returns start+warmup+measure, the absolute slot a
+// timeline ends at, or an error when the sum overflows.
+func timelineEnd(start, warmup, measure uint64) (uint64, error) {
+	mid, c1 := bits.Add64(start, warmup, 0)
+	end, c2 := bits.Add64(mid, measure, 0)
+	if c1|c2 != 0 {
+		return 0, fmt.Errorf("fabric: timeline from slot %d with %d warm-up and %d measured slots overflows the slot clock", start, warmup, measure)
+	}
+	return end, nil
+}
+
 // advance runs lookahead windows until the timeline ends or maxSlots
-// are spent, pausing only at window barriers.
+// are spent, pausing only at window barriers. A call that would take
+// the clock past packet.MaxTimelineSlots is refused before it steps, so
+// an open-ended session stops there instead of wrapping the 32-bit flow
+// counters.
 func (f *Fabric) advance(maxSlots uint64) error {
+	if f.slot < f.inj.until {
+		if n := min(maxSlots, f.inj.until-f.slot); f.slot+n > packet.MaxTimelineSlots {
+			return fmt.Errorf("fabric: advancing %d slots from slot %d passes slot %d, the bound the 32-bit flow counters hold",
+				n, f.slot, uint64(packet.MaxTimelineSlots))
+		}
+	}
 	window := uint64(f.cfg.LinkDelaySlots + 1)
 	for maxSlots > 0 && f.slot < f.inj.until {
 		n := min(window, f.inj.until-f.slot, maxSlots)

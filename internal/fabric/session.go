@@ -32,7 +32,10 @@ type Session struct {
 // StartSession begins a warm-up + measurement run on f, arming the same
 // timeline Run does. Every generator must be checkpointable (implement
 // traffic.StateCodec) for Save to work; this is verified at save time,
-// not here, so non-checkpointable sessions can still run.
+// not here, so non-checkpointable sessions can still run. Unlike Run, a
+// session may declare a timeline ending past packet.MaxTimelineSlots,
+// as an open-ended measurement does; Advance then refuses any step that
+// would take the clock past that bound.
 func StartSession(f *Fabric, gens []traffic.Generator, warmup, measure uint64) (*Session, error) {
 	if err := f.begin(gens, warmup, measure); err != nil {
 		return nil, err
@@ -60,7 +63,8 @@ func (s *Session) finish() {
 // Advance drives the run forward by at most maxSlots packet cycles; the
 // window that spends the budget is cut short there, so the pause is a
 // barrier. It reports whether the run has completed its warm-up +
-// measurement timeline.
+// measurement timeline. A call that would take the clock past
+// packet.MaxTimelineSlots is refused before it steps.
 func (s *Session) Advance(maxSlots uint64) (bool, error) {
 	if s.finished {
 		return true, nil
@@ -124,6 +128,10 @@ func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*
 	if err := rr.Done(); err != nil {
 		return nil, err
 	}
+	end, err := timelineEnd(base, warmup, measure)
+	if err != nil {
+		return nil, err
+	}
 	if err := f.LoadState(d); err != nil {
 		return nil, err
 	}
@@ -159,7 +167,7 @@ func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*
 		base:     base,
 		warmup:   warmup,
 		measure:  measure,
-		end:      base + warmup + measure,
+		end:      end,
 		finished: finished,
 	}
 	if f.slot < base || f.slot > s.end {

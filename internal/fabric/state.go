@@ -421,7 +421,15 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	if err := packet.LoadSplitOrderState(d, orders...); err != nil {
 		return err
 	}
-	if err := packet.LoadMergedState(d, allocs...); err != nil {
+	// Each shard's allocator takes only the flows of the hosts it issues
+	// for; a flow from or to a host outside the fabric is refused.
+	owner := func(src, dst int) int {
+		if src >= f.cfg.Hosts || dst >= f.cfg.Hosts {
+			return -1
+		}
+		return f.hostShard[src]
+	}
+	if err := packet.LoadMergedState(d, owner, allocs...); err != nil {
 		return err
 	}
 

@@ -8,9 +8,13 @@ package fabric
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/sched"
 	"repro/internal/traffic"
 )
@@ -375,6 +379,105 @@ func TestCheckpointRejectsMismatchAndCorruption(t *testing.T) {
 	}
 	if _, err := ResumeSession(uf, buildGens(t, tcfg), strings.NewReader(text)); err == nil {
 		t.Error("restore into a used fabric accepted")
+	}
+}
+
+// TestTimelinePastBoundRefused: the fabric clock never runs past
+// packet.MaxTimelineSlots, so the 32-bit flow counters never wrap. Run
+// refuses a timeline ending past the bound before any slot runs; a
+// session may declare one (open-ended), but Advance refuses the step
+// that would cross the bound; StartSession and ResumeSessionState
+// refuse warm-up and measure values whose uint64 sum wraps. No test
+// steps that many slots: the clock is set next to the bound instead.
+func TestTimelinePastBoundRefused(t *testing.T) {
+	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
+		LinkDelaySlots: 3}
+	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.5, Seed: 9}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := buildGens(t, tcfg)
+	const bound = packet.MaxTimelineSlots
+	for _, tc := range [][2]uint64{{bound, 1}, {1 << 63, 1 << 63}, {math.MaxUint64, math.MaxUint64}} {
+		if _, err := f.Run(gens, tc[0], tc[1]); err == nil {
+			t.Errorf("Run(warmup %d, measure %d) accepted", tc[0], tc[1])
+		}
+	}
+	for _, tc := range [][2]uint64{{1 << 63, 1 << 63}, {math.MaxUint64, 1}} {
+		if _, err := StartSession(f, gens, tc[0], tc[1]); err == nil {
+			t.Errorf("StartSession(warmup %d, measure %d) accepted", tc[0], tc[1])
+		}
+	}
+	if f.slot != 0 || f.measureSet || f.metrics.MeasureSlots != 0 {
+		t.Fatalf("refused timelines armed the fabric: slot %d, measure window %v/%d", f.slot, f.measureSet, f.metrics.MeasureSlots)
+	}
+
+	// A session checkpoint whose timeline overflows is refused.
+	s, err := StartSession(f, gens, 20, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Advance(8); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	text := snap.String()
+	run := "\nrun 0 20 20 0\n"
+	if !strings.Contains(text, run) {
+		t.Fatalf("session checkpoint lacks %q", run)
+	}
+	for _, forged := range []string{"\nrun 0 9223372036854775808 9223372036854775808 0\n", "\nrun 0 18446744073709551615 20 0\n"} {
+		body := strings.Replace(text[:strings.LastIndex(text, "checksum ")], run, forged, 1)
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(body))
+		rf, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := fmt.Sprintf("%schecksum %016x\n", body, h.Sum64())
+		if _, err := ResumeSession(rf, buildGens(t, tcfg), strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("session record %q: resume error %v, want the timeline refused", strings.TrimSpace(forged), err)
+		}
+	}
+
+	// Next to the bound: as if the fabric had run that long.
+	near, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near.slot = bound - 10
+	for _, sh := range near.shards {
+		sh.slot = near.slot
+	}
+	if _, err := near.Run(gens, 5, 6); err == nil {
+		t.Error("Run ending one slot past the bound accepted")
+	}
+	open, err := StartSession(near, gens, 2, 1<<40)
+	if err != nil {
+		t.Fatalf("open-ended session: %v", err)
+	}
+	if _, err := open.Advance(8); err != nil {
+		t.Fatalf("advancing to 2 slots short of the bound: %v", err)
+	}
+	if _, err := open.Advance(3); err == nil {
+		t.Error("Advance one slot past the bound accepted")
+	}
+	if near.slot != bound-2 {
+		t.Errorf("refused Advance moved the clock to %d, want %d", near.slot, uint64(bound-2))
+	}
+	if _, err := open.Advance(2); err != nil {
+		t.Errorf("advancing to the bound: %v", err)
+	}
+	if _, err := open.Advance(1); err == nil {
+		t.Error("Advance past the bound accepted")
+	}
+	if near.slot != bound {
+		t.Errorf("the session next to the bound ran to slot %d, want %d", near.slot, uint64(bound))
 	}
 }
 

@@ -95,13 +95,18 @@ type Allocator struct {
 	free   []*Cell
 }
 
-// flowTable stores one uint64 per (src, dst, class) flow in dense
+// flowTable stores one uint32 per (src, dst, class) flow in dense
 // per-source, per-class rows indexed by dst, grown on demand. At the
 // loads where flow state is hot, most (src, dst) pairs are live, so a
 // dense table beats a hash map: one predictable indexed load per access
 // — no key mixing, no probe chain, and no incremental-rehash pauses once
 // millions of flows exist. A value of 0 means the flow has never been
 // touched; both users encode live flows as values >= 1.
+//
+// 32 bits suffice because a flow gains at most one cell per slot and
+// no timeline ends past MaxTimelineSlots (see there), so neither user's
+// value ever exceeds math.MaxUint32 and no counter wraps. At 2048 ports
+// that halves each of the two per-run tables, from 32 MB to 16 MB.
 //
 // Each class has its own row so data-only traffic never allocates the
 // control half, and a row is always the smallest power of two (at least
@@ -112,20 +117,42 @@ type Allocator struct {
 // row length up front). class must be Data or Control — which Class is
 // by construction everywhere cells are made.
 type flowTable struct {
-	rows  [][2][]uint64 // [src][class][dst]
+	rows  [][2][]uint32 // [src][class][dst]
 	width int
 }
 
 // minFlowRow is the smallest row a flow table allocates.
 const minFlowRow = 8
 
+// MaxTimelineSlots is the last slot any run timeline may end at. Every
+// traffic generator makes at most one arrival per (port, slot), and
+// traffic.ReadTrace enforces the same for a replayed trace, so a flow
+// gains at most one cell per slot: a timeline ending at slot E leaves
+// every flow's sequence counter at most E. Holding E to 2^32-1 keeps
+// the 32-bit flow tables from wrapping, so "0 = never seen" and the
+// checkpoint's merge-by-max keep their meaning. The engines refuse to
+// run past it: CheckTimeline before a whole run steps, and a fabric
+// session at each Advance.
+const MaxTimelineSlots = math.MaxUint32
+
+// CheckTimeline reports an error when a timeline starting at slot start
+// and running warmup+measure slots would end past MaxTimelineSlots. The
+// check never overflows, however large its operands.
+func CheckTimeline(start, warmup, measure uint64) error {
+	if start > MaxTimelineSlots || warmup > MaxTimelineSlots-start || measure > MaxTimelineSlots-start-warmup {
+		return fmt.Errorf("timeline from slot %d with %d warm-up and %d measured slots ends past slot %d, the bound the 32-bit flow counters hold",
+			start, warmup, measure, uint64(MaxTimelineSlots))
+	}
+	return nil
+}
+
 // slot returns the value cell for a flow, growing the table as needed.
 //
 //osmosis:shardsafe
-func (t *flowTable) slot(src, dst int, class Class) *uint64 {
+func (t *flowTable) slot(src, dst int, class Class) *uint32 {
 	if src >= len(t.rows) {
 		//lint:ignore hotpath outer table reaches the source-port count once and stops growing
-		t.rows = append(t.rows, make([][2][]uint64, src+1-len(t.rows))...)
+		t.rows = append(t.rows, make([][2][]uint32, src+1-len(t.rows))...)
 	}
 	row := t.rows[src][class]
 	if dst >= len(row) {
@@ -134,7 +161,7 @@ func (t *flowTable) slot(src, dst int, class Class) *uint64 {
 			n = t.width
 		}
 		//lint:ignore hotpath rows grow to the table width, or the next power of two past the highest destination, and stop; cap-stable once every flow has been seen
-		grown := make([]uint64, n)
+		grown := make([]uint32, n)
 		copy(grown, row)
 		row = grown
 		t.rows[src][class] = row
@@ -145,7 +172,7 @@ func (t *flowTable) slot(src, dst int, class Class) *uint64 {
 // each calls fn for every flow with a nonzero value, in (src, dst,
 // class) order — the iteration the checkpoint codecs rely on for
 // byte-deterministic serialization.
-func (t *flowTable) each(fn func(src, dst int, class Class, v uint64)) {
+func (t *flowTable) each(fn func(src, dst int, class Class, v uint32)) {
 	for src := range t.rows {
 		t.eachFrom(src, fn)
 	}
@@ -153,7 +180,7 @@ func (t *flowTable) each(fn func(src, dst int, class Class, v uint64)) {
 
 // eachFrom calls fn for every nonzero flow of one source, in (dst,
 // class) order.
-func (t *flowTable) eachFrom(src int, fn func(src, dst int, class Class, v uint64)) {
+func (t *flowTable) eachFrom(src int, fn func(src, dst int, class Class, v uint32)) {
 	if src >= len(t.rows) {
 		return
 	}
@@ -180,19 +207,6 @@ func (t *flowTable) count() uint64 {
 		}
 	}
 	return n
-}
-
-// clone returns a deep copy of the table.
-func (t *flowTable) clone() flowTable {
-	c := flowTable{rows: make([][2][]uint64, len(t.rows)), width: t.width}
-	for src, pair := range t.rows {
-		for class, row := range pair {
-			if len(row) > 0 {
-				c.rows[src][class] = append([]uint64(nil), row...)
-			}
-		}
-	}
-	return c
 }
 
 // NewAllocator returns an empty allocator.
@@ -222,7 +236,7 @@ func (a *Allocator) New(src, dst int, class Class, now units.Time) *Cell {
 	c.Src = src
 	c.Dst = dst
 	c.Class = class
-	c.Seq = seq
+	c.Seq = uint64(seq)
 	c.Created = now
 	return c
 }
@@ -255,7 +269,8 @@ type OrderChecker struct {
 	// last holds lastSeq+1 per flow (0 means the flow has never
 	// delivered), keyed by (src, dst-lo, class), folding the seen-flag
 	// into the same cell so the hot Deliver path does one table access
-	// per cell.
+	// per cell. Sequence numbers stay below MaxTimelineSlots, so
+	// lastSeq+1 fits the table's 32 bits without wrapping to 0.
 	last       flowTable
 	lo, hi     int
 	violations uint64
@@ -285,11 +300,11 @@ func NewOrderCheckerFor(lo, hi int) *OrderChecker {
 func (o *OrderChecker) Deliver(c *Cell) bool {
 	p := o.last.slot(c.Src, c.Dst-o.lo, c.Class)
 	o.delivered++
-	if v := *p; v != 0 && c.Seq < v {
+	if v := *p; v != 0 && c.Seq < uint64(v) {
 		o.violations++
 		return false
 	}
-	*p = c.Seq + 1
+	*p = uint32(c.Seq) + 1
 	return true
 }
 

@@ -7,6 +7,7 @@ package packet
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/units"
@@ -44,6 +45,11 @@ func LoadCell(d *ckpt.Decoder) (*Cell, error) {
 	if c.Class > Control {
 		return nil, fmt.Errorf("packet: cell %d class %d out of range", c.ID, c.Class)
 	}
+	// The order checker stores Seq+1 in 32 bits; no run issues a
+	// sequence number this high (MaxTimelineSlots).
+	if c.Seq >= math.MaxUint32 {
+		return nil, fmt.Errorf("packet: cell %d sequence number %d past the 32-bit flow range", c.ID, c.Seq)
+	}
 	return c, nil
 }
 
@@ -52,42 +58,54 @@ func LoadCell(d *ckpt.Decoder) (*Cell, error) {
 // that order, so the encoding is byte-deterministic with no sort. sub
 // is subtracted from each value before writing (the order checker keeps
 // lastSeq+1 in memory but lastSeq on disk).
-func saveFlows(e *ckpt.Encoder, name string, t *flowTable, sub uint64) {
-	t.each(func(src, dst int, class Class, v uint64) {
+func saveFlows(e *ckpt.Encoder, name string, t *flowTable, sub uint32) {
+	t.each(func(src, dst int, class Class, v uint32) {
 		e.Put(name, ckpt.Int(int64(src)), ckpt.Int(int64(dst)),
-			ckpt.Uint(uint64(class)), ckpt.Uint(v-sub))
+			ckpt.Uint(uint64(class)), ckpt.Uint(uint64(v-sub)))
 	})
 }
 
-// parseFlow reads and validates one per-flow record written by
-// saveFlows.
-func parseFlow(d *ckpt.Decoder, name string) (src, dst int, class Class, v uint64, err error) {
-	fr := d.Record(name)
-	src, dst, class = fr.IntAsInt(), fr.IntAsInt(), Class(fr.Uint())
-	v = fr.Uint()
-	if err := fr.Done(); err != nil {
+// flowReader reads the per-flow records of one section. saveFlows
+// writes them in strictly increasing (src, dst, class) order, and the
+// reader refuses any other order: a repeated flow is an error, and
+// every section it accepts re-encodes byte for byte.
+type flowReader struct {
+	name string
+	// add is added to each stored value: 1 for the order checker, which
+	// keeps lastSeq+1 in memory.
+	add uint32
+	// next is one past the previous record's (src, dst, class) key, so
+	// the next record's key must be at least next.
+	next uint64
+}
+
+// read reads and validates one record. The value must fit a flow table
+// once add is added to it: a larger one cannot come from a run held to
+// MaxTimelineSlots.
+func (fr *flowReader) read(d *ckpt.Decoder) (src, dst int, class Class, v uint32, err error) {
+	r := d.Record(fr.name)
+	src, dst, class = r.IntAsInt(), r.IntAsInt(), Class(r.Uint())
+	raw := r.Uint()
+	if err := r.Done(); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	if class > Control {
-		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow class %d out of range", name, class)
+		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow class %d out of range", fr.name, class)
 	}
 	// The dense table allocates per-source rows sized to the largest
 	// destination, so bound both indices before trusting them.
 	if src < 0 || dst < 0 || src >= 1<<24 || dst >= 1<<24 {
-		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d outside supported port range", name, src, dst)
+		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d outside supported port range", fr.name, src, dst)
 	}
-	return src, dst, class, v, nil
-}
-
-// readFlow reads one per-flow record written by saveFlows, returning a
-// pointer into t's value cell for that flow plus the stored value. The
-// caller checks *p for duplicates (live flows are nonzero).
-func readFlow(d *ckpt.Decoder, name string, t *flowTable) (p *uint64, v uint64, err error) {
-	src, dst, class, v, err := parseFlow(d, name)
-	if err != nil {
-		return nil, 0, err
+	if raw > uint64(math.MaxUint32-fr.add) {
+		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d value %d past the 32-bit flow range", fr.name, src, dst, raw)
 	}
-	return t.slot(src, dst, class), v, nil
+	key := uint64(src)<<25 | uint64(dst)<<1 | uint64(class)
+	if key < fr.next {
+		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d class %d repeated or out of (src, dst, class) order", fr.name, src, dst, class)
+	}
+	fr.next = key + 1
+	return src, dst, class, uint32(raw) + fr.add, nil
 }
 
 // SaveState serializes the allocator's identity state: the ID counter
@@ -103,41 +121,16 @@ func (a *Allocator) SaveState(e *ckpt.Encoder) {
 // LoadState restores the allocator's identity state, replacing the
 // current counters.
 func (a *Allocator) LoadState(d *ckpt.Decoder) error {
-	r := d.Record("alloc")
-	nextID, n := r.Uint(), r.Uint()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	var seq flowTable
-	for i := uint64(0); i < n; i++ {
-		p, v, err := readFlow(d, "flow", &seq)
-		if err != nil {
-			return err
-		}
-		if *p != 0 {
-			return fmt.Errorf("packet: alloc flow record %d duplicated", i)
-		}
-		if v == 0 {
-			return fmt.Errorf("packet: alloc flow record %d has zero sequence count", i)
-		}
-		*p = v
-	}
-	a.nextID = nextID
-	a.seq = seq
-	a.free = a.free[:0]
-	return nil
+	return LoadMergedState(d, func(int, int) int { return 0 }, a)
 }
 
 // SaveMergedState serializes the combined identity state of several
 // allocators as one logical allocator. The fabric engine issues each
-// host's cells from the allocator of the shard owning the host; each
-// flow is only ever ADVANCED by one of them, so taking each flow's
-// maximum counter yields a
-// partition-independent snapshot: the same traffic produces the same
-// merged flow state at any shard count. Maximum (not sum) also makes the
-// merge idempotent across restore cycles — LoadMergedState hands every
-// allocator the full map, and the copies that are never advanced again
-// stay frozen at the checkpointed value, strictly below the live owner's.
+// host's cells from the allocator of the shard owning the host, and
+// LoadMergedState hands each allocator only the flows of its own
+// sources, so every flow lives in exactly one allocator: taking each
+// flow's maximum counter is a disjoint union, and the snapshot is the
+// same at any shard count. The ID counter is the allocators' maximum.
 func SaveMergedState(e *ckpt.Encoder, allocs ...*Allocator) {
 	var nextID uint64
 	var merged flowTable
@@ -145,7 +138,7 @@ func SaveMergedState(e *ckpt.Encoder, allocs ...*Allocator) {
 		if a.nextID > nextID {
 			nextID = a.nextID
 		}
-		a.seq.each(func(src, dst int, class Class, v uint64) {
+		a.seq.each(func(src, dst int, class Class, v uint32) {
 			if p := merged.slot(src, dst, class); v > *p {
 				*p = v
 			}
@@ -155,36 +148,42 @@ func SaveMergedState(e *ckpt.Encoder, allocs ...*Allocator) {
 	saveFlows(e, "flow", &merged, 0)
 }
 
-// LoadMergedState restores a SaveMergedState snapshot into every target
-// allocator: each receives the full flow map (whichever allocator serves
-// a flow after restore continues its sequence exactly) and an ID counter
-// at the merged maximum, so each allocator's freshly issued IDs never
-// collide with IDs it handed to cells still in flight. IDs themselves
-// are diagnostic — per-flow sequence numbers, which the order checker
-// consumes, are the identity that must continue bit-exactly.
-func LoadMergedState(d *ckpt.Decoder, allocs ...*Allocator) error {
+// LoadMergedState restores a SaveMergedState snapshot into allocators
+// that issue cells for disjoint sets of sources: owner(src, dst) is the
+// index in allocs of the one issuing the flow's cells, or -1 when the
+// engine has no such flow (an error). Each allocator receives only its
+// own sources' flows, so whichever allocator serves a flow after
+// restore continues its sequence exactly, and no flow is held twice.
+// Every allocator takes the merged ID counter, so its freshly issued
+// IDs never collide with IDs it handed to cells still in flight. IDs
+// themselves are diagnostic — per-flow sequence numbers, which the
+// order checker consumes, are the identity that must continue
+// bit-exactly.
+func LoadMergedState(d *ckpt.Decoder, owner func(src, dst int) int, allocs ...*Allocator) error {
 	r := d.Record("alloc")
 	nextID, n := r.Uint(), r.Uint()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	var merged flowTable
+	tables := make([]flowTable, len(allocs))
+	fr := flowReader{name: "flow"}
 	for i := uint64(0); i < n; i++ {
-		p, v, err := readFlow(d, "flow", &merged)
+		src, dst, class, v, err := fr.read(d)
 		if err != nil {
 			return err
-		}
-		if *p != 0 {
-			return fmt.Errorf("packet: alloc flow record %d duplicated", i)
 		}
 		if v == 0 {
 			return fmt.Errorf("packet: alloc flow record %d has zero sequence count", i)
 		}
-		*p = v
+		k := owner(src, dst)
+		if k < 0 || k >= len(allocs) {
+			return fmt.Errorf("packet: alloc flow record %d (%d->%d) is no flow of this engine", i, src, dst)
+		}
+		*tables[k].slot(src, dst, class) = v
 	}
-	for _, a := range allocs {
+	for k, a := range allocs {
 		a.nextID = nextID
-		a.seq = merged.clone()
+		a.seq = tables[k]
 		a.free = a.free[:0]
 	}
 	return nil
@@ -216,9 +215,9 @@ func SaveMergedOrderState(e *ckpt.Encoder, checkers ...*OrderChecker) {
 	e.Put("order", ckpt.Uint(delivered), ckpt.Uint(violations), ckpt.Uint(flows))
 	for src := 0; src < rows; src++ {
 		for _, o := range checkers {
-			o.last.eachFrom(src, func(src, dst int, class Class, v uint64) {
+			o.last.eachFrom(src, func(src, dst int, class Class, v uint32) {
 				e.Put("oflow", ckpt.Int(int64(src)), ckpt.Int(int64(dst+o.lo)),
-					ckpt.Uint(uint64(class)), ckpt.Uint(v-1))
+					ckpt.Uint(uint64(class)), ckpt.Uint(uint64(v-1)))
 			})
 		}
 	}
@@ -227,7 +226,9 @@ func SaveMergedOrderState(e *ckpt.Encoder, checkers ...*OrderChecker) {
 // LoadSplitOrderState restores a SaveMergedOrderState snapshot into
 // checkers, replacing their state: each takes the flows toward its own
 // destination range, and the first takes the totals (only their sum is
-// ever saved). A flow outside every range is an error.
+// ever saved). Sources and destinations share one port space, so a
+// flow toward a destination outside every range, or from a source past
+// the highest range, is an error.
 func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 	r := d.Record("order")
 	delivered, violations, n := r.Uint(), r.Uint(), r.Uint()
@@ -235,11 +236,14 @@ func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 		return err
 	}
 	tables := make([]flowTable, len(checkers))
+	ports := 0
 	for k, o := range checkers {
 		tables[k].width = o.last.width
+		ports = max(ports, o.hi)
 	}
+	fr := flowReader{name: "oflow", add: 1}
 	for i := uint64(0); i < n; i++ {
-		src, dst, class, v, err := parseFlow(d, "oflow")
+		src, dst, class, v, err := fr.read(d)
 		if err != nil {
 			return err
 		}
@@ -247,14 +251,10 @@ func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 		for k < len(checkers) && (dst < checkers[k].lo || dst >= checkers[k].hi) {
 			k++
 		}
-		if k == len(checkers) {
-			return fmt.Errorf("packet: order flow record %d toward %d outside every checker's destination range", i, dst)
+		if k == len(checkers) || src >= ports {
+			return fmt.Errorf("packet: order flow record %d (%d->%d) outside the checkers' port range", i, src, dst)
 		}
-		p := tables[k].slot(src, dst-checkers[k].lo, class)
-		if *p != 0 {
-			return fmt.Errorf("packet: order flow record %d duplicated", i)
-		}
-		*p = v + 1
+		*tables[k].slot(src, dst-checkers[k].lo, class) = v
 	}
 	for k, o := range checkers {
 		o.last = tables[k]

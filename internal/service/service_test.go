@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/packet"
 )
 
 // smallSpec is a fast job (finishes in well under a second) used where
@@ -47,10 +48,11 @@ func longSpec(name string, seed uint64) JobSpec {
 }
 
 // endlessSpec is a job that never finishes within a test: it holds a
-// pool worker until it is canceled or suspended.
+// pool worker until it is canceled or suspended. Its timeline is the
+// longest a job may declare.
 func endlessSpec(name string, seed uint64) JobSpec {
 	s := smallSpec(name, seed)
-	s.MeasureSlots = 1 << 40
+	s.MeasureSlots = packet.MaxTimelineSlots - s.WarmupSlots
 	return s
 }
 
@@ -562,15 +564,14 @@ func TestSchedParamRejected(t *testing.T) {
 	waitState(t, hs.URL, id, stateDone)
 }
 
-// TestHostileCheckpointCountRejected: a live job's checkpoint whose
-// first latency histogram claims a bin of 2^62 cells, behind a
-// recomputed checksum. The v1 sample list sized its buffer from such a
-// count and panicked the restore handler (the client saw EOF); the
-// histogram decoder refuses the count with a 400, and the daemon keeps
-// serving.
-func TestHostileCheckpointCountRejected(t *testing.T) {
+// hostileSnapshot checkpoints a live endless job mid-measurement and
+// cancels it. The returned forge rewrites the snapshot's first line
+// starting with prefix and recomputes the checksum trailer over the
+// edited body, so the edit reaches the section decoders.
+func hostileSnapshot(t *testing.T, seed uint64) (forge func(prefix string, edit func(fields []string)) []byte) {
+	t.Helper()
 	_, hsSlow := testServer(t, blockerOptions)
-	id := submit(t, hsSlow.URL, endlessSpec("hostile-donor", 56))
+	id := submit(t, hsSlow.URL, endlessSpec("hostile-donor", seed))
 	deadline := time.Now().Add(30 * time.Second)
 	for st := status(t, hsSlow.URL, id); st.Slot < 300; st = status(t, hsSlow.URL, id) {
 		if st.State != stateQueued && st.State != stateRunning || time.Now().After(deadline) {
@@ -586,9 +587,7 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 		t.Fatalf("cancel: HTTP %d: %s", code, data)
 	}
 	text := string(snap)
-	// forge rewrites the first line starting with prefix and recomputes
-	// the checksum trailer over the edited body.
-	forge := func(prefix string, edit func(fields []string)) []byte {
+	forge = func(prefix string, edit func(fields []string)) []byte {
 		t.Helper()
 		i := strings.Index(text, "\n"+prefix) + 1
 		if i == 0 {
@@ -605,6 +604,17 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 	if got := forge("bin ", func([]string) {}); !bytes.Equal(got, snap) {
 		t.Fatal("re-checksumming the unedited checkpoint changed it")
 	}
+	return forge
+}
+
+// TestHostileCheckpointCountRejected: a live job's checkpoint whose
+// first latency histogram claims a bin of 2^62 cells, behind a
+// recomputed checksum. The v1 sample list sized its buffer from such a
+// count and panicked the restore handler (the client saw EOF); the
+// histogram decoder refuses the count with a 400, and the daemon keeps
+// serving.
+func TestHostileCheckpointCountRejected(t *testing.T) {
+	forge := hostileSnapshot(t, 56)
 	_, hs := testServer(t, Options{})
 	hostile := forge("bin ", func(f []string) { f[2] = "4611686018427387904" })
 	if code, data := postJSON(t, hs.URL+"/v1/restore", hostile); code != http.StatusBadRequest {
@@ -614,6 +624,47 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 		t.Fatalf("healthz after hostile restores: HTTP %d: %s", code, data)
 	}
 	waitState(t, hs.URL, submit(t, hs.URL, smallSpec("after", 57)), stateDone)
+}
+
+// TestHostileCheckpointFlowRejected: a live job's checkpoint whose
+// first allocator flow claims sequence count 2^32 or 2^32+1, past what
+// the 32-bit flow tables hold and what any timeline within
+// packet.MaxTimelineSlots can reach (truncated, the second would
+// restore as a plausible count of 1). The flow decoder refuses both
+// with a 400, and the daemon keeps serving.
+func TestHostileCheckpointFlowRejected(t *testing.T) {
+	forge := hostileSnapshot(t, 58)
+	_, hs := testServer(t, Options{})
+	for _, count := range []string{"4294967296", "4294967297"} {
+		hostile := forge("flow ", func(f []string) { f[4] = count })
+		if code, data := postJSON(t, hs.URL+"/v1/restore", hostile); code != http.StatusBadRequest {
+			t.Fatalf("flow count %s: HTTP %d (want 400): %s", count, code, data)
+		}
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile restore: HTTP %d: %s", code, data)
+	}
+}
+
+// TestTimelinePastBoundRejected: a job whose warm-up plus measurement
+// ends past packet.MaxTimelineSlots, or whose sum wraps uint64 (once
+// accepted as a timeline of 0 slots), is refused with a 400, and the
+// daemon keeps serving.
+func TestTimelinePastBoundRejected(t *testing.T) {
+	_, hs := testServer(t, Options{})
+	for _, slots := range [][2]string{
+		{"4294967295", "1"},
+		{"9223372036854775808", "9223372036854775808"},
+	} {
+		body := `{"fabric":{"hosts":16,"radix":4},"traffic":{"kind":"uniform","load":0.5},` +
+			`"warmup_slots":` + slots[0] + `,"measure_slots":` + slots[1] + `}`
+		if code, data := postJSON(t, hs.URL+"/v1/jobs", []byte(body)); code != http.StatusBadRequest {
+			t.Fatalf("warmup %s + measure %s: HTTP %d (want 400): %s", slots[0], slots[1], code, data)
+		}
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after rejected timelines: HTTP %d: %s", code, data)
+	}
 }
 
 // TestHostileTraceCountRejected: a submit whose inline trace header

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/fabric"
+	"repro/internal/packet"
 	"repro/internal/sched"
 	"repro/internal/traffic"
 )
@@ -151,6 +152,9 @@ func (s *JobSpec) validate() error {
 	if s.MeasureSlots == 0 {
 		return fmt.Errorf("service: measure_slots must be > 0")
 	}
+	if err := packet.CheckTimeline(0, s.WarmupSlots, s.MeasureSlots); err != nil {
+		return fmt.Errorf("service: warmup_slots + measure_slots: %w", err)
+	}
 	if s.Fabric.Hosts <= 0 || s.Fabric.Radix <= 1 {
 		return fmt.Errorf("service: fabric needs hosts > 0 and radix > 1 (got %d, %d)",
 			s.Fabric.Hosts, s.Fabric.Radix)
@@ -206,7 +210,8 @@ func (s *JobSpec) buildEngine() (*fabric.Fabric, []traffic.Generator, error) {
 	return f, gens, nil
 }
 
-// totalSlots is the job's warm-up + measurement timeline length.
+// totalSlots is the job's warm-up + measurement timeline length;
+// validate holds it to packet.MaxTimelineSlots, so the sum never wraps.
 func (s *JobSpec) totalSlots() uint64 { return s.WarmupSlots + s.MeasureSlots }
 
 // drainBound is the drain budget with its default applied.

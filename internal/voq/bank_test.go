@@ -31,7 +31,10 @@ func checkBank(t *testing.T, b *Bank, step int) {
 				t.Fatalf("step %d: Demand(%d,%d)=%d disagrees with Uncommitted=%d", step, in, out, b.Demand(in, out), b.sets[in].Uncommitted(out))
 			}
 			s := &b.sets[in]
-			queued := s.outs[out].data.Len() + s.ctrl[out].Len()
+			queued := s.outs[out].data.Len()
+			if s.ctrl != nil {
+				queued += s.ctrl[out].Len()
+			}
 			if s.Backlog(out) != queued {
 				t.Fatalf("step %d: backlog (in=%d,out=%d)=%d, queues hold %d", step, in, out, s.Backlog(out), queued)
 			}

@@ -21,8 +21,8 @@ func peek(q *packet.Queue) *packet.Cell {
 // tests keep it as a probe of queue order across both classes.
 func (v *VOQSet) HeadWait(out int, now units.Time) units.Time {
 	var oldest *packet.Cell
-	if c := peek(&v.ctrl[out]); c != nil {
-		oldest = c
+	if v.ctrl != nil {
+		oldest = peek(&v.ctrl[out])
 	}
 	if c := peek(&v.outs[out].data); c != nil && (oldest == nil || c.Injected < oldest.Injected) {
 		oldest = c

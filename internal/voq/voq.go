@@ -19,8 +19,9 @@ import (
 // outQueue is one (input, output) entry of a VOQ set: the data-class
 // queue and the two counters every hop reads beside it, packed into
 // 32 bytes so a push, pop or demand check touches one record. Control
-// cells queue in a separate array (VOQSet.ctrl), read only for outputs
-// whose backlog exceeds their data queue.
+// cells queue in a separate array (VOQSet.ctrl), allocated by the set's
+// first control cell and read only for outputs whose backlog exceeds
+// their data queue.
 type outQueue struct {
 	data packet.Queue
 	// backlog counts queued cells of both classes.
@@ -38,7 +39,10 @@ type VOQSet struct {
 	outs []outQueue
 	// ctrl[out] is the control-class queue. It is non-empty exactly
 	// when outs[out].backlog exceeds outs[out].data.Len(), so Pop reads
-	// it only for outputs holding control cells.
+	// it only for outputs holding control cells. The array stays nil
+	// until the set's first control cell arrives: data-only traffic
+	// never pays its 24 bytes per output (about 10 MB over the 2048-port
+	// fabric's switches).
 	ctrl  []packet.Queue
 	depth int // total cells across all queues
 	// occ is the dense uncommitted-occupancy row: bit out is set iff
@@ -54,7 +58,6 @@ func NewVOQSet(n int) *VOQSet {
 	return &VOQSet{
 		n:    n,
 		outs: make([]outQueue, n),
-		ctrl: make([]packet.Queue, n),
 		occ:  make([]uint64, bitrow.Words(n)),
 	}
 }
@@ -75,6 +78,10 @@ func (v *VOQSet) syncOcc(out int) {
 func (v *VOQSet) Push(c *packet.Cell, out int) {
 	o := &v.outs[out]
 	if c.Class == packet.Control {
+		if v.ctrl == nil {
+			//lint:ignore hotpath one allocation per VOQ set, at its first control cell; data-only traffic never makes it
+			v.ctrl = make([]packet.Queue, v.n)
+		}
 		v.ctrl[out].Push(c)
 	} else {
 		o.data.Push(c)

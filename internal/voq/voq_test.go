@@ -173,6 +173,44 @@ func TestVOQPriority(t *testing.T) {
 	}
 }
 
+// TestVOQControlArrayOnFirstUse: a data-only set never allocates its
+// control-class array, the first control cell allocates it once, and
+// later control cells allocate nothing.
+func TestVOQControlArrayOnFirstUse(t *testing.T) {
+	v := NewVOQSet(64)
+	data := &packet.Cell{Class: packet.Data}
+	ctrl := &packet.Cell{Class: packet.Control}
+	cycle := func(c *packet.Cell) func() {
+		return func() {
+			v.Push(c, 5)
+			v.Commit(5)
+			if v.Pop(5) != c {
+				t.Fatal("popped a different cell")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, cycle(data)); allocs != 0 {
+		t.Errorf("data cells allocate %.1f times per cycle, want 0", allocs)
+	}
+	if v.ctrl != nil {
+		t.Fatal("data-only traffic allocated the control array")
+	}
+	// Each run drops the array, so every push is a set's first.
+	first := func() {
+		v.ctrl = nil
+		v.Push(ctrl, 7)
+		if len(v.ctrl) != 64 || v.Pop(7) != ctrl {
+			t.Fatal("the first control cell did not queue and pop")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, first); allocs != 1 {
+		t.Errorf("first control cell allocates %.1f times, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, cycle(ctrl)); allocs != 0 {
+		t.Errorf("later control cells allocate %.1f times per cycle, want 0", allocs)
+	}
+}
+
 func TestVOQBacklogAndDepth(t *testing.T) {
 	v := NewVOQSet(4)
 	v.Push(&packet.Cell{}, 0)
