@@ -213,8 +213,8 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("recorded %d events over %d slots to %s (v%d format)\n",
-			len(tr.Events), tr.Slots, *traceRec, traffic.TraceVersion)
+		fmt.Printf("recorded %d events over %d slots to %s (osmosis-ckpt trace)\n",
+			len(tr.Events), tr.Slots, *traceRec)
 		return
 	}
 	if *reps > 1 {

@@ -5,8 +5,8 @@
 // round-trip through hexadecimal notation), ordered (records decode in
 // the same fixed order they were encoded — there is no random access and
 // no optional-field skipping), and strict (any structural damage —
-// truncation, reordering, edits, bit flips — is rejected, mirroring the
-// osmosis-trace v1 contract).
+// truncation, reordering, edits, bit flips — is rejected). The same
+// container carries recorded workload traces (traffic.Trace).
 //
 // Layout:
 //

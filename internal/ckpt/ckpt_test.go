@@ -179,7 +179,8 @@ func TestVariableLengthLoop(t *testing.T) {
 
 // TestCorruptionRejection damages a valid checkpoint in every structural
 // way a file can rot and requires each to be rejected — the strictness
-// contract mirrored from osmosis-trace v1.
+// contract every reader of the container, checkpoints and traces alike,
+// relies on.
 func TestCorruptionRejection(t *testing.T) {
 	good := writeSample(t)
 	lines := strings.Split(strings.TrimSuffix(good, "\n"), "\n")

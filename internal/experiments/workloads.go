@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -218,7 +219,8 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 		pp.acceptance > 0.9 && pp.p99 > 2*up.p99)
 
 	// Finding 5: a recorded trace replays bit-exactly — same metrics from
-	// the file as from the live generators.
+	// the file (written and read back in memory) as from the live
+	// generators.
 	live, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2, Scheduler: sched.NewFLPPR(arenaN, 0)})
 	if err != nil {
 		return nil, err
@@ -232,7 +234,15 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := traffic.RecordTrace(tcfg, warm+meas)
+	rec, err := traffic.RecordTrace(tcfg, warm+meas)
+	if err != nil {
+		return nil, err
+	}
+	var file bytes.Buffer
+	if err := rec.Write(&file); err != nil {
+		return nil, err
+	}
+	tr, err := traffic.ReadTrace(&file)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +257,7 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	identical := lm.Offered == rm.Offered && lm.Delivered == rm.Delivered &&
 		lm.Latency.N() == rm.Latency.N() && lm.Latency.P99() == rm.Latency.P99()
 	res.AddFinding("trace replay is bit-exact",
-		"a v1 trace reruns the workload with identical metrics",
+		"a recorded trace file reruns the workload with identical metrics",
 		fmt.Sprintf("live %d/%d cells p99 %v; replay %d/%d cells p99 %v",
 			lm.Offered, lm.Delivered, lm.Latency.P99(), rm.Offered, rm.Delivered, rm.Latency.P99()),
 		identical)

@@ -122,10 +122,6 @@ func Syndrome(block []byte) (s0, s1 byte, err error) {
 // what makes every double-bit error detectable (their aliased magnitude
 // s0 = e1 xor e2 always has weight two).
 func Decode(block []byte) ([]byte, DecodeStatus, error) {
-	return decode(block, false)
-}
-
-func decode(block []byte, symbolMode bool) ([]byte, DecodeStatus, error) {
 	s0, s1, err := Syndrome(block)
 	if err != nil {
 		return nil, Detected, err
@@ -144,7 +140,7 @@ func decode(block []byte, symbolMode bool) ([]byte, DecodeStatus, error) {
 		// Out of range for the shortened code: ≥2 errors.
 		return nil, Detected, nil
 	}
-	if !symbolMode && s0&(s0-1) != 0 {
+	if s0&(s0-1) != 0 {
 		// Multi-bit magnitude: not a first-order channel error.
 		return nil, Detected, nil
 	}

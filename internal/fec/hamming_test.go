@@ -162,25 +162,6 @@ func TestTripleBitMostlyDetected(t *testing.T) {
 	t.Logf("triple-bit detection rate: %.6f over %d patterns", rate, out.Patterns)
 }
 
-func TestSymbolModeCorrectsByteBursts(t *testing.T) {
-	rng := sim.NewRNG(4)
-	data := randomData(rng)
-	block, _ := Encode(data)
-	// Corrupt several bits inside ONE symbol.
-	corrupted := append([]byte(nil), block...)
-	corrupted[10] ^= 0b10110101
-	if _, status, _ := Decode(corrupted); status != Detected {
-		t.Errorf("strict mode should refuse a multi-bit magnitude, got %v", status)
-	}
-	got, status, err := DecodeSymbol(append([]byte(nil), corrupted...))
-	if err != nil || status != Corrected {
-		t.Fatalf("symbol mode: status %v err %v", status, err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("symbol mode mis-repaired an intra-symbol burst")
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, bitRaw uint16) bool {
 		rng := sim.NewRNG(seed)

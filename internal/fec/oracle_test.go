@@ -3,8 +3,7 @@ package fec
 // Field arithmetic the codec does not need, kept as test oracles: the
 // table-free multiplication validates the log/exp tables, and Add, Div
 // and MulPoly let the field-axiom and polynomial tests state their
-// identities. DecodeSymbol is the unrestricted decoder mode the codec
-// never selects; the tests pin what it would trade.
+// identities.
 
 // Add returns a + b in GF(2⁸) (carry-less addition = XOR).
 func Add(a, b byte) byte { return a ^ b }
@@ -56,11 +55,4 @@ func mulNoTable(a, b byte) byte {
 		bb >>= 1
 	}
 	return byte(p)
-}
-
-// DecodeSymbol is the unrestricted variant correcting any single-symbol
-// error pattern (up to 8 adjacent bit flips in one byte); it trades the
-// all-double-bit-detection guarantee for intra-symbol burst correction.
-func DecodeSymbol(block []byte) ([]byte, DecodeStatus, error) {
-	return decode(block, true)
 }

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/packet"
+	"repro/internal/traffic"
 )
 
 // smallSpec is a fast job (finishes in well under a second) used where
@@ -667,11 +668,11 @@ func TestTimelinePastBoundRejected(t *testing.T) {
 	}
 }
 
-// TestHostileTraceCountRejected: a submit whose inline trace header
-// claims 2^62 events. The parser once sized its event slice from that
-// count and panicked the submit handler (the client saw EOF); the count
-// is now only checked against the events read, so the spec is refused
-// with a 400 and the daemon keeps serving.
+// TestHostileTraceCountRejected: a submit whose inline v1 trace header
+// claims 2^62 events. The v1 parser once sized its event slice from that
+// count and panicked the submit handler (the client saw EOF). Traces are
+// now osmosis-ckpt files that carry no event count, and a v1 upload is
+// refused as a retired format: a 400, and the daemon keeps serving.
 func TestHostileTraceCountRejected(t *testing.T) {
 	_, hs := testServer(t, Options{})
 	body := `{"fabric":{"hosts":4,"radix":4},"traffic":{"kind":"trace",` +
@@ -681,6 +682,48 @@ func TestHostileTraceCountRejected(t *testing.T) {
 	}
 	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz after hostile trace: HTTP %d: %s", code, data)
+	}
+}
+
+// TestHostileTracePortRejected: an uploaded trace whose event after
+// slot 0 names port 2^64−1. The v1 parser converted that port to -1,
+// which passed every range check, so the submit got a 202 and replay
+// indexed port -1 on a pool worker, killing the daemon. The v1 upload is
+// now refused as a retired format, and the same event in the current
+// format fails the range check made before any conversion to int: both
+// are 400s, and the daemon keeps serving.
+func TestHostileTracePortRejected(t *testing.T) {
+	_, hs := testServer(t, Options{})
+	// Write renders port -1 as its uint64 bits, 2^64−1, behind a valid
+	// checksum.
+	var ckptTrace strings.Builder
+	hostile := traffic.Trace{N: 4, Slots: 2, Events: []traffic.TraceEvent{
+		{Slot: 0, Port: 0, Dst: 1}, {Slot: 1, Port: -1, Dst: 1}}}
+	if err := hostile.Write(&ckptTrace); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ckptTrace.String(), "\ne 1 18446744073709551615 1 0\n") {
+		t.Fatalf("forged trace lacks the 2^64-1 port:\n%s", ckptTrace.String())
+	}
+	for _, tc := range []struct{ name, trace, why string }{
+		{"v1", "osmosis-trace v1 n=4 slots=2 events=2\n0 0 1 0\n1 18446744073709551615 1 0\n", "osmosis-trace v1"},
+		{"osmosis-ckpt", ckptTrace.String(), "out of [0,4)"},
+	} {
+		body, err := json.Marshal(JobSpec{
+			Fabric:       FabricSpec{Hosts: 4, Radix: 4},
+			Traffic:      TrafficSpec{Kind: "trace", Trace: tc.trace},
+			MeasureSlots: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, data := postJSON(t, hs.URL+"/v1/jobs", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(data), tc.why) {
+			t.Fatalf("%s trace with port 2^64-1: HTTP %d (want 400 naming %q): %s", tc.name, code, tc.why, data)
+		}
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile traces: HTTP %d: %s", code, data)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package service implements osmosisd: the fabric simulator as a
 // long-running HTTP/JSON daemon. Clients submit simulation jobs (a
-// fabric shape plus a traffic specification, including inline
-// osmosis-trace v1 uploads); the daemon queues them for a fixed pool of
+// fabric shape plus a traffic specification, including inline trace
+// uploads); the daemon queues them for a fixed pool of
 // workers that each run one job at a time, streams incremental
 // progress, and exports Prometheus-style text metrics.
 //
@@ -70,7 +70,7 @@ type FabricSpec struct {
 }
 
 // TrafficSpec mirrors traffic.Config with a string kind and an optional
-// inline osmosis-trace v1 upload.
+// inline trace upload.
 type TrafficSpec struct {
 	Kind         string  `json:"kind"`
 	Load         float64 `json:"load,omitempty"`
@@ -83,7 +83,8 @@ type TrafficSpec struct {
 	EpochSlots   uint64  `json:"epoch_slots,omitempty"`
 	PhaseSlots   uint64  `json:"phase_slots,omitempty"`
 	ParetoAlpha  float64 `json:"pareto_alpha,omitempty"`
-	// Trace is the full text of an osmosis-trace v1 recording; required
+	// Trace is the full text of a recorded trace (an osmosis-ckpt file
+	// with one trace section, as traffic.Trace.Write writes it); required
 	// for kind "trace", rejected otherwise.
 	Trace string `json:"trace,omitempty"`
 }

@@ -73,8 +73,6 @@ type Adapter struct {
 	// LaunchOffset is the calibrated pre-launch advance; ideal value is
 	// the propagation delay so cells arrive at the slot boundary.
 	LaunchOffset units.Time
-	// residual is the calibration error (signed).
-	residual units.Time
 }
 
 // Aligner calibrates a set of adapters against a clock tree and
@@ -96,7 +94,6 @@ func NewAligner(tree ClockTree, distances []float64, seed uint64) *Aligner {
 		a.Adapters = append(a.Adapters, Adapter{
 			Distance:     d,
 			LaunchOffset: prop + res,
-			residual:     res,
 		})
 	}
 	return a

@@ -1,19 +1,25 @@
 // Deterministic workload traces: any generated workload can be recorded
-// to a versioned, diffable text file and replayed bit-exactly — the
-// same arrivals at the same slots with the same destinations and
-// classes — independent of the generator kind, RNG, or code version
-// that produced it.
+// to a diffable text file and replayed bit-exactly — the same arrivals
+// at the same slots with the same destinations and classes —
+// independent of the generator kind, RNG, or code version that
+// produced it.
 //
-// Format (version 1), line-oriented ASCII:
+// A trace is an osmosis-ckpt file (package ckpt) with one section:
 //
-//	osmosis-trace v1 n=<ports> slots=<slots> events=<count>
-//	<slot> <port> <dst> <class>
+//	osmosis-ckpt v2
+//	begin trace
+//	n <ports>
+//	slots <slots>
+//	e <slot> <port> <dst> <class>
 //	...
+//	end trace
+//	checksum <16 hex digits>
 //
 // Events are sorted by (slot, port) with at most one event per (slot,
 // port) pair — the slotted-generator contract — so a trace written from
 // the same events is byte-identical however it was produced, and two
-// traces are equal iff their files are.
+// traces are equal iff their files are. The file carries no event
+// count: the events are the records up to "end trace".
 
 package traffic
 
@@ -21,16 +27,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+	"math"
+
+	"repro/internal/ckpt"
 )
-
-// TraceVersion is the trace format version this package reads and
-// writes.
-const TraceVersion = 1
-
-// traceMagic opens every trace file.
-const traceMagic = "osmosis-trace"
 
 // TraceEvent is one recorded cell arrival.
 type TraceEvent struct {
@@ -67,115 +67,85 @@ func RecordTrace(cfg Config, slots uint64) (*Trace, error) {
 	return t, nil
 }
 
-// Write serializes the trace in the version-1 text format.
+// Write serializes the trace as an osmosis-ckpt file.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s v%d n=%d slots=%d events=%d\n",
-		traceMagic, TraceVersion, t.N, t.Slots, len(t.Events)); err != nil {
-		return err
+	e := ckpt.NewEncoder(w)
+	e.Begin("trace")
+	e.Put("n", ckpt.Uint(uint64(t.N)))
+	e.Put("slots", ckpt.Uint(t.Slots))
+	for _, ev := range t.Events {
+		e.Put("e", ckpt.Uint(ev.Slot), ckpt.Uint(uint64(ev.Port)), ckpt.Uint(uint64(ev.Dst)), ckpt.Uint(uint64(ev.Class)))
 	}
-	for _, e := range t.Events {
-		if _, err := fmt.Fprintf(bw, "%d %d %d %d\n", e.Slot, e.Port, e.Dst, e.Class); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	e.End("trace")
+	return e.Close()
 }
 
-// ReadTrace parses a version-1 trace, validating the header, event
-// count, field ranges, and (slot, port) ordering.
+// ReadTrace parses a trace written by Write, validating the container
+// (canonical tokens, checksum, clean end of file), the field ranges and
+// the (slot, port) ordering. A file in the retired osmosis-trace v1
+// format is refused.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	if head, _ := br.Peek(len("osmosis-trace ")); string(head) == "osmosis-trace " {
+		return nil, fmt.Errorf("traffic: osmosis-trace v1 files are no longer read; record the trace again with this build")
+	}
+	d, err := ckpt.NewDecoder(br)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: trace header: %w", err)
+		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
-	fields := strings.Fields(header)
-	if len(fields) != 5 || fields[0] != traceMagic {
-		return nil, fmt.Errorf("traffic: not a trace file (header %q)", strings.TrimSpace(header))
+	t, err := readTrace(d)
+	if err == nil {
+		err = d.Close()
 	}
-	if fields[1] != fmt.Sprintf("v%d", TraceVersion) {
-		return nil, fmt.Errorf("traffic: unsupported trace version %q (this build reads v%d)", fields[1], TraceVersion)
-	}
-	t := &Trace{}
-	var events uint64
-	for i, spec := range []struct {
-		key string
-		dst *uint64
-	}{{"n", nil}, {"slots", &t.Slots}, {"events", &events}} {
-		kv := strings.SplitN(fields[i+2], "=", 2)
-		if len(kv) != 2 || kv[0] != spec.key {
-			return nil, fmt.Errorf("traffic: trace header field %q, want %s=<value>", fields[i+2], spec.key)
-		}
-		v, err := strconv.ParseUint(kv[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: trace header %s: %w", spec.key, err)
-		}
-		if spec.dst != nil {
-			*spec.dst = v
-		} else {
-			t.N = int(v)
-		}
-	}
-	if t.N <= 0 {
-		return nil, fmt.Errorf("traffic: trace with %d ports", t.N)
-	}
-	// Events grow as lines are read: the header's count is checked
-	// against them at the end, never trusted to size an allocation.
-	prevSlot, prevPort := uint64(0), -1
-	for line := 1; ; line++ {
-		raw, err := br.ReadString('\n')
-		if raw == "" && err == io.EOF {
-			break
-		}
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("traffic: trace line %d: %w", line, err)
-		}
-		parts := strings.Fields(raw)
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("traffic: trace line %d has %d fields, want 4", line, len(parts))
-		}
-		var e TraceEvent
-		var cls uint64
-		for i, f := range parts {
-			v, perr := strconv.ParseUint(f, 10, 64)
-			if perr != nil {
-				return nil, fmt.Errorf("traffic: trace line %d field %d: %w", line, i+1, perr)
-			}
-			switch i {
-			case 0:
-				e.Slot = v
-			case 1:
-				e.Port = int(v)
-			case 2:
-				e.Dst = int(v)
-			default:
-				cls = v
-			}
-		}
-		if cls > uint64(ClassControl) {
-			return nil, fmt.Errorf("traffic: trace line %d class %d out of range", line, cls)
-		}
-		e.Class = ClassChoice(cls)
-		if e.Slot >= t.Slots {
-			return nil, fmt.Errorf("traffic: trace line %d slot %d beyond declared %d slots", line, e.Slot, t.Slots)
-		}
-		if e.Port >= t.N || e.Dst < 0 || e.Dst >= t.N {
-			return nil, fmt.Errorf("traffic: trace line %d port %d -> dst %d out of [0,%d)", line, e.Port, e.Dst, t.N)
-		}
-		if e.Slot < prevSlot || (e.Slot == prevSlot && e.Port <= prevPort) {
-			return nil, fmt.Errorf("traffic: trace line %d out of (slot, port) order", line)
-		}
-		prevSlot, prevPort = e.Slot, e.Port
-		t.Events = append(t.Events, e)
-		if err == io.EOF {
-			break
-		}
-	}
-	if uint64(len(t.Events)) != events {
-		return nil, fmt.Errorf("traffic: trace declares %d events, file holds %d", events, len(t.Events))
+	if err != nil {
+		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
 	return t, nil
+}
+
+// readTrace walks the trace section. Ports and destinations are
+// compared against n as uint64 before any conversion to int, so no
+// value can wrap past a range check.
+func readTrace(d *ckpt.Decoder) (*Trace, error) {
+	if err := d.Begin("trace"); err != nil {
+		return nil, err
+	}
+	rec := d.Record("n")
+	n := rec.Uint()
+	if err := rec.Done(); err != nil {
+		return nil, err
+	}
+	if n == 0 || n > math.MaxInt {
+		return nil, fmt.Errorf("%d ports", n)
+	}
+	rec = d.Record("slots")
+	t := &Trace{N: int(n), Slots: rec.Uint()}
+	if err := rec.Done(); err != nil {
+		return nil, err
+	}
+	for !d.AtEnd("trace") {
+		rec := d.Record("e")
+		slot, port, dst, cls := rec.Uint(), rec.Uint(), rec.Uint(), rec.Uint()
+		if err := rec.Done(); err != nil {
+			return nil, err
+		}
+		i := len(t.Events)
+		switch {
+		case slot >= t.Slots:
+			return nil, fmt.Errorf("event %d: slot %d beyond declared %d slots", i, slot, t.Slots)
+		case port >= n || dst >= n:
+			return nil, fmt.Errorf("event %d: port %d -> dst %d out of [0,%d)", i, port, dst, n)
+		case cls > uint64(ClassControl):
+			return nil, fmt.Errorf("event %d: class %d out of range", i, cls)
+		}
+		if i > 0 {
+			if prev := t.Events[i-1]; slot < prev.Slot || (slot == prev.Slot && int(port) <= prev.Port) {
+				return nil, fmt.Errorf("event %d out of (slot, port) order", i)
+			}
+		}
+		t.Events = append(t.Events, TraceEvent{Slot: slot, Port: int(port), Dst: int(dst), Class: ClassChoice(cls)})
+	}
+	return t, d.End("trace")
 }
 
 // TracePlayer replays one port's slice of a recorded trace. Slots past
