@@ -36,7 +36,6 @@ package ckpt
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strconv"
 	"strings"
@@ -53,25 +52,39 @@ const magic = "osmosis-ckpt"
 // header is the exact first line of a version-2 checkpoint.
 const header = magic + " v2"
 
+// fnv64a is an FNV-1a 64-bit hash, the value hash/fnv.New64a computes,
+// folded over strings in place: hash/fnv's Write takes a []byte, so
+// feeding it a line through io.WriteString copies the line.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+// line folds s and its newline into the hash.
+func (h *fnv64a) line(s string) {
+	v := *h
+	for i := 0; i < len(s); i++ {
+		v ^= fnv64a(s[i])
+		v *= fnvPrime64
+	}
+	v ^= '\n'
+	*h = v * fnvPrime64
+}
+
 // Encoder writes a checkpoint stream. Errors latch: after the first
 // write failure all later calls are no-ops and Close reports the error.
 type Encoder struct {
 	w        *bufio.Writer
-	hash     func(s string) // folds every written byte into the checksum
-	sum      interface{ Sum64() uint64 }
+	sum      fnv64a // every written line, newline included
 	sections []string
 	err      error
 }
 
 // NewEncoder starts a version-2 checkpoint on w and writes the header.
 func NewEncoder(w io.Writer) *Encoder {
-	h := fnv.New64a()
-	e := &Encoder{w: bufio.NewWriter(w), sum: h}
-	e.hash = func(s string) {
-		// FNV-1a over a string never fails; hash.Hash documents Write as
-		// error-free.
-		_, _ = io.WriteString(h, s)
-	}
+	e := &Encoder{w: bufio.NewWriter(w), sum: fnvOffset64}
 	e.line(header)
 	return e
 }
@@ -81,8 +94,7 @@ func (e *Encoder) line(s string) {
 	if e.err != nil {
 		return
 	}
-	e.hash(s)
-	e.hash("\n")
+	e.sum.line(s)
 	if _, err := e.w.WriteString(s); err != nil {
 		e.err = err
 		return
@@ -150,7 +162,7 @@ func (e *Encoder) Close() error {
 	}
 	// The checksum line covers everything before it and is not itself
 	// hashed.
-	if _, err := fmt.Fprintf(e.w, "checksum %016x\n", e.sum.Sum64()); err != nil {
+	if _, err := fmt.Fprintf(e.w, "checksum %016x\n", uint64(e.sum)); err != nil {
 		e.err = err
 		return e.err
 	}
@@ -215,24 +227,20 @@ func validName(s string) bool {
 // latch; Close verifies the checksum trailer and clean EOF.
 type Decoder struct {
 	r        *bufio.Reader
-	sum      interface{ Sum64() uint64 }
+	sum      fnv64a // every consumed line, newline included
 	sections []string
-	peeked   *string // one-line lookahead (already hashed)
+	peeked   *string // one-line lookahead (not yet hashed)
 	err      error
-	hash     func(s string)
 }
 
 // NewDecoder wraps r and validates the version-2 header line.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	h := fnv.New64a()
-	d := &Decoder{r: bufio.NewReader(r), sum: h}
-	d.hash = func(s string) { _, _ = io.WriteString(h, s) }
+	d := &Decoder{r: bufio.NewReader(r), sum: fnvOffset64}
 	first, err := d.rawLine()
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: header: %w", err)
 	}
-	d.hash(first)
-	d.hash("\n")
+	d.sum.line(first)
 	if first != header {
 		if strings.HasPrefix(first, magic+" ") {
 			return nil, fmt.Errorf("ckpt: unsupported version %q (this build reads v%d)", first, Version)
@@ -270,8 +278,7 @@ func (d *Decoder) next() (string, error) {
 	if d.peeked != nil {
 		s := *d.peeked
 		d.peeked = nil
-		d.hash(s)
-		d.hash("\n")
+		d.sum.line(s)
 		return s, nil
 	}
 	s, err := d.rawLine()
@@ -283,8 +290,7 @@ func (d *Decoder) next() (string, error) {
 		}
 		return "", d.err
 	}
-	d.hash(s)
-	d.hash("\n")
+	d.sum.line(s)
 	return s, nil
 }
 
@@ -404,7 +410,7 @@ func (d *Decoder) Close() error {
 	if len(d.sections) != 0 {
 		return d.fail("Close with section %q still open", d.sections[len(d.sections)-1])
 	}
-	want := d.sum.Sum64() // state before the trailer line is hashed
+	want := uint64(d.sum) // state before the trailer line is hashed
 	line, err := d.next()
 	if err != nil {
 		return err

@@ -283,6 +283,16 @@ func TestCorruptionRejection(t *testing.T) {
 	}
 }
 
+// TestChecksumIsFNV1a: the trailer the encoder writes, folding each
+// line in place, is hash/fnv's FNV-1a 64 over every byte before it, so
+// checkpoints from builds that hashed through hash/fnv still verify.
+func TestChecksumIsFNV1a(t *testing.T) {
+	text := writeSample(t)
+	if got := resum(text); got != text {
+		t.Fatalf("encoder trailer differs from hash/fnv's:\n%s\nwant\n%s", text, got)
+	}
+}
+
 // resum replaces text's checksum trailer with the one its body hashes
 // to, so an edit reaches the token parsers instead of the checksum.
 func resum(text string) string {

@@ -285,7 +285,7 @@ func New(cfg Config) (*Switch, error) {
 		s.egress[i] = new(voq.Egress)
 	}
 	s.alloc = packet.NewAllocator()
-	s.order = packet.NewOrderChecker()
+	s.order = packet.NewOrderCheckerFor(0, cfg.N)
 	s.metrics.CycleTime = cfg.Format.CycleTime()
 	s.metrics.SrcOffered = make([]uint64, cfg.N)
 	s.metrics.SrcDelivered = make([]uint64, cfg.N)

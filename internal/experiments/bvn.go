@@ -96,7 +96,7 @@ func runBvN(cfg RunConfig) (*Result, error) {
 // counts per-flow order violations at the sink.
 func bvnReorderProbe(n int, cells int) uint64 {
 	b := sched.NewBvN(n)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderCheckerFor(0, n)
 	b.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
 	alloc := packet.NewAllocator()
 	arrivals := make([]*packet.Cell, n)

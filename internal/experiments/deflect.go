@@ -32,7 +32,7 @@ func runDeflect(cfg RunConfig) (*Result, error) {
 	for _, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
 		// Deflection switch.
 		d := sched.NewDeflect(n, 4, 1<<20)
-		order := packet.NewOrderChecker()
+		order := packet.NewOrderCheckerFor(0, n)
 		delivered := 0
 		d.Sink = func(c *packet.Cell, _ uint64) {
 			delivered++

@@ -4,9 +4,10 @@ package fabric
 // was written by an earlier build; every later build must read it,
 // re-save it byte-for-byte, and finish the run exactly as the
 // uninterrupted twin does. The snapshot is taken mid-measurement at a
-// load where VOQs, egress queues and both traffic classes' flow-table
-// rows are populated, so a change to the in-memory layout of the queues
-// or the per-flow tables that leaks into the encoding fails here.
+// load where VOQs, egress queues, both traffic classes' order-checker
+// rows and the allocators' source counters are populated, so a change
+// to the in-memory layout of the queues, the per-flow tables or the
+// counters that leaks into the encoding fails here.
 //
 // Regenerate (only for a deliberate format change) with
 //
@@ -105,9 +106,9 @@ func TestGoldenCheckpointFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(golden)
-	for _, want := range []string{"\nq 0 ", "\nq 1 ", "\noflow ", "\nflow "} {
+	for _, want := range []string{"\nq 0 ", "\nq 1 ", "\noflow ", "\nsource "} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("golden checkpoint lacks a %q record; it no longer covers both classes' queues and flow rows", strings.TrimSpace(want))
+			t.Fatalf("golden checkpoint lacks a %q record; it no longer covers both classes' queues, flow rows and source counters", strings.TrimSpace(want))
 		}
 	}
 

@@ -421,10 +421,10 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	if err := packet.LoadSplitOrderState(d, orders...); err != nil {
 		return err
 	}
-	// Each shard's allocator takes only the flows of the hosts it issues
-	// for; a flow from or to a host outside the fabric is refused.
-	owner := func(src, dst int) int {
-		if src >= f.cfg.Hosts || dst >= f.cfg.Hosts {
+	// Each shard's allocator takes only the counters of the hosts it
+	// issues for; a source outside the fabric is refused.
+	owner := func(src int) int {
+		if src >= f.cfg.Hosts {
 			return -1
 		}
 		return f.hostShard[src]

@@ -198,7 +198,7 @@ func TestCellTransportOverNoisyHop(t *testing.T) {
 	rev := NewChannel(250*units.Nanosecond, units.OSMOSISPortRate, 2e-4, 2)
 	tr := NewCellTransport(k, fwd, rev, Codec{Interleave: 5}, 16, 3*units.Microsecond)
 
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderCheckerFor(0, 16)
 	var got []*packet.Cell
 	tr.Deliver = func(c *packet.Cell) {
 		got = append(got, c)

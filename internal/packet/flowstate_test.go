@@ -48,8 +48,8 @@ func loadFlowState(in string) (*OrderChecker, *Allocator, error) {
 	if err := o.LoadState(d); err != nil {
 		return nil, nil, err
 	}
-	owner := func(src, dst int) int {
-		if src >= 64 || dst >= 64 {
+	owner := func(src int) int {
+		if src >= 64 {
 			return -1
 		}
 		return 0
@@ -101,13 +101,13 @@ func TestCheckTimeline(t *testing.T) {
 // TestLoadMergedStateSplitsBySource restores a run's allocator state at
 // 1 → 2 and 2 → 4 allocators, each issuing the cells of a contiguous
 // source range as a fabric shard does. Every restored allocator holds
-// rows for its own sources only, the restored set saves the same bytes,
+// counters for its own sources only, the restored set saves the same bytes,
 // and it keeps issuing the sequence numbers the uninterrupted run does.
 func TestLoadMergedStateSplitsBySource(t *testing.T) {
 	const hosts = 12
-	owner := func(k int) func(src, dst int) int {
-		return func(src, dst int) int {
-			if src >= hosts || dst >= hosts {
+	owner := func(k int) func(src int) int {
+		return func(src int) int {
+			if src >= hosts {
 				return -1
 			}
 			return src * k / hosts
@@ -126,7 +126,7 @@ func TestLoadMergedStateSplitsBySource(t *testing.T) {
 		own := owner(len(as))
 		for i := from; i < to; i++ {
 			src, dst, class := i%hosts, (i*5+3)%hosts, Class(i%3%2)
-			got := as[own(src, dst)].New(src, dst, class, units.Time(i))
+			got := as[own(src)].New(src, dst, class, units.Time(i))
 			if want := whole.New(src, dst, class, units.Time(i)); got.Seq != want.Seq {
 				t.Fatalf("cell %d (%d->%d %v): seq %d, uninterrupted run %d", i, src, dst, class, got.Seq, want.Seq)
 			}
@@ -148,9 +148,9 @@ func TestLoadMergedStateSplitsBySource(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, a := range restored {
-			for src, pair := range a.seq.rows {
-				if (pair[Data] != nil || pair[Control] != nil) && src*k/hosts != i {
-					t.Errorf("restore at %d: allocator %d holds rows for source %d", k, i, src)
+			for src, v := range a.next {
+				if v != 0 && src*k/hosts != i {
+					t.Errorf("restore at %d: allocator %d holds the counter of source %d", k, i, src)
 				}
 			}
 		}
@@ -162,11 +162,12 @@ func TestLoadMergedStateSplitsBySource(t *testing.T) {
 	}
 }
 
-// TestFlowDecodersEnforce32BitRange: a flow value past the 32-bit
-// tables is refused (the order checker stores lastSeq+1, so its bound
-// is one lower), as are flows repeated or out of order, flows no
-// allocator issues, and a cell whose sequence number the tables cannot
-// hold.
+// TestFlowDecodersEnforce32BitRange: a source counter past the 32-bit
+// range is refused, as is an order flow value at or past it (the
+// checker stores lastSeq+1); so are records repeated or out of order,
+// sources and destinations past the ports, a zero counter, the retired
+// per-flow "flow" record, and a cell whose sequence number the tables
+// cannot hold.
 func TestFlowDecodersEnforce32BitRange(t *testing.T) {
 	body := flowStateBody(t)
 	if _, _, err := loadFlowState(withChecksum(body)); err != nil {
@@ -176,17 +177,21 @@ func TestFlowDecodersEnforce32BitRange(t *testing.T) {
 		name, old, new string
 		ok             bool
 	}{
-		{"alloc flow at 2^32-1", "flow 0 0 0 2", "flow 0 0 0 4294967295", true},
-		{"alloc flow at 2^32", "flow 0 0 0 2", "flow 0 0 0 4294967296", false},
-		{"alloc flow at 2^64-1", "flow 0 0 0 2", "flow 0 0 0 18446744073709551615", false},
-		{"order flow at 2^32-2", "oflow 0 0 0 1", "oflow 0 0 0 4294967294", true},
-		{"order flow at 2^32-1", "oflow 0 0 0 1", "oflow 0 0 0 4294967295", false},
-		{"order flow at 2^64-1", "oflow 0 0 0 1", "oflow 0 0 0 18446744073709551615", false},
-		{"alloc flows out of order", "flow 0 0 0 2\nflow 0 1 0 1", "flow 0 1 0 1\nflow 0 0 0 2", false},
-		{"alloc flow repeated", "flow 0 1 0 1", "flow 0 0 0 2", false},
-		{"order flow repeated", "oflow 0 6 0 0", "oflow 0 5 1 0", false},
-		{"alloc flow past the ports", "flow 4 6 0 1", "flow 4 64 0 1", false},
-		{"order flow past the ports", "oflow 4 6 0 0", "oflow 64 6 0 0", false},
+		{"alloc source at 2^32-1", "source 0 8", "source 0 4294967295", true},
+		{"alloc source at 2^32", "source 0 8", "source 0 4294967296", false},
+		{"alloc source at 2^64-1", "source 0 8", "source 0 18446744073709551615", false},
+		{"alloc source zero counter", "source 0 8", "source 0 0", false},
+		{"order flow at 2^32-2", "oflow 0 0 0 7", "oflow 0 0 0 4294967294", true},
+		{"order flow at 2^32-1", "oflow 0 0 0 7", "oflow 0 0 0 4294967295", false},
+		{"order flow at 2^64-1", "oflow 0 0 0 7", "oflow 0 0 0 18446744073709551615", false},
+		{"alloc sources out of order", "source 0 8\nsource 1 8", "source 1 8\nsource 0 8", false},
+		{"alloc source repeated", "source 1 8", "source 0 8", false},
+		{"alloc source negative", "source 0 8", "source -1 8", false},
+		{"order flow repeated", "oflow 0 6 0 6", "oflow 0 5 1 5", false},
+		{"alloc source past the ports", "source 4 8", "source 64 8", false},
+		{"order flow source past the ports", "oflow 4 6 0 1", "oflow 64 6 0 1", false},
+		{"order flow destination past the ports", "oflow 4 6 0 1", "oflow 4 64 0 1", false},
+		{"retired per-flow alloc record", "source 0 8", "flow 0 0 0 8", false},
 	} {
 		if !strings.Contains(body, tc.old) {
 			t.Fatalf("%s: body lacks %q:\n%s", tc.name, tc.old, body)
@@ -202,6 +207,13 @@ func TestFlowDecodersEnforce32BitRange(t *testing.T) {
 				t.Errorf("%s: accepted body re-encodes differently:\n%s\nwant\n%s", tc.name, got, in)
 			}
 		}
+	}
+
+	// A checkpoint written before sequence numbers became per source is
+	// refused with an error that names the retired record.
+	old := withChecksum(strings.Replace(body, "source 0 8", "flow 0 1 0 3", 1))
+	if _, _, err := loadFlowState(old); err == nil || !strings.Contains(err.Error(), `"flow"`) {
+		t.Errorf("per-flow alloc section: error %v, want one naming the retired \"flow\" record", err)
 	}
 
 	cell := func(seq uint64) string {
@@ -226,13 +238,15 @@ func FuzzFlowState(f *testing.F) {
 	body := flowStateBody(f)
 	f.Add(body)
 	for _, edit := range [][2]string{
-		{"flow 0 0 0 2", "flow 0 0 0 4294967295"},                    // the largest allocator count
-		{"flow 0 0 0 2", "flow 0 0 0 4294967296"},                    // one past it
-		{"oflow 0 0 0 1", "oflow 0 0 0 4294967294"},                  // the largest last sequence number
-		{"oflow 0 0 0 1", "oflow 0 0 0 4294967295"},                  // one past it
-		{"flow 0 0 0 2\nflow 0 1 0 1", "flow 0 1 0 1\nflow 0 0 0 2"}, // out of order
-		{"flow 0 0 0 2", "flow 0 0 0 0"},                             // a zero count
-		{"oflow 4 6 0 0", "oflow 16777215 6 0 0"},                    // a source far past the ports
+		{"source 0 8", "source 0 4294967295"},                // the largest source counter
+		{"source 0 8", "source 0 4294967296"},                // one past it
+		{"oflow 0 0 0 7", "oflow 0 0 0 4294967294"},          // the largest last sequence number
+		{"oflow 0 0 0 7", "oflow 0 0 0 4294967295"},          // one past it
+		{"source 0 8\nsource 1 8", "source 1 8\nsource 0 8"}, // out of order
+		{"source 0 8", "source 0 0"},                         // a zero counter
+		{"oflow 4 6 0 1", "oflow 16777215 6 0 1"},            // a source far past the ports
+		{"oflow 4 6 0 1", "oflow 4 64 0 1"},                  // a destination past the ports
+		{"source 0 8", "flow 0 0 0 8"},                       // the retired per-flow record
 	} {
 		if !strings.Contains(body, edit[0]) {
 			f.Fatalf("seed body lacks %q:\n%s", edit[0], body)

@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"math/bits"
 	"reflect"
 	"testing"
 )
@@ -11,9 +10,9 @@ type flowKey struct {
 	class    Class
 }
 
-// touchFlows fills a table with mixed-class flows whose first touches
-// come in a scrambled order: high destinations before low ones, control
-// rows for only some sources.
+// touchFlows fills a table at least 101 wide with mixed-class flows
+// whose first touches come in a scrambled order: high destinations
+// before low ones, control rows for only some sources.
 func touchFlows(t *flowTable) map[flowKey]uint32 {
 	want := map[flowKey]uint32{}
 	for i := 0; i < 300; i++ {
@@ -24,40 +23,43 @@ func touchFlows(t *flowTable) map[flowKey]uint32 {
 	return want
 }
 
-func TestFlowTableRowsArePowersOfTwo(t *testing.T) {
-	var ft flowTable
+// TestFlowTableRowsAtWidth: every row is allocated once, exactly the
+// table width long, whatever order its flows are first touched in, and
+// data-only flows never allocate a control row.
+func TestFlowTableRowsAtWidth(t *testing.T) {
+	ft := flowTable{width: 101}
 	touchFlows(&ft)
 	for src, pair := range ft.rows {
 		for class, row := range pair {
-			if n := len(row); n != 0 && (n < minFlowRow || bits.OnesCount(uint(n)) != 1) {
-				t.Errorf("row (src %d, class %d) has %d slots, want a power of two >= %d", src, class, n, minFlowRow)
+			if row != nil && len(row) != ft.width {
+				t.Errorf("row (src %d, class %d) has %d slots, want %d", src, class, len(row), ft.width)
 			}
 		}
 	}
-	// A row is the smallest power of two covering its highest
-	// destination, whatever order the flows arrived in.
-	var one flowTable
-	one.slot(0, 100, Data)
+	one := flowTable{width: 128}
+	p := one.slot(0, 100, Data)
+	*p = 7
 	one.slot(0, 3, Data)
 	one.slot(0, 127, Data)
 	if got := len(one.rows[0][Data]); got != 128 {
-		t.Errorf("row for destinations up to 127 has %d slots, want 128", got)
+		t.Errorf("row has %d slots, want 128", got)
+	}
+	if *one.slot(0, 100, Data) != 7 {
+		t.Error("a later touch reallocated the row")
 	}
 	if one.rows[0][Control] != nil {
 		t.Error("data-only flows allocated a control row")
 	}
-	one.slot(0, 128, Data)
-	if got := len(one.rows[0][Data]); got != 256 {
-		t.Errorf("row for destination 128 has %d slots, want 256", got)
-	}
 }
 
+// TestFlowTableEachOrder: eachFrom over ascending sources visits every
+// nonzero flow once, in (src, dst, class) order.
 func TestFlowTableEachOrder(t *testing.T) {
-	var ft flowTable
+	ft := flowTable{width: 101}
 	want := touchFlows(&ft)
 	var prev *flowKey
 	seen := map[flowKey]uint32{}
-	ft.each(func(src, dst int, class Class, v uint32) {
+	visit := func(src, dst int, class Class, v uint32) {
 		k := flowKey{src, dst, class}
 		if prev != nil {
 			p := *prev
@@ -67,7 +69,10 @@ func TestFlowTableEachOrder(t *testing.T) {
 		}
 		prev = &k
 		seen[k] = v
-	})
+	}
+	for src := range ft.rows {
+		ft.eachFrom(src, visit)
+	}
 	if !reflect.DeepEqual(seen, want) {
 		t.Errorf("each visited %d flows, want %d", len(seen), len(want))
 	}
@@ -81,7 +86,7 @@ func TestFlowTableEachOrder(t *testing.T) {
 }
 
 func TestFlowTableCount(t *testing.T) {
-	var ft flowTable
+	ft := flowTable{width: 101}
 	want := touchFlows(&ft)
 	if got := ft.count(); got != uint64(len(want)) {
 		t.Errorf("count = %d, want %d", got, len(want))

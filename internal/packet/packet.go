@@ -12,7 +12,6 @@ package packet
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/units"
 )
@@ -59,8 +58,10 @@ type Cell struct {
 	// Class, Hops), so a queue operation and a hop's reads tend to share
 	// a cache line.
 	next *Cell
-	// Seq is the per (Src, Dst, Class) flow sequence number, used to
-	// verify the Table-1 in-order delivery requirement.
+	// Seq numbers the cells of one source 0, 1, 2, ... in creation
+	// order. A flow's cells are a subsequence of its source's, so Seq
+	// strictly increases within every (Src, Dst, Class) flow: what the
+	// order checker needs to verify the Table-1 in-order requirement.
 	Seq uint64
 	// Created is the arrival time at the source ingress adapter.
 	Created units.Time
@@ -80,7 +81,7 @@ func (c *Cell) String() string {
 	return fmt.Sprintf("cell{id=%d %d->%d %v seq=%d}", c.ID, c.Src, c.Dst, c.Class, c.Seq)
 }
 
-// Allocator hands out cells with unique IDs and per-flow sequence
+// Allocator hands out cells with unique IDs and per-source sequence
 // numbers. Each independent cell source of a run (the crossbar, or one
 // fabric shard) keeps its own.
 //
@@ -91,48 +92,40 @@ func (c *Cell) String() string {
 // identical whether a cell is fresh or recycled.
 type Allocator struct {
 	nextID uint64
-	seq    flowTable
-	free   []*Cell
+	// next holds each source's next sequence number, indexed by src and
+	// grown to the highest source seen. 32 bits suffice: a source makes
+	// at most one cell per slot, and no timeline ends past
+	// MaxTimelineSlots, so no counter passes math.MaxUint32.
+	next []uint32
+	free []*Cell
 }
 
 // flowTable stores one uint32 per (src, dst, class) flow in dense
-// per-source, per-class rows indexed by dst, grown on demand. At the
-// loads where flow state is hot, most (src, dst) pairs are live, so a
-// dense table beats a hash map: one predictable indexed load per access
-// — no key mixing, no probe chain, and no incremental-rehash pauses once
-// millions of flows exist. A value of 0 means the flow has never been
-// touched; both users encode live flows as values >= 1.
-//
-// 32 bits suffice because a flow gains at most one cell per slot and
-// no timeline ends past MaxTimelineSlots (see there), so neither user's
-// value ever exceeds math.MaxUint32 and no counter wraps. At 2048 ports
-// that halves each of the two per-run tables, from 32 MB to 16 MB.
+// per-source, per-class rows indexed by dst. At the loads where flow
+// state is hot, most (src, dst) pairs are live, so a dense table beats
+// a hash map: one predictable indexed load per access, no key mixing,
+// no probe chain, and no incremental-rehash pauses once millions of
+// flows exist. A value of 0 means the flow has never been touched.
 //
 // Each class has its own row so data-only traffic never allocates the
-// control half, and a row is always the smallest power of two (at least
-// minFlowRow) covering the highest destination seen: the table settles
-// at the port count, rounded up, whatever order flows are first touched
-// in. A table with a nonzero width allocates every row at exactly that
-// width instead (the order checker of a destination range knows its
-// row length up front). class must be Data or Control — which Class is
-// by construction everywhere cells are made.
+// control half, and every row is exactly width entries long: the order
+// checker of a destination range knows its row length up front. dst
+// must be below width, and class must be Data or Control — which Class
+// is by construction everywhere cells are made.
 type flowTable struct {
 	rows  [][2][]uint32 // [src][class][dst]
 	width int
 }
 
-// minFlowRow is the smallest row a flow table allocates.
-const minFlowRow = 8
-
 // MaxTimelineSlots is the last slot any run timeline may end at. Every
 // traffic generator makes at most one arrival per (port, slot), and
-// traffic.ReadTrace enforces the same for a replayed trace, so a flow
-// gains at most one cell per slot: a timeline ending at slot E leaves
-// every flow's sequence counter at most E. Holding E to 2^32-1 keeps
-// the 32-bit flow tables from wrapping, so "0 = never seen" and the
-// checkpoint's merge-by-max keep their meaning. The engines refuse to
-// run past it: CheckTimeline before a whole run steps, and a fabric
-// session at each Advance.
+// traffic.ReadTrace enforces the same for a replayed trace, so a source
+// makes at most one cell per slot: a timeline ending at slot E leaves
+// every source's sequence counter, and so every flow's last sequence
+// number plus one, at most E. Holding E to 2^32-1 keeps the 32-bit
+// counters and flow tables from wrapping, so "0 = never seen" keeps its
+// meaning. The engines refuse to run past it: CheckTimeline before a
+// whole run steps, and a fabric session at each Advance.
 const MaxTimelineSlots = math.MaxUint32
 
 // CheckTimeline reports an error when a timeline starting at slot start
@@ -140,13 +133,14 @@ const MaxTimelineSlots = math.MaxUint32
 // check never overflows, however large its operands.
 func CheckTimeline(start, warmup, measure uint64) error {
 	if start > MaxTimelineSlots || warmup > MaxTimelineSlots-start || measure > MaxTimelineSlots-start-warmup {
-		return fmt.Errorf("timeline from slot %d with %d warm-up and %d measured slots ends past slot %d, the bound the 32-bit flow counters hold",
+		return fmt.Errorf("timeline from slot %d with %d warm-up and %d measured slots ends past slot %d, the bound the 32-bit sequence counters hold",
 			start, warmup, measure, uint64(MaxTimelineSlots))
 	}
 	return nil
 }
 
-// slot returns the value cell for a flow, growing the table as needed.
+// slot returns the value cell for a flow, allocating its row on first
+// use.
 //
 //osmosis:shardsafe
 func (t *flowTable) slot(src, dst int, class Class) *uint32 {
@@ -155,39 +149,25 @@ func (t *flowTable) slot(src, dst int, class Class) *uint32 {
 		t.rows = append(t.rows, make([][2][]uint32, src+1-len(t.rows))...)
 	}
 	row := t.rows[src][class]
-	if dst >= len(row) {
-		n := max(minFlowRow, 1<<bits.Len(uint(dst)))
-		if dst < t.width {
-			n = t.width
-		}
-		//lint:ignore hotpath rows grow to the table width, or the next power of two past the highest destination, and stop; cap-stable once every flow has been seen
-		grown := make([]uint32, n)
-		copy(grown, row)
-		row = grown
+	if row == nil {
+		//lint:ignore hotpath each (source, class) row is allocated once, at the table width
+		row = make([]uint32, t.width)
 		t.rows[src][class] = row
 	}
 	return &row[dst]
 }
 
-// each calls fn for every flow with a nonzero value, in (src, dst,
-// class) order — the iteration the checkpoint codecs rely on for
-// byte-deterministic serialization.
-func (t *flowTable) each(fn func(src, dst int, class Class, v uint32)) {
-	for src := range t.rows {
-		t.eachFrom(src, fn)
-	}
-}
-
 // eachFrom calls fn for every nonzero flow of one source, in (dst,
-// class) order.
+// class) order — the order the checkpoint encoder relies on for
+// byte-deterministic serialization.
 func (t *flowTable) eachFrom(src int, fn func(src, dst int, class Class, v uint32)) {
 	if src >= len(t.rows) {
 		return
 	}
 	pair := t.rows[src]
-	for dst := 0; dst < max(len(pair[0]), len(pair[1])); dst++ {
+	for dst := 0; dst < t.width; dst++ {
 		for class, row := range pair {
-			if dst < len(row) && row[dst] != 0 {
+			if row != nil && row[dst] != 0 {
 				fn(src, dst, Class(class), row[dst])
 			}
 		}
@@ -219,9 +199,12 @@ func NewAllocator() *Allocator {
 //
 //osmosis:shardsafe
 func (a *Allocator) New(src, dst int, class Class, now units.Time) *Cell {
-	p := a.seq.slot(src, dst, class)
-	seq := *p
-	*p = seq + 1
+	if src >= len(a.next) {
+		//lint:ignore hotpath the counter slice reaches the source-port count once and stops growing
+		a.next = append(a.next, make([]uint32, src+1-len(a.next))...)
+	}
+	seq := a.next[src]
+	a.next[src] = seq + 1
 	a.nextID++
 	var c *Cell
 	if n := len(a.free); n > 0 {
@@ -275,11 +258,6 @@ type OrderChecker struct {
 	lo, hi     int
 	violations uint64
 	delivered  uint64
-}
-
-// NewOrderChecker returns an empty checker for every destination.
-func NewOrderChecker() *OrderChecker {
-	return &OrderChecker{hi: math.MaxInt}
 }
 
 // NewOrderCheckerFor returns an empty checker for the flows toward

@@ -8,26 +8,57 @@ import (
 	"repro/internal/units"
 )
 
+// TestAllocatorIDsAndSeqs: IDs are unique, and each source numbers its
+// cells 0, 1, 2, ... in creation order across interleaved destinations
+// and classes, independently of every other source.
 func TestAllocatorIDsAndSeqs(t *testing.T) {
 	a := NewAllocator()
-	c1 := a.New(0, 5, Data, 0)
-	c2 := a.New(0, 5, Data, 10)
-	c3 := a.New(0, 5, Control, 20)
-	c4 := a.New(1, 5, Data, 30)
-	if c1.ID == c2.ID || c2.ID == c3.ID {
-		t.Error("IDs not unique")
+	ids := map[uint64]bool{}
+	next := map[int]uint64{}
+	for i := 0; i < 200; i++ {
+		src, dst, class := (i*7)%5, (i*3)%11, Class(i%3%2)
+		c := a.New(src, dst, class, units.Time(i))
+		if ids[c.ID] {
+			t.Fatalf("cell %d: ID %d issued twice", i, c.ID)
+		}
+		ids[c.ID] = true
+		if c.Seq != next[src] {
+			t.Fatalf("cell %d (%d->%d %v): seq %d, want %d, the source's next number", i, src, dst, class, c.Seq, next[src])
+		}
+		next[src]++
 	}
-	if c1.Seq != 0 || c2.Seq != 1 {
-		t.Errorf("same-flow seqs %d,%d", c1.Seq, c2.Seq)
-	}
-	if c3.Seq != 0 {
-		t.Errorf("control class must have its own seq space, got %d", c3.Seq)
-	}
-	if c4.Seq != 0 {
-		t.Errorf("different source must have its own seq space, got %d", c4.Seq)
-	}
-	if a.Issued() != 4 {
+	if a.Issued() != 200 {
 		t.Errorf("issued %d", a.Issued())
+	}
+}
+
+// TestOrderCheckerPerSourceNumbering: with cells numbered per source,
+// the checker still flags two swapped cells of one flow, but accepts
+// the cells of different flows from one source in any order, since
+// each flow's numbers stay strictly increasing.
+func TestOrderCheckerPerSourceNumbering(t *testing.T) {
+	a := NewAllocator()
+	cells := []*Cell{
+		a.New(0, 1, Data, 0),
+		a.New(0, 2, Data, 1),
+		a.New(0, 1, Control, 2),
+		a.New(0, 3, Data, 3),
+	}
+	o := NewOrderCheckerFor(0, 4)
+	for i := len(cells) - 1; i >= 0; i-- {
+		if !o.Deliver(cells[i]) {
+			t.Fatalf("cell %v of its own flow flagged when delivered before an older cell of another flow", cells[i])
+		}
+	}
+	first, second := a.New(0, 1, Data, 4), a.New(0, 1, Data, 5)
+	if !o.Deliver(second) {
+		t.Fatal("the newer cell of a swapped pair flagged")
+	}
+	if o.Deliver(first) {
+		t.Fatal("the older cell of a swapped pair accepted after the newer one")
+	}
+	if o.Violations() != 1 {
+		t.Errorf("violations %d, want 1", o.Violations())
 	}
 }
 
@@ -40,7 +71,7 @@ func TestCellLatency(t *testing.T) {
 
 func TestOrderCheckerInOrder(t *testing.T) {
 	a := NewAllocator()
-	o := NewOrderChecker()
+	o := NewOrderCheckerFor(0, 8)
 	for i := 0; i < 100; i++ {
 		if !o.Deliver(a.New(1, 2, Data, 0)) {
 			t.Fatalf("in-order delivery %d flagged", i)
@@ -52,7 +83,7 @@ func TestOrderCheckerInOrder(t *testing.T) {
 }
 
 func TestOrderCheckerCatchesSwap(t *testing.T) {
-	o := NewOrderChecker()
+	o := NewOrderCheckerFor(0, 8)
 	c0 := &Cell{Src: 1, Dst: 2, Seq: 0}
 	c1 := &Cell{Src: 1, Dst: 2, Seq: 1}
 	o.Deliver(c1)
@@ -65,7 +96,7 @@ func TestOrderCheckerCatchesSwap(t *testing.T) {
 }
 
 func TestOrderCheckerFlowsIndependent(t *testing.T) {
-	o := NewOrderChecker()
+	o := NewOrderCheckerFor(0, 8)
 	// Interleaved flows, each in order.
 	for i := 0; i < 10; i++ {
 		if !o.Deliver(&Cell{Src: 1, Dst: 2, Seq: uint64(i)}) {
@@ -84,7 +115,7 @@ func TestOrderCheckerFlowsIndependent(t *testing.T) {
 }
 
 func TestOrderCheckerGapTolerated(t *testing.T) {
-	o := NewOrderChecker()
+	o := NewOrderCheckerFor(0, 8)
 	o.Deliver(&Cell{Src: 1, Dst: 2, Seq: 0})
 	if !o.Deliver(&Cell{Src: 1, Dst: 2, Seq: 5}) {
 		t.Error("forward gap should not be a violation")
@@ -96,7 +127,7 @@ func TestOrderCheckerGapTolerated(t *testing.T) {
 
 func TestOrderCheckerMonotoneProperty(t *testing.T) {
 	f := func(seqsRaw []uint8) bool {
-		o := NewOrderChecker()
+		o := NewOrderCheckerFor(0, 8)
 		high := int64(-1)
 		for _, s := range seqsRaw {
 			c := &Cell{Src: 3, Dst: 4, Seq: uint64(s)}

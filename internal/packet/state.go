@@ -1,8 +1,8 @@
-// Checkpoint codecs for the packet layer: cells in flight, the shared
-// allocator's identity counters, and the order checker's per-flow
-// bookkeeping. Everything a restored run needs to keep handing out the
-// same IDs and sequence numbers — and to keep judging delivery order the
-// same way — as its uninterrupted twin.
+// Checkpoint codecs for the packet layer: cells in flight, the
+// allocators' identity counters (per source), and the order checker's
+// per-flow bookkeeping. Everything a restored run needs to keep handing
+// out the same IDs and sequence numbers — and to keep judging delivery
+// order the same way — as its uninterrupted twin.
 package packet
 
 import (
@@ -48,142 +48,119 @@ func LoadCell(d *ckpt.Decoder) (*Cell, error) {
 	// The order checker stores Seq+1 in 32 bits; no run issues a
 	// sequence number this high (MaxTimelineSlots).
 	if c.Seq >= math.MaxUint32 {
-		return nil, fmt.Errorf("packet: cell %d sequence number %d past the 32-bit flow range", c.ID, c.Seq)
+		return nil, fmt.Errorf("packet: cell %d sequence number %d past the 32-bit range", c.ID, c.Seq)
 	}
 	return c, nil
 }
 
-// saveFlows writes every nonzero flow of a table as one record per
-// flow, in (src, dst, class) order — flowTable.each iterates in exactly
-// that order, so the encoding is byte-deterministic with no sort. sub
-// is subtracted from each value before writing (the order checker keeps
-// lastSeq+1 in memory but lastSeq on disk).
-func saveFlows(e *ckpt.Encoder, name string, t *flowTable, sub uint32) {
-	t.each(func(src, dst int, class Class, v uint32) {
-		e.Put(name, ckpt.Int(int64(src)), ckpt.Int(int64(dst)),
-			ckpt.Uint(uint64(class)), ckpt.Uint(uint64(v-sub)))
-	})
-}
-
-// flowReader reads the per-flow records of one section. saveFlows
-// writes them in strictly increasing (src, dst, class) order, and the
-// reader refuses any other order: a repeated flow is an error, and
-// every section it accepts re-encodes byte for byte.
-type flowReader struct {
-	name string
-	// add is added to each stored value: 1 for the order checker, which
-	// keeps lastSeq+1 in memory.
-	add uint32
-	// next is one past the previous record's (src, dst, class) key, so
-	// the next record's key must be at least next.
-	next uint64
-}
-
-// read reads and validates one record. The value must fit a flow table
-// once add is added to it: a larger one cannot come from a run held to
-// MaxTimelineSlots.
-func (fr *flowReader) read(d *ckpt.Decoder) (src, dst int, class Class, v uint32, err error) {
-	r := d.Record(fr.name)
-	src, dst, class = r.IntAsInt(), r.IntAsInt(), Class(r.Uint())
-	raw := r.Uint()
-	if err := r.Done(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if class > Control {
-		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow class %d out of range", fr.name, class)
-	}
-	// The dense table allocates per-source rows sized to the largest
-	// destination, so bound both indices before trusting them.
-	if src < 0 || dst < 0 || src >= 1<<24 || dst >= 1<<24 {
-		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d outside supported port range", fr.name, src, dst)
-	}
-	if raw > uint64(math.MaxUint32-fr.add) {
-		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d value %d past the 32-bit flow range", fr.name, src, dst, raw)
-	}
-	key := uint64(src)<<25 | uint64(dst)<<1 | uint64(class)
-	if key < fr.next {
-		return 0, 0, 0, 0, fmt.Errorf("packet: %s flow %d->%d class %d repeated or out of (src, dst, class) order", fr.name, src, dst, class)
-	}
-	fr.next = key + 1
-	return src, dst, class, uint32(raw) + fr.add, nil
-}
-
 // SaveState serializes the allocator's identity state: the ID counter
-// and every flow's next sequence number. The free list is deliberately
-// not serialized — recycling affects only which memory backs a cell,
-// never its identity, so a restored allocator that heap-allocates
-// produces the same run.
-func (a *Allocator) SaveState(e *ckpt.Encoder) {
-	e.Put("alloc", ckpt.Uint(a.nextID), ckpt.Uint(a.seq.count()))
-	saveFlows(e, "flow", &a.seq, 0)
-}
+// and every source's next sequence number. The free list is
+// deliberately not serialized — recycling affects only which memory
+// backs a cell, never its identity, so a restored allocator that
+// heap-allocates produces the same run.
+func (a *Allocator) SaveState(e *ckpt.Encoder) { SaveMergedState(e, a) }
 
 // LoadState restores the allocator's identity state, replacing the
 // current counters.
 func (a *Allocator) LoadState(d *ckpt.Decoder) error {
-	return LoadMergedState(d, func(int, int) int { return 0 }, a)
+	return LoadMergedState(d, func(int) int { return 0 }, a)
 }
 
 // SaveMergedState serializes the combined identity state of several
-// allocators as one logical allocator. The fabric engine issues each
-// host's cells from the allocator of the shard owning the host, and
-// LoadMergedState hands each allocator only the flows of its own
-// sources, so every flow lives in exactly one allocator: taking each
-// flow's maximum counter is a disjoint union, and the snapshot is the
-// same at any shard count. The ID counter is the allocators' maximum.
+// allocators as one logical allocator: an "alloc" record (the ID
+// counter and the record count), then one "source <src> <next>" record
+// per source with a nonzero counter, in increasing src order. The
+// fabric engine issues each host's cells from the allocator of the
+// shard owning the host, and LoadMergedState hands each allocator only
+// its own sources, so every source lives in exactly one allocator:
+// taking each source's maximum counter is a disjoint union, and the
+// snapshot is the same at any shard count. The ID counter is the
+// allocators' maximum.
 func SaveMergedState(e *ckpt.Encoder, allocs ...*Allocator) {
 	var nextID uint64
-	var merged flowTable
+	var merged []uint32
 	for _, a := range allocs {
-		if a.nextID > nextID {
-			nextID = a.nextID
+		nextID = max(nextID, a.nextID)
+		if n := len(a.next); n > len(merged) {
+			merged = append(merged, make([]uint32, n-len(merged))...)
 		}
-		a.seq.each(func(src, dst int, class Class, v uint32) {
-			if p := merged.slot(src, dst, class); v > *p {
-				*p = v
-			}
-		})
+		for src, v := range a.next {
+			merged[src] = max(merged[src], v)
+		}
 	}
-	e.Put("alloc", ckpt.Uint(nextID), ckpt.Uint(merged.count()))
-	saveFlows(e, "flow", &merged, 0)
+	var n uint64
+	for _, v := range merged {
+		if v != 0 {
+			n++
+		}
+	}
+	e.Put("alloc", ckpt.Uint(nextID), ckpt.Uint(n))
+	for src, v := range merged {
+		if v != 0 {
+			e.Put("source", ckpt.Int(int64(src)), ckpt.Uint(uint64(v)))
+		}
+	}
 }
 
+// maxSources bounds the source indices a restore accepts: the counter
+// slice is sized to the largest one.
+const maxSources = 1 << 24
+
 // LoadMergedState restores a SaveMergedState snapshot into allocators
-// that issue cells for disjoint sets of sources: owner(src, dst) is the
-// index in allocs of the one issuing the flow's cells, or -1 when the
-// engine has no such flow (an error). Each allocator receives only its
-// own sources' flows, so whichever allocator serves a flow after
-// restore continues its sequence exactly, and no flow is held twice.
-// Every allocator takes the merged ID counter, so its freshly issued
-// IDs never collide with IDs it handed to cells still in flight. IDs
-// themselves are diagnostic — per-flow sequence numbers, which the
+// that issue cells for disjoint sets of sources: owner(src) is the
+// index in allocs of the one issuing the source's cells, or -1 when the
+// engine has no such source (an error). Each allocator receives only
+// its own sources' counters, so whichever allocator serves a source
+// after restore continues its sequence exactly, and no counter is held
+// twice. Every allocator takes the merged ID counter, so its freshly
+// issued IDs never collide with IDs it handed to cells still in
+// flight. IDs themselves are diagnostic — sequence numbers, which the
 // order checker consumes, are the identity that must continue
 // bit-exactly.
-func LoadMergedState(d *ckpt.Decoder, owner func(src, dst int) int, allocs ...*Allocator) error {
+//
+// Records must come in strictly increasing src order, so every section
+// this accepts re-encodes byte for byte. A section holding per-flow
+// "flow" records, the layout before sequence numbers were per source,
+// is refused by name.
+func LoadMergedState(d *ckpt.Decoder, owner func(src int) int, allocs ...*Allocator) error {
 	r := d.Record("alloc")
 	nextID, n := r.Uint(), r.Uint()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	tables := make([]flowTable, len(allocs))
-	fr := flowReader{name: "flow"}
+	tables := make([][]uint32, len(allocs))
+	prev := -1
 	for i := uint64(0); i < n; i++ {
-		src, dst, class, v, err := fr.read(d)
-		if err != nil {
+		if d.PeekKey() == "flow" {
+			return fmt.Errorf("packet: alloc section holds a per-flow \"flow\" record, retired when sequence numbers became per source; this build reads only \"source\" records")
+		}
+		r := d.Record("source")
+		src, v := r.IntAsInt(), r.Uint()
+		if err := r.Done(); err != nil {
 			return err
 		}
-		if v == 0 {
-			return fmt.Errorf("packet: alloc flow record %d has zero sequence count", i)
+		if src <= prev {
+			return fmt.Errorf("packet: alloc source %d repeated or out of increasing order", src)
 		}
-		k := owner(src, dst)
+		prev = src
+		if v == 0 || v > math.MaxUint32 {
+			return fmt.Errorf("packet: alloc source %d counter %d is zero or past the 32-bit range", src, v)
+		}
+		k := -1
+		if src < maxSources {
+			k = owner(src)
+		}
 		if k < 0 || k >= len(allocs) {
-			return fmt.Errorf("packet: alloc flow record %d (%d->%d) is no flow of this engine", i, src, dst)
+			return fmt.Errorf("packet: alloc source %d is no source of this engine", src)
 		}
-		*tables[k].slot(src, dst, class) = v
+		if len(tables[k]) <= src {
+			tables[k] = append(tables[k], make([]uint32, src+1-len(tables[k]))...)
+		}
+		tables[k][src] = uint32(v)
 	}
 	for k, a := range allocs {
 		a.nextID = nextID
-		a.seq = tables[k]
+		a.next = tables[k]
 		a.free = a.free[:0]
 	}
 	return nil
@@ -241,20 +218,36 @@ func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 		tables[k].width = o.last.width
 		ports = max(ports, o.hi)
 	}
-	fr := flowReader{name: "oflow", add: 1}
+	// next is one past the previous record's flat (src, dst, class)
+	// index: records must come in strictly increasing order.
+	var next uint64
 	for i := uint64(0); i < n; i++ {
-		src, dst, class, v, err := fr.read(d)
-		if err != nil {
+		r := d.Record("oflow")
+		src, dst, class, last := r.IntAsInt(), r.IntAsInt(), Class(r.Uint()), r.Uint()
+		if err := r.Done(); err != nil {
 			return err
 		}
 		k := 0
 		for k < len(checkers) && (dst < checkers[k].lo || dst >= checkers[k].hi) {
 			k++
 		}
-		if k == len(checkers) || src >= ports {
+		if k == len(checkers) || src < 0 || src >= ports {
 			return fmt.Errorf("packet: order flow record %d (%d->%d) outside the checkers' port range", i, src, dst)
 		}
-		*tables[k].slot(src, dst-checkers[k].lo, class) = v
+		if class > Control {
+			return fmt.Errorf("packet: order flow %d->%d class %d out of range", src, dst, class)
+		}
+		// The table keeps lastSeq+1 in 32 bits; no run held to
+		// MaxTimelineSlots delivers a sequence number this high.
+		if last >= math.MaxUint32 {
+			return fmt.Errorf("packet: order flow %d->%d last sequence number %d past the 32-bit range", src, dst, last)
+		}
+		key := (uint64(src)*uint64(ports)+uint64(dst))<<1 | uint64(class)
+		if key < next {
+			return fmt.Errorf("packet: order flow %d->%d class %d repeated or out of (src, dst, class) order", src, dst, class)
+		}
+		next = key + 1
+		*tables[k].slot(src, dst-checkers[k].lo, class) = uint32(last) + 1
 	}
 	for k, o := range checkers {
 		o.last = tables[k]

@@ -10,7 +10,7 @@ import (
 )
 
 // TestAllocatorCheckpointIdentityContinues: a restored allocator hands
-// out exactly the IDs and per-flow sequence numbers the uninterrupted
+// out exactly the IDs and per-source sequence numbers the uninterrupted
 // one would, regardless of its free list (which is deliberately not
 // serialized).
 func TestAllocatorCheckpointIdentityContinues(t *testing.T) {
@@ -57,7 +57,7 @@ func TestAllocatorCheckpointIdentityContinues(t *testing.T) {
 
 func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 	alloc := NewAllocator()
-	orig := NewOrderChecker()
+	orig := NewOrderCheckerFor(0, 3)
 	var cells []*Cell
 	for i := 0; i < 60; i++ {
 		cells = append(cells, alloc.New(i%3, (i+1)%3, Class(i%2), units.Time(i)))
@@ -80,7 +80,7 @@ func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	twin := NewOrderChecker()
+	twin := NewOrderCheckerFor(0, 3)
 	d, err := ckpt.NewDecoder(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 // does, save to the same bytes, and, restored split, keep judging alike.
 func TestOrderCheckerMergedStateMatchesWhole(t *testing.T) {
 	const ports = 12
-	whole := NewOrderChecker()
+	whole := NewOrderCheckerFor(0, ports)
 	ranges := []*OrderChecker{NewOrderCheckerFor(0, 5), NewOrderCheckerFor(0, 0), NewOrderCheckerFor(5, ports)}
 	owner := func(cs []*OrderChecker, dst int) *OrderChecker {
 		if dst < 5 {

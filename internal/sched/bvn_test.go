@@ -50,7 +50,7 @@ func TestBvNUnloadedLatency(t *testing.T) {
 func TestBvNReordersFlows(t *testing.T) {
 	const n = 16
 	b := NewBvN(n)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderCheckerFor(0, n)
 	b.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
 	alloc := packet.NewAllocator()
 	arrivals := make([]*packet.Cell, n)

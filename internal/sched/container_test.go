@@ -95,7 +95,7 @@ func TestContainerDeliversEverything(t *testing.T) {
 func TestContainerKeepsOrderWithinFlow(t *testing.T) {
 	const n, b = 8, 4
 	cs := NewContainerSwitch(n, b)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderCheckerFor(0, n)
 	cs.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
 	alloc := packet.NewAllocator()
 	arrivals := make([]*packet.Cell, n)

@@ -71,7 +71,7 @@ func TestDeflectThroughputLimited(t *testing.T) {
 // siblings — out-of-order delivery, disqualifying per Table 1.
 func TestDeflectReordersFlows(t *testing.T) {
 	d := NewDeflect(8, 6, 1<<20)
-	order := packet.NewOrderChecker()
+	order := packet.NewOrderCheckerFor(0, 8)
 	d.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
 	alloc := packet.NewAllocator()
 	arrivals := make([]*packet.Cell, 8)

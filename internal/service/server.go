@@ -146,8 +146,28 @@ func (s *Server) work() {
 		s.queue = s.queue[1:]
 		j.state = stateRunning
 		s.mu.Unlock()
-		s.runJob(j)
+		s.runGuarded(j)
 	}
+}
+
+// runGuarded runs a job on the calling pool worker and turns a panic
+// inside its engine into that job's failure, with the panic text in its
+// error, so one job cannot take down the daemon or the jobs next to it.
+// (A sharded engine re-raises a shard's panic on this goroutine.)
+func (s *Server) runGuarded(j *Job) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.mu.Lock()
+		running := j.state == stateRunning
+		s.mu.Unlock()
+		if running {
+			s.failJob(j, fmt.Errorf("service: job %s panicked: %v", j.id, r))
+		}
+	}()
+	s.runJob(j)
 }
 
 // dequeueLocked removes a queued job from the queue; callers hold mu.
@@ -344,8 +364,16 @@ func (s *Server) RestoreDir(dir string) (int, error) {
 }
 
 // restore validates a job checkpoint and submits it as a new job that
-// continues the saved run.
-func (s *Server) restore(data []byte) (*Job, error) {
+// continues the saved run. A panic raised while the checkpoint is
+// checked against a freshly built engine becomes an error: the start-up
+// restore has no HTTP server to recover it, and an upload gets a 400
+// instead of a dropped connection.
+func (s *Server) restore(data []byte) (j *Job, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			j, err = nil, fmt.Errorf("service: restore panicked: %v", r)
+		}
+	}()
 	h, err := parseJobCheckpoint(data)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -23,8 +24,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/fabric"
 	"repro/internal/packet"
+	"repro/internal/sched"
 	"repro/internal/traffic"
 )
 
@@ -628,18 +631,18 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 }
 
 // TestHostileCheckpointFlowRejected: a live job's checkpoint whose
-// first allocator flow claims sequence count 2^32 or 2^32+1, past what
-// the 32-bit flow tables hold and what any timeline within
+// first allocator source counter claims 2^32 or 2^32+1, past what the
+// 32-bit counters hold and what any timeline within
 // packet.MaxTimelineSlots can reach (truncated, the second would
-// restore as a plausible count of 1). The flow decoder refuses both
-// with a 400, and the daemon keeps serving.
+// restore as a plausible count of 1). The decoder refuses both with a
+// 400, and the daemon keeps serving.
 func TestHostileCheckpointFlowRejected(t *testing.T) {
 	forge := hostileSnapshot(t, 58)
 	_, hs := testServer(t, Options{})
 	for _, count := range []string{"4294967296", "4294967297"} {
-		hostile := forge("flow ", func(f []string) { f[4] = count })
+		hostile := forge("source ", func(f []string) { f[2] = count })
 		if code, data := postJSON(t, hs.URL+"/v1/restore", hostile); code != http.StatusBadRequest {
-			t.Fatalf("flow count %s: HTTP %d (want 400): %s", count, code, data)
+			t.Fatalf("source count %s: HTTP %d (want 400): %s", count, code, data)
 		}
 	}
 	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
@@ -909,4 +912,210 @@ func TestCloseAndSuspendSettleQueuedJobs(t *testing.T) {
 			t.Errorf("%s checkpoint phase %q, want %q", c.j.spec.Name, h.phase, c.phase)
 		}
 	}
+}
+
+// Format-drift guard for the osmosisd job checkpoint:
+// testdata/job16_bimodal.ckpt was written by an earlier build. Every
+// later build must write the same bytes for the same job at the same
+// slot, and a daemon must restore the file through /v1/restore and
+// finish it exactly as the uninterrupted twin does. Regenerate (only
+// for a deliberate format change) with
+//
+//	go test ./internal/service -run TestGoldenJobCheckpointFile -update
+var updateGolden = flag.Bool("update", false, "rewrite the golden job checkpoint under testdata")
+
+const (
+	goldenJobFile        = "job16_bimodal.ckpt"
+	goldenJobAt   uint64 = 640 // mid-measurement
+)
+
+// goldenJobSpec is a small job carrying both traffic classes.
+func goldenJobSpec() JobSpec {
+	return JobSpec{
+		Name:         "golden",
+		Fabric:       FabricSpec{Hosts: 16, Radix: 4},
+		Traffic:      TrafficSpec{Kind: "bimodal", Load: 0.6, ControlShare: 0.25, Seed: 5},
+		WarmupSlots:  100,
+		MeasureSlots: 1000,
+	}
+}
+
+// goldenJobCheckpoint runs the golden job in process to goldenJobAt and
+// snapshots it the way a daemon snapshots a running job.
+func goldenJobCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	spec := goldenJobSpec()
+	specJSON, err := spec.canonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, gens, err := spec.buildEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := fabric.StartSession(f, gens, spec.WarmupSlots, spec.MeasureSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Advance(goldenJobAt); err != nil {
+		t.Fatal(err)
+	}
+	data, err := encodeRunningCheckpoint("j1", specJSON, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestGoldenJobCheckpointFile(t *testing.T) {
+	path := filepath.Join("testdata", goldenJobFile)
+	live := goldenJobCheckpoint(t)
+	if *updateGolden {
+		if err := os.WriteFile(path, live, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nq 1 ", "\noflow ", "\nsource "} {
+		if !bytes.Contains(golden, []byte(want)) {
+			t.Fatalf("golden job checkpoint lacks a %q record", strings.TrimSpace(want))
+		}
+	}
+	if !bytes.Equal(live, golden) {
+		t.Error("the golden job run to the golden slot no longer writes the golden bytes")
+	}
+
+	_, hs := testServer(t, Options{})
+	code, data := postJSON(t, hs.URL+"/v1/restore", golden)
+	if code != http.StatusAccepted {
+		t.Fatalf("restore: HTTP %d: %s", code, data)
+	}
+	var st Status
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	spec := goldenJobSpec()
+	restored := fingerprintOf(t, resultDoc(t, hs.URL, st.ID))
+	twin := fingerprintOf(t, resultDoc(t, hs.URL, submit(t, hs.URL, spec)))
+	if restored != twin {
+		t.Errorf("job restored from the golden checkpoint diverged from its uninterrupted twin:\n  twin:     %s\n  restored: %s", twin, restored)
+	}
+	if want := directFingerprint(t, spec); twin != want {
+		t.Errorf("daemon twin diverged from the in-process run:\n  direct: %s\n  daemon: %s", want, twin)
+	}
+}
+
+// explodingScheduler is FLPPR with a TickInto that panics, or with a
+// LoadState that panics when onLoad is set.
+type explodingScheduler struct {
+	*sched.FLPPR
+	onLoad bool
+}
+
+func (x explodingScheduler) TickInto(slot uint64, b sched.Board, m *sched.Matching) {
+	if !x.onLoad {
+		panic("scheduler exploded on its first tick")
+	}
+	x.FLPPR.TickInto(slot, b, m)
+}
+
+func (x explodingScheduler) LoadState(d *ckpt.Decoder) error {
+	if x.onLoad {
+		panic("scheduler exploded while loading its state")
+	}
+	return x.FLPPR.LoadState(d)
+}
+
+// explodeSeed selects the exploding scheduler: jobs whose traffic seed
+// is explodeSeed get one, every other job the real scheduler.
+const explodeSeed = 666
+
+// injectExplodingScheduler swaps the package's scheduler factory for
+// the rest of the test.
+func injectExplodingScheduler(t *testing.T, onLoad bool) {
+	t.Helper()
+	real := schedulerFactory
+	schedulerFactory = func(name string, radix int, seed uint64) (func() sched.Scheduler, error) {
+		if seed != explodeSeed {
+			return real(name, radix, seed)
+		}
+		return func() sched.Scheduler {
+			return explodingScheduler{FLPPR: sched.NewFLPPR(radix, 0), onLoad: onLoad}
+		}, nil
+	}
+	t.Cleanup(func() { schedulerFactory = real })
+}
+
+// TestPanickingJobFailsAlone: a job whose scheduler panics on its first
+// tick fails with the panic text in its error, on a one-worker pool;
+// the daemon keeps serving, and a normal job queued behind it on the
+// same worker completes.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	injectExplodingScheduler(t, false)
+	_, hs := testServer(t, Options{Workers: 1})
+	bad := submit(t, hs.URL, smallSpec("exploding", explodeSeed))
+	good := submit(t, hs.URL, smallSpec("after", 61))
+	deadline := time.Now().Add(30 * time.Second)
+	st := status(t, hs.URL, bad)
+	for st.State == stateQueued || st.State == stateRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("exploding job never settled (state %q)", st.State)
+		}
+		time.Sleep(time.Millisecond)
+		st = status(t, hs.URL, bad)
+	}
+	if st.State != stateFailed || !strings.Contains(st.Error, "scheduler exploded on its first tick") {
+		t.Fatalf("exploding job ended %q with error %q; want failed with the panic text", st.State, st.Error)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after a panicking job: HTTP %d: %s", code, data)
+	}
+	waitState(t, hs.URL, good, stateDone)
+}
+
+// TestRestoreDirSurvivesPanickingRestore: a checkpoint whose restore
+// panics inside the engine is reported as that file's error by the
+// start-up restore instead of crashing the daemon, and an upload of it
+// gets a 400.
+func TestRestoreDirSurvivesPanickingRestore(t *testing.T) {
+	spec := smallSpec("exploding-restore", explodeSeed)
+	specJSON, err := spec.canonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, gens, err := spec.buildEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := fabric.StartSession(f, gens, spec.WarmupSlots, spec.MeasureSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Advance(300); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := encodeRunningCheckpoint("j1", specJSON, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "j1.ckpt"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	injectExplodingScheduler(t, true)
+	s, hs := testServer(t, Options{})
+	if n, err := s.RestoreDir(dir); n != 0 || err == nil || !strings.Contains(err.Error(), "exploded while loading") {
+		t.Fatalf("RestoreDir = %d, %v; want 0 and an error carrying the panic text", n, err)
+	}
+	if code, data := postJSON(t, hs.URL+"/v1/restore", snap); code != http.StatusBadRequest {
+		t.Fatalf("restore upload: HTTP %d (want 400): %s", code, data)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after a panicking restore: HTTP %d: %s", code, data)
+	}
+	waitState(t, hs.URL, submit(t, hs.URL, smallSpec("after", 62)), stateDone)
 }

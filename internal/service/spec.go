@@ -113,6 +113,10 @@ func newSchedulerFactory(name string, radix int, seed uint64) (func() sched.Sche
 	return nil, fmt.Errorf("service: unknown scheduler %q (want %s)", name, strings.Join(schedulerNames, " | "))
 }
 
+// schedulerFactory is the factory buildEngine uses. The package's tests
+// swap it to inject a failing scheduler; the daemon never changes it.
+var schedulerFactory = newSchedulerFactory
+
 // trafficConfig translates the wire spec into a traffic.Config,
 // parsing any inline trace upload.
 func (t *TrafficSpec) trafficConfig(hosts int) (traffic.Config, error) {
@@ -180,7 +184,7 @@ func (s *JobSpec) buildEngine() (*fabric.Fabric, []traffic.Generator, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	newSched, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Traffic.Seed)
+	newSched, err := schedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Traffic.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
