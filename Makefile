@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint bench perfbench fuzz verify daemon-smoke
+.PHONY: build vet test race lint bench perfbench fuzz verify daemon-smoke full-run
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ fuzz:
 # job; it is not part of `make verify` (it takes ~1-2 minutes).
 daemon-smoke:
 	./scripts/daemon_smoke.sh
+
+# The full experiment suite, regenerated and compared byte for byte with
+# the committed experiments_full.txt: every change that claims identical
+# output is checked by this target, not by hand. Not part of verify (it
+# takes ~11 s wall, ~20 s CPU on 2 cores).
+full-run:
+	{ $(GO) run ./cmd/experiments -par 2 || echo "full-run: experiments failed"; } | cmp - experiments_full.txt
 
 verify: build vet test lint
 	@echo "verify: OK"

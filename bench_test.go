@@ -97,7 +97,7 @@ func BenchmarkFig1SingleStageLatency(b *testing.B) {
 	}
 	at50 := core.SingleStageCentralLatency(50, 100*units.Nanosecond, cell)
 	b.ReportMetric(at50.Total.Nanoseconds(), "ns-at-50m")
-	b.ReportMetric(core.PaperBudget().Total.Nanoseconds(), "budget-ns")
+	b.ReportMetric(core.FabricLatencyBudget.Nanoseconds(), "budget-ns")
 	_ = total
 }
 
@@ -105,7 +105,7 @@ func BenchmarkFig1SingleStageLatency(b *testing.B) {
 // the OEO cost ratio of option 1 over option 3.
 func BenchmarkFig2BufferPlacement(b *testing.B) {
 	benchFabric(b, fabric.Config{
-		Hosts: 32, Radix: 8, Receivers: 2,
+		Network: mustXGFT(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3,
 	}, traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.6, Seed: 1},
@@ -145,7 +145,7 @@ func benchFabric(b *testing.B, fcfg fabric.Config, tcfg traffic.Config, report f
 // fat tree; losslessness is the reported metric.
 func BenchmarkFig4FlowControl(b *testing.B) {
 	benchFabric(b, fabric.Config{
-		Hosts: 32, Radix: 8, Receivers: 2,
+		Network: mustXGFT(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 4,
 	}, traffic.Config{Kind: traffic.KindHotspot, N: 32, Load: 0.85, HotPort: 0, HotFraction: 0.5, Seed: 1},
@@ -446,7 +446,7 @@ func BenchmarkRNGUint64(b *testing.B) {
 
 func BenchmarkFabric128Step(b *testing.B) {
 	benchFabric(b, fabric.Config{
-		Hosts: 128, Radix: 16, Receivers: 2,
+		Network: mustXGFT(128, 16), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(16, 0) },
 		LinkDelaySlots: 5,
 	}, traffic.Config{Kind: traffic.KindUniform, N: 128, Load: 0.7, Seed: 1}, nil)

@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("\nSingle-stage central-scheduler alternative (Fig. 1):\n")
 	b := core.SingleStageCentralLatency(*diameter, 100*units.Nanosecond, cell)
 	fmt.Printf("  2xRTT + scheduling latency: %v (budget %v) -> %s\n",
-		b.Total, core.PaperBudget().Total, verdict(b.Total > core.PaperBudget().Total))
+		b.Total, core.FabricLatencyBudget, verdict(b.Total > core.FabricLatencyBudget))
 }
 
 func verdict(exceeds bool) string {

@@ -132,24 +132,26 @@ func main() {
 		return
 	}
 
+	// Sweep and Replicate build one scheduler per run (none for the
+	// ideal-OQ reference).
+	swCfg, err := sys.SwitchConfig()
+	if err != nil {
+		fatal(err)
+	}
+	mk := func() sched.Scheduler {
+		s, err := core.BuildScheduler(sysCfg.Scheduler, *ports, *param, *seed)
+		if err != nil {
+			fatal(err)
+		}
+		return s
+	}
+	if sysCfg.Scheduler == core.SchedIdealOQ {
+		mk = nil
+	}
 	if *sweepStr != "" {
 		loads, err := parseLoads(*sweepStr)
 		if err != nil {
 			fatal(err)
-		}
-		swCfg, err := sys.SwitchConfig()
-		if err != nil {
-			fatal(err)
-		}
-		mk := func() sched.Scheduler {
-			s, err := core.BuildScheduler(sysCfg.Scheduler, *ports, *param, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}
-		if sysCfg.Scheduler == core.SchedIdealOQ {
-			mk = nil
 		}
 		results, err := crossbar.Sweep(swCfg, mk, loads, *seed, *warmup, *measure)
 		if err != nil {
@@ -218,20 +220,6 @@ func main() {
 		return
 	}
 	if *reps > 1 {
-		swCfg, err := sys.SwitchConfig()
-		if err != nil {
-			fatal(err)
-		}
-		mk := func() sched.Scheduler {
-			s, err := core.BuildScheduler(sysCfg.Scheduler, *ports, *param, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			return s
-		}
-		if sysCfg.Scheduler == core.SchedIdealOQ {
-			mk = nil
-		}
 		tcfg.Seed = *seed
 		m, err := crossbar.Replicate(swCfg, mk, tcfg, *reps, *warmup, *measure)
 		if err != nil {
@@ -252,10 +240,11 @@ func main() {
 		for _, e := range dr.Schedule.Events() {
 			fmt.Printf("  %s\n", e)
 		}
-		fmt.Printf("\nepoch  slots              thr/port  p99_cycles  rx_down  active\n")
+		fmt.Printf("\nepoch  slots              offered  thr/port  mean_cycles  p99_cycles  rx_rejects  rx_down  active\n")
 		for i, e := range dr.Epochs {
-			fmt.Printf("%5d  [%7d,%7d)  %.4f    %8.1f  %7d  %6d\n",
-				i, e.FromSlot, e.ToSlot, e.Throughput(*ports), e.P99Slots, e.ReceiversDown, e.ActiveFaults)
+			fmt.Printf("%5d  [%7d,%7d)  %7d  %.4f    %9.1f    %8.1f  %10d  %7d  %6d\n",
+				i, e.FromSlot, e.ToSlot, e.Offered, e.Throughput(*ports), e.MeanSlots, e.P99Slots,
+				e.ReceiverRejects, e.ReceiversDown, e.ActiveFaults)
 		}
 		fmt.Printf("\nwhole-window metrics (%d receiver(s) down, %d gate fault(s) at end, %d stalled slots):\n",
 			dr.ReceiversDown, dr.GateFaults, dr.Stalls)

@@ -46,7 +46,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m := mgmt.New(sys)
+	m, err := mgmt.New(sys)
+	if err != nil {
+		fatal(err)
+	}
 
 	switch cmd {
 	case "inventory":

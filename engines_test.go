@@ -31,6 +31,15 @@ type latencyBin struct {
 	n uint64
 }
 
+// mustXGFT is fabric.NewXGFT for test configurations that cannot fail.
+func mustXGFT(hosts, radix int) fabric.XGFT {
+	x, err := fabric.NewXGFT(hosts, radix, 0)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
 // latencyState reads a collector's Welford record (n, mean, m2, min,
 // max) and its histogram, ascending by value, back from its checkpoint
 // section.
@@ -156,7 +165,7 @@ func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 							t.Fatal(err)
 						}
 						var frs []*recorder
-						f, err := fabric.New(fabric.Config{Hosts: n, Radix: n, Receivers: r,
+						f, err := fabric.New(fabric.Config{Network: mustXGFT(n, n), Receivers: r,
 							NewScheduler: func() sched.Scheduler {
 								fr := &recorder{Scheduler: sc.mk(), n: n}
 								frs = append(frs, fr)
@@ -232,7 +241,6 @@ type rogueScheduler struct{}
 func (rogueScheduler) Name() string      { return "rogue" }
 func (rogueScheduler) GrantLatency() int { return 1 }
 func (rogueScheduler) SelfCommits() bool { return false }
-func (rogueScheduler) Reset()            {}
 func (rogueScheduler) TickInto(_ uint64, _ sched.Board, m *sched.Matching) {
 	m.Reset()
 	m.Out[0] = 1
@@ -262,7 +270,7 @@ func TestGrantOnEmptyVOQPanics(t *testing.T) {
 		mustPanic(t, "crossbar", func() { sw.Step(make([]*packet.Cell, n)) })
 	})
 	t.Run("fabric", func(t *testing.T) {
-		f, err := fabric.New(fabric.Config{Hosts: n, Radix: n, Receivers: 2,
+		f, err := fabric.New(fabric.Config{Network: mustXGFT(n, n), Receivers: 2,
 			NewScheduler: func() sched.Scheduler { return rogueScheduler{} }})
 		if err != nil {
 			t.Fatal(err)

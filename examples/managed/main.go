@@ -20,7 +20,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := mgmt.New(sys)
+	m, err := mgmt.New(sys)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	inv := m.Inventory()
 	fmt.Printf("managed system: %d ports x %s, %d switching modules, %d SOAs, margin %.2f dB\n\n",

@@ -3,7 +3,7 @@
 // the fabric-level composition of §IV, scaled down to run in seconds.
 //
 // The 2048-port flagship uses the same code path
-// (fabric.Config{Hosts: 2048, Radix: 64}); this example uses 128 hosts
+// (a fabric.NewXGFT(2048, 64, 0) network); this example uses 128 hosts
 // on 16-port switches so it finishes quickly.
 package main
 
@@ -24,9 +24,12 @@ func main() {
 		link  = 5 // one-way inter-switch cable delay in 51.2 ns cycles (~50 m)
 	)
 	loopRTT := fc.LoopRTT(link, 1)
+	x, err := fabric.NewXGFT(hosts, radix, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := fabric.Config{
-		Hosts:          hosts,
-		Radix:          radix,
+		Network:        x,
 		Receivers:      2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(radix, 0) },
 		LinkDelaySlots: link,
@@ -37,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var leaves, spines int
-	for _, id := range f.Network().NodeIDs() {
+	for _, id := range x.NodeIDs() {
 		if id.Level == 0 {
 			leaves++
 		} else {
@@ -45,7 +48,7 @@ func main() {
 		}
 	}
 	fmt.Printf("fat tree: %d hosts, %d-port switches, %d leaves + %d spines, %d stages\n",
-		hosts, radix, leaves, spines, f.Network().StageCount())
+		hosts, radix, leaves, spines, x.StageCount())
 	fmt.Printf("flow control: loop RTT %d cycles -> input buffers %d cells\n\n",
 		loopRTT, cfg.InputCapacity)
 

@@ -167,8 +167,11 @@ type Program struct {
 	// functions that write it — before suppression filtering, so the
 	// shared-state inventory reflects reality rather than annotations.
 	writers map[*types.Var]map[string]bool
-	// live holds the nodes some root reaches (unused.go).
+	// live holds the nodes some root reaches; used holds the fields
+	// they read and the package-level vars and consts they name
+	// (unused.go).
 	live map[*cgNode]bool
+	used map[types.Object]bool
 }
 
 // NewProgram builds the call graph over pkgs, collects per-function base
@@ -187,6 +190,7 @@ func NewProgram(pkgs []*Package) *Program {
 	p.sup, p.badByPath = newSuppressor(p.Pkgs)
 	p.graph = buildCallGraph(pkgs)
 	p.live = p.reachable()
+	p.used = p.usedData(pkgs)
 	p.collectBaseFacts()
 	p.facts[factNondet] = propagate(p.graph, p.baseFacts[factNondet], func(n *cgNode) bool {
 		return !inScope(n.pkg.Path, determinismScope)

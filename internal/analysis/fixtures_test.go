@@ -143,7 +143,12 @@ func match(exps []*expectation, d analysis.Diagnostic) *expectation {
 // standing for a nested module — and checks exactly what it reports:
 // dead functions, methods, call chains and uncalled interface methods,
 // but not main's callees, init, initializer references, a String only
-// fmt calls, or what only the root package uses.
+// fmt calls, or what only the root package uses. Its data rules
+// (testdata/unused/lib/data.go): write-only fields and unreferenced
+// package-level vars and consts are reported; tagged and embedded
+// fields, fields of a struct passed whole to fmt or encoding/json,
+// compared with == or used as a map key, and an iota member a later
+// used member depends on are not.
 func TestUnusedFixture(t *testing.T) {
 	loader, err := analysis.NewLoader(".")
 	if err != nil {

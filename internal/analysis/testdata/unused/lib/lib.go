@@ -22,7 +22,7 @@ func (l Label) String() string { return "label " + l.Text }
 // Check mirrors an analyzer declaration: a package-level initializer
 // holds the only reference to runCheck.
 type Check struct {
-	Name string
+	Name string // want:unused "lib.Check.Name is unused: no live code reads it"
 	Run  func() int
 }
 
@@ -39,7 +39,7 @@ func init() { registered = setup() }
 func setup() int { return 2 }
 
 // Total is what main calls.
-func Total(s Shape) int { return s.Area() + Checker.Run() + registered }
+func Total(s Shape) int { return s.Area() + Checker.Run() + registered + Data() }
 
 // Describe formats a label.
 func Describe(l Label) string { return fmt.Sprint(l) }

@@ -20,7 +20,7 @@ import (
 // VerifyFabric evaluates a measured multistage run against Table 1.
 // sat must come from a near-saturation run and light from a light-load
 // run of an identically configured fabric.
-func VerifyFabric(req Requirements, net fabric.Net, sat, light *fabric.Metrics, budget FabricLatencyBudget) Report {
+func VerifyFabric(req Requirements, net fabric.XGFT, sat, light *fabric.Metrics) Report {
 	var r Report
 	add := func(name, required, measured string, pass bool) {
 		r.Checks = append(r.Checks, Check{Name: name, Required: required, Measured: measured, Pass: pass})
@@ -28,16 +28,16 @@ func VerifyFabric(req Requirements, net fabric.Net, sat, light *fabric.Metrics, 
 
 	add("fabric port count",
 		fmt.Sprintf(">= %d", req.MinFabricPorts),
-		fmt.Sprintf("%d hosts, %d stages", net.HostCount(), net.StageCount()),
-		net.HostCount() >= req.MinFabricPorts)
+		fmt.Sprintf("%d hosts, %d stages", net.Hosts, net.StageCount()),
+		net.Hosts >= req.MinFabricPorts)
 
 	lightLat := units.Time(float64(light.LatencySlots.Mean()) * float64(light.CycleTime))
 	add("fabric latency",
-		fmt.Sprintf("<= %v incl. cables", budget.Total),
+		fmt.Sprintf("<= %v incl. cables", FabricLatencyBudget),
 		lightLat.String(),
-		lightLat <= budget.Total)
+		lightLat <= FabricLatencyBudget)
 
-	thr := sat.ThroughputPerHost(net.HostCount())
+	thr := sat.ThroughputPerHost(net.Hosts)
 	add("sustained throughput",
 		fmt.Sprintf("> %.0f%%", req.SustainedThroughput*100),
 		fmt.Sprintf("%.1f%%", thr*100),
@@ -56,35 +56,40 @@ func VerifyFabric(req Requirements, net fabric.Net, sat, light *fabric.Metrics, 
 	return r
 }
 
+// mustXGFT is fabric.NewXGFT for test configurations that cannot fail.
+func mustXGFT(hosts, radix int) fabric.XGFT {
+	x, err := fabric.NewXGFT(hosts, radix, 0)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
 // BuildAndVerifyFabric runs the full recipe: build the fabric at the
 // given scale, run near saturation and at light load, and score it.
 // Large configurations are slow; tests use scaled-down instances with a
 // relaxed MinFabricPorts.
 func BuildAndVerifyFabric(req Requirements, cfg fabric.Config, satLoad, lightLoad float64, warmup, measure uint64, seedOffset uint64) (Report, error) {
-	run := func(load float64) (*fabric.Metrics, fabric.Net, error) {
+	run := func(load float64) (*fabric.Metrics, error) {
 		f, err := fabric.New(cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: f.Network().HostCount(), Load: load, Seed: 1 + seedOffset})
+		gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: cfg.Network.Hosts, Load: load, Seed: 1 + seedOffset})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		m, err := f.Run(gens, warmup, measure)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, f.Network(), nil
+		return f.Run(gens, warmup, measure)
 	}
-	sat, net, err := run(satLoad)
+	sat, err := run(satLoad)
 	if err != nil {
 		return Report{}, err
 	}
-	light, _, err := run(lightLoad)
+	light, err := run(lightLoad)
 	if err != nil {
 		return Report{}, err
 	}
-	return VerifyFabric(req, net, sat, light, PaperBudget()), nil
+	return VerifyFabric(req, cfg.Network, sat, light), nil
 }
 
 // TestVerifyFabricSmall scores a scaled-down 3-stage fabric against
@@ -100,7 +105,7 @@ func TestVerifyFabricSmall(t *testing.T) {
 	// 2048-port scale. Score the small instance accordingly.
 	req.SustainedThroughput = 0.85
 	cfg := fabric.Config{
-		Hosts: 32, Radix: 8, Receivers: 2,
+		Network: mustXGFT(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 2,
 	}
@@ -119,7 +124,7 @@ func TestVerifyFabricFlagsSmallPortCount(t *testing.T) {
 	req := Table1()
 	req.SustainedThroughput = 0.85 // see TestVerifyFabricSmall
 	cfg := fabric.Config{
-		Hosts: 32, Radix: 8, Receivers: 2,
+		Network: mustXGFT(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 2,
 	}
@@ -140,7 +145,7 @@ func TestVerifyFabric2048(t *testing.T) {
 		t.Skip("2048-port fabric verification is slow")
 	}
 	cfg := fabric.Config{
-		Hosts: 2048, Radix: 64, Receivers: 2,
+		Network: mustXGFT(2048, 64), Receivers: 2,
 		NewScheduler: func() sched.Scheduler { return sched.NewFLPPR(64, 0) },
 		// The 250 ns cable half of the 500 ns budget covers the whole
 		// room crossing; with two inter-switch hops that is ~2 cycles

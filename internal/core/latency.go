@@ -20,10 +20,6 @@ type SingleStageLatencyBreakdown struct {
 	// DataFlight is the data transfer (1 more RTT: host to switch to
 	// destination host).
 	DataFlight units.Time
-	// Scheduling is the arbiter decision time.
-	Scheduling units.Time
-	// Switching is the crossbar traversal/transmission time.
-	Switching units.Time
 	// Total is the minimum unloaded latency.
 	Total units.Time
 }
@@ -38,8 +34,6 @@ func SingleStageCentralLatency(diameterMeters float64, scheduling, cellTime unit
 		RTT:          rtt,
 		RequestGrant: rtt + scheduling,
 		DataFlight:   rtt + cellTime,
-		Scheduling:   scheduling,
-		Switching:    cellTime,
 	}
 	b.Total = b.RequestGrant + b.DataFlight
 	return b
@@ -64,23 +58,10 @@ func StoreAndForwardPenalty(packetBytes int, rate units.Bandwidth) units.Time {
 	return units.TransmissionTime(packetBytes, rate)
 }
 
-// FabricLatencyBudget is the paper's engineering split of the 500 ns
-// fabric budget: half to switches, half to cables (250 ns covers a 50 m
-// room at 5 ns/m).
-type FabricLatencyBudget struct {
-	Total, Switches, Cables units.Time
-	RoomDiameterMeters      float64
-}
-
-// PaperBudget returns the §III numbers.
-func PaperBudget() FabricLatencyBudget {
-	return FabricLatencyBudget{
-		Total:              500 * units.Nanosecond,
-		Switches:           250 * units.Nanosecond,
-		Cables:             250 * units.Nanosecond,
-		RoomDiameterMeters: 50,
-	}
-}
+// FabricLatencyBudget is the paper's 500 ns end-to-end fabric budget
+// (§III), split half to switches and half to cables (250 ns covers a
+// 50 m room at 5 ns/m).
+const FabricLatencyBudget = 500 * units.Nanosecond
 
 // ASICTargetFormat is the commercialization target the requirements
 // address (§VII): IB 12x QDR rates (12 GByte/s), shorter guard time from

@@ -14,11 +14,7 @@ import (
 
 // ScalePoint is one feasible single-stage configuration.
 type ScalePoint struct {
-	// Colors and Fibers multiply to the port count.
-	Colors, Fibers int
-	// PortRate is the per-port line rate.
-	PortRate units.Bandwidth
-	// Ports = Colors * Fibers.
+	// Ports is colors * fibers.
 	Ports int
 	// Aggregate is the stage's total bandwidth.
 	Aggregate units.Bandwidth
@@ -39,9 +35,6 @@ func NewScalePoint(colors, fibers int, rate units.Bandwidth) (ScalePoint, error)
 	}
 	ports := colors * fibers
 	return ScalePoint{
-		Colors:              colors,
-		Fibers:              fibers,
-		PortRate:            rate,
 		Ports:               ports,
 		Aggregate:           units.Bandwidth(float64(rate) * float64(ports)),
 		SchedulerIterations: sched.Log2Ceil(ports),

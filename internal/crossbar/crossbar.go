@@ -224,8 +224,8 @@ type epochState struct {
 type Epoch struct {
 	// FromSlot (inclusive) and ToSlot (exclusive) bound the segment.
 	FromSlot, ToSlot uint64
-	// Offered, Delivered, Dropped, ReceiverRejects count cells in it.
-	Offered, Delivered, Dropped, ReceiverRejects uint64
+	// Offered, Delivered, ReceiverRejects count cells in it.
+	Offered, Delivered, ReceiverRejects uint64
 	// MeanSlots and P99Slots are the end-to-end latency of cells
 	// delivered in the segment, in packet cycles.
 	MeanSlots, P99Slots float64

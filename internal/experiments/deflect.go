@@ -31,7 +31,7 @@ func runDeflect(cfg RunConfig) (*Result, error) {
 	var reorders uint64
 	for _, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
 		// Deflection switch.
-		d := sched.NewDeflect(n, 4, 1<<20)
+		d := sched.NewDeflect(n, 4)
 		order := packet.NewOrderCheckerFor(0, n)
 		delivered := 0
 		d.Sink = func(c *packet.Cell, _ uint64) {

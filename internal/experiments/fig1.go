@@ -21,7 +21,6 @@ func runFig1(cfg RunConfig) (*Result, error) {
 	res := &Result{ID: "fig1", Title: "Single-stage 2xRTT latency vs multistage (Fig. 1 / SIII)"}
 	cell := 51200 * units.Picosecond
 	sched := 100 * units.Nanosecond
-	budget := core.PaperBudget()
 
 	tb := stats.NewTable("Unloaded fabric latency vs machine-room diameter", "diameter_m")
 	single := tb.AddSeries("single-stage-2RTT")
@@ -32,7 +31,7 @@ func runFig1(cfg RunConfig) (*Result, error) {
 		single.Add(d, b.Total.Nanoseconds())
 		m := core.MultistageLatency(3, 30*units.Nanosecond, cell, d)
 		multi.Add(d, m.Nanoseconds())
-		budgetLine.Add(d, budget.Total.Nanoseconds())
+		budgetLine.Add(d, core.FabricLatencyBudget.Nanoseconds())
 	}
 	res.Tables = append(res.Tables, tb)
 
@@ -40,15 +39,15 @@ func runFig1(cfg RunConfig) (*Result, error) {
 	res.AddFinding("single-stage latency at 50 m",
 		"2 RTT + scheduling exceeds the 500 ns fabric budget",
 		fmt.Sprintf("%v (RTT %v)", at50.Total, at50.RTT),
-		at50.Total > budget.Total)
+		at50.Total > core.FabricLatencyBudget)
 
 	m50 := core.MultistageLatency(3, 30*units.Nanosecond, cell, 50)
 	res.AddFinding("multistage latency at 50 m",
 		"store-and-forward multistage fits the budget",
 		m50.String(),
-		m50 <= budget.Total)
+		m50 <= core.FabricLatencyBudget)
 
-	cross := single.XWhereY(budget.Total.Nanoseconds())
+	cross := single.XWhereY(core.FabricLatencyBudget.Nanoseconds())
 	res.AddFinding("single-stage feasibility horizon",
 		"single-stage central scheduling only works for small rooms",
 		fmt.Sprintf("budget crossed at %.1f m diameter", cross),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -58,23 +57,13 @@ func runFig2(cfg RunConfig) (*Result, error) {
 	// Simulate options 1 and 3 on a small fat tree to compare latency.
 	warm, meas := cfg.warmupMeasure(800, 4000)
 	latency := map[bool]float64{}
+	x, err := fabric.NewXGFT(32, 8, 0)
+	if err != nil {
+		return nil, err
+	}
 	for _, egress := range []bool{false, true} {
-		fcfg := fabric.Config{
-			Hosts: 32, Radix: 8, Receivers: 2,
-			NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
-			LinkDelaySlots: 3,
-			EgressBuffered: egress,
-			Shards:         cfg.Par,
-		}
-		f, err := fabric.New(fcfg)
-		if err != nil {
-			return nil, err
-		}
-		gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.6, Seed: cfg.seed()})
-		if err != nil {
-			return nil, err
-		}
-		m, err := f.Run(gens, warm, meas)
+		_, m, err := runFabric(fabric.Config{Network: x, LinkDelaySlots: 3, EgressBuffered: egress, Shards: cfg.Par},
+			traffic.Config{Kind: traffic.KindUniform, Load: 0.6, Seed: cfg.seed()}, warm, meas)
 		if err != nil {
 			return nil, err
 		}

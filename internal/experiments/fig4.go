@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/fc"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -35,6 +34,10 @@ func runFig4(cfg RunConfig) (*Result, error) {
 	)
 	loopRTT := fc.LoopRTT(linkD, 1)
 	capacity := fc.BufferFor(loopRTT, margin)
+	x, err := fabric.NewXGFT(hosts, radix, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	tb := stats.NewTable("Hotspot overload, 32-host fat tree, hot port 0", "hot_fraction")
 	drops := tb.AddSeries("drops")
@@ -44,25 +47,8 @@ func runFig4(cfg RunConfig) (*Result, error) {
 
 	var worstDepth int
 	for _, frac := range []float64{0.2, 0.5, 0.8} {
-		fcfg := fabric.Config{
-			Hosts: hosts, Radix: radix, Receivers: 2,
-			NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(radix, 0) },
-			LinkDelaySlots: linkD,
-			InputCapacity:  capacity,
-			Shards:         cfg.Par,
-		}
-		f, err := fabric.New(fcfg)
-		if err != nil {
-			return nil, err
-		}
-		gens, err := traffic.Build(traffic.Config{
-			Kind: traffic.KindHotspot, N: hosts, Load: 0.85,
-			HotPort: 0, HotFraction: frac, Seed: cfg.seed(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		m, err := f.Run(gens, warm, meas)
+		f, m, err := runFabric(fabric.Config{Network: x, LinkDelaySlots: linkD, InputCapacity: capacity, Shards: cfg.Par},
+			traffic.Config{Kind: traffic.KindHotspot, Load: 0.85, HotPort: 0, HotFraction: frac, Seed: cfg.seed()}, warm, meas)
 		if err != nil {
 			return nil, err
 		}

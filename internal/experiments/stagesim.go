@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -46,21 +45,8 @@ func runStagesSim(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := fabric.New(fabric.Config{
-			Network:        x,
-			Receivers:      2,
-			NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(s.radix, 0) },
-			LinkDelaySlots: 2,
-			Shards:         cfg.Par,
-		})
-		if err != nil {
-			return nil, err
-		}
-		gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: 64, Load: 0.4, Seed: cfg.seed()})
-		if err != nil {
-			return nil, err
-		}
-		m, err := f.Run(gens, warm, meas)
+		_, m, err := runFabric(fabric.Config{Network: x, LinkDelaySlots: 2, Shards: cfg.Par},
+			traffic.Config{Kind: traffic.KindUniform, Load: 0.4, Seed: cfg.seed()}, warm, meas)
 		if err != nil {
 			return nil, err
 		}
@@ -95,4 +81,21 @@ func runStagesSim(cfg RunConfig) (*Result, error) {
 			results["9-stage-radix4"]/results["3-stage-radix16"]),
 		results["9-stage-radix4"]/results["3-stage-radix16"] > 1.5)
 	return res, nil
+}
+
+// runFabric builds a fabric from fcfg, with New's defaults of two
+// receivers and FLPPR switches, and runs it under tcfg over the
+// network's hosts.
+func runFabric(fcfg fabric.Config, tcfg traffic.Config, warm, meas uint64) (*fabric.Fabric, *fabric.Metrics, error) {
+	f, err := fabric.New(fcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tcfg.N = fcfg.Network.Hosts
+	gens, err := traffic.Build(tcfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := f.Run(gens, warm, meas)
+	return f, m, err
 }

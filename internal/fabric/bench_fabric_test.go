@@ -13,8 +13,7 @@ import (
 // single core.
 func benchFabricConfig(shards int) Config {
 	return Config{
-		Hosts:          2048,
-		Radix:          64,
+		Network:        testNet(2048, 64),
 		Receivers:      2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(64, 0) },
 		LinkDelaySlots: 5,
@@ -73,7 +72,7 @@ func BenchmarkFabric2048(b *testing.B) {
 // TestStepZeroAllocsSteadyState pins at 0 allocs.
 func BenchmarkFabricStepSmall(b *testing.B) {
 	f, err := New(Config{
-		Hosts: 32, Radix: 8, Receivers: 2,
+		Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3,
 	})

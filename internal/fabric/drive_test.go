@@ -17,6 +17,16 @@ import (
 // match (serialRun injects cell by cell) and to round-trip a session
 // through one self-contained file.
 
+// testNet is NewXGFT's smallest tree of radix-radix switches covering
+// hosts, for test configurations that cannot fail.
+func testNet(hosts, radix int) XGFT {
+	x, err := NewXGFT(hosts, radix, 0)
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
 // Slot reports the current cycle.
 func (f *Fabric) Slot() uint64 { return f.slot }
 
@@ -26,7 +36,7 @@ func (f *Fabric) StartMeasurement() { f.measuring = true }
 // Inject places a newly arrived cell into its source leaf's ingress
 // adapter (the first-stage input buffer).
 func (f *Fabric) Inject(c *packet.Cell) error {
-	if c.Src < 0 || c.Src >= f.cfg.Hosts {
+	if c.Src < 0 || c.Src >= f.cfg.Network.Hosts {
 		return fmt.Errorf("fabric: source %d out of range", c.Src)
 	}
 	ni := f.hostNode[c.Src]

@@ -4,9 +4,10 @@
 // central schedulers, credit-based lossless flow control with
 // deterministic loop RTTs, and strict per-flow in-order delivery.
 //
-// The default topology is the smallest XGFT covering the host count:
-// the two-level (three-stage) fat tree the demonstrator targets for
-// 2048 ports, or a deeper tree for the §VI.C stage-count study.
+// The topology is an XGFT: NewXGFT builds the smallest tree covering a
+// host count — the two-level (three-stage) fat tree the demonstrator
+// targets for 2048 ports — or one of a fixed depth for the §VI.C
+// stage-count study.
 package fabric
 
 import (
@@ -25,16 +26,9 @@ import (
 
 // Config describes a multistage fabric experiment.
 type Config struct {
-	// Hosts is the fabric port count; Radix the switch port count
-	// (default 64). Without a Network, New builds the smallest XGFT of
-	// radix-Radix switches covering Hosts: one switch up to Radix
-	// hosts, the two-level fat tree up to Radix²/2, deeper trees beyond.
-	// Ignored when Network is set.
-	Hosts, Radix int
-	// Network overrides the default tree with an explicit wiring (e.g.
-	// an XGFT with a fixed level count for the 5- or 9-stage electronic
-	// comparisons of SVI.C).
-	Network Net
+	// Network is the wiring: the host count, the switch radix and the
+	// level count, as NewXGFT builds it.
+	Network XGFT
 	// Receivers per output (dual receiver = 2).
 	Receivers int
 	// NewScheduler builds one per-switch arbiter instance.
@@ -116,7 +110,7 @@ type creditReturn struct {
 // Fabric is a runnable multistage fabric instance.
 //
 // The engine is spatially partitioned: every switch node belongs to
-// exactly one shard (a contiguous run of Net.NodeIDs()), and each shard
+// exactly one shard (a contiguous run of XGFT.NodeIDs()), and each shard
 // owns its nodes' VOQ, credit, and egress state plus private
 // inflight/credit-return rings. Cells and credits crossing a shard
 // boundary travel through per-(source, destination)-shard mailboxes
@@ -126,10 +120,8 @@ type creditReturn struct {
 // host) order. The result is byte-identical at any shard count.
 type Fabric struct {
 	cfg Config
-	net Net
 
-	nodes   []*node
-	nodeIdx map[NodeID]int
+	nodes []*node
 	// nodeShard[i] is the index of the shard owning node i.
 	nodeShard []int
 	// hostNode[h]/hostPort[h] locate host h's leaf attachment;
@@ -177,23 +169,15 @@ func CheckLinkDelay(slots int) error {
 
 // New builds a fabric, applying defaults.
 func New(cfg Config) (*Fabric, error) {
-	if cfg.Network == nil {
-		if cfg.Radix == 0 {
-			cfg.Radix = 64
-		}
-		x, err := NewXGFT(cfg.Hosts, cfg.Radix, 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Network = x
+	x := cfg.Network
+	if _, err := NewXGFT(x.Hosts, x.Radix, x.Levels); err != nil || x.Levels < 1 {
+		return nil, fmt.Errorf("fabric: network %+v is not a tree NewXGFT builds (%v)", x, err)
 	}
-	cfg.Hosts = cfg.Network.HostCount()
-	cfg.Radix = cfg.Network.SwitchRadix()
 	if cfg.Receivers <= 0 {
 		cfg.Receivers = 2
 	}
 	if cfg.NewScheduler == nil {
-		radix := cfg.Radix
+		radix := x.Radix
 		cfg.NewScheduler = func() sched.Scheduler { return sched.NewFLPPR(radix, 0) }
 	}
 	if err := CheckLinkDelay(cfg.LinkDelaySlots); err != nil {
@@ -205,36 +189,29 @@ func New(cfg Config) (*Fabric, error) {
 		cfg.InputCapacity = fc.BufferFor(fc.LoopRTT(cfg.LinkDelaySlots, 1), 2)
 	}
 
-	f := &Fabric{
-		cfg:     cfg,
-		net:     cfg.Network,
-		nodeIdx: make(map[NodeID]int),
-	}
+	f := &Fabric{cfg: cfg}
 	f.metrics.CycleTime = packet.OSMOSISFormat().CycleTime()
 	f.metrics.HopHistogram = make(map[int]uint64)
 
-	for _, id := range f.net.NodeIDs() {
-		n, err := newNode(id, f.net, cfg.NewScheduler, cfg.Receivers, cfg.InputCapacity, cfg.EgressBuffered)
+	nodeIdx := make(map[NodeID]int)
+	for _, id := range x.NodeIDs() {
+		n, err := newNode(id, x, cfg.NewScheduler, cfg.Receivers, cfg.InputCapacity, cfg.EgressBuffered)
 		if err != nil {
 			return nil, err
 		}
-		f.nodeIdx[id] = len(f.nodes)
+		nodeIdx[id] = len(f.nodes)
 		f.nodes = append(f.nodes, n)
 	}
 
-	f.hostEgress = make([]*voq.Egress, cfg.Hosts)
+	f.hostEgress = make([]*voq.Egress, x.Hosts)
 	for h := range f.hostEgress {
 		f.hostEgress[h] = new(voq.Egress)
 	}
-	f.hostNode = make([]int, cfg.Hosts)
-	f.hostPort = make([]int, cfg.Hosts)
-	for h := 0; h < cfg.Hosts; h++ {
-		leaf, port := f.net.HostLeaf(h)
-		ni, ok := f.nodeIdx[leaf]
-		if !ok {
-			return nil, fmt.Errorf("fabric: host %d attaches to unknown switch %v", h, leaf)
-		}
-		f.hostNode[h] = ni
+	f.hostNode = make([]int, x.Hosts)
+	f.hostPort = make([]int, x.Hosts)
+	for h := 0; h < x.Hosts; h++ {
+		leaf, port := x.HostLeaf(h)
+		f.hostNode[h] = nodeIdx[leaf]
 		f.hostPort[h] = port
 	}
 
@@ -245,24 +222,18 @@ func New(cfg Config) (*Fabric, error) {
 			if pi.Kind != UpPort && pi.Kind != DownPort {
 				continue
 			}
-			ni, ok := f.nodeIdx[pi.Peer]
-			if !ok {
-				return nil, fmt.Errorf("fabric: %v port %d peers unknown switch %v", n.id, p, pi.Peer)
-			}
-			n.peerIdx[p] = ni
+			n.peerIdx[p] = nodeIdx[pi.Peer]
 		}
 	}
 
 	f.ringLen = 2*cfg.LinkDelaySlots + 2
-	if err := f.partition(cfg.Shards); err != nil {
-		return nil, err
-	}
+	f.partition(cfg.Shards)
 	return f, nil
 }
 
 // partition splits the switch nodes into s contiguous shards and builds
 // the per-shard rings and mailboxes.
-func (f *Fabric) partition(s int) error {
+func (f *Fabric) partition(s int) {
 	if s < 1 {
 		s = 1
 	}
@@ -281,37 +252,23 @@ func (f *Fabric) partition(s int) error {
 		}
 		f.shards[i] = newShard(f, i, lo, hi, s, window)
 	}
-	// Host ownership follows leaf ownership; the metric merge relies on
-	// shard order being global host order, so the attachment order must
-	// be contiguous per shard (true for XGFT, whose leaves lead the node
-	// list in host order).
-	f.hostShard = make([]int, f.cfg.Hosts)
+	// Host ownership follows leaf ownership. XGFT's leaves lead the node
+	// list in host order, so each shard owns a contiguous host range and
+	// shard order is global host order, which the metric merge relies
+	// on.
+	f.hostShard = make([]int, f.cfg.Network.Hosts)
 	for h := range f.hostShard {
 		f.hostShard[h] = f.nodeShard[f.hostNode[h]]
+		sh := f.shards[f.hostShard[h]]
+		if sh.hostLo == sh.hostHi {
+			sh.hostLo = h
+		}
+		sh.hostHi = h + 1
 	}
-	for i, sh := range f.shards {
-		sh.hostLo, sh.hostHi = -1, -1
-		for h := 0; h < f.cfg.Hosts; h++ {
-			if f.nodeShard[f.hostNode[h]] != i {
-				continue
-			}
-			if sh.hostLo < 0 {
-				sh.hostLo = h
-			} else if h != sh.hostHi {
-				return fmt.Errorf("fabric: host %d attaches out of order; shard %d cannot own a non-contiguous host range", h, i)
-			}
-			sh.hostHi = h + 1
-		}
-		if sh.hostLo < 0 {
-			sh.hostLo, sh.hostHi = 0, 0
-		}
+	for _, sh := range f.shards {
 		sh.order = packet.NewOrderCheckerFor(sh.hostLo, sh.hostHi)
 	}
-	return nil
 }
-
-// Network exposes the fabric's wiring.
-func (f *Fabric) Network() Net { return f.net }
 
 // Metrics exposes the measurements.
 func (f *Fabric) Metrics() *Metrics { return &f.metrics }
@@ -474,8 +431,8 @@ func (f *Fabric) Run(gens []traffic.Generator, warmup, measure uint64) (*Metrics
 // slot: gens inject shard-side until its end, and the measurement window
 // opens at slot+warmup, mid-window if need be.
 func (f *Fabric) begin(gens []traffic.Generator, warmup, measure uint64) error {
-	if len(gens) != f.cfg.Hosts {
-		return fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
+	if len(gens) != f.cfg.Network.Hosts {
+		return fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Network.Hosts)
 	}
 	until, err := timelineEnd(f.slot, warmup, measure)
 	if err != nil {

@@ -14,8 +14,7 @@ import (
 func smallFabric(t *testing.T, mutate func(*Config)) *Fabric {
 	t.Helper()
 	cfg := Config{
-		Hosts:          32,
-		Radix:          8,
+		Network:        testNet(32, 8),
 		Receivers:      2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3,
@@ -44,30 +43,32 @@ func runFabric(t *testing.T, f *Fabric, kind traffic.Kind, load float64, warmup,
 }
 
 func TestFabricValidation(t *testing.T) {
-	if _, err := New(Config{Hosts: 0}); err == nil {
+	if _, err := New(Config{}); err == nil {
+		t.Error("zero network accepted")
+	}
+	if _, err := New(Config{Network: XGFT{Levels: 1, Radix: 8}}); err == nil {
 		t.Error("zero hosts accepted")
 	}
-	if _, err := New(Config{Hosts: 4, LinkDelaySlots: -1}); err == nil {
+	if _, err := New(Config{Network: XGFT{Levels: 2, Radix: 8, Hosts: 40}}); err == nil {
+		t.Error("40 hosts accepted on a 2-level radix-8 tree of capacity 32")
+	}
+	if _, err := New(Config{Network: testNet(4, 64), LinkDelaySlots: -1}); err == nil {
 		t.Error("negative delay accepted")
 	}
 	// A delay whose 2*d+2 slot rings overflow int used to reach
 	// makeslice and panic; it must come back as an error.
 	for _, d := range []int{1 << 62, math.MaxInt} {
-		if _, err := New(Config{Hosts: 4, LinkDelaySlots: d}); err == nil {
+		if _, err := New(Config{Network: testNet(4, 64), LinkDelaySlots: d}); err == nil {
 			t.Errorf("link delay %d accepted", d)
 		}
 	}
-	if _, err := New(Config{Hosts: 8, Radix: 7}); err == nil {
+	if _, err := New(Config{Network: XGFT{Levels: 1, Radix: 7, Hosts: 7}}); err == nil {
 		t.Error("odd radix accepted")
 	}
-	// Past the two-level capacity radix²/2 the default grows a deeper
-	// tree: 40 hosts on radix 8 need 3 levels, 5 stages.
-	f, err := New(Config{Hosts: 40, Radix: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x, ok := f.Network().(XGFT); !ok || x.Levels != 3 || x.StageCount() != 5 {
-		t.Errorf("40 hosts on radix 8 built %+v, want a 3-level, 5-stage XGFT", f.Network())
+	// Past the two-level capacity radix²/2 NewXGFT grows a deeper tree:
+	// 40 hosts on radix 8 need 3 levels, 5 stages.
+	if x := testNet(40, 8); x.Levels != 3 || x.StageCount() != 5 {
+		t.Errorf("40 hosts on radix 8 built %+v, want a 3-level, 5-stage XGFT", x)
 	}
 }
 
@@ -165,7 +166,7 @@ func TestFabricHopCounts(t *testing.T) {
 
 func TestFabricSingleSwitchDegenerate(t *testing.T) {
 	f, err := New(Config{
-		Hosts: 8, Radix: 8, Receivers: 2,
+		Network: testNet(8, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 0,
 	})
@@ -234,8 +235,7 @@ func TestFabric2048PortsBrief(t *testing.T) {
 	}
 	// The paper's target scale, briefly: 2048 hosts, 64-port switches.
 	cfg := Config{
-		Hosts:          2048,
-		Radix:          64,
+		Network:        testNet(2048, 64),
 		Receivers:      2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(64, 0) },
 		LinkDelaySlots: 5, // ~50 m at 51.2 ns cycles

@@ -21,7 +21,7 @@ import (
 // the step path make the linter prove it).
 type node struct {
 	id    NodeID
-	net   Net
+	net   XGFT
 	radix int
 	ports []PortInfo
 	// peerIdx[p] is the fabric node index of ports[p].Peer for
@@ -77,7 +77,7 @@ type node struct {
 }
 
 // newNode builds a switch node.
-func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapacity int, egressBuffered bool) (*node, error) {
+func newNode(id NodeID, net XGFT, mk func() sched.Scheduler, receivers, inputCapacity int, egressBuffered bool) (*node, error) {
 	ports, err := net.PortMap(id)
 	if err != nil {
 		return nil, err
@@ -85,7 +85,7 @@ func newNode(id NodeID, net Net, mk func() sched.Scheduler, receivers, inputCapa
 	n := &node{
 		id:        id,
 		net:       net,
-		radix:     net.SwitchRadix(),
+		radix:     net.Radix,
 		ports:     ports,
 		sch:       mk(),
 		receivers: receivers,

@@ -116,8 +116,8 @@ func (s *Session) SaveState(e *ckpt.Encoder) {
 // the counterpart of SaveState for embedding formats. The caller owns
 // the decoder's trailer (Close) and any surrounding framing.
 func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*Session, error) {
-	if len(gens) != f.cfg.Hosts {
-		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Hosts)
+	if len(gens) != f.cfg.Network.Hosts {
+		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Network.Hosts)
 	}
 	if err := d.Begin("session"); err != nil {
 		return nil, err

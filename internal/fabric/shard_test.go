@@ -186,8 +186,7 @@ func TestCreditLoopRTTMatchesSizingFormula(t *testing.T) {
 		d := d
 		t.Run(fmt.Sprintf("delay%d", d), func(t *testing.T) {
 			cfg := Config{
-				Hosts:          32,
-				Radix:          8,
+				Network:        testNet(32, 8),
 				Receivers:      2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: d,
@@ -236,7 +235,7 @@ func TestCreditLoopRTTMatchesSizingFormula(t *testing.T) {
 func TestDefaultBufferSustainsFullRate(t *testing.T) {
 	for _, d := range []int{0, 3} {
 		f, err := New(Config{
-			Hosts: 32, Radix: 8, Receivers: 2,
+			Network: testNet(32, 8), Receivers: 2,
 			NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 			LinkDelaySlots: d,
 		})
@@ -502,8 +501,7 @@ func runSharded(t *testing.T, cfg Config, tcfg traffic.Config, shards int, warmu
 // and 4, while staying lossless and in order.
 func TestGoldenDeterminism2048Ports(t *testing.T) {
 	cfg := Config{
-		Hosts:          2048,
-		Radix:          64,
+		Network:        testNet(2048, 64),
 		Receivers:      2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(64, 0) },
 		LinkDelaySlots: 5,
@@ -563,7 +561,7 @@ func TestGoldenDeterminismSmallShapes(t *testing.T) {
 	}{
 		{
 			name: "delay0",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 0},
 			tcfg:   traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.8, Seed: 11},
@@ -571,7 +569,7 @@ func TestGoldenDeterminismSmallShapes(t *testing.T) {
 		},
 		{
 			name: "option1",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 2, EgressBuffered: true},
 			tcfg:   traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.7, Seed: 12},
@@ -579,7 +577,7 @@ func TestGoldenDeterminismSmallShapes(t *testing.T) {
 		},
 		{
 			name: "bursty",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 3},
 			tcfg:   traffic.Config{Kind: traffic.KindBursty, N: 32, Load: 0.6, Seed: 13},
@@ -587,7 +585,7 @@ func TestGoldenDeterminismSmallShapes(t *testing.T) {
 		},
 		{
 			name: "hotspot",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 4},
 			tcfg: traffic.Config{Kind: traffic.KindHotspot, N: 32, Load: 0.9,
@@ -646,7 +644,7 @@ func TestShardsClampAndPartition(t *testing.T) {
 // warm-up boundary falls inside a lookahead window (warmup not a
 // multiple of LinkDelaySlots+1), on one shard as well as several.
 func TestRunMidstreamWarmupCrossing(t *testing.T) {
-	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+	cfg := Config{Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3} // window = 4
 	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.6, Seed: 21}

@@ -19,7 +19,7 @@ package fabric
 //	  begin metrics ... end metrics
 //	  order/oflow records        (the shards' order checkers, merged)
 //	  alloc/flow records         (the shards' cell identities, merged)
-//	  begin nodes   one "begin node" per switch, in Net.NodeIDs order
+//	  begin nodes   one "begin node" per switch, in XGFT.NodeIDs order
 //	  begin hosts   one egress section per host port
 //	  begin wires   in-flight cells then aggregated credit returns,
 //	                sorted by (landing slot, node, port)
@@ -319,7 +319,7 @@ func (f *Fabric) SaveState(e *ckpt.Encoder) {
 	}
 	e.Begin("fabric")
 	e.Put("shape",
-		ckpt.Int(int64(f.cfg.Hosts)), ckpt.Int(int64(f.cfg.Radix)),
+		ckpt.Int(int64(f.cfg.Network.Hosts)), ckpt.Int(int64(f.cfg.Network.Radix)),
 		ckpt.Int(int64(f.cfg.Receivers)), ckpt.Int(int64(f.cfg.LinkDelaySlots)),
 		ckpt.Int(int64(f.cfg.InputCapacity)), ckpt.Bool(f.cfg.EgressBuffered),
 		ckpt.Int(int64(f.ringLen)), ckpt.Int(int64(len(f.nodes))),
@@ -398,13 +398,13 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if hosts != f.cfg.Hosts || radix != f.cfg.Radix || receivers != f.cfg.Receivers ||
+	if hosts != f.cfg.Network.Hosts || radix != f.cfg.Network.Radix || receivers != f.cfg.Receivers ||
 		delay != f.cfg.LinkDelaySlots || inputCap != f.cfg.InputCapacity ||
 		egressBuffered != f.cfg.EgressBuffered || ringLen != f.ringLen ||
 		nodes != len(f.nodes) || cycle != int64(f.metrics.CycleTime) {
 		return fmt.Errorf("fabric: checkpoint shape (hosts=%d radix=%d recv=%d delay=%d cap=%d egress=%v ring=%d nodes=%d cycle=%d) does not match this fabric (hosts=%d radix=%d recv=%d delay=%d cap=%d egress=%v ring=%d nodes=%d cycle=%d)",
 			hosts, radix, receivers, delay, inputCap, egressBuffered, ringLen, nodes, cycle,
-			f.cfg.Hosts, f.cfg.Radix, f.cfg.Receivers, f.cfg.LinkDelaySlots, f.cfg.InputCapacity,
+			f.cfg.Network.Hosts, f.cfg.Network.Radix, f.cfg.Receivers, f.cfg.LinkDelaySlots, f.cfg.InputCapacity,
 			f.cfg.EgressBuffered, f.ringLen, len(f.nodes), int64(f.metrics.CycleTime))
 	}
 
@@ -424,7 +424,7 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 	// Each shard's allocator takes only the counters of the hosts it
 	// issues for; a source outside the fabric is refused.
 	owner := func(src int) int {
-		if src >= f.cfg.Hosts {
+		if src >= f.cfg.Network.Hosts {
 			return -1
 		}
 		return f.hostShard[src]
@@ -508,8 +508,8 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 		if node < 0 || node >= len(f.nodes) {
 			return fmt.Errorf("fabric: in-flight cell lands at node %d of %d", node, len(f.nodes))
 		}
-		if port < 0 || port >= f.cfg.Radix {
-			return fmt.Errorf("fabric: in-flight cell lands on port %d of radix %d", port, f.cfg.Radix)
+		if port < 0 || port >= f.cfg.Network.Radix {
+			return fmt.Errorf("fabric: in-flight cell lands on port %d of radix %d", port, f.cfg.Network.Radix)
 		}
 		if land < slot || land >= horizon {
 			return fmt.Errorf("fabric: in-flight cell lands at slot %d outside [%d, %d)", land, slot, horizon)
@@ -534,14 +534,16 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 		if node < 0 || node >= len(f.nodes) {
 			return fmt.Errorf("fabric: credit return lands at node %d of %d", node, len(f.nodes))
 		}
-		if port < 0 || port >= f.cfg.Radix {
-			return fmt.Errorf("fabric: credit return lands on port %d of radix %d", port, f.cfg.Radix)
+		if port < 0 || port >= f.cfg.Network.Radix {
+			return fmt.Errorf("fabric: credit return lands on port %d of radix %d", port, f.cfg.Network.Radix)
 		}
 		if land < slot || land >= horizon {
 			return fmt.Errorf("fabric: credit return lands at slot %d outside [%d, %d)", land, slot, horizon)
 		}
-		if count <= 0 {
-			return fmt.Errorf("fabric: credit return count %d must be positive", count)
+		// No more credits can be in flight to one port than the buffer
+		// behind it holds; a forged count would append without bound.
+		if count <= 0 || count > f.cfg.InputCapacity {
+			return fmt.Errorf("fabric: credit return count %d outside [1, %d]", count, f.cfg.InputCapacity)
 		}
 		sh := f.shards[f.nodeShard[node]]
 		k := int(land % uint64(f.ringLen))

@@ -59,7 +59,7 @@ func sessionRun(t *testing.T, cfg Config, tcfg traffic.Config, warmup, measure u
 // one-shot serialRun oracle byte-for-byte, for several awkward chunkings
 // (mid-window pauses, single-slot steps, giant steps).
 func TestSessionMatchesRun(t *testing.T) {
-	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+	cfg := Config{Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3} // window = 4
 	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.8, Seed: 31}
@@ -149,28 +149,28 @@ func TestCheckpointRestoreBitExact(t *testing.T) {
 	}{
 		{
 			name: "uniform",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 3, Shards: 2},
 			tcfg: traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.8, Seed: 41},
 		},
 		{
 			name: "bursty-delay0",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 0, Shards: 3},
 			tcfg: traffic.Config{Kind: traffic.KindBursty, N: 32, Load: 0.6, Seed: 42},
 		},
 		{
 			name: "option1-islip",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewISLIP(8, 2) },
 				LinkDelaySlots: 2, EgressBuffered: true, Shards: 2},
 			tcfg: traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.7, Seed: 43},
 		},
 		{
 			name: "hotspot-bimodal",
-			cfg: Config{Hosts: 32, Radix: 8, Receivers: 2,
+			cfg: Config{Network: testNet(32, 8), Receivers: 2,
 				NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 				LinkDelaySlots: 4, Shards: 2},
 			tcfg: traffic.Config{Kind: traffic.KindBimodal, N: 32, Load: 0.7,
@@ -205,7 +205,7 @@ func TestCheckpointRestoreBitExact(t *testing.T) {
 // TestCheckpointDeterministicBytes: saving the same state twice yields
 // identical snapshot bytes (canonical ordering everywhere).
 func TestCheckpointDeterministicBytes(t *testing.T) {
-	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+	cfg := Config{Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3, Shards: 2}
 	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.8, Seed: 51}
@@ -236,7 +236,7 @@ func TestCheckpointDeterministicBytes(t *testing.T) {
 // the original — in-flight cells and credit returns land on the same
 // slots (the fabric-level half of the fc ring audit).
 func TestCheckpointDrainEquivalence(t *testing.T) {
-	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+	cfg := Config{Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 5, Shards: 2}
 	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.9, Seed: 61}
@@ -308,7 +308,7 @@ func TestCheckpointDrainEquivalence(t *testing.T) {
 // TestCheckpointRejectsMismatchAndCorruption: wrong-shape fabrics, wrong
 // traffic shapes, and corrupted snapshots are all refused loudly.
 func TestCheckpointRejectsMismatchAndCorruption(t *testing.T) {
-	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+	cfg := Config{Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3}
 	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.8, Seed: 71}
@@ -338,7 +338,7 @@ func TestCheckpointRejectsMismatchAndCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gens := buildGens(t, traffic.Config{Kind: traffic.KindUniform, N: rcfg.Hosts, Load: 0.8, Seed: 71})
+		gens := buildGens(t, traffic.Config{Kind: traffic.KindUniform, N: rcfg.Network.Hosts, Load: 0.8, Seed: 71})
 		_, err = ResumeSession(rf, gens, strings.NewReader(body))
 		return err
 	}
@@ -368,6 +368,22 @@ func TestCheckpointRejectsMismatchAndCorruption(t *testing.T) {
 	if err := resume(nil, text[:len(text)*3/4]); err == nil {
 		t.Error("truncated snapshot restored")
 	}
+	// A forged credit-return count under a valid checksum is refused
+	// before the restore expands it into the credit wire.
+	body := text[:strings.LastIndex(text, "checksum ")]
+	i := strings.Index(body, "\ncw ")
+	if i < 0 {
+		t.Fatal("snapshot holds no credit return in flight")
+	}
+	end := i + 1 + strings.Index(body[i+1:], "\n")
+	fields := strings.Fields(body[i+1 : end])
+	fields[len(fields)-1] = "1099511627776"
+	forged := body[:i+1] + strings.Join(fields, " ") + body[end:]
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(forged))
+	if err := resume(nil, fmt.Sprintf("%schecksum %016x\n", forged, h.Sum64())); err == nil || !strings.Contains(err.Error(), "credit return count") {
+		t.Errorf("forged credit-return count: resume error %v, want the count refused", err)
+	}
 
 	// A used fabric is not a restore target.
 	uf, err := New(cfg)
@@ -390,7 +406,7 @@ func TestCheckpointRejectsMismatchAndCorruption(t *testing.T) {
 // refuse warm-up and measure values whose uint64 sum wraps. No test
 // steps that many slots: the clock is set next to the bound instead.
 func TestTimelinePastBoundRefused(t *testing.T) {
-	cfg := Config{Hosts: 32, Radix: 8, Receivers: 2,
+	cfg := Config{Network: testNet(32, 8), Receivers: 2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(8, 0) },
 		LinkDelaySlots: 3}
 	tcfg := traffic.Config{Kind: traffic.KindUniform, N: 32, Load: 0.5, Seed: 9}
@@ -491,8 +507,7 @@ func TestGoldenCheckpoint2048Ports(t *testing.T) {
 		t.Skip("2048-port golden checkpoint is expensive")
 	}
 	cfg := Config{
-		Hosts:          2048,
-		Radix:          64,
+		Network:        testNet(2048, 64),
 		Receivers:      2,
 		NewScheduler:   func() sched.Scheduler { return sched.NewFLPPR(64, 0) },
 		LinkDelaySlots: 5, // window = 6; ckpt slots below are mid-window

@@ -77,13 +77,7 @@ func (x XGFT) pow(e int) int {
 // Capacity reports the maximum host count.
 func (x XGFT) Capacity() int { return capacityXGFT(x.Levels, x.Radix) }
 
-// SwitchRadix implements Net.
-func (x XGFT) SwitchRadix() int { return x.Radix }
-
-// HostCount implements Net.
-func (x XGFT) HostCount() int { return x.Hosts }
-
-// StageCount implements Net.
+// StageCount reports the switch traversals on the longest path.
 func (x XGFT) StageCount() int { return 2*x.Levels - 1 }
 
 // switchesAt reports the switch count of one level.
@@ -97,7 +91,7 @@ func (x XGFT) switchesAt(level int) int {
 	return x.Capacity() / x.arity()
 }
 
-// NodeIDs implements Net.
+// NodeIDs lists every switch, level by level, leaves first.
 func (x XGFT) NodeIDs() []NodeID {
 	var ids []NodeID
 	for l := 0; l < x.Levels; l++ {
@@ -114,7 +108,7 @@ func (x XGFT) split(level, idx int) (pod, s int) {
 	return idx / block, idx % block
 }
 
-// HostLeaf implements Net.
+// HostLeaf reports the switch and port a host attaches to.
 func (x XGFT) HostLeaf(host int) (NodeID, int) {
 	if x.Levels == 1 {
 		return NodeID{Level: 0, Index: 0}, host
@@ -123,7 +117,7 @@ func (x XGFT) HostLeaf(host int) (NodeID, int) {
 	return NodeID{Level: 0, Index: host / a}, host % a
 }
 
-// PortMap implements Net.
+// PortMap describes the wiring of one switch's ports.
 func (x XGFT) PortMap(n NodeID) ([]PortInfo, error) {
 	if n.Level < 0 || n.Level >= x.Levels || n.Index < 0 || n.Index >= x.switchesAt(n.Level) {
 		return nil, fmt.Errorf("fabric: invalid node %v in %d-level radix-%d XGFT", n, x.Levels, x.Radix)
@@ -220,7 +214,8 @@ func flowHash(src, dst, level int) uint64 {
 	return h
 }
 
-// Route implements Net.
+// Route reports the output port at node n for a cell src -> dst:
+// deterministic per flow, which order preservation depends on.
 func (x XGFT) Route(n NodeID, src, dst int) (int, error) {
 	if dst < 0 || dst >= x.Hosts {
 		return -1, fmt.Errorf("fabric: destination %d out of range", dst)
@@ -245,4 +240,47 @@ func (x XGFT) Route(n NodeID, src, dst int) (int, error) {
 	}
 	// Go up; deterministic per flow for order preservation.
 	return a + int(flowHash(src, dst, n.Level)%uint64(a)), nil
+}
+
+// NodeID identifies a switch in the fabric.
+type NodeID struct {
+	// Level counts up from the leaves (0); level 1 of a two-level tree
+	// is the spine.
+	Level int
+	// Index within the level.
+	Index int
+}
+
+// String formats the node for diagnostics.
+func (n NodeID) String() string {
+	if n.Level == 0 {
+		return fmt.Sprintf("leaf%d", n.Index)
+	}
+	return fmt.Sprintf("spine%d", n.Index)
+}
+
+// PortKind classifies a switch port.
+type PortKind uint8
+
+// Port kinds.
+const (
+	// HostPort connects an end host (leaf down-ports).
+	HostPort PortKind = iota
+	// UpPort connects a switch to one a level up.
+	UpPort
+	// DownPort connects a switch to one a level down.
+	DownPort
+	// Unused marks ports beyond the configured host count.
+	Unused
+)
+
+// PortInfo describes one switch port's wiring.
+type PortInfo struct {
+	Kind PortKind
+	// Peer is the switch on the far end (UpPort/DownPort only).
+	Peer NodeID
+	// PeerPort is the port index at the peer.
+	PeerPort int
+	// Host is the attached host (HostPort only).
+	Host int
 }

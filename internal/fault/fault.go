@@ -138,12 +138,10 @@ func (d Dims) validate(e Event) error {
 type Spec struct {
 	// Events are injected verbatim (after validation).
 	Events []Event
-	// RandomCount > 0 adds that many faults with kinds cycled from
-	// RandomKinds, targets drawn uniformly, and start slots uniform in
-	// [WindowStart, WindowEnd).
+	// RandomCount > 0 adds that many faults, each a receiver loss or a
+	// stuck-off gate, targets drawn uniformly, and start slots uniform
+	// in [WindowStart, WindowEnd).
 	RandomCount int
-	// RandomKinds defaults to {ReceiverLoss, SOAStuckOff}.
-	RandomKinds []Kind
 	// WindowStart and WindowEnd bound random start slots.
 	WindowStart, WindowEnd uint64
 	// RandomDuration is the lifetime of random faults (0 = permanent).
@@ -237,10 +235,7 @@ func Compile(spec Spec, d Dims, seed uint64) (Schedule, error) {
 		if spec.RandomCount > maxRandomFaults {
 			return Schedule{}, fmt.Errorf("fault: %d random faults, at most %d", spec.RandomCount, maxRandomFaults)
 		}
-		kinds := spec.RandomKinds
-		if len(kinds) == 0 {
-			kinds = []Kind{ReceiverLoss, SOAStuckOff}
-		}
+		kinds := []Kind{ReceiverLoss, SOAStuckOff}
 		rng := sim.NewRNG(sim.DeriveSeed(seed, StreamLabel))
 		span := int(spec.WindowEnd - spec.WindowStart)
 		for i := 0; i < spec.RandomCount; i++ {

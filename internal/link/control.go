@@ -23,20 +23,6 @@ import (
 // ControlChannel simulates one adapter-scheduler pair of this protocol
 // under message corruption and verifies that both views re-converge.
 
-// RequestMsg is an adapter's per-cycle state snapshot.
-type RequestMsg struct {
-	// VOQCounts is the absolute occupancy per output.
-	VOQCounts []int
-	// GrantEcho is the highest grant sequence received so far.
-	GrantEcho uint64
-}
-
-// GrantMsg is a scheduler-to-adapter grant.
-type GrantMsg struct {
-	Seq    uint64
-	Output int
-}
-
 // ControlChannel models the protocol between one adapter and the
 // scheduler with i.i.d. message corruption on both directions.
 type ControlChannel struct {
@@ -49,15 +35,15 @@ type ControlChannel struct {
 	grantEcho     uint64
 
 	// Scheduler-side view.
-	schedView   []int
-	nextGrant   uint64
-	outstanding map[uint64]GrantMsg
+	schedView []int
+	nextGrant uint64
+	// outstanding holds the sequence numbers of grants lost in flight.
+	outstanding map[uint64]bool
 
 	// Stats.
 	RequestsSent, RequestsLost uint64
 	GrantsSent, GrantsLost     uint64
 	GrantsRecovered            uint64
-	StaleCycles                uint64
 }
 
 // NewControlChannel builds a channel for an n-output adapter with the
@@ -69,7 +55,7 @@ func NewControlChannel(n int, lossProb float64, seed uint64) *ControlChannel {
 		rng:           sim.NewRNG(seed),
 		adapterCounts: make([]int, n),
 		schedView:     make([]int, n),
-		outstanding:   make(map[uint64]GrantMsg),
+		outstanding:   make(map[uint64]bool),
 	}
 }
 
@@ -100,24 +86,20 @@ func (cc *ControlChannel) CycleRequest() {
 	cc.RequestsSent++
 	if cc.rng.Bernoulli(cc.lossPct) {
 		cc.RequestsLost++
-		cc.StaleCycles++
 		return
 	}
-	msg := RequestMsg{VOQCounts: append([]int(nil), cc.adapterCounts...), GrantEcho: cc.grantEcho}
-	copy(cc.schedView, msg.VOQCounts)
+	// The snapshot carries the absolute VOQ occupancy per output and the
+	// highest grant sequence the adapter has received.
+	copy(cc.schedView, cc.adapterCounts)
 	// The echo confirms grants; anything outstanding at or below the
 	// echo is known delivered, anything the adapter has not echoed after
-	// this snapshot was lost and its resources are released.
-	for seq, g := range cc.outstanding {
-		if seq <= msg.GrantEcho {
-			delete(cc.outstanding, seq)
-		} else {
-			// Lost grant detected by the fresh snapshot still showing
-			// the cell queued; recover by releasing the reservation.
+	// this snapshot was lost (the snapshot still shows its cell queued),
+	// and its reservation is released.
+	for seq := range cc.outstanding {
+		if seq > cc.grantEcho {
 			cc.GrantsRecovered++
-			delete(cc.outstanding, seq)
-			_ = g
 		}
+		delete(cc.outstanding, seq)
 	}
 }
 
@@ -125,22 +107,22 @@ func (cc *ControlChannel) CycleRequest() {
 // whether the adapter received it.
 func (cc *ControlChannel) IssueGrant(out int) (received bool) {
 	cc.nextGrant++
-	g := GrantMsg{Seq: cc.nextGrant, Output: out}
+	seq := cc.nextGrant
 	cc.GrantsSent++
 	if cc.schedView[out] > 0 {
 		cc.schedView[out]--
 	}
 	if cc.rng.Bernoulli(cc.lossPct) {
 		cc.GrantsLost++
-		cc.outstanding[g.Seq] = g
+		cc.outstanding[seq] = true
 		return false
 	}
 	// Adapter receives: dequeues a cell and records the echo.
 	if cc.adapterCounts[out] > 0 {
 		cc.adapterCounts[out]--
 	}
-	if g.Seq > cc.grantEcho {
-		cc.grantEcho = g.Seq
+	if seq > cc.grantEcho {
+		cc.grantEcho = seq
 	}
 	return true
 }

@@ -168,9 +168,8 @@ func (cd Codec) Encode(payload []byte) ([]byte, error) {
 
 // DecodeResult tallies a frame decode.
 type DecodeResult struct {
-	Payload   []byte
-	Corrected int // blocks repaired
-	Detected  int // blocks flagged uncorrectable
+	Payload  []byte
+	Detected int // blocks flagged uncorrectable
 }
 
 // Decode deinterleaves and decodes a wire frame; blocks flagged
@@ -205,11 +204,7 @@ func (cd Codec) Decode(wire []byte) (DecodeResult, error) {
 		if err != nil {
 			return res, err
 		}
-		switch status {
-		case fec.OK:
-		case fec.Corrected:
-			res.Corrected++
-		case fec.Detected:
+		if status == fec.Detected {
 			res.Detected++
 			data = blk[:fec.DataSymbols] // deliver as-is; flagged bad
 		}

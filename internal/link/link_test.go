@@ -72,8 +72,8 @@ func TestCodecRoundTripClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Detected != 0 || res.Corrected != 0 {
-		t.Errorf("clean wire: detected=%d corrected=%d", res.Detected, res.Corrected)
+	if res.Detected != 0 {
+		t.Errorf("clean wire: detected=%d", res.Detected)
 	}
 	if !bytes.Equal(res.Payload, payload) {
 		t.Error("payload corrupted")
@@ -189,8 +189,8 @@ func TestReliableLinkDeliversInOrderUnderErrors(t *testing.T) {
 	if l.CorruptDropped == 0 && l.Retransmitted == 0 {
 		t.Error("test BER too low to exercise retransmission")
 	}
-	t.Logf("sent=%d retransmitted=%d corruptDropped=%d acks=%d",
-		l.Sent, l.Retransmitted, l.CorruptDropped, l.AcksSent)
+	t.Logf("sent=%d retransmitted=%d corruptDropped=%d",
+		l.Sent, l.Retransmitted, l.CorruptDropped)
 }
 
 func TestReliableLinkCleanChannelNoRetransmits(t *testing.T) {

@@ -50,8 +50,7 @@ type ReliableLink struct {
 	expect uint64
 
 	// Stats.
-	Sent, Retransmitted, Delivered, CorruptDropped uint64
-	AcksSent                                       uint64
+	Sent, Retransmitted, CorruptDropped uint64
 
 	// failure records the first unrecoverable link fault (the codec
 	// rejecting a frame); once set the link stops transmitting and
@@ -149,7 +148,6 @@ func (l *ReliableLink) receive(wire []byte) {
 		return
 	}
 	l.expect++
-	l.Delivered++
 	if l.Deliver != nil {
 		l.Deliver(Frame{Seq: seq, Payload: res.Payload[32:]})
 	}
@@ -167,7 +165,6 @@ func (l *ReliableLink) sendAck(cum uint64) {
 		l.fail(fmt.Errorf("link: ack encode: %w", err))
 		return
 	}
-	l.AcksSent++
 	corrupted := l.reverse.Corrupt(wire)
 	arrive := l.reverse.Transit(l.kernel.Now(), len(wire))
 	l.kernel.At(arrive, func(units.Time) { l.receiveAck(corrupted) })

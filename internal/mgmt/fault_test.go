@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/crossbar"
 	"repro/internal/fault"
 )
 
@@ -39,11 +38,7 @@ func TestBISTDetectsInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swCfg, err := sys.SwitchConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := crossbar.New(swCfg)
+	mgr, err := New(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +47,7 @@ func TestBISTDetectsInjectedFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := fault.NewInjector(schedule)
-	sys.AttachFaults(sw, inj)
-	mgr := New(sys)
-	mgr.AttachSwitch(sw)
+	sys.AttachFaults(mgr.sw, inj)
 
 	// Before the faults land, the full battery passes.
 	for _, c := range mgr.SelfTest(1) {
@@ -87,26 +80,5 @@ func TestBISTDetectsInjectedFaults(t *testing.T) {
 	}
 	if inj.Skipped != 0 {
 		t.Errorf("injector skipped %d transitions; system wiring incomplete", inj.Skipped)
-	}
-}
-
-// TestReceiverCheckOnlyWithAttachedSwitch: the receiver-health check
-// appears exactly when a live switch is attached.
-func TestReceiverCheckOnlyWithAttachedSwitch(t *testing.T) {
-	m := testManager(t)
-	if len(m.SelfTest(1)) != 5 {
-		t.Fatalf("detached battery has %d checks, want 5", len(m.SelfTest(1)))
-	}
-	sw, err := crossbar.New(crossbar.Config{N: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AttachSwitch(sw)
-	checks := m.SelfTest(1)
-	if len(checks) != 6 {
-		t.Fatalf("attached battery has %d checks, want 6", len(checks))
-	}
-	if c := checkByName(t, checks, "receiver-health"); c.Status != OK {
-		t.Errorf("healthy switch failed receiver-health: %s", c.Detail)
 	}
 }

@@ -3,7 +3,8 @@
 // performance values" — re-imagined as a library plus JSON export
 // instead of the original GUI. It supervises a core.System: hardware
 // inventory, built-in self-tests over every subsystem (optical budget,
-// gate selectivity, arbiter sanity, FEC loopback, timing budget), and
+// gate selectivity, receiver health, arbiter sanity, FEC loopback,
+// timing budget), and
 // performance-snapshot extraction from simulation runs.
 package mgmt
 
@@ -52,14 +53,25 @@ type Inventory struct {
 	WorstMarginDB    float64 `json:"worst_optical_margin_db"`
 }
 
-// Manager supervises one OSMOSIS system.
+// Manager supervises one OSMOSIS system and a switch instance built from
+// it, whose receivers the self-tests inspect.
 type Manager struct {
 	sys *core.System
 	sw  *crossbar.Switch
 }
 
-// New wraps a built system.
-func New(sys *core.System) *Manager { return &Manager{sys: sys} }
+// New wraps a built system and builds its switch.
+func New(sys *core.System) (*Manager, error) {
+	cfg, err := sys.SwitchConfig()
+	if err != nil {
+		return nil, err
+	}
+	sw, err := crossbar.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Manager{sys: sys, sw: sw}, nil
+}
 
 // Inventory reports the managed configuration.
 func (m *Manager) Inventory() Inventory {
@@ -102,18 +114,16 @@ func (m *Manager) SelfTest(seed uint64) []Check {
 	// fully dark module must not leak.
 	add("soa-gate-selectivity", m.gateWalk(seed), "all modules select exactly the commanded inputs")
 
-	// 2b. Receiver health on the attached live switch, when present.
-	if m.sw != nil {
-		add("receiver-health", m.receiverCheck(), "all egress receivers in service")
-	}
+	// 3. Receiver health: every egress keeps its full receiver set.
+	add("receiver-health", m.receiverCheck(), "all egress receivers in service")
 
-	// 3. Arbiter sanity: random demand, matching validity, conservation.
+	// 4. Arbiter sanity: random demand, matching validity, conservation.
 	add("arbiter-sanity", m.arbiterTest(seed), "matchings valid over random demand")
 
-	// 4. FEC loopback: encode, corrupt one bit, decode, compare.
+	// 5. FEC loopback: encode, corrupt one bit, decode, compare.
 	add("fec-loopback", m.fecLoopback(seed), "single-bit corruption corrected end to end")
 
-	// 5. Timing budget: guard decomposition fits the cell format.
+	// 6. Timing budget: guard decomposition fits the cell format.
 	add("timing-budget", m.timingTest(), "SOA + CDR + jitter within guard")
 	return checks
 }
@@ -162,7 +172,7 @@ func (m *Manager) gateWalk(seed uint64) error {
 	return nil
 }
 
-// receiverCheck verifies the attached switch still has its full
+// receiverCheck verifies the switch still has its full
 // receiver complement at every egress.
 func (m *Manager) receiverCheck() error {
 	cfg := m.sys.Config()

@@ -17,7 +17,11 @@ func testManager(t *testing.T) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(sys)
+	m, err := New(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestInventory(t *testing.T) {
@@ -43,7 +47,7 @@ func TestInventory(t *testing.T) {
 func TestSelfTestAllPass(t *testing.T) {
 	m := testManager(t)
 	checks := m.SelfTest(1)
-	if len(checks) != 5 {
+	if len(checks) != 6 {
 		t.Fatalf("%d checks", len(checks))
 	}
 	if !AllOK(checks) {
@@ -57,7 +61,7 @@ func TestSelfTestAllPass(t *testing.T) {
 	for _, c := range checks {
 		names[c.Name] = true
 	}
-	for _, want := range []string{"optical-power-budget", "soa-gate-selectivity", "arbiter-sanity", "fec-loopback", "timing-budget"} {
+	for _, want := range []string{"optical-power-budget", "soa-gate-selectivity", "receiver-health", "arbiter-sanity", "fec-loopback", "timing-budget"} {
 		if !names[want] {
 			t.Errorf("missing self-test %s", want)
 		}
@@ -83,7 +87,11 @@ func TestSelfTestDetectsBrokenBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checks := New(sys2).SelfTest(1)
+	m2, err := New(sys2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := m2.SelfTest(1)
 	if AllOK(checks) {
 		t.Error("zero-guard format passed the timing self-test")
 	}
@@ -130,7 +138,7 @@ func TestFullReportJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Inventory.Ports != 16 || len(back.SelfTest) != 5 {
+	if back.Inventory.Ports != 16 || len(back.SelfTest) != 6 {
 		t.Errorf("round trip lost data: %+v", back.Inventory)
 	}
 	// Higher load must not lower throughput below the lighter run.

@@ -29,16 +29,8 @@ type SOA struct {
 	// electrically controlled devices of §II, sub-ns under DPSK
 	// saturation operation (§VII).
 	GuardTime units.Time
-	// SatInputPower is the input power at which gain compression by
-	// cross-gain modulation becomes significant.
-	SatInputPower units.DBm
 	// NoiseFigure degrades OSNR per pass.
 	NoiseFigure units.DB
-	// BiasPower is the static electrical power of the device (W); the
-	// paper's key point is that this does not scale with the data rate.
-	BiasPower float64
-	// SwitchEnergy is the electrical energy per state change (J).
-	SwitchEnergy float64
 
 	on    bool
 	stuck StuckMode
@@ -75,13 +67,10 @@ func (m StuckMode) String() string {
 // models, representative of 2005-era InP SOAs.
 func DefaultSOA() SOA {
 	return SOA{
-		Gain:          12,
-		Extinction:    -40,
-		GuardTime:     5 * units.Nanosecond,
-		SatInputPower: 0,
-		NoiseFigure:   8,
-		BiasPower:     0.5,
-		SwitchEnergy:  2e-9,
+		Gain:        12,
+		Extinction:  -40,
+		GuardTime:   5 * units.Nanosecond,
+		NoiseFigure: 8,
 	}
 }
 

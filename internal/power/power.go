@@ -47,8 +47,6 @@ func (c CMOSSwitch) Power() float64 {
 type OpticalSwitch struct {
 	// Ports and Radix alias each other for symmetry with CMOSSwitch.
 	Ports int
-	// PortRate is per-port bandwidth; note it does NOT appear in Power.
-	PortRate units.Bandwidth
 	// SOACount is the gate population (demonstrator: 128 modules x 16).
 	SOACount int
 	// SOABiasW is the static electrical power per gate.
@@ -65,8 +63,9 @@ type OpticalSwitch struct {
 }
 
 // DefaultOptical returns demonstrator-representative parameters for an
-// n-port switch with r receivers per port and c colors per fiber.
-func DefaultOptical(n, r, c int, rate units.Bandwidth) OpticalSwitch {
+// n-port switch with r receivers per port and c colors per fiber. The
+// port rate is ignored: no term of the optical power depends on it.
+func DefaultOptical(n, r, c int, _ units.Bandwidth) OpticalSwitch {
 	if c <= 0 {
 		c = 8
 	}
@@ -74,7 +73,6 @@ func DefaultOptical(n, r, c int, rate units.Bandwidth) OpticalSwitch {
 	modules := n * r
 	return OpticalSwitch{
 		Ports:           n,
-		PortRate:        rate,
 		SOACount:        modules * (fibers + c),
 		SOABiasW:        0.5,
 		DutyFactor:      2.0 / float64(fibers+c),
@@ -109,13 +107,13 @@ func (t Transceiver) Power(rate units.Bandwidth) float64 {
 // FabricPlan sizes a multistage folded-Clos (fat-tree) fabric built from
 // identical radix-k switches for N end ports — the §VI.C comparison.
 type FabricPlan struct {
-	// N is the required fabric port count; Radix the switch port count.
-	N, Radix int
+	// N is the required fabric port count.
+	N int
 	// PortRate is the per-port line rate.
 	PortRate units.Bandwidth
-	// Levels of the folded fat tree; Stages = 2*Levels - 1 switch
-	// traversals on the longest path.
-	Levels, Stages int
+	// Stages = 2*levels - 1 switch traversals on the longest path of
+	// the folded fat tree.
+	Stages int
 	// Switches is the total switch count (unfolded-Clos equivalent:
 	// Stages x N/Radix).
 	Switches int
@@ -144,9 +142,7 @@ func PlanFabric(n, radix int, rate units.Bandwidth) (FabricPlan, error) {
 	perStage := int(math.Ceil(float64(n) / float64(radix)))
 	return FabricPlan{
 		N:               n,
-		Radix:           radix,
 		PortRate:        rate,
-		Levels:          levels,
 		Stages:          stages,
 		Switches:        stages * perStage,
 		InterStageLinks: (stages - 1) * n,

@@ -44,58 +44,3 @@ func TestTickIntoStaysAllocationFree(t *testing.T) {
 		}
 	}
 }
-
-// TestResetStaysAllocationFree pins the Reset bugfix: pointer and
-// pipeline state must be zeroed in place, never reallocated, so a Reset
-// can never detach the arbiter from scratch an alias still points at.
-func TestResetStaysAllocationFree(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		s    resetter
-	}{
-		{"islip", NewISLIP(64, 0)},
-		{"flppr", NewFLPPR(64, 0)},
-		{"pipelined", NewPipelinedISLIP(64, 0)},
-		{"pim", NewPIM(64, 0, 5)},
-		{"lqf", NewLQF(64)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bd := newBenchBoard(64, 2, 3)
-			m := NewMatching(64)
-			for i := 0; i < 8; i++ {
-				tc.s.TickInto(uint64(i), bd, &m)
-				executeSaturated(bd, m)
-			}
-			limit := 0.0
-			if tc.name == "pim" {
-				limit = 1 // NewRNG reseeds one small state object
-			}
-			if avg := testing.AllocsPerRun(50, tc.s.Reset); avg > limit {
-				t.Fatalf("Reset allocates %.1f allocs/op, want <= %.0f", avg, limit)
-			}
-		})
-	}
-}
-
-// TestISLIPResetZeroesInPlace pins the pointer-slice identity across
-// Reset: the fix for the reallocation bug where a Reset made the
-// arbiter's live scratch diverge from any captured alias.
-func TestISLIPResetZeroesInPlace(t *testing.T) {
-	s := NewISLIP(8, 0)
-	bd := newBenchBoard(8, 1, 9)
-	m := NewMatching(8)
-	for i := 0; i < 4; i++ {
-		s.TickInto(uint64(i), bd, &m)
-	}
-	gp, ap := &s.grantPtr[0], &s.acceptPtr[0]
-	s.Reset()
-	if gp != &s.grantPtr[0] || ap != &s.acceptPtr[0] {
-		t.Fatal("Reset reallocated the pointer slices instead of zeroing in place")
-	}
-	for i := range s.grantPtr {
-		if s.grantPtr[i] != 0 || s.acceptPtr[i] != 0 {
-			t.Fatalf("Reset left pointer state at index %d: grant=%d accept=%d",
-				i, s.grantPtr[i], s.acceptPtr[i])
-		}
-	}
-}

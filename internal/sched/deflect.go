@@ -31,12 +31,8 @@ import (
 type Deflect struct {
 	n int
 	// LoopSlots is the recirculation delay before a deflected cell
-	// contends again.
+	// contends again. Recirculation is unbounded: no cell is dropped.
 	LoopSlots int
-	// MaxDeflections bounds recirculations per cell; beyond it the cell
-	// is dropped (optics cannot hold it forever). HPC requirements
-	// forbid such loss; the counter makes the violation measurable.
-	MaxDeflections int
 
 	rng *sim.RNG
 	// loop[t % len] holds cells re-entering at slot t.
@@ -52,9 +48,6 @@ type Deflect struct {
 
 	// Sink receives delivered cells with their latency in slots.
 	Sink func(c *packet.Cell, latencySlots uint64)
-
-	// Stats.
-	Delivered, Deflections, Dropped, InputBlocked uint64
 }
 
 type deflCell struct {
@@ -64,21 +57,17 @@ type deflCell struct {
 }
 
 // NewDeflect builds an n-port deflection switch.
-func NewDeflect(n, loopSlots, maxDeflections int) *Deflect {
+func NewDeflect(n, loopSlots int) *Deflect {
 	if loopSlots < 1 {
 		loopSlots = 1
 	}
-	if maxDeflections < 1 {
-		maxDeflections = 64
-	}
 	d := &Deflect{
-		n:              n,
-		LoopSlots:      loopSlots,
-		MaxDeflections: maxDeflections,
-		rng:            sim.NewRNG(uint64(n)*0x9e3779b97f4a7c15 + 7),
-		occupied:       make([]*deflCell, n),
-		overflow:       make([]*deflCell, 0, n),
-		contenders:     make([][]*deflCell, n),
+		n:          n,
+		LoopSlots:  loopSlots,
+		rng:        sim.NewRNG(uint64(n)*0x9e3779b97f4a7c15 + 7),
+		occupied:   make([]*deflCell, n),
+		overflow:   make([]*deflCell, 0, n),
+		contenders: make([][]*deflCell, n),
 	}
 	d.loop = make([][]*deflCell, loopSlots+1)
 	return d
@@ -104,7 +93,7 @@ func (d *Deflect) put(dc *deflCell) {
 
 // Step advances one slot. arrivals[i] is the new cell at input i (nil
 // for none); an arrival whose input is occupied by a re-entering cell
-// is refused (InputBlocked) — the source must retry later, which is the
+// is refused — the source must retry later, which is the
 // injection-throughput limit of the architecture.
 //
 //osmosis:hotpath
@@ -136,7 +125,6 @@ func (d *Deflect) Step(arrivals []*packet.Cell) {
 			continue
 		}
 		if occupied[in] != nil {
-			d.InputBlocked++
 			continue
 		}
 		occupied[in] = d.get(c, d.slot)
@@ -159,7 +147,6 @@ func (d *Deflect) Step(arrivals []*packet.Cell) {
 			continue
 		}
 		win := d.rng.Intn(len(cs))
-		d.Delivered++
 		if d.Sink != nil {
 			d.Sink(cs[win].c, d.slot-cs[win].arrived+1)
 		}
@@ -169,12 +156,6 @@ func (d *Deflect) Step(arrivals []*packet.Cell) {
 				continue
 			}
 			dc.bounces++
-			d.Deflections++
-			if dc.bounces > d.MaxDeflections {
-				d.Dropped++
-				d.put(dc)
-				continue
-			}
 			//lint:ignore hotpath append into a retained recirculation batch; cap-stable after warm-up
 			d.loop[land] = append(d.loop[land], dc)
 		}

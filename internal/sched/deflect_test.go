@@ -27,7 +27,7 @@ func driveDeflect(d *Deflect, load float64, slots int, seed uint64) (offered uin
 // TestDeflectLowLoadWorks: with little contention the switch behaves
 // like a bufferless crossbar — near-zero latency, no loss.
 func TestDeflectLowLoadWorks(t *testing.T) {
-	d := NewDeflect(16, 4, 64)
+	d := NewDeflect(16, 4)
 	var total float64
 	var count int
 	d.Sink = func(_ *packet.Cell, lat uint64) { total += float64(lat); count++ }
@@ -38,9 +38,6 @@ func TestDeflectLowLoadWorks(t *testing.T) {
 	if mean := total / float64(count); mean > 1.5 {
 		t.Errorf("light-load mean latency %.2f slots, want ~1", mean)
 	}
-	if d.Dropped != 0 {
-		t.Errorf("drops at light load: %d", d.Dropped)
-	}
 }
 
 // TestDeflectThroughputLimited reproduces the paper's criticism: under
@@ -48,7 +45,7 @@ func TestDeflectLowLoadWorks(t *testing.T) {
 // per-port throughput stays clearly below the ~0.98+ of the buffered
 // VOQ architecture.
 func TestDeflectThroughputLimited(t *testing.T) {
-	d := NewDeflect(16, 4, 1<<20) // effectively no drop bound
+	d := NewDeflect(16, 4)
 	delivered := 0
 	d.Sink = func(*packet.Cell, uint64) { delivered++ }
 	const slots = 30000
@@ -60,17 +57,16 @@ func TestDeflectThroughputLimited(t *testing.T) {
 	if thr < 0.3 {
 		t.Errorf("deflection throughput %.3f implausibly low", thr)
 	}
-	if d.Deflections == 0 {
-		t.Error("saturation produced no deflections")
+	if d.Recirculating() == 0 {
+		t.Error("saturation left no cell deflected into the loop")
 	}
-	t.Logf("saturation throughput %.3f, %d deflections, %d recirculating",
-		thr, d.Deflections, d.Recirculating())
+	t.Logf("saturation throughput %.3f, %d recirculating", thr, d.Recirculating())
 }
 
 // TestDeflectReordersFlows: a deflected cell falls behind its younger
 // siblings — out-of-order delivery, disqualifying per Table 1.
 func TestDeflectReordersFlows(t *testing.T) {
-	d := NewDeflect(8, 6, 1<<20)
+	d := NewDeflect(8, 6)
 	order := packet.NewOrderCheckerFor(0, 8)
 	d.Sink = func(c *packet.Cell, _ uint64) { order.Deliver(c) }
 	alloc := packet.NewAllocator()
@@ -86,15 +82,5 @@ func TestDeflectReordersFlows(t *testing.T) {
 	}
 	if order.Violations() == 0 {
 		t.Error("contention-heavy deflection delivered fully in order; the paper's objection should reproduce")
-	}
-}
-
-// TestDeflectBoundedRecirculationDrops: cells that bounce too long are
-// lost — the loss the HPC requirements forbid.
-func TestDeflectBoundedRecirculationDrops(t *testing.T) {
-	d := NewDeflect(8, 2, 3) // tight bounce bound
-	driveDeflect(d, 1.0, 5000, 3)
-	if d.Dropped == 0 {
-		t.Error("tight recirculation bound produced no drops under saturation")
 	}
 }

@@ -15,7 +15,6 @@ import "repro/internal/sim"
 type PIM struct {
 	n, iters int
 	rng      *sim.RNG
-	seed     uint64
 
 	sc *arbScratch
 	// grants[in] lists outputs granting to in this iteration; the rows
@@ -33,7 +32,7 @@ func NewPIM(n, iters int, seed uint64) *PIM {
 		iters = Log2Ceil(n)
 	}
 	p := &PIM{
-		n: n, iters: iters, rng: sim.NewRNG(seed), seed: seed,
+		n: n, iters: iters, rng: sim.NewRNG(seed),
 		sc:         newArbScratch(n),
 		grants:     make([][]int, n),
 		requesters: make([]int, 0, n),

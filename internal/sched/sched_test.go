@@ -231,36 +231,6 @@ func TestFLPPRSingleRequestGrantLatency(t *testing.T) {
 	}
 }
 
-func TestSchedulerReset(t *testing.T) {
-	for _, s := range []resetter{NewISLIP(8, 0), NewPIM(8, 0, 1), NewFLPPR(8, 0), NewPipelinedISLIP(8, 0)} {
-		b := NewMatrixBoard(8, 1)
-		for in := 0; in < 8; in++ {
-			b.Add(in, (in+1)%8, 3)
-		}
-		first := make([]Matching, 5)
-		for i := range first {
-			s.TickInto(uint64(i), b, &first[i])
-		}
-		s.Reset()
-		b2 := NewMatrixBoard(8, 1)
-		for in := 0; in < 8; in++ {
-			b2.Add(in, (in+1)%8, 3)
-		}
-		var again Matching
-		for i := range first {
-			s.TickInto(uint64(i), b2, &again)
-			for in := range again.Out {
-				if again.Out[in] != first[i].Out[in] {
-					t.Fatalf("%s: Reset did not restore determinism at slot %d", s.Name(), i)
-				}
-			}
-		}
-		if s.Name() == "" {
-			t.Error("scheduler must have a name")
-		}
-	}
-}
-
 func TestDualReceiverDoublesHotspotDrain(t *testing.T) {
 	// All inputs want output 0: a single-receiver switch drains 1
 	// cell/slot, a dual-receiver switch 2 cells/slot (the OSMOSIS

@@ -202,7 +202,6 @@ func encodeRunningCheckpoint(id string, specJSON []byte, sess *fabric.Session) (
 
 // jobHeader is the decoded osmosisd-job framing.
 type jobHeader struct {
-	id       string
 	phase    string
 	spec     JobSpec
 	specJSON []byte
@@ -216,7 +215,8 @@ func decodeJobHeader(d *ckpt.Decoder) (*jobHeader, error) {
 		return nil, err
 	}
 	jr := d.Record("job")
-	id, phase := jr.Str(), jr.Str()
+	jr.Str() // the saved job id: a restore assigns a fresh one
+	phase := jr.Str()
 	if err := jr.Done(); err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func decodeJobHeader(d *ckpt.Decoder) (*jobHeader, error) {
 	if err := sr.Done(); err != nil {
 		return nil, err
 	}
-	h := &jobHeader{id: id, phase: phase, specJSON: []byte(specJSON)}
+	h := &jobHeader{phase: phase, specJSON: []byte(specJSON)}
 	if err := unmarshalSpecStrict(h.specJSON, &h.spec); err != nil {
 		return nil, fmt.Errorf("service: job checkpoint spec: %w", err)
 	}
@@ -320,14 +320,25 @@ var errDraining = errors.New("service: job is draining; too late to checkpoint")
 
 // control performs a blocking rendezvous with the job's engine, which
 // drains the channel between chunks. ctlDone releases the sender if the
-// engine exits first.
+// engine exits first, or exits while serving the request without a
+// reply (a panic recovered by runGuarded). A reply sent before the exit
+// is buffered and wins, so a suspend still returns its snapshot.
 func (j *Job) control(kind ctlKind) ([]byte, error) {
 	req := ctlReq{kind: kind, reply: make(chan ctlReply, 1)}
 	select {
 	case j.ctl <- req:
-		rep := <-req.reply
+	case <-j.ctlDone:
+		return nil, errNotRunning
+	}
+	select {
+	case rep := <-req.reply:
 		return rep.data, rep.err
 	case <-j.ctlDone:
+	}
+	select {
+	case rep := <-req.reply:
+		return rep.data, rep.err
+	default:
 		return nil, errNotRunning
 	}
 }

@@ -1008,25 +1008,41 @@ func TestGoldenJobCheckpointFile(t *testing.T) {
 	}
 }
 
-// explodingScheduler is FLPPR with a TickInto that panics, or with a
-// LoadState that panics when onLoad is set.
+// explodeMode picks the explodingScheduler method that panics.
+type explodeMode int
+
+const (
+	explodeTick explodeMode = iota
+	explodeLoad
+	explodeSave
+)
+
+// explodingScheduler is FLPPR with one method that panics: TickInto,
+// LoadState or SaveState, by mode.
 type explodingScheduler struct {
 	*sched.FLPPR
-	onLoad bool
+	mode explodeMode
 }
 
 func (x explodingScheduler) TickInto(slot uint64, b sched.Board, m *sched.Matching) {
-	if !x.onLoad {
+	if x.mode == explodeTick {
 		panic("scheduler exploded on its first tick")
 	}
 	x.FLPPR.TickInto(slot, b, m)
 }
 
 func (x explodingScheduler) LoadState(d *ckpt.Decoder) error {
-	if x.onLoad {
+	if x.mode == explodeLoad {
 		panic("scheduler exploded while loading its state")
 	}
 	return x.FLPPR.LoadState(d)
+}
+
+func (x explodingScheduler) SaveState(e *ckpt.Encoder) {
+	if x.mode == explodeSave {
+		panic("scheduler exploded while saving its state")
+	}
+	x.FLPPR.SaveState(e)
 }
 
 // explodeSeed selects the exploding scheduler: jobs whose traffic seed
@@ -1035,7 +1051,7 @@ const explodeSeed = 666
 
 // injectExplodingScheduler swaps the package's scheduler factory for
 // the rest of the test.
-func injectExplodingScheduler(t *testing.T, onLoad bool) {
+func injectExplodingScheduler(t *testing.T, mode explodeMode) {
 	t.Helper()
 	real := schedulerFactory
 	schedulerFactory = func(name string, radix int, seed uint64) (func() sched.Scheduler, error) {
@@ -1043,7 +1059,7 @@ func injectExplodingScheduler(t *testing.T, onLoad bool) {
 			return real(name, radix, seed)
 		}
 		return func() sched.Scheduler {
-			return explodingScheduler{FLPPR: sched.NewFLPPR(radix, 0), onLoad: onLoad}
+			return explodingScheduler{FLPPR: sched.NewFLPPR(radix, 0), mode: mode}
 		}, nil
 	}
 	t.Cleanup(func() { schedulerFactory = real })
@@ -1054,7 +1070,7 @@ func injectExplodingScheduler(t *testing.T, onLoad bool) {
 // the daemon keeps serving, and a normal job queued behind it on the
 // same worker completes.
 func TestPanickingJobFailsAlone(t *testing.T) {
-	injectExplodingScheduler(t, false)
+	injectExplodingScheduler(t, explodeTick)
 	_, hs := testServer(t, Options{Workers: 1})
 	bad := submit(t, hs.URL, smallSpec("exploding", explodeSeed))
 	good := submit(t, hs.URL, smallSpec("after", 61))
@@ -1106,7 +1122,7 @@ func TestRestoreDirSurvivesPanickingRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	injectExplodingScheduler(t, true)
+	injectExplodingScheduler(t, explodeLoad)
 	s, hs := testServer(t, Options{})
 	if n, err := s.RestoreDir(dir); n != 0 || err == nil || !strings.Contains(err.Error(), "exploded while loading") {
 		t.Fatalf("RestoreDir = %d, %v; want 0 and an error carrying the panic text", n, err)
@@ -1118,4 +1134,44 @@ func TestRestoreDirSurvivesPanickingRestore(t *testing.T) {
 		t.Fatalf("healthz after a panicking restore: HTTP %d: %s", code, data)
 	}
 	waitState(t, hs.URL, submit(t, hs.URL, smallSpec("after", 62)), stateDone)
+}
+
+// TestCheckpointSurvivesPanickingSave: a checkpoint request whose
+// snapshot panics inside the engine gets an error reply instead of
+// waiting forever, the job fails with the panic text, and the daemon
+// keeps serving.
+func TestCheckpointSurvivesPanickingSave(t *testing.T) {
+	injectExplodingScheduler(t, explodeSave)
+	_, hs := testServer(t, blockerOptions)
+	id := submit(t, hs.URL, endlessSpec("exploding-save", explodeSeed))
+	deadline := time.Now().Add(30 * time.Second)
+	for st := status(t, hs.URL, id); st.State != stateRunning || st.Slot == 0; st = status(t, hs.URL, id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started running (state %q)", st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	type reply struct {
+		code int
+		body []byte
+	}
+	done := make(chan reply, 1)
+	go func() {
+		code, body := postJSON(t, hs.URL+"/v1/jobs/"+id+"/checkpoint", nil)
+		done <- reply{code, body}
+	}()
+	select {
+	case r := <-done:
+		if r.code == http.StatusOK {
+			t.Fatalf("checkpoint of an exploding save answered 200 (%d bytes)", len(r.body))
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("checkpoint request still waiting 30 s after the engine panicked")
+	}
+	if st := waitState(t, hs.URL, id, stateFailed); !strings.Contains(st.Error, "exploded while saving") {
+		t.Errorf("job error %q, want the panic text", st.Error)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after a panicking checkpoint: HTTP %d: %s", code, data)
+	}
 }

@@ -254,46 +254,6 @@ func TestLatencySampleInterleavedAddQuery(t *testing.T) {
 	}
 }
 
-func TestTimeWeighted(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 1)
-	w.Set(10, 3)
-	w.Set(20, 0)
-	// [0,10): 1, [10,20): 3, [20,40): 0 -> area 40 over 40 = 1.0
-	if got := w.Average(40); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("average %v", got)
-	}
-	if w.MaxValue() != 3 {
-		t.Errorf("max %v", w.MaxValue())
-	}
-	if w.Value() != 0 {
-		t.Errorf("value %v", w.Value())
-	}
-}
-
-func TestTimeWeightedBackwardsPanics(t *testing.T) {
-	var w TimeWeighted
-	w.Set(10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("backwards time should panic")
-		}
-	}()
-	w.Set(5, 2)
-}
-
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Addn(9)
-	if c.Value() != 10 {
-		t.Errorf("value %d", c.Value())
-	}
-	if got := c.Rate(units.Microsecond); math.Abs(got-1e7) > 1 {
-		t.Errorf("rate %v", got)
-	}
-}
-
 func TestRNGIndependentOfStats(t *testing.T) {
 	// Collectors must not consume randomness; a guard against accidental
 	// coupling between measurement and simulation streams.

@@ -19,16 +19,9 @@ type BurstCDR struct {
 	// FastTau is the acquisition loop time constant in bits: phase
 	// error decays by e every FastTau transition-bearing bits.
 	FastTau float64
-	// SlowTau is the tracking constant after lock (larger = more run
-	// tolerance, slower drift correction).
-	SlowTau float64
 	// LockTolerance is the residual phase error (fraction of one UI)
 	// at which data recovery is reliable.
 	LockTolerance float64
-	// FreqOffsetPPM is the residual frequency mismatch between the
-	// sender's and receiver's reference copies (small: the reference is
-	// centrally distributed).
-	FreqOffsetPPM float64
 }
 
 // DemonstratorCDR returns representative burst-mode receiver values at
@@ -37,9 +30,7 @@ func DemonstratorCDR() BurstCDR {
 	return BurstCDR{
 		LineRate:      units.OSMOSISPortRate,
 		FastTau:       12,
-		SlowTau:       4000,
 		LockTolerance: 0.05,
-		FreqOffsetPPM: 1,
 	}
 }
 

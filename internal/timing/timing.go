@@ -29,8 +29,6 @@ import (
 type ClockTree struct {
 	// Levels of distribution (root -> rack -> shelf -> adapter).
 	Levels int
-	// SkewPerLevel is the static, calibratable skew bound per stage.
-	SkewPerLevel units.Time
 	// JitterPerLevel is the dynamic (uncalibratable) jitter RMS per stage.
 	JitterPerLevel units.Time
 	// CalibrationResidual is the per-adapter launch-offset error left
@@ -44,7 +42,6 @@ type ClockTree struct {
 func DemonstratorClockTree() ClockTree {
 	return ClockTree{
 		Levels:              3,
-		SkewPerLevel:        500 * units.Picosecond,
 		JitterPerLevel:      80 * units.Picosecond,
 		CalibrationResidual: 200 * units.Picosecond,
 	}
