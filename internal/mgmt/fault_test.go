@@ -82,3 +82,31 @@ func TestBISTDetectsInjectedFaults(t *testing.T) {
 		t.Errorf("injector skipped %d transitions; system wiring incomplete", inj.Skipped)
 	}
 }
+
+// TestReceiverCheckOnlyWithAttachedSwitch: the receiver-health check
+// runs against the switch the manager builds and attaches at
+// construction, and follows that switch's receivers out of and back
+// into service.
+func TestReceiverCheckOnlyWithAttachedSwitch(t *testing.T) {
+	m := testManager(t)
+	checks := m.SelfTest(1)
+	if len(checks) != 6 {
+		t.Fatalf("battery has %d checks, want 6", len(checks))
+	}
+	if c := checkByName(t, checks, "receiver-health"); c.Status != OK {
+		t.Errorf("healthy switch failed receiver-health: %s", c.Detail)
+	}
+	if err := m.sw.SetReceiver(5, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	c := checkByName(t, m.SelfTest(1), "receiver-health")
+	if c.Status != Failed || !strings.Contains(c.Detail, "egress 5") {
+		t.Errorf("receiver down at egress 5 not reported: %+v", c)
+	}
+	if err := m.sw.SetReceiver(5, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if c := checkByName(t, m.SelfTest(1), "receiver-health"); c.Status != OK {
+		t.Errorf("restored receiver still failing: %s", c.Detail)
+	}
+}
