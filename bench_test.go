@@ -76,8 +76,7 @@ func stepBench(b *testing.B, cfg crossbar.Config, load float64) *crossbar.Metric
 func BenchmarkTable1Requirements(b *testing.B) {
 	cfg := crossbar.Config{
 		N: 64, Receivers: 2,
-		Scheduler: sched.NewFLPPR(64, 0),
-		Format:    core.ASICTargetFormat(),
+		Format: core.ASICTargetFormat(),
 	}
 	m := stepBench(b, cfg, 0.99)
 	b.ReportMetric(m.ThroughputPerPort(64), "thrpt/port")
@@ -159,23 +158,23 @@ func BenchmarkFig4FlowControl(b *testing.B) {
 // BenchmarkFig6FLPPRLatency / BenchmarkFig6PriorArtLatency: grant
 // latency at light load for the two arbiters of Fig. 6.
 func BenchmarkFig6FLPPRLatency(b *testing.B) {
-	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}, 0.1)
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2}, 0.1)
 	b.ReportMetric(m.GrantLatency.Mean(), "grant-cycles")
 }
 
 func BenchmarkFig6PriorArtLatency(b *testing.B) {
-	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewPipelinedISLIP(64, 0)}, 0.1)
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, NewScheduler: func() sched.Scheduler { return sched.NewPipelinedISLIP(64, 0) }}, 0.1)
 	b.ReportMetric(m.GrantLatency.Mean(), "grant-cycles")
 }
 
 // BenchmarkFig7 benches the three delay-vs-throughput curves at 0.9 load.
 func BenchmarkFig7DualReceiver(b *testing.B) {
-	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}, 0.9)
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2}, 0.9)
 	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
 func BenchmarkFig7SingleReceiver(b *testing.B) {
-	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewFLPPR(64, 0)}, 0.9)
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1}, 0.9)
 	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
@@ -327,13 +326,13 @@ func BenchmarkAblationFLPPRK2(b *testing.B) { benchFLPPRK(b, 2) }
 func BenchmarkAblationFLPPRK6(b *testing.B) { benchFLPPRK(b, 6) }
 
 func benchFLPPRK(b *testing.B, k int) {
-	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, k)}, 0.95)
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 2, NewScheduler: func() sched.Scheduler { return sched.NewFLPPR(64, k) }}, 0.95)
 	b.ReportMetric(m.ThroughputPerPort(64), "thrpt/port")
 	b.ReportMetric(m.MeanLatencySlots(), "delay-cycles")
 }
 
 func BenchmarkAblationISLIP1Iter(b *testing.B) {
-	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, Scheduler: sched.NewISLIP(64, 1)}, 0.95)
+	m := stepBench(b, crossbar.Config{N: 64, Receivers: 1, NewScheduler: func() sched.Scheduler { return sched.NewISLIP(64, 1) }}, 0.95)
 	b.ReportMetric(m.ThroughputPerPort(64), "thrpt/port")
 }
 
@@ -383,10 +382,9 @@ func BenchmarkQuickSuiteParallel(b *testing.B) {
 // serial vs pooled.
 func benchSweep(b *testing.B, workers int) {
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 0.95}
-	mk := func() sched.Scheduler { return sched.NewFLPPR(16, 0) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := crossbar.SweepN(crossbar.Config{N: 16, Receivers: 2}, mk, loads, 1, 300, 2000, workers); err != nil {
+		if _, err := crossbar.SweepN(crossbar.Config{N: 16, Receivers: 2}, loads, 1, 300, 2000, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,11 +396,10 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 // BenchmarkReplicate8: eight merged replications of one 64-port config.
 func BenchmarkReplicate8(b *testing.B) {
 	tcfg := traffic.Config{Kind: traffic.KindUniform, Load: 0.9, Seed: 1}
-	mk := func() sched.Scheduler { return sched.NewFLPPR(64, 0) }
 	var m *crossbar.Metrics
 	for i := 0; i < b.N; i++ {
 		var err error
-		m, err = crossbar.Replicate(crossbar.Config{N: 64, Receivers: 2}, mk, tcfg, 8, 200, 1000)
+		m, err = crossbar.Replicate(crossbar.Config{N: 64, Receivers: 2}, tcfg, 8, 200, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}

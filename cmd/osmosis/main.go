@@ -53,7 +53,7 @@ func main() {
 	var (
 		ports     = flag.Int("ports", 64, "switch port count")
 		receivers = flag.Int("receivers", 2, "receivers per egress (1 or 2)")
-		schedName = flag.String("scheduler", "flppr", "flppr | islip | pipelined-islip | pim | lqf | ideal-oq")
+		schedName = flag.String("scheduler", "flppr", strings.Join(sched.Names, " | ")+" | ideal-oq")
 		param     = flag.Int("k", 0, "scheduler iterations / FLPPR sub-schedulers (0 = log2 N)")
 		load      = flag.Float64("load", 0.5, "offered load per port (cells/slot)")
 		kind      = flag.String("traffic", "uniform", strings.Join(traffic.KindNames(), " | "))
@@ -88,7 +88,7 @@ func main() {
 	sysCfg := core.DemonstratorConfig()
 	sysCfg.Ports = *ports
 	sysCfg.Receivers = *receivers
-	sysCfg.Scheduler = core.SchedulerKind(*schedName)
+	sysCfg.Scheduler = *schedName
 	sysCfg.SubSchedulers = *param
 	sysCfg.ControlRTTCycles = *rttCycles
 	sysCfg.Seed = *seed
@@ -132,28 +132,12 @@ func main() {
 		return
 	}
 
-	// Sweep and Replicate build one scheduler per run (none for the
-	// ideal-OQ reference).
-	swCfg, err := sys.SwitchConfig()
-	if err != nil {
-		fatal(err)
-	}
-	mk := func() sched.Scheduler {
-		s, err := core.BuildScheduler(sysCfg.Scheduler, *ports, *param, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		return s
-	}
-	if sysCfg.Scheduler == core.SchedIdealOQ {
-		mk = nil
-	}
 	if *sweepStr != "" {
 		loads, err := parseLoads(*sweepStr)
 		if err != nil {
 			fatal(err)
 		}
-		results, err := crossbar.Sweep(swCfg, mk, loads, *seed, *warmup, *measure)
+		results, err := crossbar.Sweep(sys.SwitchConfig(), loads, *seed, *warmup, *measure)
 		if err != nil {
 			fatal(err)
 		}
@@ -221,7 +205,7 @@ func main() {
 	}
 	if *reps > 1 {
 		tcfg.Seed = *seed
-		m, err := crossbar.Replicate(swCfg, mk, tcfg, *reps, *warmup, *measure)
+		m, err := crossbar.Replicate(sys.SwitchConfig(), tcfg, *reps, *warmup, *measure)
 		if err != nil {
 			fatal(err)
 		}

@@ -19,13 +19,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mgmt"
+	"repro/internal/sched"
 )
 
 func main() {
 	var (
 		ports     = flag.Int("ports", 64, "switch port count")
 		receivers = flag.Int("receivers", 2, "receivers per egress")
-		schedName = flag.String("scheduler", "flppr", "arbiter kind")
+		schedName = flag.String("scheduler", "flppr", strings.Join(sched.Names, " | ")+" | ideal-oq")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
 		loadsStr  = flag.String("loads", "0.2,0.5,0.9", "snapshot loads for report")
 		warmup    = flag.Uint64("warmup", 1000, "snapshot warm-up slots")
@@ -40,7 +41,7 @@ func main() {
 	cfg := core.DemonstratorConfig()
 	cfg.Ports = *ports
 	cfg.Receivers = *receivers
-	cfg.Scheduler = core.SchedulerKind(*schedName)
+	cfg.Scheduler = *schedName
 	cfg.Seed = *seed
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

@@ -153,7 +153,8 @@ func TestCrossbarMatchesOneSwitchFabric(t *testing.T) {
 							t.Fatal(err)
 						}
 						xr := &recorder{Scheduler: sc.mk(), n: n}
-						sw, err := crossbar.New(crossbar.Config{N: n, Receivers: r, Scheduler: xr, Format: pow2Cycle})
+						sw, err := crossbar.New(crossbar.Config{N: n, Receivers: r, Format: pow2Cycle,
+							NewScheduler: func() sched.Scheduler { return xr }})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -263,7 +264,8 @@ func TestGrantOnEmptyVOQPanics(t *testing.T) {
 		step()
 	}
 	t.Run("crossbar", func(t *testing.T) {
-		sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2, Scheduler: rogueScheduler{}})
+		sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2,
+			NewScheduler: func() sched.Scheduler { return rogueScheduler{} }})
 		if err != nil {
 			t.Fatal(err)
 		}

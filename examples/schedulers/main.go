@@ -16,18 +16,15 @@ import (
 
 func main() {
 	const n = 64
-	type contender struct {
-		name string
-		mk   func() sched.Scheduler
-		oq   bool
-	}
-	contenders := []contender{
-		{"flppr (dual rx)", func() sched.Scheduler { return sched.NewFLPPR(n, 0) }, false},
-		{"islip log2N iters", func() sched.Scheduler { return sched.NewISLIP(n, 0) }, false},
-		{"pipelined-islip", func() sched.Scheduler { return sched.NewPipelinedISLIP(n, 0) }, false},
-		{"pim log2N iters", func() sched.Scheduler { return sched.NewPIM(n, 0, 1) }, false},
-		{"lqf (weight ref)", func() sched.Scheduler { return sched.NewLQF(n) }, false},
-		{"ideal output-queued", nil, true},
+	// sched names each contender; "" marks the ideal output-queued
+	// bound, which has no arbiter.
+	contenders := []struct{ label, sched string }{
+		{"flppr (dual rx)", "flppr"},
+		{"islip log2N iters", "islip"},
+		{"pipelined-islip", "pipelined-islip"},
+		{"pim log2N iters", "pim"},
+		{"lqf (weight ref)", "lqf"},
+		{"ideal output-queued", ""},
 	}
 	loads := []float64{0.1, 0.5, 0.9, 0.99}
 
@@ -37,12 +34,17 @@ func main() {
 	}
 	fmt.Println("\n  (cells of mean delay in 51.2 ns cycles; grant latency in parentheses)")
 	for _, c := range contenders {
-		fmt.Printf("%-22s", c.name)
-		for _, load := range loads {
-			cfg := crossbar.Config{N: n, Receivers: 2, IdealOQ: c.oq}
-			if c.mk != nil {
-				cfg.Scheduler = c.mk()
+		fmt.Printf("%-22s", c.label)
+		oq := c.sched == ""
+		cfg := crossbar.Config{N: n, Receivers: 2, IdealOQ: oq}
+		if !oq {
+			mk, err := sched.Factory(c.sched, n, 0, 1)
+			if err != nil {
+				log.Fatal(err)
 			}
+			cfg.NewScheduler = mk
+		}
+		for _, load := range loads {
 			sw, err := crossbar.New(cfg)
 			if err != nil {
 				log.Fatal(err)
@@ -55,7 +57,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if c.oq {
+			if oq {
 				fmt.Printf("  %7.2f   ", m.MeanLatencySlots())
 			} else {
 				fmt.Printf("  %5.1f(%3.1f)", m.MeanLatencySlots(), m.GrantLatency.Mean())

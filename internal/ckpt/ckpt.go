@@ -35,6 +35,7 @@ package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -62,13 +63,18 @@ const (
 	fnvPrime64  fnv64a = 1099511628211
 )
 
+// fold returns h with every byte of s folded in.
+func fold[S string | []byte](h fnv64a, s S) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h ^= fnv64a(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // line folds s and its newline into the hash.
 func (h *fnv64a) line(s string) {
-	v := *h
-	for i := 0; i < len(s); i++ {
-		v ^= fnv64a(s[i])
-		v *= fnvPrime64
-	}
+	v := fold(*h, s)
 	v ^= '\n'
 	*h = v * fnvPrime64
 }
@@ -410,24 +416,52 @@ func (d *Decoder) Close() error {
 	if len(d.sections) != 0 {
 		return d.fail("Close with section %q still open", d.sections[len(d.sections)-1])
 	}
-	want := uint64(d.sum) // state before the trailer line is hashed
+	want := d.sum // state before the trailer line is hashed
 	line, err := d.next()
 	if err != nil {
 		return err
 	}
-	fields := strings.Fields(line)
-	if len(fields) != 2 || fields[0] != "checksum" {
-		return d.fail("want checksum trailer, found %q", line)
-	}
-	got, perr := strconv.ParseUint(fields[1], 16, 64)
-	if perr != nil || len(fields[1]) != 16 {
-		return d.fail("malformed checksum %q", fields[1])
-	}
-	if got != want {
-		return d.fail("checksum mismatch: file says %016x, content hashes to %016x", got, want)
+	if err := checkTrailer(line, want); err != nil {
+		return d.fail("%v", err)
 	}
 	if _, err := d.r.ReadByte(); err != io.EOF {
 		return d.fail("trailing bytes after checksum")
+	}
+	return nil
+}
+
+// checkTrailer requires line to be the checksum trailer carrying want,
+// the hash of everything before it.
+func checkTrailer(line string, want fnv64a) error {
+	fields := strings.Fields(line)
+	if len(fields) != 2 || fields[0] != "checksum" {
+		return fmt.Errorf("want checksum trailer, found %q", line)
+	}
+	got, err := strconv.ParseUint(fields[1], 16, 64)
+	if err != nil || len(fields[1]) != 16 {
+		return fmt.Errorf("malformed checksum %q", fields[1])
+	}
+	if got != uint64(want) {
+		return fmt.Errorf("checksum mismatch: file says %016x, content hashes to %016x", got, uint64(want))
+	}
+	return nil
+}
+
+// Verify checks a whole in-memory checkpoint's version header and
+// checksum trailer without decoding a record, so a caller can refuse a
+// damaged file before building the state its records restore into. A
+// file that verifies still needs its Decoder walk, which checks
+// everything else.
+func Verify(data []byte) error {
+	if _, err := NewDecoder(bytes.NewReader(data)); err != nil {
+		return err
+	}
+	if data[len(data)-1] != '\n' {
+		return fmt.Errorf("ckpt: checkpoint does not end with a newline")
+	}
+	i := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	if err := checkTrailer(string(data[i:len(data)-1]), fold(fnvOffset64, data[:i])); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
 }

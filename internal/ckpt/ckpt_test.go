@@ -256,9 +256,17 @@ func TestCorruptionRejection(t *testing.T) {
 		{"missing field", strings.Replace(good, "slot 12345 1", "slot 12345", 1)},
 		{"extra field", strings.Replace(good, "slot 12345 1", "slot 12345 1 7", 1)},
 	}
+	if err := Verify([]byte(good)); err != nil {
+		t.Fatalf("control: Verify rejected a valid checkpoint: %v", err)
+	}
 	for _, tc := range cases {
 		if err := consume(tc.text); err == nil {
 			t.Errorf("%s: corruption accepted", tc.name)
+		}
+		// Every case damages the bytes under the checksum or the
+		// framing around it, so Verify alone refuses it.
+		if err := Verify([]byte(tc.text)); err == nil {
+			t.Errorf("%s: corruption passed Verify", tc.name)
 		}
 	}
 
@@ -277,8 +285,13 @@ func TestCorruptionRejection(t *testing.T) {
 		{"padded int", "-42", "-042"},
 		{"escaped letter", `"hello`, `"\x68ello`},
 	} {
-		if err := consume(resum(strings.Replace(good, tc.old, tc.new, 1))); err == nil {
+		forged := resum(strings.Replace(good, tc.old, tc.new, 1))
+		if err := consume(forged); err == nil {
 			t.Errorf("%s: non-canonical token accepted", tc.name)
+		}
+		// Verify reads no record: the decoder walk is what refuses these.
+		if err := Verify([]byte(forged)); err != nil {
+			t.Errorf("%s: Verify rejected a re-checksummed file: %v", tc.name, err)
 		}
 	}
 }

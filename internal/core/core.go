@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/crossbar"
 	"repro/internal/fault"
@@ -20,18 +21,9 @@ import (
 	"repro/internal/units"
 )
 
-// SchedulerKind selects the crossbar arbitration algorithm.
-type SchedulerKind string
-
-// Scheduler kinds.
-const (
-	SchedFLPPR     SchedulerKind = "flppr"
-	SchedISLIP     SchedulerKind = "islip"
-	SchedPipelined SchedulerKind = "pipelined-islip"
-	SchedPIM       SchedulerKind = "pim"
-	SchedLQF       SchedulerKind = "lqf"
-	SchedIdealOQ   SchedulerKind = "ideal-oq"
-)
+// idealOQ names the output-queued reference (crossbar.Config.IdealOQ),
+// the one Scheduler value that is not a sched.Factory name.
+const idealOQ = "ideal-oq"
 
 // Config describes one OSMOSIS single-stage switch system.
 type Config struct {
@@ -39,9 +31,10 @@ type Config struct {
 	Ports int
 	// Receivers is 1 or 2 (dual-receiver broadcast-and-select).
 	Receivers int
-	// Scheduler picks the arbiter; SubSchedulers sets FLPPR's K or the
-	// iteration/pipeline depth of the others (0 = log2 Ports).
-	Scheduler     SchedulerKind
+	// Scheduler names the arbiter: one of sched.Names ("" = flppr) or
+	// "ideal-oq". SubSchedulers sets FLPPR's K or the iteration/pipeline
+	// depth of the others (0 = log2 Ports).
+	Scheduler     string
 	SubSchedulers int
 	// Format is the cell format (zero value = 256 B / 40 Gb/s OSMOSIS).
 	Format packet.Format
@@ -63,7 +56,7 @@ func DemonstratorConfig() Config {
 	return Config{
 		Ports:     64,
 		Receivers: 2,
-		Scheduler: SchedFLPPR,
+		Scheduler: "flppr",
 		Format:    packet.OSMOSISFormat(),
 		Optics:    optics.DemonstratorParams(),
 		Seed:      1,
@@ -73,6 +66,8 @@ func DemonstratorConfig() Config {
 // System is a buildable, runnable OSMOSIS switch.
 type System struct {
 	cfg Config
+	// newSched builds the configured arbiter; nil for ideal-oq.
+	newSched func() sched.Scheduler
 	// Crossbar is the optical data path (gates, budgets).
 	Crossbar *optics.Crossbar
 	// WorstMargin is the tightest optical power margin across all paths.
@@ -81,7 +76,8 @@ type System struct {
 
 // NewSystem validates the configuration, builds the optical crossbar,
 // and closes its power budget (a system whose budget does not close is
-// rejected, mirroring §VI.A).
+// rejected, mirroring §VI.A). An unknown Scheduler name is rejected
+// here, so the derived switch configurations cannot fail.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.Ports <= 0 {
 		cfg.Ports = 64
@@ -107,6 +103,14 @@ func NewSystem(cfg Config) (*System, error) {
 			cfg.Optics.Colors = cfg.Ports
 		}
 	}
+	var mk func() sched.Scheduler
+	if cfg.Scheduler != idealOQ {
+		var err error
+		if mk, err = sched.Factory(cfg.Scheduler, cfg.Ports, cfg.SubSchedulers, cfg.Seed); err != nil {
+			return nil, fmt.Errorf("core: unknown scheduler %q (want %s | %s)",
+				cfg.Scheduler, strings.Join(sched.Names, " | "), idealOQ)
+		}
+	}
 	xb, err := optics.NewCrossbar(cfg.Optics)
 	if err != nil {
 		return nil, err
@@ -115,60 +119,27 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: optical power budget: %w", err)
 	}
-	return &System{cfg: cfg, Crossbar: xb, WorstMargin: margin}, nil
+	return &System{cfg: cfg, newSched: mk, Crossbar: xb, WorstMargin: margin}, nil
 }
 
 // Config reports the (defaulted) configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// NewScheduler builds a fresh arbiter per the configuration.
-func (s *System) NewScheduler() (sched.Scheduler, error) {
-	return BuildScheduler(s.cfg.Scheduler, s.cfg.Ports, s.cfg.SubSchedulers, s.cfg.Seed)
-}
-
-// BuildScheduler constructs an arbiter by kind.
-func BuildScheduler(kind SchedulerKind, ports, param int, seed uint64) (sched.Scheduler, error) {
-	switch kind {
-	case SchedFLPPR, "":
-		return sched.NewFLPPR(ports, param), nil
-	case SchedISLIP:
-		return sched.NewISLIP(ports, param), nil
-	case SchedPipelined:
-		return sched.NewPipelinedISLIP(ports, param), nil
-	case SchedPIM:
-		return sched.NewPIM(ports, param, seed), nil
-	case SchedLQF:
-		return sched.NewLQF(ports), nil
-	case SchedIdealOQ:
-		return nil, nil // crossbar.Config.IdealOQ handles this
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler kind %q", kind)
-	}
-}
-
 // SwitchConfig derives the crossbar-engine configuration.
-func (s *System) SwitchConfig() (crossbar.Config, error) {
-	sc, err := s.NewScheduler()
-	if err != nil {
-		return crossbar.Config{}, err
-	}
+func (s *System) SwitchConfig() crossbar.Config {
 	return crossbar.Config{
 		N:                s.cfg.Ports,
 		Receivers:        s.cfg.Receivers,
-		Scheduler:        sc,
+		NewScheduler:     s.newSched,
 		Format:           s.cfg.Format,
-		IdealOQ:          s.cfg.Scheduler == SchedIdealOQ,
+		IdealOQ:          s.newSched == nil,
 		ControlRTTCycles: s.cfg.ControlRTTCycles,
-	}, nil
+	}
 }
 
 // RunWorkload simulates the switch under a named workload.
 func (s *System) RunWorkload(t traffic.Config, warmup, measure uint64) (*crossbar.Metrics, error) {
-	cfg, err := s.SwitchConfig()
-	if err != nil {
-		return nil, err
-	}
-	sw, err := crossbar.New(cfg)
+	sw, err := crossbar.New(s.SwitchConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/traffic"
 	"repro/internal/units"
 )
@@ -25,18 +26,28 @@ func TestDemonstratorSystemBuilds(t *testing.T) {
 	}
 }
 
+// TestBuildSchedulerKinds: NewSystem accepts every sched.Factory name,
+// "" and ideal-oq, and rejects anything else; only ideal-oq derives a
+// switch without an arbiter.
 func TestBuildSchedulerKinds(t *testing.T) {
-	for _, k := range []SchedulerKind{SchedFLPPR, SchedISLIP, SchedPipelined, SchedPIM, SchedLQF} {
-		sc, err := BuildScheduler(k, 16, 0, 1)
-		if err != nil || sc == nil {
-			t.Errorf("%v: %v", k, err)
+	for _, name := range append([]string{"", "ideal-oq"}, sched.Names...) {
+		cfg := DemonstratorConfig()
+		cfg.Ports = 16
+		cfg.Scheduler = name
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Errorf("%q: %v", name, err)
+			continue
+		}
+		sc := s.SwitchConfig()
+		if ideal := name == "ideal-oq"; sc.IdealOQ != ideal || (sc.NewScheduler == nil) != ideal {
+			t.Errorf("%q: IdealOQ %v with factory %v", name, sc.IdealOQ, sc.NewScheduler != nil)
 		}
 	}
-	if sc, err := BuildScheduler(SchedIdealOQ, 16, 0, 1); err != nil || sc != nil {
-		t.Errorf("ideal OQ should produce nil scheduler: %v %v", sc, err)
-	}
-	if _, err := BuildScheduler("nonsense", 16, 0, 1); err == nil {
-		t.Error("unknown kind accepted")
+	cfg := DemonstratorConfig()
+	cfg.Scheduler = "nonsense"
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), "ideal-oq") {
+		t.Errorf("unknown kind: %v", err)
 	}
 }
 

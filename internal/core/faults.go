@@ -75,11 +75,7 @@ func (s *System) RunDegradation(t traffic.Config, warmup, measure uint64) (*Degr
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := s.SwitchConfig()
-	if err != nil {
-		return nil, err
-	}
-	sw, err := crossbar.New(cfg)
+	sw, err := crossbar.New(s.SwitchConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func TestRunWithOpticsIntegration(t *testing.T) {
 func TestRunWithOpticsRejectsIdealOQ(t *testing.T) {
 	cfg := DemonstratorConfig()
 	cfg.Ports = 16
-	cfg.Scheduler = SchedIdealOQ
+	cfg.Scheduler = "ideal-oq"
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func TestStepStaysAllocationFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 64
-			sw, err := New(Config{N: n, Receivers: 2, Scheduler: tc.mk(n), ControlRTTCycles: tc.rtt})
+			sw, err := New(Config{N: n, Receivers: 2, NewScheduler: func() sched.Scheduler { return tc.mk(n) }, ControlRTTCycles: tc.rtt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestAllocatorRecyclesCells(t *testing.T) {
 		t.Fatalf("recycled identity (id=%d seq=%d) != fresh identity (id=%d seq=%d)",
 			got.ID, got.Seq, want.ID, want.Seq)
 	}
-	if got.Hops != 0 || got.Payload != nil || got.Delivered != 0 {
+	if got.Hops != 0 || got.Delivered != 0 {
 		t.Fatalf("recycled cell not zeroed: %+v", got)
 	}
 }

@@ -24,7 +24,7 @@ func BenchmarkSwitchStep(b *testing.B) {
 	} {
 		for _, n := range []int{64, 256} {
 			b.Run(fmt.Sprintf("%s/N=%d", bc.name, n), func(b *testing.B) {
-				sw, err := New(Config{N: n, Receivers: 2, Scheduler: bc.mk(n)})
+				sw, err := New(Config{N: n, Receivers: 2, NewScheduler: func() sched.Scheduler { return bc.mk(n) }})
 				if err != nil {
 					b.Fatal(err)
 				}

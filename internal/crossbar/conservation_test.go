@@ -14,7 +14,7 @@ import (
 // every output, each output line must transmit nearly every slot.
 func TestWorkConservation(t *testing.T) {
 	const n = 16
-	sw, err := New(Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)})
+	sw, err := New(Config{N: n, Receivers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOnMatchObservesEveryCycle(t *testing.T) {
 	const n = 8
 	var calls uint64
 	cfg := Config{
-		N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0),
+		N: n, Receivers: 2,
 		OnMatch: func(slot uint64, m sched.Matching) {
 			if slot != calls {
 				t.Fatalf("OnMatch slot %d, want %d", slot, calls)
@@ -79,7 +79,7 @@ func TestOnMatchObservesEveryCycle(t *testing.T) {
 
 // TestLatencyPercentilesOrdered: distribution sanity on a loaded run.
 func TestLatencyPercentilesOrdered(t *testing.T) {
-	sw, err := New(Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0)})
+	sw, err := New(Config{N: 16, Receivers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

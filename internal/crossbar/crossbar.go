@@ -29,8 +29,10 @@ type Config struct {
 	N int
 	// Receivers per egress adapter: 1 (single) or 2 (OSMOSIS dual path).
 	Receivers int
-	// Scheduler arbitrates the crossbar. Ignored when IdealOQ is set.
-	Scheduler sched.Scheduler
+	// NewScheduler builds the arbiter; New calls it exactly once, so
+	// every switch owns its scheduler. nil selects FLPPR over N ports.
+	// Ignored when IdealOQ is set.
+	NewScheduler func() sched.Scheduler
 	// Format defines the cell timing; zero value selects OSMOSISFormat.
 	Format packet.Format
 	// IdealOQ bypasses the crossbar entirely: every arrival lands in its
@@ -173,7 +175,8 @@ func (m *Metrics) MeanLatencySlots() float64 {
 
 // Switch is a runnable single-stage switch instance.
 type Switch struct {
-	cfg Config
+	cfg   Config
+	sched sched.Scheduler // nil for the ideal-OQ reference
 
 	// bank holds the VOQs and the demand bits the board serves to the
 	// scheduler; egress[out] is the output adapter.
@@ -272,13 +275,17 @@ func New(cfg Config) (*Switch, error) {
 	if cfg.Format.CellBytes == 0 {
 		cfg.Format = packet.OSMOSISFormat()
 	}
-	if cfg.Scheduler == nil && !cfg.IdealOQ {
-		cfg.Scheduler = sched.NewFLPPR(cfg.N, 0)
-	}
 	if cfg.ControlRTTCycles < 0 {
 		return nil, fmt.Errorf("crossbar: negative control RTT %d", cfg.ControlRTTCycles)
 	}
 	s := &Switch{cfg: cfg}
+	switch {
+	case cfg.IdealOQ: // no arbiter
+	case cfg.NewScheduler == nil:
+		s.sched = sched.NewFLPPR(cfg.N, 0)
+	default:
+		s.sched = cfg.NewScheduler()
+	}
 	s.bank = voq.NewBank(cfg.N)
 	s.egress = make([]*voq.Egress, cfg.N)
 	for i := range s.egress {
@@ -445,12 +452,12 @@ func (s *Switch) Step(arrivals []*packet.Cell) {
 			s.Stalls++
 			s.match.Reset()
 		} else {
-			s.cfg.Scheduler.TickInto(s.slot, bd, &s.match)
+			s.sched.TickInto(s.slot, bd, &s.match)
 		}
 		if d := uint64(len(s.grantDelay)); d > 0 {
 			// A delayed matching's cells must be reserved until it
 			// executes; pipelined schedulers reserve their own edges.
-			if !s.cfg.Scheduler.SelfCommits() {
+			if !s.sched.SelfCommits() {
 				for in, out := range s.match.Out {
 					if out >= 0 {
 						bd.Commit(in, out)
@@ -604,16 +611,12 @@ func (s *Switch) RunEpochs(gens []traffic.Generator, warmup, measure uint64, cut
 
 // runPoint builds one fresh switch plus generators and runs a single
 // (workload, seed) measurement. It is the unit of work both Sweep and
-// Replicate fan out: everything it touches — switch, scheduler,
-// allocator, generators, collectors — is created here, so concurrent
-// points share no mutable state. tcfg.N is overridden with the switch
-// port count.
-func runPoint(base Config, mkSched func() sched.Scheduler, tcfg traffic.Config, warmup, measure uint64) (RunResult, error) {
-	cfg := base
-	if mkSched != nil {
-		cfg.Scheduler = mkSched()
-	}
-	sw, err := New(cfg)
+// Replicate fan out: everything it touches — switch, scheduler (one
+// base.NewScheduler call), allocator, generators, collectors — is
+// created here, so concurrent points share no mutable state. tcfg.N is
+// overridden with the switch port count.
+func runPoint(base Config, tcfg traffic.Config, warmup, measure uint64) (RunResult, error) {
+	sw, err := New(base)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -635,33 +638,27 @@ func runPoint(base Config, mkSched func() sched.Scheduler, tcfg traffic.Config, 
 }
 
 // Sweep runs a fresh switch per load point and reports delay vs
-// throughput — the Fig. 7 measurement harness. Load points are
+// throughput — the Fig. 7 measurement harness. Each point builds its
+// own scheduler with one base.NewScheduler call. Load points are
 // statistically independent: point i draws its traffic from the derived
 // seed sim.DeriveSeed(seed, i), never from a stream shared with another
 // point. Points run concurrently on up to GOMAXPROCS workers; results
 // are keyed by point index, so output order and content are identical
 // to a serial sweep (see SweepN to pin the worker count).
-func Sweep(base Config, mkSched func() sched.Scheduler, loads []float64, seed uint64, warmup, measure uint64) ([]RunResult, error) {
-	return SweepN(base, mkSched, loads, seed, warmup, measure, 0)
+func Sweep(base Config, loads []float64, seed uint64, warmup, measure uint64) ([]RunResult, error) {
+	return SweepN(base, loads, seed, warmup, measure, 0)
 }
 
 // SweepN is Sweep with an explicit worker count (<= 0 selects
-// GOMAXPROCS, 1 forces the serial path). A sweep that shares one
-// pre-built Scheduler instance across multiple points (mkSched nil and
-// base.Scheduler set) always runs serially: the scheduler's state
-// legitimately carries from point to point there, and ticking it
-// concurrently would race.
-func SweepN(base Config, mkSched func() sched.Scheduler, loads []float64, seed uint64, warmup, measure uint64, workers int) ([]RunResult, error) {
-	if mkSched == nil && base.Scheduler != nil && len(loads) > 1 {
-		workers = 1
-	}
+// GOMAXPROCS, 1 forces the serial path).
+func SweepN(base Config, loads []float64, seed uint64, warmup, measure uint64, workers int) ([]RunResult, error) {
 	type point struct {
 		r   RunResult
 		err error
 	}
 	out := parallel.Map(len(loads), workers, func(i int) point {
 		tcfg := traffic.Config{Kind: traffic.KindUniform, Load: loads[i], Seed: sim.DeriveSeed(seed, uint64(i))}
-		r, err := runPoint(base, mkSched, tcfg, warmup, measure)
+		r, err := runPoint(base, tcfg, warmup, measure)
 		return point{r, err}
 	})
 	results := make([]RunResult, 0, len(loads))
@@ -676,34 +673,26 @@ func SweepN(base Config, mkSched func() sched.Scheduler, loads []float64, seed u
 
 // Replicate fans one workload configuration across reps independent
 // replications — replication r replaces tcfg.Seed with
-// sim.DeriveSeed(tcfg.Seed, r) — and folds the per-replication metrics
-// into one Metrics with Merge, in replication order. This is the
+// sim.DeriveSeed(tcfg.Seed, r) and builds its own scheduler with one
+// base.NewScheduler call — and folds the per-replication metrics into
+// one Metrics with Merge, in replication order. This is the
 // batched-replication scheme of the paper's methodology: R shorter
-// windows on R cores instead of one long window on one, with identical
-// estimator math. mkSched must be non-nil when base.Scheduler is set
-// and reps > 1, so every replication owns its scheduler.
-func Replicate(base Config, mkSched func() sched.Scheduler, tcfg traffic.Config, reps int, warmup, measure uint64) (*Metrics, error) {
-	return ReplicateN(base, mkSched, tcfg, reps, warmup, measure, 0)
-}
-
-// ReplicateN is Replicate with an explicit worker count (<= 0 selects
-// GOMAXPROCS, 1 forces the serial path).
-func ReplicateN(base Config, mkSched func() sched.Scheduler, tcfg traffic.Config, reps int, warmup, measure uint64, workers int) (*Metrics, error) {
+// windows on up to GOMAXPROCS cores instead of one long window on one,
+// with identical estimator math and identical results at any core
+// count.
+func Replicate(base Config, tcfg traffic.Config, reps int, warmup, measure uint64) (*Metrics, error) {
 	if reps <= 0 {
 		return nil, fmt.Errorf("crossbar: %d replications requested", reps)
-	}
-	if mkSched == nil && base.Scheduler != nil && reps > 1 {
-		return nil, fmt.Errorf("crossbar: replications need a scheduler factory, not one shared %T instance", base.Scheduler)
 	}
 	type point struct {
 		r   RunResult
 		err error
 	}
 	baseSeed := tcfg.Seed
-	out := parallel.Map(reps, workers, func(i int) point {
+	out := parallel.Map(reps, 0, func(i int) point {
 		rcfg := tcfg
 		rcfg.Seed = sim.DeriveSeed(baseSeed, uint64(i))
-		r, err := runPoint(base, mkSched, rcfg, warmup, measure)
+		r, err := runPoint(base, rcfg, warmup, measure)
 		return point{r, err}
 	})
 	merged := &Metrics{}

@@ -3,7 +3,9 @@ package crossbar
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/packet"
@@ -50,7 +52,7 @@ func TestRejectsNegativeControlRTT(t *testing.T) {
 }
 
 func TestConservationAndOrder(t *testing.T) {
-	cfg := Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0)}
+	cfg := Config{N: 16, Receivers: 2}
 	sw, m := runUniform(t, cfg, 0.8, 500, 3000, 11)
 	if m.OrderViolations != 0 {
 		t.Errorf("order violations: %d", m.OrderViolations)
@@ -73,7 +75,7 @@ func TestConservationAndOrder(t *testing.T) {
 
 func TestSustainedThroughput(t *testing.T) {
 	// Table 1: > 95% sustained throughput near saturation.
-	cfg := Config{N: 32, Receivers: 2, Scheduler: sched.NewFLPPR(32, 0)}
+	cfg := Config{N: 32, Receivers: 2}
 	_, m := runUniform(t, cfg, 0.98, 2000, 6000, 5)
 	if thr := m.ThroughputPerPort(32); thr < 0.95 {
 		t.Errorf("throughput at 0.98 load: %.3f, Table 1 needs > 0.95", thr)
@@ -85,7 +87,7 @@ func TestSustainedThroughput(t *testing.T) {
 
 func TestFLPPRGrantLatencyLightLoad(t *testing.T) {
 	// Fig. 6: FLPPR grants in ~1 cycle at light load.
-	cfg := Config{N: 64, Receivers: 2, Scheduler: sched.NewFLPPR(64, 0)}
+	cfg := Config{N: 64, Receivers: 2}
 	_, m := runUniform(t, cfg, 0.1, 500, 3000, 7)
 	if g := m.GrantLatency.Mean(); g > 1.2 {
 		t.Errorf("FLPPR light-load grant latency %.2f cycles, want ~1", g)
@@ -94,7 +96,7 @@ func TestFLPPRGrantLatencyLightLoad(t *testing.T) {
 
 func TestPipelinedGrantLatencyLightLoad(t *testing.T) {
 	// Fig. 6: prior art takes log2(64) = 6 cycles.
-	cfg := Config{N: 64, Receivers: 1, Scheduler: sched.NewPipelinedISLIP(64, 0)}
+	cfg := Config{N: 64, Receivers: 1, NewScheduler: func() sched.Scheduler { return sched.NewPipelinedISLIP(64, 0) }}
 	_, m := runUniform(t, cfg, 0.1, 500, 3000, 7)
 	if g := m.GrantLatency.Mean(); math.Abs(g-6) > 0.5 {
 		t.Errorf("prior-art light-load grant latency %.2f cycles, want ~6", g)
@@ -104,10 +106,9 @@ func TestPipelinedGrantLatencyLightLoad(t *testing.T) {
 func TestDualReceiverImprovesDelay(t *testing.T) {
 	// Fig. 7: at medium-high load the dual-receiver delay stays near
 	// flat while single receiver climbs.
-	mk := func() sched.Scheduler { return sched.NewFLPPR(64, 0) }
-	cfgS := Config{N: 64, Receivers: 1, Scheduler: mk()}
+	cfgS := Config{N: 64, Receivers: 1}
 	_, mS := runUniform(t, cfgS, 0.9, 1000, 4000, 3)
-	cfgD := Config{N: 64, Receivers: 2, Scheduler: mk()}
+	cfgD := Config{N: 64, Receivers: 2}
 	_, mD := runUniform(t, cfgD, 0.9, 1000, 4000, 3)
 	if mD.MeanLatencySlots() >= mS.MeanLatencySlots() {
 		t.Errorf("dual receiver (%.2f slots) should beat single (%.2f slots) at 0.9 load",
@@ -118,7 +119,7 @@ func TestDualReceiverImprovesDelay(t *testing.T) {
 func TestIdealOQIsLowerBound(t *testing.T) {
 	cfgOQ := Config{N: 32, IdealOQ: true}
 	_, mOQ := runUniform(t, cfgOQ, 0.9, 1000, 4000, 9)
-	cfgX := Config{N: 32, Receivers: 1, Scheduler: sched.NewISLIP(32, 0)}
+	cfgX := Config{N: 32, Receivers: 1, NewScheduler: func() sched.Scheduler { return sched.NewISLIP(32, 0) }}
 	_, mX := runUniform(t, cfgX, 0.9, 1000, 4000, 9)
 	if mOQ.MeanLatencySlots() > mX.MeanLatencySlots()+0.2 {
 		t.Errorf("ideal OQ delay %.2f should lower-bound crossbar %.2f",
@@ -127,9 +128,9 @@ func TestIdealOQIsLowerBound(t *testing.T) {
 }
 
 func TestControlRTTAddsLatency(t *testing.T) {
-	base := Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0)}
+	base := Config{N: 16, Receivers: 2}
 	_, m0 := runUniform(t, base, 0.2, 500, 2000, 13)
-	far := Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0), ControlRTTCycles: 10}
+	far := Config{N: 16, Receivers: 2, ControlRTTCycles: 10}
 	_, m10 := runUniform(t, far, 0.2, 500, 2000, 13)
 	diff := m10.MeanLatencySlots() - m0.MeanLatencySlots()
 	if math.Abs(diff-10) > 1 {
@@ -142,7 +143,7 @@ func TestControlRTTAddsLatency(t *testing.T) {
 
 func TestControlRTTWithNonCommittingScheduler(t *testing.T) {
 	// The engine must reserve delayed matchings for iSLIP/PIM too.
-	cfg := Config{N: 8, Receivers: 1, Scheduler: sched.NewISLIP(8, 0), ControlRTTCycles: 4}
+	cfg := Config{N: 8, Receivers: 1, NewScheduler: func() sched.Scheduler { return sched.NewISLIP(8, 0) }, ControlRTTCycles: 4}
 	_, m := runUniform(t, cfg, 0.6, 500, 3000, 17)
 	if m.OrderViolations != 0 || m.Dropped != 0 {
 		t.Errorf("violations=%d drops=%d", m.OrderViolations, m.Dropped)
@@ -154,7 +155,7 @@ func TestControlRTTWithNonCommittingScheduler(t *testing.T) {
 
 func TestBimodalControlPriority(t *testing.T) {
 	// Control cells must see lower latency than data under load.
-	cfg := Config{N: 32, Receivers: 2, Scheduler: sched.NewFLPPR(32, 0)}
+	cfg := Config{N: 32, Receivers: 2}
 	sw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestBimodalControlPriority(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, float64) {
-		cfg := Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0)}
+		cfg := Config{N: 16, Receivers: 2}
 		_, m := runUniform(t, cfg, 0.7, 300, 2000, 99)
 		return m.Delivered, m.MeanLatencySlots()
 	}
@@ -193,8 +194,7 @@ func TestDeterminism(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	// Delay must be monotone non-decreasing in load (coarsely).
 	base := Config{N: 16, Receivers: 2}
-	res, err := Sweep(base, func() sched.Scheduler { return sched.NewFLPPR(16, 0) },
-		[]float64{0.2, 0.5, 0.8}, 31, 300, 2000)
+	res, err := Sweep(base, []float64{0.2, 0.5, 0.8}, 31, 300, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSweepShape(t *testing.T) {
 }
 
 func TestMismatchedGeneratorsError(t *testing.T) {
-	sw, _ := New(Config{N: 8, Scheduler: sched.NewFLPPR(8, 0)})
+	sw, _ := New(Config{N: 8})
 	if _, err := sw.Run(make([]traffic.Generator, 3), 1, 1); err == nil {
 		t.Error("mismatched generator count should return an error")
 	}
@@ -225,7 +225,7 @@ func TestMismatchedGeneratorsError(t *testing.T) {
 // measure values whose uint64 sum wraps, and the switch stays usable.
 // No test steps that many slots.
 func TestTimelinePastBoundRefused(t *testing.T) {
-	sw, err := New(Config{N: 8, Scheduler: sched.NewFLPPR(8, 0)})
+	sw, err := New(Config{N: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,15 +273,14 @@ func renderSweep(res []RunResult) string {
 // to the serial sweep of the same loads and seed.
 func TestSweepSerialEquivalence(t *testing.T) {
 	base := Config{N: 16, Receivers: 2}
-	mk := func() sched.Scheduler { return sched.NewFLPPR(16, 0) }
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 0.95}
-	serialRes, err := SweepN(base, mk, loads, 31, 300, 2000, 1)
+	serialRes, err := SweepN(base, loads, 31, 300, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := renderSweep(serialRes)
 	for _, workers := range []int{2, 4, 0} {
-		parRes, err := SweepN(base, mk, loads, 31, 300, 2000, workers)
+		parRes, err := SweepN(base, loads, 31, 300, 2000, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,12 +295,11 @@ func TestSweepSerialEquivalence(t *testing.T) {
 // the property the per-point derived seeds buy.
 func TestSweepPointsIndependent(t *testing.T) {
 	base := Config{N: 16, Receivers: 2}
-	mk := func() sched.Scheduler { return sched.NewFLPPR(16, 0) }
-	whole, err := Sweep(base, mk, []float64{0.2, 0.5, 0.8}, 31, 300, 2000)
+	whole, err := Sweep(base, []float64{0.2, 0.5, 0.8}, 31, 300, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := Sweep(base, mk, []float64{0.5, 0.5}, 31, 300, 2000)
+	same, err := Sweep(base, []float64{0.5, 0.5}, 31, 300, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,21 +315,34 @@ func TestSweepPointsIndependent(t *testing.T) {
 	}
 }
 
-// TestSweepSharedSchedulerSerialFallback: a sweep over a single shared
-// scheduler instance must still work (it runs serially) and keep the
-// historical point-to-point state carry-over semantics.
+// countingFactory returns a FLPPR factory for n ports that counts its
+// calls; the count is safe to read after the concurrent runs return.
+func countingFactory(n int) (func() sched.Scheduler, *atomic.Int64) {
+	calls := new(atomic.Int64)
+	return func() sched.Scheduler {
+		calls.Add(1)
+		return sched.NewFLPPR(n, 0)
+	}, calls
+}
+
+// TestSweepSharedSchedulerSerialFallback: no sweep point shares a
+// scheduler. Every point builds its own with exactly one factory call,
+// at any worker count, so nothing forces a sweep onto one worker.
 func TestSweepSharedSchedulerSerialFallback(t *testing.T) {
-	base := Config{N: 16, Receivers: 2, Scheduler: sched.NewFLPPR(16, 0)}
-	res, err := Sweep(base, nil, []float64{0.2, 0.5, 0.8}, 31, 300, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	for _, r := range res {
-		if r.Metrics.Delivered == 0 {
-			t.Errorf("load %.1f delivered nothing", r.Load)
+	loads := []float64{0.2, 0.5, 0.8}
+	for _, workers := range []int{1, 2, 4} {
+		mk, calls := countingFactory(16)
+		res, err := SweepN(Config{N: 16, Receivers: 2, NewScheduler: mk}, loads, 31, 300, 2000, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != int64(len(loads)) {
+			t.Errorf("workers=%d: %d factory calls for %d points", workers, n, len(loads))
+		}
+		for _, r := range res {
+			if r.Metrics.Delivered == 0 {
+				t.Errorf("workers=%d: load %.1f delivered nothing", workers, r.Load)
+			}
 		}
 	}
 }
@@ -340,10 +351,9 @@ func TestSweepSharedSchedulerSerialFallback(t *testing.T) {
 // R derived-seed points by hand and merging their metrics in order.
 func TestReplicateMergesReplications(t *testing.T) {
 	base := Config{N: 16, Receivers: 2}
-	mk := func() sched.Scheduler { return sched.NewFLPPR(16, 0) }
 	const reps = 4
 	tcfg := traffic.Config{Kind: traffic.KindUniform, Load: 0.7, Seed: 9}
-	got, err := Replicate(base, mk, tcfg, reps, 300, 1500)
+	got, err := Replicate(base, tcfg, reps, 300, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +361,7 @@ func TestReplicateMergesReplications(t *testing.T) {
 	for r := 0; r < reps; r++ {
 		rcfg := tcfg
 		rcfg.Seed = sim.DeriveSeed(9, uint64(r))
-		one, err := runPoint(base, mk, rcfg, 300, 1500)
+		one, err := runPoint(base, rcfg, 300, 1500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,15 +384,24 @@ func TestReplicateMergesReplications(t *testing.T) {
 	}
 }
 
-// TestReplicateRejectsSharedScheduler: replications may not share one
-// scheduler instance.
+// TestReplicateRejectsSharedScheduler: no replication shares a
+// scheduler. Every replication builds its own with exactly one factory
+// call, whatever GOMAXPROCS sizes the pool; zero replications are
+// rejected.
 func TestReplicateRejectsSharedScheduler(t *testing.T) {
-	base := Config{N: 8, Receivers: 2, Scheduler: sched.NewFLPPR(8, 0)}
 	tcfg := traffic.Config{Kind: traffic.KindUniform, Load: 0.5, Seed: 1}
-	if _, err := Replicate(base, nil, tcfg, 2, 10, 10); err == nil {
-		t.Error("shared-scheduler replication should be rejected")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		mk, calls := countingFactory(8)
+		if _, err := Replicate(Config{N: 8, Receivers: 2, NewScheduler: mk}, tcfg, 3, 10, 10); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != 3 {
+			t.Errorf("GOMAXPROCS=%d: %d factory calls for 3 replications", procs, n)
+		}
 	}
-	if _, err := Replicate(Config{N: 8}, nil, tcfg, 0, 10, 10); err == nil {
+	if _, err := Replicate(Config{N: 8}, tcfg, 0, 10, 10); err == nil {
 		t.Error("0 replications should be rejected")
 	}
 }

@@ -37,7 +37,7 @@ func buildFaulted(t *testing.T, cfg Config, spec string, seed uint64) *Switch {
 // third behaviour.
 func TestReceiverLossMatchesSingleReceiverConfig(t *testing.T) {
 	const n, seed = 32, 3
-	degraded, err := New(Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)})
+	degraded, err := New(Config{N: n, Receivers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReceiverLossMatchesSingleReceiverConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	single, mSingle := runUniform(t, Config{N: n, Receivers: 1, Scheduler: sched.NewFLPPR(n, 0)}, 0.95, 1000, 4000, seed)
+	single, mSingle := runUniform(t, Config{N: n, Receivers: 1}, 0.95, 1000, 4000, seed)
 	_ = single
 	if mDeg.Offered != mSingle.Offered || mDeg.Delivered != mSingle.Delivered {
 		t.Errorf("degraded dual (off=%d del=%d) != single receiver (off=%d del=%d)",
@@ -72,7 +72,7 @@ func TestReceiverLossMatchesSingleReceiverConfig(t *testing.T) {
 
 	// And the degraded switch must deliver less than a healthy dual one
 	// at the same saturating load (the Fig.-7 gap).
-	_, mDual := runUniform(t, Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)}, 0.95, 1000, 4000, seed)
+	_, mDual := runUniform(t, Config{N: n, Receivers: 2}, 0.95, 1000, 4000, seed)
 	if mDual.MeanLatencySlots() >= mDeg.MeanLatencySlots() {
 		t.Errorf("healthy dual latency %.2f should beat degraded %.2f at 0.95 load",
 			mDual.MeanLatencySlots(), mDeg.MeanLatencySlots())
@@ -87,7 +87,7 @@ func TestReceiverTieBreakDeterministic(t *testing.T) {
 	run := func() (*Switch, string, int) {
 		doubled := 0
 		perOut := make([]int, n)
-		cfg := Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0),
+		cfg := Config{N: n, Receivers: 2,
 			OnMatch: func(_ uint64, m sched.Matching) {
 				clear(perOut)
 				for _, out := range m.Out {
@@ -134,7 +134,7 @@ func TestReceiverTieBreakDeterministic(t *testing.T) {
 // the in-flight over-grants are refused and re-arbitrated.
 func TestMidRunReceiverFaultsLosslessDegradation(t *testing.T) {
 	const n = 16
-	cfg := Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0), ControlRTTCycles: 4}
+	cfg := Config{N: n, Receivers: 2, ControlRTTCycles: 4}
 	// Fail the redundant receiver of every egress mid-measurement.
 	var clauses []string
 	for e := 0; e < n; e++ {
@@ -186,7 +186,7 @@ func TestMidRunReceiverFaultsLosslessDegradation(t *testing.T) {
 // without losing anything.
 func TestSchedStallFreezesArbiter(t *testing.T) {
 	const n = 8
-	cfg := Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)}
+	cfg := Config{N: n, Receivers: 2}
 	sw := buildFaulted(t, cfg, "stall:200@2000", 1)
 	gens, err := traffic.Build(traffic.Config{Kind: traffic.KindUniform, N: n, Load: 0.6, Seed: 9})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestSchedStallFreezesArbiter(t *testing.T) {
 // their counters sum to the run totals.
 func TestCutEpochSegmentsMetrics(t *testing.T) {
 	const n = 8
-	sw, err := New(Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)})
+	sw, err := New(Config{N: n, Receivers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,7 @@ func TestGoldenCrossbar(t *testing.T) {
 	pipelined := func() sched.Scheduler { return sched.NewPipelinedISLIP(n, 0) }
 	run := func(t *testing.T, cfg Config, mk func() sched.Scheduler, tcfg traffic.Config, spec string, cuts []uint64) string {
 		t.Helper()
-		if mk != nil {
-			cfg.Scheduler = mk()
-		}
+		cfg.NewScheduler = mk
 		var sw *Switch
 		if spec != "" {
 			sw = buildFaulted(t, cfg, spec, 7)
@@ -142,7 +140,7 @@ func TestGoldenCrossbar(t *testing.T) {
 				"rx:3@800,rx:5.1@1200+400,stall:50@1500", []uint64{800, 1200, 1500, 1600})
 		}, "offered=28759 delivered=28632 drop=0 slots=2000 lat[n=28632 mean=0x1.c927cp+19 sd=0x1.48b26296b6c3fp+20 min=0x1.9p+15 max=0x1.b26p+23 p50=0x1.c2p+18 p99=0x1.da08p+22] ctl[n=2934 mean=0x1.3b74ep+19 sd=0x1.2f130228e5266p+19 min=0x1.9p+15 max=0x1.3ecp+22 p50=0x1.9p+18 p99=0x1.57cp+21] grant[n=28665 mean=0x1.71e642f6788bp+03 sd=0x1.8a808ef2eea0fp+04 min=0x1p+00 max=0x1.16p+08] maxvoq=51 maxeg=52 viol=0 rej=2 src=[1789 1793 1805 1775 1799 1778 1796 1824 1823 1809 1793 1792 1805 1820 1773 1785]/[1778 1789 1784 1771 1793 1775 1791 1814 1814 1798 1789 1784 1800 1807 1763 1782] cyc=51200 epoch[300,800) off=7173 del=7157 drop=0 rej=0 mean=0x1.f90fae147ae14p+02 p99=0x1.ep+04 down=0 faults=0 epoch[800,1200) off=5762 del=5772 drop=0 rej=2 mean=0x1.f5e051eb851ecp+02 p99=0x1.7p+04 down=1 faults=1 epoch[1200,1500) off=4356 del=4336 drop=0 rej=0 mean=0x1.08f7851eb851fp+03 p99=0x1.6p+04 down=2 faults=2 epoch[1500,1600) off=1429 del=791 drop=0 rej=0 mean=0x1.4695851eb851fp+05 p99=0x1.60ccccccccccdp+06 down=2 faults=2 epoch[1600,2300) off=10039 del=10576 drop=0 rej=0 mean=0x1.0b7fccccccccdp+05 p99=0x1.8cp+07 down=1 faults=1"},
 		{"replicate3", func(t *testing.T) string {
-			m, err := Replicate(Config{N: n, Receivers: 2}, flppr,
+			m, err := Replicate(Config{N: n, Receivers: 2, NewScheduler: flppr},
 				traffic.Config{Kind: traffic.KindBimodal, N: n, Load: 0.8, Seed: 12}, 3, 300, 2000)
 			if err != nil {
 				t.Fatal(err)

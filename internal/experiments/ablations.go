@@ -32,13 +32,12 @@ func runAblationFLPPRK(cfg RunConfig) (*Result, error) {
 	thrHeavy := tb.AddSeries("throughput-at-0.99")
 
 	for _, k := range []int{1, 2, 4, 6, 8} {
-		k := k
-		mk := func() sched.Scheduler { return sched.NewFLPPR(n, k) }
-		light, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2}, mk, []float64{0.3}, cfg.seed(), warm, meas)
+		cc := crossbar.Config{N: n, Receivers: 2, NewScheduler: func() sched.Scheduler { return sched.NewFLPPR(n, k) }}
+		light, err := crossbar.Sweep(cc, []float64{0.3}, cfg.seed(), warm, meas)
 		if err != nil {
 			return nil, err
 		}
-		heavy, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2}, mk, []float64{0.95, 0.99}, cfg.seed(), warm, meas)
+		heavy, err := crossbar.Sweep(cc, []float64{0.95, 0.99}, cfg.seed(), warm, meas)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +74,7 @@ func runAblationISLIPIters(cfg RunConfig) (*Result, error) {
 	thr := tb.AddSeries("acceptance-ratio")
 	delay := tb.AddSeries("delay-cycles")
 	for _, iters := range []int{1, 2, 3, 5} {
-		sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 1, Scheduler: sched.NewISLIP(n, iters)})
+		sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 1, NewScheduler: func() sched.Scheduler { return sched.NewISLIP(n, iters) }})
 		if err != nil {
 			return nil, err
 		}
@@ -109,9 +108,7 @@ func runAblationReceivers(cfg RunConfig) (*Result, error) {
 	tb := stats.NewTable("64 ports, uniform 0.9 load", "receivers")
 	delay := tb.AddSeries("mean-delay")
 	for _, r := range []int{1, 2, 3, 4} {
-		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: r},
-			func() sched.Scheduler { return sched.NewFLPPR(n, 0) },
-			[]float64{0.9}, cfg.seed(), warm, meas)
+		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: r}, []float64{0.9}, cfg.seed(), warm, meas)
 		if err != nil {
 			return nil, err
 		}

@@ -53,13 +53,11 @@ func runBvN(cfg RunConfig) (*Result, error) {
 		halfN.Add(float64(n), float64(n)/2)
 
 		// OSMOSIS at the same load.
-		sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)})
+		sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2})
 		if err != nil {
 			return nil, err
 		}
-		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2},
-			func() sched.Scheduler { return sched.NewFLPPR(n, 0) },
-			[]float64{0.05}, cfg.seed(), warm, meas)
+		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2}, []float64{0.05}, cfg.seed(), warm, meas)
 		if err != nil {
 			return nil, err
 		}

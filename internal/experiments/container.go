@@ -30,9 +30,7 @@ func runContainer(cfg RunConfig) (*Result, error) {
 	osm := tb.AddSeries("osmosis-flppr")
 
 	// OSMOSIS per-cell baseline.
-	rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2},
-		func() sched.Scheduler { return sched.NewFLPPR(n, 0) },
-		[]float64{0.05}, cfg.seed(), warm/4, meas/4)
+	rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2}, []float64{0.05}, cfg.seed(), warm/4, meas/4)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/crossbar"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -35,7 +34,6 @@ func runControlRTT(cfg RunConfig) (*Result, error) {
 		for _, load := range []float64{0.2, 0.9} {
 			sw, err := crossbar.New(crossbar.Config{
 				N: n, Receivers: 2,
-				Scheduler:        sched.NewFLPPR(n, 0),
 				ControlRTTCycles: rtt,
 			})
 			if err != nil {

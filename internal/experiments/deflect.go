@@ -55,9 +55,7 @@ func runDeflect(cfg RunConfig) (*Result, error) {
 		reorders += order.Violations()
 
 		// Buffered VOQ reference.
-		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2},
-			func() sched.Scheduler { return sched.NewFLPPR(n, 0) },
-			[]float64{load}, cfg.seed(), warm/4, meas/4)
+		rs, err := crossbar.Sweep(crossbar.Config{N: n, Receivers: 2}, []float64{load}, cfg.seed(), warm/4, meas/4)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fec"
 	"repro/internal/link"
 	"repro/internal/parallel"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -72,7 +71,7 @@ func runFailK(k, n int, load float64, seed, warm, meas uint64) curvePoint {
 	if err != nil {
 		return curvePoint{err: err}
 	}
-	sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)})
+	sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2})
 	if err != nil {
 		return curvePoint{err: err}
 	}
@@ -116,7 +115,7 @@ func degradationCurve(res *Result, cfg RunConfig, n int, ks []int, warm, meas ui
 
 	// Reference: a switch built single-receiver, same traffic.
 	ref := runFailK(0, n, load, seed, warm, meas)
-	refSingle, err := crossbar.New(crossbar.Config{N: n, Receivers: 1, Scheduler: sched.NewFLPPR(n, 0)})
+	refSingle, err := crossbar.New(crossbar.Config{N: n, Receivers: 1})
 	if err != nil {
 		return err
 	}

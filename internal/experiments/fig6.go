@@ -30,13 +30,11 @@ func runFig6(cfg RunConfig) (*Result, error) {
 	loads := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
 	for _, load := range loads {
 		for _, kind := range []string{"flppr", "prior"} {
-			var s sched.Scheduler
-			if kind == "flppr" {
-				s = sched.NewFLPPR(n, 0)
-			} else {
-				s = sched.NewPipelinedISLIP(n, 0)
+			cc := crossbar.Config{N: n, Receivers: 2}
+			if kind == "prior" {
+				cc.NewScheduler = func() sched.Scheduler { return sched.NewPipelinedISLIP(n, 0) }
 			}
-			sw, err := crossbar.New(crossbar.Config{N: n, Receivers: 2, Scheduler: s})
+			sw, err := crossbar.New(cc)
 			if err != nil {
 				return nil, err
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/crossbar"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -37,12 +36,12 @@ func runFig7(cfg RunConfig) (*Result, error) {
 			name string
 			cc   crossbar.Config
 		}{
-			{"flppr-single-receiver", crossbar.Config{N: n, Receivers: 1, Scheduler: sched.NewFLPPR(n, 0)}},
-			{"flppr-dual-receiver", crossbar.Config{N: n, Receivers: 2, Scheduler: sched.NewFLPPR(n, 0)}},
+			{"flppr-single-receiver", crossbar.Config{N: n, Receivers: 1}},
+			{"flppr-dual-receiver", crossbar.Config{N: n, Receivers: 2}},
 			{"ideal-output-queued", crossbar.Config{N: n, IdealOQ: true}},
 		}
 		for _, r := range runs {
-			rs, err := crossbar.Sweep(r.cc, nil, []float64{load}, cfg.seed(), warm, meas)
+			rs, err := crossbar.Sweep(r.cc, []float64{load}, cfg.seed(), warm, meas)
 			if err != nil {
 				return nil, err
 			}

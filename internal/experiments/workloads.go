@@ -33,17 +33,10 @@ const arenaN = 32
 // baseline.
 const arenaLoad = 0.9
 
-// arenaSchedulers lists the contenders; the factory takes the combo's
-// derived seed so randomized schedulers stay deterministic per combo.
-var arenaSchedulers = []struct {
-	name string
-	mk   func(seed uint64) sched.Scheduler
-}{
-	{"flppr", func(uint64) sched.Scheduler { return sched.NewFLPPR(arenaN, 0) }},
-	{"islip", func(uint64) sched.Scheduler { return sched.NewISLIP(arenaN, 0) }},
-	{"pim", func(seed uint64) sched.Scheduler { return sched.NewPIM(arenaN, 0, seed) }},
-	{"lqf", func(uint64) sched.Scheduler { return sched.NewLQF(arenaN) }},
-}
+// arenaSchedulers names the contenders; each combo builds its scheduler
+// from the combo's derived seed so randomized schedulers stay
+// deterministic per combo.
+var arenaSchedulers = []string{"flppr", "islip", "pim", "lqf"}
 
 // arenaKinds are the workload patterns scored: every generated kind in
 // the traffic library, in Kind order (traces replay recorded workloads
@@ -78,7 +71,11 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 		s := arenaSchedulers[i/nk]
 		kind := arenaKinds[i%nk]
 		seed := sim.DeriveSeed(cfg.seed(), uint64(i))
-		sw, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2, Scheduler: s.mk(seed)})
+		mk, err := sched.Factory(s, arenaN, 0, seed)
+		if err != nil {
+			return arenaScore{err: err}
+		}
+		sw, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2, NewScheduler: mk})
 		if err != nil {
 			return arenaScore{err: err}
 		}
@@ -115,9 +112,9 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	tbP99 := stats.NewTable("End-to-end p99 delay, packet cycles", "pattern_idx")
 	tbFair := stats.NewTable("Jain service fairness over per-source service ratios", "pattern_idx")
 	for si, s := range arenaSchedulers {
-		thr := tbThr.AddSeries(s.name)
-		p99 := tbP99.AddSeries(s.name)
-		fair := tbFair.AddSeries(s.name)
+		thr := tbThr.AddSeries(s)
+		p99 := tbP99.AddSeries(s)
+		fair := tbFair.AddSeries(s)
 		for ki := range arenaKinds {
 			sc := scores[si*nk+ki]
 			thr.Add(float64(ki), sc.acceptance)
@@ -131,7 +128,7 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	at := func(schedName string, kind traffic.Kind) arenaScore {
 		si, ki := -1, -1
 		for i, s := range arenaSchedulers {
-			if s.name == schedName {
+			if s == schedName {
 				si = i
 			}
 		}
@@ -165,7 +162,7 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	hotBound := (total - offeredHot + 1) / total
 	hotWorst, hotBest := 1.0, 0.0
 	for _, s := range arenaSchedulers {
-		a := at(s.name, traffic.KindHotspot).acceptance
+		a := at(s, traffic.KindHotspot).acceptance
 		if a < hotWorst {
 			hotWorst = a
 		}
@@ -221,7 +218,7 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	// Finding 5: a recorded trace replays bit-exactly — same metrics from
 	// the file (written and read back in memory) as from the live
 	// generators.
-	live, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2, Scheduler: sched.NewFLPPR(arenaN, 0)})
+	live, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +243,7 @@ func runWorkloads(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	replay, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2, Scheduler: sched.NewFLPPR(arenaN, 0)})
+	replay, err := crossbar.New(crossbar.Config{N: arenaN, Receivers: 2})
 	if err != nil {
 		return nil, err
 	}

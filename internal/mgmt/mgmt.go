@@ -62,11 +62,7 @@ type Manager struct {
 
 // New wraps a built system and builds its switch.
 func New(sys *core.System) (*Manager, error) {
-	cfg, err := sys.SwitchConfig()
-	if err != nil {
-		return nil, err
-	}
-	sw, err := crossbar.New(cfg)
+	sw, err := crossbar.New(sys.SwitchConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +82,7 @@ func (m *Manager) Inventory() Inventory {
 		LineRate:         cfg.Format.LineRate.String(),
 		CellBytes:        cfg.Format.CellBytes,
 		CycleTime:        cfg.Format.CycleTime().String(),
-		Scheduler:        string(cfg.Scheduler),
+		Scheduler:        cfg.Scheduler,
 		WorstMarginDB:    float64(m.sys.WorstMargin),
 	}
 }
@@ -190,13 +186,11 @@ func (m *Manager) receiverCheck() error {
 // arbiterTest drives the configured scheduler against random demand.
 func (m *Manager) arbiterTest(seed uint64) error {
 	cfg := m.sys.Config()
-	s, err := m.sys.NewScheduler()
-	if err != nil {
-		return err
-	}
-	if s == nil { // ideal-OQ reference has no arbiter
+	sc := m.sys.SwitchConfig()
+	if sc.IdealOQ { // the ideal-OQ reference has no arbiter
 		return nil
 	}
+	s := sc.NewScheduler()
 	n := cfg.Ports
 	b := sched.NewMatrixBoard(n, cfg.Receivers)
 	rng := sim.NewRNG(seed)

@@ -71,9 +71,6 @@ type Cell struct {
 	Delivered units.Time
 	// Retransmits counts link-level retransmissions the cell suffered.
 	Retransmits int
-	// Payload is optional user data, used by the FEC/link-layer paths;
-	// performance simulations leave it nil.
-	Payload []byte
 }
 
 // String formats the cell identity for diagnostics.

@@ -13,14 +13,8 @@ import (
 	"repro/internal/units"
 )
 
-// SaveCell writes one cell as a "cell" record. Cells carrying payload
-// bytes are not checkpointable (performance simulations leave Payload
-// nil); encountering one poisons the encode.
+// SaveCell writes one cell as a "cell" record.
 func SaveCell(e *ckpt.Encoder, c *Cell) {
-	if c.Payload != nil {
-		e.Fail(fmt.Errorf("packet: cell %d carries %d payload bytes; payload cells are not checkpointable", c.ID, len(c.Payload)))
-		return
-	}
 	e.Put("cell",
 		ckpt.Uint(c.ID), ckpt.Int(int64(c.Src)), ckpt.Int(int64(c.Dst)),
 		ckpt.Uint(uint64(c.Class)), ckpt.Uint(c.Seq),

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -529,6 +530,42 @@ func TestRejectsBadSubmissionsAndCorruptRestores(t *testing.T) {
 	v1 := strings.Replace(string(snap), "osmosis-ckpt v2\n", "osmosis-ckpt v1\n", 1)
 	if code, data := postJSON(t, hs.URL+"/v1/restore", []byte(v1)); code != http.StatusBadRequest || !strings.Contains(string(data), "unsupported version") {
 		t.Errorf("v1 snapshot: HTTP %d (want 400, unsupported version): %s", code, data)
+	}
+}
+
+// TestCorruptRestoreBuildsNoEngine: a running-phase checkpoint with one
+// flipped byte in its session payload gets a 400 before any engine is
+// built: the checksum is checked first, over the upload in memory.
+func TestCorruptRestoreBuildsNoEngine(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", goldenJobFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds atomic.Int64 // counted on the HTTP handler's goroutine
+	real := schedulerFactory
+	schedulerFactory = func(name string, radix int, seed uint64) (func() sched.Scheduler, error) {
+		builds.Add(1)
+		return real(name, radix, seed)
+	}
+	t.Cleanup(func() { schedulerFactory = real })
+
+	// A digit three quarters in, deep in the session sections: flipping
+	// its low bit leaves a well-formed record behind a stale checksum.
+	i := 3 * len(golden) / 4
+	for golden[i] < '0' || golden[i] > '8' {
+		i++
+	}
+	corrupt := append([]byte(nil), golden...)
+	corrupt[i] ^= 1
+	_, hs := testServer(t, Options{})
+	if code, data := postJSON(t, hs.URL+"/v1/restore", corrupt); code != http.StatusBadRequest || !strings.Contains(string(data), "checksum mismatch") {
+		t.Fatalf("flipped byte: HTTP %d (want 400, checksum mismatch): %s", code, data)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("a corrupt upload built %d engine(s) before its checksum was read", n)
+	}
+	if _, err := parseJobCheckpoint(golden); err != nil || builds.Load() != 1 {
+		t.Fatalf("control: intact checkpoint parsed with error %v after %d build(s), want one", err, builds.Load())
 	}
 }
 

@@ -57,9 +57,9 @@ type FabricSpec struct {
 	Levels int `json:"levels,omitempty"`
 	// Receivers per output; 0 selects the dual-receiver demonstrator.
 	Receivers int `json:"receivers,omitempty"`
-	// Scheduler is flppr | islip | pipelined-islip | pim | lqf;
-	// "" selects flppr. Each runs with its default number of
-	// iterations, sub-schedulers or pipeline stages: log2 of the radix.
+	// Scheduler is one of sched.Names; "" selects flppr. Each runs with
+	// its default number of iterations, sub-schedulers or pipeline
+	// stages: log2 of the radix.
 	Scheduler      string `json:"scheduler,omitempty"`
 	LinkDelaySlots int    `json:"link_delay_slots,omitempty"`
 	InputCapacity  int    `json:"input_capacity,omitempty"`
@@ -89,33 +89,15 @@ type TrafficSpec struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// schedulerNames lists the checkpointable arbiters a job may request.
-var schedulerNames = []string{"flppr", "islip", "lqf", "pim", "pipelined-islip"}
-
-// newSchedulerFactory resolves a scheduler name to a per-switch
-// constructor. Every returned scheduler implements sched.StateCodec, a
-// requirement for checkpointing; seed feeds PIM's arbitration RNG so a
-// rebuilt engine starts from the same stream the checkpoint will then
-// overwrite.
-func newSchedulerFactory(name string, radix int, seed uint64) (func() sched.Scheduler, error) {
-	switch name {
-	case "", "flppr":
-		return func() sched.Scheduler { return sched.NewFLPPR(radix, 0) }, nil
-	case "islip":
-		return func() sched.Scheduler { return sched.NewISLIP(radix, 0) }, nil
-	case "lqf":
-		return func() sched.Scheduler { return sched.NewLQF(radix) }, nil
-	case "pim":
-		return func() sched.Scheduler { return sched.NewPIM(radix, 0, seed) }, nil
-	case "pipelined-islip":
-		return func() sched.Scheduler { return sched.NewPipelinedISLIP(radix, 0) }, nil
-	}
-	return nil, fmt.Errorf("service: unknown scheduler %q (want %s)", name, strings.Join(schedulerNames, " | "))
-}
-
-// schedulerFactory is the factory buildEngine uses. The package's tests
+// schedulerFactory resolves a job's scheduler name through
+// sched.Factory at each scheduler's default parameter. Every named
+// arbiter implements sched.StateCodec, a requirement for checkpointing;
+// seed feeds PIM's arbitration RNG so a rebuilt engine starts from the
+// same stream the checkpoint will then overwrite. The package's tests
 // swap it to inject a failing scheduler; the daemon never changes it.
-var schedulerFactory = newSchedulerFactory
+var schedulerFactory = func(name string, radix int, seed uint64) (func() sched.Scheduler, error) {
+	return sched.Factory(name, radix, 0, seed)
+}
 
 // trafficConfig translates the wire spec into a traffic.Config,
 // parsing any inline trace upload.
@@ -167,7 +149,7 @@ func (s *JobSpec) validate() error {
 	if err := fabric.CheckLinkDelay(s.Fabric.LinkDelaySlots); err != nil {
 		return err
 	}
-	if _, err := newSchedulerFactory(s.Fabric.Scheduler, s.Fabric.Radix, s.Traffic.Seed); err != nil {
+	if _, err := sched.Factory(s.Fabric.Scheduler, s.Fabric.Radix, 0, s.Traffic.Seed); err != nil {
 		return err
 	}
 	if _, err := s.Traffic.trafficConfig(s.Fabric.Hosts); err != nil {

@@ -21,7 +21,6 @@ type Config struct {
 	MeanBurst    float64 // OnOff/MMPP/Pareto mean burst (dwell) length in slots
 	HotFraction  float64 // Hotspot fraction, required in (0, 1] for KindHotspot
 	HotPort      int     // Hotspot target, in [0, N)
-	Shift        int     // Shift permutation distance
 	Fanin        int     // Incast storm senders per epoch (0 = N/4, clamped to [1, N-1])
 	EpochSlots   uint64  // Incast epoch length in slots (0 = 512)
 	PhaseSlots   uint64  // collective phase/chunk length in slots (0 = 64)
@@ -154,11 +153,7 @@ func Build(cfg Config) ([]Generator, error) {
 	gens := make([]Generator, cfg.N)
 	var perm Permutation
 	if cfg.Kind == KindPermutation {
-		if cfg.Shift != 0 {
-			perm = NewShiftPermutation(cfg.N, cfg.Shift)
-		} else {
-			perm = NewRandomPermutation(cfg.N, root.Fork(9999))
-		}
+		perm = NewRandomPermutation(cfg.N, root.Fork(9999))
 	}
 	// The discretized Pareto burst mean is an O(paretoBurstCap) sum;
 	// compute it once and share it across ports (the Build-time state

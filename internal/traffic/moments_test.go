@@ -286,18 +286,45 @@ func TestDiagonalDestinationMarginal(t *testing.T) {
 	}
 }
 
-// TestPermutationDestinationMarginal: every output receives exactly one
-// input's traffic.
+// TestPermutationDestinationMarginal: under the random permutation
+// Build draws, every input sends to one fixed partner, no two inputs
+// share a partner, and every output receives exactly its one input's
+// count.
 func TestPermutationDestinationMarginal(t *testing.T) {
 	const n = 16
-	gens, err := Build(Config{Kind: KindPermutation, N: n, Load: 0.7, Shift: 5, Seed: 13})
+	gens, err := Build(Config{Kind: KindPermutation, N: n, Load: 0.7, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perPort, dst := measureAll(t, gens, 50_000)
-	for i := 0; i < n; i++ {
-		if dst[(i+5)%n] != perPort[i] {
-			t.Errorf("port %d: sent %d, partner received %d", i, perPort[i], dst[(i+5)%n])
+	partner := make([]int, n)
+	for i := range partner {
+		partner[i] = -1
+	}
+	perPort := make([]int, n)
+	dst := make([]int, n)
+	for s := uint64(0); s < 50_000; s++ {
+		for i, g := range gens {
+			a, ok := g.Next(s)
+			if !ok {
+				continue
+			}
+			if partner[i] < 0 {
+				partner[i] = a.Dst
+			} else if a.Dst != partner[i] {
+				t.Fatalf("port %d sent to %d after %d", i, a.Dst, partner[i])
+			}
+			perPort[i]++
+			dst[a.Dst]++
+		}
+	}
+	seen := make([]bool, n)
+	for i, d := range partner {
+		if d < 0 || seen[d] {
+			t.Fatalf("port %d: partner %d missing or shared", i, d)
+		}
+		seen[d] = true
+		if dst[d] != perPort[i] {
+			t.Errorf("port %d: sent %d, partner %d received %d", i, perPort[i], d, dst[d])
 		}
 	}
 }

@@ -97,15 +97,6 @@ type Permutation struct {
 	Partner []int
 }
 
-// NewShiftPermutation builds the classic shift-by-k permutation.
-func NewShiftPermutation(n, k int) Permutation {
-	p := Permutation{Partner: make([]int, n)}
-	for i := range p.Partner {
-		p.Partner[i] = (i + k) % n
-	}
-	return p
-}
-
 // NewRandomPermutation builds a random permutation with no fixed points
 // where possible (a derangement attempt; falls back after retries).
 func NewRandomPermutation(n int, rng *sim.RNG) Permutation {

@@ -68,15 +68,6 @@ func TestHotspotFraction(t *testing.T) {
 	}
 }
 
-func TestShiftPermutation(t *testing.T) {
-	p := NewShiftPermutation(8, 3)
-	for i := 0; i < 8; i++ {
-		if got := p.Pick(i, 0, nil); got != (i+3)%8 {
-			t.Errorf("shift perm: src %d -> %d", i, got)
-		}
-	}
-}
-
 func TestRandomPermutationProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%31) + 2
