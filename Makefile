@@ -49,12 +49,14 @@ perfbench:
 
 # Every fuzz target in the module, 10 s each: go test -fuzz takes one
 # target per run, so list them per package with go test -list. Plain
-# `go test` already replays each target's seed corpus.
+# `go test` already replays each target's seed corpus. Minimizing is
+# capped at 100 runs per new input: at Go's 60 s default a target with
+# a large seed spends its 10 s minimizing, not fuzzing.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz: $$pkg $$f"; \
-			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg || exit $$?; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s -fuzzminimizetime 100x $$pkg || exit $$?; \
 		done; \
 	done
 

@@ -24,8 +24,10 @@
 // writes for its value (no leading zeros or plus signs, no decimal
 // floats), so a checkpoint that decodes re-encodes byte for byte. The
 // trailing checksum line carries the FNV-1a 64-bit hash of every byte
-// that precedes it; Decoder.Close verifies it and rejects trailing
-// garbage.
+// that precedes it. NewDecoder reads its whole input and checks the
+// header, that trailer and the line endings before it returns, so a
+// damaged file is refused before any record builds state; only token
+// form, order and section structure are left to the record walk.
 //
 // Both Encoder and Decoder latch their first error: after a failure every
 // later call is a no-op (Encoder) or returns the same error (Decoder), so
@@ -35,7 +37,6 @@ package ckpt
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -64,13 +65,17 @@ const (
 )
 
 // fold returns h with every byte of s folded in.
-func fold[S string | []byte](h fnv64a, s S) fnv64a {
+func fold(h fnv64a, s string) fnv64a {
 	for i := 0; i < len(s); i++ {
 		h ^= fnv64a(s[i])
 		h *= fnvPrime64
 	}
 	return h
 }
+
+// trailer renders the checksum line for a file whose bytes before that
+// line hash to h; the line itself is not hashed.
+func (h fnv64a) trailer() string { return fmt.Sprintf("checksum %016x", uint64(h)) }
 
 // line folds s and its newline into the hash.
 func (h *fnv64a) line(s string) {
@@ -166,9 +171,7 @@ func (e *Encoder) Close() error {
 	if e.err != nil {
 		return e.err
 	}
-	// The checksum line covers everything before it and is not itself
-	// hashed.
-	if _, err := fmt.Fprintf(e.w, "checksum %016x\n", uint64(e.sum)); err != nil {
+	if _, err := e.w.WriteString(e.sum.trailer() + "\n"); err != nil {
 		e.err = err
 		return e.err
 	}
@@ -226,99 +229,81 @@ func validName(s string) bool {
 	return true
 }
 
-// Decoder reads a checkpoint stream written by Encoder. Reads are
-// strictly sequential: the caller asks for exactly the sections and
-// record keys it expects, in order, and any mismatch — wrong key, wrong
-// field count, malformed token, structural damage — is an error. Errors
-// latch; Close verifies the checksum trailer and clean EOF.
+// Decoder reads a checkpoint written by Encoder. NewDecoder reads its
+// whole input and checks the header, the checksum trailer and the line
+// endings before it returns, so no record reaches a caller from a
+// damaged file. Reads are then strictly sequential over the checked
+// lines: the caller asks for exactly the sections and record keys it
+// expects, in order, and any mismatch — wrong key, wrong field count,
+// malformed or non-canonical token — is an error. Errors latch; Close
+// requires every section closed and every line read.
 type Decoder struct {
-	r        *bufio.Reader
-	sum      fnv64a // every consumed line, newline included
+	body     string // the lines between the header and the trailer, each ending in a newline
+	pos      int    // offset in body of the next unread line
 	sections []string
-	peeked   *string // one-line lookahead (not yet hashed)
 	err      error
 }
 
-// NewDecoder wraps r and validates the version-2 header line.
+// NewDecoder reads r to the end and checks the version-2 header, the
+// checksum trailer over every byte before it, and that no line holds a
+// carriage return.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r), sum: fnvOffset64}
-	first, err := d.rawLine()
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: header: %w", err)
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, fmt.Errorf("ckpt: read: %w", err)
 	}
-	d.sum.line(first)
-	if first != header {
+	body, err := check(b.String())
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	return &Decoder{body: body}, nil
+}
+
+// check verifies a whole checkpoint's framing and returns the lines
+// between its header and its trailer.
+func check(text string) (string, error) {
+	if first, _, _ := strings.Cut(text, "\n"); first != header {
 		if strings.HasPrefix(first, magic+" ") {
-			return nil, fmt.Errorf("ckpt: unsupported version %q (this build reads v%d)", first, Version)
+			return "", fmt.Errorf("unsupported version %q (this build reads v%d)", first, Version)
 		}
-		return nil, fmt.Errorf("ckpt: not a checkpoint (header %q)", first)
+		return "", fmt.Errorf("not a checkpoint (header %q)", first)
 	}
-	return d, nil
+	if !strings.HasSuffix(text, "\n") {
+		return "", fmt.Errorf("checkpoint does not end with a newline")
+	}
+	if i := strings.IndexByte(text, '\r'); i >= 0 {
+		return "", fmt.Errorf("carriage return at byte %d", i)
+	}
+	i := strings.LastIndexByte(text[:len(text)-1], '\n') + 1
+	trailer := text[i : len(text)-1]
+	if !strings.HasPrefix(trailer, "checksum ") {
+		return "", fmt.Errorf("want checksum trailer, found %q", trailer)
+	}
+	if want := fold(fnvOffset64, text[:i]).trailer(); trailer != want {
+		return "", fmt.Errorf("checksum mismatch: file says %q, content hashes to %q", trailer, want)
+	}
+	return text[len(header)+1 : i], nil
 }
 
-// rawLine reads one line (without the newline). It does not hash and
-// does not consult the lookahead; hashing happens when the line is
-// consumed by next, so a peeked-but-unconsumed trailer never perturbs
-// the checksum Close captures.
-func (d *Decoder) rawLine() (string, error) {
-	s, err := d.r.ReadString('\n')
-	if err != nil {
-		if err == io.EOF && s != "" {
-			return "", fmt.Errorf("truncated line %q", s)
-		}
-		return "", err
-	}
-	s = s[:len(s)-1]
-	if strings.ContainsRune(s, '\r') {
-		return "", fmt.Errorf("carriage return in line %q", s)
-	}
-	return s, nil
-}
-
-// next returns the next line, consuming (and hashing) the lookahead if
-// present.
-func (d *Decoder) next() (string, error) {
-	if d.err != nil {
-		return "", d.err
-	}
-	if d.peeked != nil {
-		s := *d.peeked
-		d.peeked = nil
-		d.sum.line(s)
-		return s, nil
-	}
-	s, err := d.rawLine()
-	if err != nil {
-		if err == io.EOF {
-			d.err = fmt.Errorf("ckpt: unexpected end of checkpoint")
-		} else {
-			d.err = fmt.Errorf("ckpt: %w", err)
-		}
-		return "", d.err
-	}
-	d.sum.line(s)
-	return s, nil
-}
-
-// peek returns the next line without consuming it (and without folding
-// it into the checksum — that happens when next consumes it).
+// peek returns the next unread line without its newline.
 func (d *Decoder) peek() (string, error) {
 	if d.err != nil {
 		return "", d.err
 	}
-	if d.peeked == nil {
-		s, err := d.rawLine()
-		if err != nil {
-			if err == io.EOF {
-				d.err = fmt.Errorf("ckpt: unexpected end of checkpoint")
-			} else {
-				d.err = fmt.Errorf("ckpt: %w", err)
-			}
-			return "", d.err
-		}
-		d.peeked = &s
+	if d.pos == len(d.body) {
+		return "", d.fail("unexpected end of checkpoint")
 	}
-	return *d.peeked, nil
+	rest := d.body[d.pos:]
+	return rest[:strings.IndexByte(rest, '\n')], nil
+}
+
+// next consumes and returns the next line.
+func (d *Decoder) next() (string, error) {
+	s, err := d.peek()
+	if err == nil {
+		d.pos += len(s) + 1
+	}
+	return s, err
 }
 
 // fail latches and returns a decode error.
@@ -379,7 +364,7 @@ func (d *Decoder) PeekKey() string {
 	}
 	key, _, _ := strings.Cut(line, " ")
 	switch key {
-	case "begin", "end", "checksum":
+	case "begin", "end":
 		return ""
 	}
 	return key
@@ -407,8 +392,8 @@ func (d *Decoder) Record(key string) *Rec {
 	return rec
 }
 
-// Close consumes the checksum trailer, verifies it, and requires clean
-// EOF after it.
+// Close requires every section closed and every line before the
+// checksum trailer read.
 func (d *Decoder) Close() error {
 	if d.err != nil {
 		return d.err
@@ -416,52 +401,9 @@ func (d *Decoder) Close() error {
 	if len(d.sections) != 0 {
 		return d.fail("Close with section %q still open", d.sections[len(d.sections)-1])
 	}
-	want := d.sum // state before the trailer line is hashed
-	line, err := d.next()
-	if err != nil {
-		return err
-	}
-	if err := checkTrailer(line, want); err != nil {
-		return d.fail("%v", err)
-	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return d.fail("trailing bytes after checksum")
-	}
-	return nil
-}
-
-// checkTrailer requires line to be the checksum trailer carrying want,
-// the hash of everything before it.
-func checkTrailer(line string, want fnv64a) error {
-	fields := strings.Fields(line)
-	if len(fields) != 2 || fields[0] != "checksum" {
-		return fmt.Errorf("want checksum trailer, found %q", line)
-	}
-	got, err := strconv.ParseUint(fields[1], 16, 64)
-	if err != nil || len(fields[1]) != 16 {
-		return fmt.Errorf("malformed checksum %q", fields[1])
-	}
-	if got != uint64(want) {
-		return fmt.Errorf("checksum mismatch: file says %016x, content hashes to %016x", got, uint64(want))
-	}
-	return nil
-}
-
-// Verify checks a whole in-memory checkpoint's version header and
-// checksum trailer without decoding a record, so a caller can refuse a
-// damaged file before building the state its records restore into. A
-// file that verifies still needs its Decoder walk, which checks
-// everything else.
-func Verify(data []byte) error {
-	if _, err := NewDecoder(bytes.NewReader(data)); err != nil {
-		return err
-	}
-	if data[len(data)-1] != '\n' {
-		return fmt.Errorf("ckpt: checkpoint does not end with a newline")
-	}
-	i := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
-	if err := checkTrailer(string(data[i:len(data)-1]), fold(fnvOffset64, data[:i])); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
+	if d.pos != len(d.body) {
+		line, _ := d.peek()
+		return d.fail("unread line %q before the checksum", line)
 	}
 	return nil
 }

@@ -233,6 +233,11 @@ func TestCorruptionRejection(t *testing.T) {
 		t.Fatalf("control: valid checkpoint rejected: %v", err)
 	}
 
+	body, sum, _ := strings.Cut(good, "checksum ")
+	sum = strings.TrimSuffix(sum, "\n")
+	if strings.ToUpper(sum) == sum {
+		t.Fatalf("sample checksum %s has no hex letter to upper-case", sum)
+	}
 	cases := []struct {
 		name string
 		text string
@@ -246,7 +251,9 @@ func TestCorruptionRejection(t *testing.T) {
 		{"no final newline", strings.TrimSuffix(good, "\n")},
 		{"flipped value bit", strings.Replace(good, "12345", "12344", 1)},
 		{"edited then stale checksum", strings.Replace(good, "slot 12345", "slot 99999", 1)},
-		{"malformed checksum", good[:strings.LastIndex(good, "checksum")] + "checksum zzzz\n"},
+		{"malformed checksum", body + "checksum zzzz\n"},
+		{"uppercase checksum", body + "checksum " + strings.ToUpper(sum) + "\n"},
+		{"spaced checksum", body + "checksum  " + sum + "\n"},
 		{"trailing garbage", good + "extra\n"},
 		{"reordered records", swapLines(good, 2, 4)},
 		{"duplicated record", strings.Replace(good, "begin stats\n", "begin stats\nbegin stats\n", 1)},
@@ -256,17 +263,11 @@ func TestCorruptionRejection(t *testing.T) {
 		{"missing field", strings.Replace(good, "slot 12345 1", "slot 12345", 1)},
 		{"extra field", strings.Replace(good, "slot 12345 1", "slot 12345 1 7", 1)},
 	}
-	if err := Verify([]byte(good)); err != nil {
-		t.Fatalf("control: Verify rejected a valid checkpoint: %v", err)
-	}
 	for _, tc := range cases {
-		if err := consume(tc.text); err == nil {
-			t.Errorf("%s: corruption accepted", tc.name)
-		}
 		// Every case damages the bytes under the checksum or the
-		// framing around it, so Verify alone refuses it.
-		if err := Verify([]byte(tc.text)); err == nil {
-			t.Errorf("%s: corruption passed Verify", tc.name)
+		// framing around it, so NewDecoder refuses it before any record.
+		if _, err := NewDecoder(strings.NewReader(tc.text)); err == nil {
+			t.Errorf("%s: corruption passed NewDecoder", tc.name)
 		}
 	}
 
@@ -286,12 +287,12 @@ func TestCorruptionRejection(t *testing.T) {
 		{"escaped letter", `"hello`, `"\x68ello`},
 	} {
 		forged := resum(strings.Replace(good, tc.old, tc.new, 1))
+		// NewDecoder reads no record: the walk is what refuses these.
+		if _, err := NewDecoder(strings.NewReader(forged)); err != nil {
+			t.Errorf("%s: NewDecoder rejected a re-checksummed file: %v", tc.name, err)
+		}
 		if err := consume(forged); err == nil {
 			t.Errorf("%s: non-canonical token accepted", tc.name)
-		}
-		// Verify reads no record: the decoder walk is what refuses these.
-		if err := Verify([]byte(forged)); err != nil {
-			t.Errorf("%s: Verify rejected a re-checksummed file: %v", tc.name, err)
 		}
 	}
 }
@@ -380,6 +381,24 @@ func TestQuoteNeverEmitsSeparators(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatalf("Quote(%q): decode close: %v", s, err)
 		}
+	}
+}
+
+// TestCloseRequiresEveryLine: a reader that stops before the trailer
+// has not restored what the file holds, so Close refuses.
+func TestCloseRequiresEveryLine(t *testing.T) {
+	d, err := NewDecoder(strings.NewReader(writeSample(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = d.Begin("clock")
+	r := d.Record("slot")
+	_, _ = r.Uint(), r.Bool()
+	if err := d.End("clock"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err == nil || !strings.Contains(err.Error(), "begin stats") {
+		t.Errorf("Close with the stats section unread: %v", err)
 	}
 }
 

@@ -11,13 +11,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("ablation-flppr-k", "Ablation: FLPPR sub-scheduler count vs delay and throughput", runAblationFLPPRK)
-	mustRegister("ablation-islip-iters", "Ablation: iSLIP iteration count under non-uniform traffic", runAblationISLIPIters)
-	mustRegister("ablation-receivers", "Ablation: receiver count per egress beyond dual", runAblationReceivers)
-	mustRegister("ablation-credits", "Ablation: inter-stage buffer depth vs the deterministic-RTT bound", runAblationCredits)
-}
-
 // runAblationFLPPRK sweeps the FLPPR parallelism K: K=log2(N) is the
 // paper's choice; fewer sub-schedulers lose matching quality at load,
 // more add no grant-latency benefit.

@@ -10,10 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("bvn", "SVI.D: load-balanced Birkhoff-von Neumann switch vs OSMOSIS", runBvN)
-}
-
 // runBvN reproduces the §VI.D comparison: the load-balanced BvN switch
 // scales without a central scheduler but pays ~N/2 slots of latency even
 // unloaded and reorders flows, while OSMOSIS delivers single-cell

@@ -10,10 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("container", "SII/SVI.D: burst/container switching latency vs OSMOSIS per-cell scheduling", runContainer)
-}
-
 // runContainer reproduces the paper's dismissal of burst (envelope /
 // container) switching for HPC: relaxing the scheduler by aggregating B
 // cells per arbitration pushes even the unloaded latency to the

@@ -8,10 +8,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("control-rtt", "ref [18]/SIV.A: scheduling latency vs adapter-to-scheduler distance", runControlRTT)
-}
-
 // runControlRTT reproduces the argument behind buffer placement option 3
 // (and ref [18], "Performance of i-SLIP scheduling with large round-trip
 // latency"): every cycle of request/grant round trip between the VOQs

@@ -10,10 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("deflect", "SII: Data-Vortex-style deflection routing vs buffered VOQ switching", runDeflect)
-}
-
 // runDeflect reproduces the paper's assessment of deflection routing
 // (ref [10]): keeping contention resolution all-optical scales to high
 // port counts but "has limited throughput per port", and (implicitly,

@@ -4,14 +4,13 @@
 // set of headline findings ("who wins, by what factor, where the
 // crossover falls") that the tests and EXPERIMENTS.md assert against.
 //
-// The same registry backs the cmd/experiments binary and the repo-level
+// The same table backs the cmd/experiments binary and the repo-level
 // benchmarks: benches call Run with Quick=true for reduced windows.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -122,57 +121,46 @@ type Experiment struct {
 	Run   func(RunConfig) (*Result, error)
 }
 
-var registry = map[string]Experiment{}
-
-// canonical fixes the presentation order: paper order first, then the
-// ablations. Unlisted experiments sort after these by ID.
-var canonical = []string{
-	"table1", "fig1", "fig2", "fig4", "fig6", "fig7", "fig10",
-	"stages", "stages-sim", "power", "scaling", "snf", "guard", "tech", "fec", "bvn", "container", "deflect", "control-rtt", "faults", "workloads",
-	"ablation-flppr-k", "ablation-islip-iters", "ablation-receivers", "ablation-credits", "ablation-interleave",
-}
-
-// mustRegister adds an experiment to the registry and panics on a
-// duplicate ID. It is called only from package init functions, where a
-// duplicate is a programmer error caught by the cheapest smoke test.
-func mustRegister(id, title string, run func(RunConfig) (*Result, error)) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = Experiment{ID: id, Title: title, Run: run}
-}
-
-func rank(id string) int {
-	for i, c := range canonical {
-		if c == id {
-			return i
-		}
-	}
-	return len(canonical)
+// experiments lists every experiment in paper order, then the
+// ablations.
+var experiments = []Experiment{
+	{ID: "table1", Title: "Table 1: key HPC fabric requirements, verified on the ASIC-target OSMOSIS switch", Run: runTable1},
+	{ID: "fig1", Title: "Fig. 1: control and data latency of a single-stage centrally scheduled fabric vs machine-room size", Run: runFig1},
+	{ID: "fig2", Title: "Fig. 2: buffer placement options around the optical crossbar", Run: runFig2},
+	{ID: "fig4", Title: "Figs. 3/4: local and remote flow-control loops with input buffers only", Run: runFig4},
+	{ID: "fig6", Title: "Fig. 6: FLPPR request-to-grant latency vs prior art", Run: runFig6},
+	{ID: "fig7", Title: "Fig. 7: OSMOSIS delay versus throughput, single vs dual receiver", Run: runFig7},
+	{ID: "fig10", Title: "Fig. 10: OSNR penalty vs SOA input power for DPSK and NRZ", Run: runFig10},
+	{ID: "stages", Title: "SVI.C: stage counts and OEO savings for a 2048-port fabric", Run: runStages},
+	{ID: "stages-sim", Title: "SVI.C simulated: end-to-end latency of 3-stage vs 5-stage vs 9-stage fabrics", Run: runStagesSim},
+	{ID: "power", Title: "SI/SVII: power scaling — CMOS vs SOA switching", Run: runPower},
+	{ID: "scaling", Title: "SVII: OSMOSIS scaling outlook vs the electronic single-stage limit", Run: runScaling},
+	{ID: "snf", Title: "SIV: store-and-forward penalty vs packet size", Run: runSNF},
+	{ID: "guard", Title: "SIV.C/SV: guard time vs effective user bandwidth", Run: runGuard},
+	{ID: "tech", Title: "SII/SIV.C: optical switching technology selection by guard time", Run: runTechSelect},
+	{ID: "fec", Title: "SIV.C/SV: FEC and retransmission error budget", Run: runFEC},
+	{ID: "bvn", Title: "SVI.D: load-balanced Birkhoff-von Neumann switch vs OSMOSIS", Run: runBvN},
+	{ID: "container", Title: "SII/SVI.D: burst/container switching latency vs OSMOSIS per-cell scheduling", Run: runContainer},
+	{ID: "deflect", Title: "SII: Data-Vortex-style deflection routing vs buffered VOQ switching", Run: runDeflect},
+	{ID: "control-rtt", Title: "ref [18]/SIV.A: scheduling latency vs adapter-to-scheduler distance", Run: runControlRTT},
+	{ID: "faults", Title: "Graceful degradation under deterministic fault injection", Run: runFaults},
+	{ID: "workloads", Title: "Workload arena: schedulers x traffic kinds", Run: runWorkloads},
+	{ID: "ablation-flppr-k", Title: "Ablation: FLPPR sub-scheduler count vs delay and throughput", Run: runAblationFLPPRK},
+	{ID: "ablation-islip-iters", Title: "Ablation: iSLIP iteration count under non-uniform traffic", Run: runAblationISLIPIters},
+	{ID: "ablation-receivers", Title: "Ablation: receiver count per egress beyond dual", Run: runAblationReceivers},
+	{ID: "ablation-credits", Title: "Ablation: inter-stage buffer depth vs the deterministic-RTT bound", Run: runAblationCredits},
+	{ID: "ablation-interleave", Title: "Ablation: FEC interleaving depth vs burst-error survival", Run: runAblationInterleave},
 }
 
 // All lists the experiments in paper order.
 func All() []Experiment {
-	ids := make([]string, 0, len(registry))
-	for id := range registry { //lint:ignore determinism keys are sorted before use
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]Experiment, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, registry[id])
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return rank(out[i].ID) < rank(out[j].ID)
-	})
-	return out
+	return append([]Experiment(nil), experiments...)
 }
 
 // IDs lists the experiment IDs in paper order.
 func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, e := range all {
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
 		out[i] = e.ID
 	}
 	return out
@@ -180,9 +168,10 @@ func IDs() []string {
 
 // ByID finds one experiment.
 func ByID(id string) (Experiment, error) {
-	e, ok := registry[id]
-	if !ok {
-		return Experiment{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, nil
+		}
 	}
-	return e, nil
+	return Experiment{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 }

@@ -16,10 +16,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	mustRegister("faults", "Graceful degradation under deterministic fault injection", runFaults)
-}
-
 // runFaults measures how the reliability stack the paper's viability
 // argument rests on (§IV, §VI) actually degrades when components fail:
 //

@@ -9,10 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("fec", "SIV.C/SV: FEC and retransmission error budget", runFEC)
-}
-
 // runFEC regenerates the two-tier reliability budget of §IV.C: the
 // (272,256,3) GF(2^8) code takes the raw optical BER (1e-10..1e-12) to a
 // user BER better than ~1e-17, and hop-by-hop retransmission of detected

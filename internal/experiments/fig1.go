@@ -8,10 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	mustRegister("fig1", "Fig. 1: control and data latency of a single-stage centrally scheduled fabric vs machine-room size", runFig1)
-}
-
 // runFig1 sweeps the machine-room diameter and compares the 2-RTT
 // single-stage latency against the multistage store-and-forward fabric
 // and the paper's 500 ns budget, locating the structural conclusion:

@@ -8,10 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	mustRegister("fig10", "Fig. 10: OSNR penalty vs SOA input power for DPSK and NRZ", runFig10)
-}
-
 // runFig10 regenerates the four curves of Fig. 10 from the XGM
 // saturation model: OSNR penalty against SOA input power for NRZ and
 // DPSK at BER targets 1e-6 and 1e-10. Paper: 14 dB input-loading

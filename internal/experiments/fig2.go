@@ -8,10 +8,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("fig2", "Fig. 2: buffer placement options around the optical crossbar", runFig2)
-}
-
 // oeoPerStage counts opto-electronic conversion pairs per switch stage
 // for the three §IV.A placements: option 1 buffers at inputs AND
 // outputs (two O/E-E/O pairs per port per stage), options 2 and 3 one.

@@ -9,10 +9,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("fig4", "Figs. 3/4: local and remote flow-control loops with input buffers only", runFig4)
-}
-
 // runFig4 stresses the scheduler-relayed remote flow control of SIV.B:
 // a fat tree whose inter-stage input buffers are protected only by
 // credits held at the upstream schedulers, driven with a concentrated

@@ -9,10 +9,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("fig6", "Fig. 6: FLPPR request-to-grant latency vs prior art", runFig6)
-}
-
 // runFig6 measures the request-to-grant latency (VOQ waiting time in
 // packet cycles) of the FLPPR scheduler against the pipelined prior art
 // on a 64-port switch across light-to-moderate loads. Paper: FLPPR

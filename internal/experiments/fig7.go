@@ -7,10 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("fig7", "Fig. 7: OSMOSIS delay versus throughput, single vs dual receiver", runFig7)
-}
-
 // runFig7 regenerates the delay-versus-load curves of Fig. 7 on the
 // 64-port demonstrator configuration: FLPPR with a single receiver per
 // egress, with the dual-receiver broadcast-and-select option, and the

@@ -9,10 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister("ablation-interleave", "Ablation: FEC interleaving depth vs burst-error survival", runAblationInterleave)
-}
-
 // runAblationInterleave measures how many FEC blocks survive wire
 // bursts of increasing length as the interleaving depth grows: a depth-D
 // interleaver spreads a D-symbol burst across D blocks (one symbol

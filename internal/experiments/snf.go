@@ -10,11 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	mustRegister("snf", "SIV: store-and-forward penalty vs packet size", runSNF)
-	mustRegister("guard", "SIV.C/SV: guard time vs effective user bandwidth", runGuard)
-}
-
 // runSNF quantifies the §IV argument that made store-and-forward
 // acceptable: at 12 GByte/s a 64-byte packet stores in 5.33 ns, so even
 // several stages of buffering vanish against the 250 ns cable budget.

@@ -9,12 +9,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	mustRegister("stages", "SVI.C: stage counts and OEO savings for a 2048-port fabric", runStages)
-	mustRegister("power", "SI/SVII: power scaling — CMOS vs SOA switching", runPower)
-	mustRegister("scaling", "SVII: OSMOSIS scaling outlook vs the electronic single-stage limit", runScaling)
-}
-
 // runStages reproduces the §VI.C comparison: a 2048-port fabric needs 3
 // OSMOSIS stages, 5 high-end electronic stages, or 9 commodity stages,
 // and the hybrid saves two OEO layers versus the high-end electronic

@@ -8,10 +8,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("stages-sim", "SVI.C simulated: end-to-end latency of 3-stage vs 5-stage vs 9-stage fabrics", runStagesSim)
-}
-
 // runStagesSim backs the analytic §VI.C stage-count table with full
 // simulations: the same 64-host machine built three ways — a 3-stage
 // tree of radix-16 switches (the OSMOSIS shape), a 5-stage tree of

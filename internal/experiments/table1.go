@@ -6,10 +6,6 @@ import (
 	"repro/internal/core"
 )
 
-func init() {
-	mustRegister("table1", "Table 1: key HPC fabric requirements, verified on the ASIC-target OSMOSIS switch", runTable1)
-}
-
 // runTable1 runs the OSMOSIS switch at the commercialization target
 // (IB 12x QDR ports, per §VII) near saturation and at light load, then
 // scores every Table-1 requirement.

@@ -8,10 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-func init() {
-	mustRegister("tech", "SII/SIV.C: optical switching technology selection by guard time", runTechSelect)
-}
-
 // switchTech is one optical switching technology from §II with its
 // state-change time.
 type switchTech struct {

@@ -20,10 +20,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	mustRegister("workloads", "Workload arena: schedulers x traffic kinds", runWorkloads)
-}
-
 // arenaN is the arena's port count: big enough for the collectives'
 // structure (a 5-level binary tree, 8-wide incast) while keeping the
 // 4x12 combo sweep cheap.

@@ -114,7 +114,7 @@ func (s *Session) SaveState(e *ckpt.Encoder) {
 
 // ResumeSessionState reads a "session" section from an open decoder —
 // the counterpart of SaveState for embedding formats. The caller owns
-// the decoder's trailer (Close) and any surrounding framing.
+// the decoder's Close and any surrounding framing.
 func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*Session, error) {
 	if len(gens) != f.cfg.Network.Hosts {
 		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Network.Hosts)

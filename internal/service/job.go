@@ -247,15 +247,12 @@ func finishJobDecode(d *ckpt.Decoder) error {
 }
 
 // parseJobCheckpoint validates a full checkpoint upload and returns its
-// header. The checksum is checked first, over the bytes in memory, so
+// header. NewDecoder checks the checksum before any record is read, so
 // a damaged upload costs no engine build. For running-phase checkpoints
 // the session payload is then decoded against a freshly built engine —
 // a full dry run of the restore — so a corrupt or mismatched upload is
 // rejected at the HTTP boundary, not on a pool worker hours later.
 func parseJobCheckpoint(data []byte) (*jobHeader, error) {
-	if err := ckpt.Verify(data); err != nil {
-		return nil, err
-	}
 	d, err := ckpt.NewDecoder(bytes.NewReader(data))
 	if err != nil {
 		return nil, err

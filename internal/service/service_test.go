@@ -609,10 +609,10 @@ func TestSchedParamRejected(t *testing.T) {
 // cancels it. The returned forge rewrites the snapshot's first line
 // starting with prefix and recomputes the checksum trailer over the
 // edited body, so the edit reaches the section decoders.
-func hostileSnapshot(t *testing.T, seed uint64) (forge func(prefix string, edit func(fields []string)) []byte) {
+func hostileSnapshot(t *testing.T, donor JobSpec) (forge func(prefix string, edit func(fields []string)) []byte) {
 	t.Helper()
 	_, hsSlow := testServer(t, blockerOptions)
-	id := submit(t, hsSlow.URL, endlessSpec("hostile-donor", seed))
+	id := submit(t, hsSlow.URL, donor)
 	deadline := time.Now().Add(30 * time.Second)
 	for st := status(t, hsSlow.URL, id); st.Slot < 300; st = status(t, hsSlow.URL, id) {
 		if st.State != stateQueued && st.State != stateRunning || time.Now().After(deadline) {
@@ -655,7 +655,7 @@ func hostileSnapshot(t *testing.T, seed uint64) (forge func(prefix string, edit 
 // histogram decoder refuses the count with a 400, and the daemon keeps
 // serving.
 func TestHostileCheckpointCountRejected(t *testing.T) {
-	forge := hostileSnapshot(t, 56)
+	forge := hostileSnapshot(t, endlessSpec("hostile-donor", 56))
 	_, hs := testServer(t, Options{})
 	hostile := forge("bin ", func(f []string) { f[2] = "4611686018427387904" })
 	if code, data := postJSON(t, hs.URL+"/v1/restore", hostile); code != http.StatusBadRequest {
@@ -667,6 +667,25 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 	waitState(t, hs.URL, submit(t, hs.URL, smallSpec("after", 57)), stateDone)
 }
 
+// TestHostileCheckpointDwellRejected: a live bursty job's checkpoint
+// whose first ON/OFF generator claims a negative dwell counter, behind
+// a recomputed checksum. Restored, that port would send every slot for
+// good; the generator decoder refuses it with a 400, and the daemon
+// keeps serving.
+func TestHostileCheckpointDwellRejected(t *testing.T) {
+	donor := endlessSpec("hostile-donor", 59)
+	donor.Traffic.Kind, donor.Traffic.MeanBurst = "bursty", 8
+	forge := hostileSnapshot(t, donor)
+	_, hs := testServer(t, Options{})
+	hostile := forge("burst ", func(f []string) { f[1], f[2] = "1", "-1" })
+	if code, data := postJSON(t, hs.URL+"/v1/restore", hostile); code != http.StatusBadRequest {
+		t.Fatalf("negative dwell: HTTP %d (want 400): %s", code, data)
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile restore: HTTP %d: %s", code, data)
+	}
+}
+
 // TestHostileCheckpointFlowRejected: a live job's checkpoint whose
 // first allocator source counter claims 2^32 or 2^32+1, past what the
 // 32-bit counters hold and what any timeline within
@@ -674,7 +693,7 @@ func TestHostileCheckpointCountRejected(t *testing.T) {
 // restore as a plausible count of 1). The decoder refuses both with a
 // 400, and the daemon keeps serving.
 func TestHostileCheckpointFlowRejected(t *testing.T) {
-	forge := hostileSnapshot(t, 58)
+	forge := hostileSnapshot(t, endlessSpec("hostile-donor", 58))
 	_, hs := testServer(t, Options{})
 	for _, count := range []string{"4294967296", "4294967297"} {
 		hostile := forge("source ", func(f []string) { f[2] = count })

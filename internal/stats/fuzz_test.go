@@ -63,7 +63,7 @@ func FuzzLatencyLoadState(f *testing.F) {
 		in := withChecksum(body)
 		d, err := ckpt.NewDecoder(strings.NewReader(in))
 		if err != nil {
-			t.Fatal(err)
+			return // a carriage return, or a body without its final newline
 		}
 		var got LatencySample
 		if err := got.LoadState(d); err != nil {

@@ -41,6 +41,16 @@ func loadRNG(d *ckpt.Decoder, r *sim.RNG) error {
 	return r.Restore(st)
 }
 
+// checkDwell refuses a negative dwell counter: Next draws a new dwell
+// only when the counter reaches zero, so a negative one would hold the
+// generator in its current state for good.
+func checkDwell(kind string, remaining int) error {
+	if remaining < 0 {
+		return fmt.Errorf("traffic: %s checkpoint dwell counter %d is negative", kind, remaining)
+	}
+	return nil
+}
+
 // SaveState implements StateCodec.
 func (b *Bernoulli) SaveState(e *ckpt.Encoder) {
 	e.Begin("gen-bernoulli")
@@ -78,6 +88,9 @@ func (o *OnOff) LoadState(d *ckpt.Decoder) error {
 	r := d.Record("burst")
 	o.on, o.remaining, o.burstDst = r.Bool(), r.IntAsInt(), r.IntAsInt()
 	if err := r.Done(); err != nil {
+		return err
+	}
+	if err := checkDwell("gen-onoff", o.remaining); err != nil {
 		return err
 	}
 	return d.End("gen-onoff")
@@ -162,6 +175,9 @@ func (m *MMPP) LoadState(d *ckpt.Decoder) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
+	if err := checkDwell("gen-mmpp", m.remaining); err != nil {
+		return err
+	}
 	return d.End("gen-mmpp")
 }
 
@@ -185,6 +201,9 @@ func (p *ParetoOnOff) LoadState(d *ckpt.Decoder) error {
 	r := d.Record("burst")
 	p.on, p.remaining, p.burstDst = r.Bool(), r.IntAsInt(), r.IntAsInt()
 	if err := r.Done(); err != nil {
+		return err
+	}
+	if err := checkDwell("gen-pareto", p.remaining); err != nil {
 		return err
 	}
 	return d.End("gen-pareto")

@@ -117,3 +117,50 @@ func TestGeneratorCheckpointKindMismatch(t *testing.T) {
 		t.Fatal("bursty checkpoint restored into a Bernoulli generator")
 	}
 }
+
+// TestGeneratorRejectsNegativeDwell: a checkpoint whose ON/OFF or MMPP
+// dwell counter is negative, behind a recomputed checksum, is refused.
+// Next draws a new dwell only when the counter reaches zero, so such a
+// generator would stay in one state for good (an ON source sending
+// every slot, an MMPP stuck high).
+func TestGeneratorRejectsNegativeDwell(t *testing.T) {
+	for _, tc := range []struct {
+		cfg        Config
+		line, edit string
+	}{
+		{Config{Kind: KindBursty, N: 4, Load: 0.1, MeanBurst: 8, Seed: 1}, "burst ", "burst 1 -1 0"},
+		{Config{Kind: KindMMPP, N: 4, Load: 0.1, MeanBurst: 8, Seed: 2}, "dwell ", "dwell 1 -1"},
+		{Config{Kind: KindParetoOnOff, N: 4, Load: 0.1, MeanBurst: 8, ParetoAlpha: 1.6, Seed: 3}, "burst ", "burst 1 -1 0"},
+	} {
+		gens, err := Build(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		e := ckpt.NewEncoder(&buf)
+		gens[0].(StateCodec).SaveState(e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		body := text[strings.Index(text, "\n")+1 : strings.LastIndex(text, "checksum ")]
+		i := strings.Index(body, "\n"+tc.line) + 1
+		if i == 0 {
+			t.Fatalf("%v: checkpoint has no %q line:\n%s", tc.cfg.Kind, tc.line, text)
+		}
+		j := i + strings.Index(body[i:], "\n")
+		load := func(body string) error {
+			d, err := ckpt.NewDecoder(strings.NewReader(sealTrace(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gens[0].(StateCodec).LoadState(d)
+		}
+		if err := load(body); err != nil {
+			t.Errorf("%v: control checkpoint rejected: %v", tc.cfg.Kind, err)
+		}
+		if err := load(body[:i] + tc.edit + body[j:]); err == nil {
+			t.Errorf("%v: %q accepted", tc.cfg.Kind, tc.edit)
+		}
+	}
+}

@@ -80,10 +80,11 @@ func (t *Trace) Write(w io.Writer) error {
 	return e.Close()
 }
 
-// ReadTrace parses a trace written by Write, validating the container
-// (canonical tokens, checksum, clean end of file), the field ranges and
-// the (slot, port) ordering. A file in the retired osmosis-trace v1
-// format is refused.
+// ReadTrace parses a trace written by Write. It reads r to the end and
+// checks the container's header and checksum before it parses an event,
+// so a damaged file builds no trace; the event walk then checks
+// canonical tokens, the field ranges and the (slot, port) ordering. A
+// file in the retired osmosis-trace v1 format is refused.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	if head, _ := br.Peek(len("osmosis-trace ")); string(head) == "osmosis-trace " {
