@@ -55,21 +55,19 @@ func latencyState(t *testing.T, s *stats.LatencySample) (uint64, [4]float64, []l
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Begin("latency"); err != nil {
-		t.Fatal(err)
-	}
+	d.Begin("latency")
 	rec := d.Record("running")
 	n, moments := rec.Uint(), [4]float64{rec.Float(), rec.Float(), rec.Float(), rec.Float()}
-	if err := rec.Done(); err != nil {
-		t.Fatal(err)
-	}
+	rec.Done()
 	var bins []latencyBin
 	for !d.AtEnd("latency") {
 		r := d.Record("bin")
 		bins = append(bins, latencyBin{v: units.Time(r.Int()), n: r.Uint()})
-		if err := r.Done(); err != nil {
-			t.Fatal(err)
-		}
+		r.Done()
+	}
+	d.End("latency")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return n, moments, bins
 }

@@ -30,9 +30,13 @@
 // form, order and section structure are left to the record walk.
 //
 // Both Encoder and Decoder latch their first error: after a failure every
-// later call is a no-op (Encoder) or returns the same error (Decoder), so
-// call sites chain reads and writes without per-line checks and inspect
-// the error once, at Close.
+// later call is a no-op, so call sites chain writes and reads without
+// per-line checks, add their own checks through Fail, and inspect the
+// error once, at Close (or Err). A decode error names the file line it
+// was found on. Range checks live in the read itself: a bounded read
+// (Rec.IntIn, Rec.UintIn, Rec.Count) checks the full 64-bit token and,
+// on failure or after an earlier one, returns an in-range value, so a
+// forged number never reaches an index, a loop bound or an allocation.
 package ckpt
 
 import (
@@ -235,11 +239,19 @@ func validName(s string) bool {
 // damaged file. Reads are then strictly sequential over the checked
 // lines: the caller asks for exactly the sections and record keys it
 // expects, in order, and any mismatch — wrong key, wrong field count,
-// malformed or non-canonical token — is an error. Errors latch; Close
-// requires every section closed and every line read.
+// malformed, non-canonical or out-of-range token — is an error.
+//
+// Errors latch, as on Encoder: Begin, End and Rec.Done return nothing,
+// the first error wins, and every later read is a no-op returning a
+// zero (or, for a bounded read, an in-range) value. Fail latches a
+// caller's own check. Every error names the file line it was found on.
+// A reader that builds something reads the error once, from Close or
+// Err; Close also requires every section closed and every line read.
 type Decoder struct {
 	body     string // the lines between the header and the trailer, each ending in a newline
 	pos      int    // offset in body of the next unread line
+	line     int    // file line number of the last line consumed; the header is line 1
+	last     int    // file line number of the last line before the trailer
 	sections []string
 	err      error
 }
@@ -256,7 +268,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return &Decoder{body: body}, nil
+	return &Decoder{body: body, line: 1, last: 1 + strings.Count(body, "\n")}, nil
 }
 
 // check verifies a whole checkpoint's framing and returns the lines
@@ -285,81 +297,94 @@ func check(text string) (string, error) {
 	return text[len(header)+1 : i], nil
 }
 
-// peek returns the next unread line without its newline.
-func (d *Decoder) peek() (string, error) {
+// failAt latches a decode error found on file line n.
+func (d *Decoder) failAt(n int, format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("ckpt: line %d: %s", n, fmt.Sprintf(format, args...))
+	}
+}
+
+// Fail latches a caller-side check against the line just read (a field
+// that disagrees with the live shape, a record out of order); the decode
+// is poisoned and Err and Close report it. The first error wins, and a
+// nil err is ignored.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil && err != nil {
+		d.err = fmt.Errorf("ckpt: line %d: %w", d.line, err)
+	}
+}
+
+// Err reports the latched error, if any, without closing.
+func (d *Decoder) Err() error { return d.err }
+
+// peek returns the next unread line without its newline; false once an
+// error is latched or when no line is left (which latches one).
+func (d *Decoder) peek() (string, bool) {
 	if d.err != nil {
-		return "", d.err
+		return "", false
 	}
 	if d.pos == len(d.body) {
-		return "", d.fail("unexpected end of checkpoint")
+		d.failAt(d.line+1, "unexpected end of checkpoint")
+		return "", false
 	}
 	rest := d.body[d.pos:]
-	return rest[:strings.IndexByte(rest, '\n')], nil
+	return rest[:strings.IndexByte(rest, '\n')], true
 }
 
 // next consumes and returns the next line.
-func (d *Decoder) next() (string, error) {
-	s, err := d.peek()
-	if err == nil {
+func (d *Decoder) next() (string, bool) {
+	s, ok := d.peek()
+	if ok {
 		d.pos += len(s) + 1
+		d.line++
 	}
-	return s, err
-}
-
-// fail latches and returns a decode error.
-func (d *Decoder) fail(format string, args ...any) error {
-	if d.err == nil {
-		d.err = fmt.Errorf("ckpt: "+format, args...)
-	}
-	return d.err
+	return s, ok
 }
 
 // Begin consumes the opening line of the named section.
-func (d *Decoder) Begin(section string) error {
-	line, err := d.next()
-	if err != nil {
-		return err
+func (d *Decoder) Begin(section string) {
+	line, ok := d.next()
+	if !ok {
+		return
 	}
 	if line != "begin "+section {
-		return d.fail("want %q, found %q", "begin "+section, line)
+		d.failAt(d.line, "want %q, found %q", "begin "+section, line)
+		return
 	}
 	d.sections = append(d.sections, section)
-	return nil
 }
 
 // End consumes the closing line of the named section, which must be the
 // innermost open one.
-func (d *Decoder) End(section string) error {
-	line, err := d.next()
-	if err != nil {
-		return err
+func (d *Decoder) End(section string) {
+	line, ok := d.next()
+	if !ok {
+		return
 	}
-	if len(d.sections) == 0 || d.sections[len(d.sections)-1] != section {
-		return d.fail("End(%q) does not match open section", section)
+	switch {
+	case len(d.sections) == 0 || d.sections[len(d.sections)-1] != section:
+		d.failAt(d.line, "End(%q) does not match open section", section)
+	case line != "end "+section:
+		d.failAt(d.line, "want %q, found %q", "end "+section, line)
+	default:
+		d.sections = d.sections[:len(d.sections)-1]
 	}
-	if line != "end "+section {
-		return d.fail("want %q, found %q", "end "+section, line)
-	}
-	d.sections = d.sections[:len(d.sections)-1]
-	return nil
 }
 
 // AtEnd reports whether the next line closes the named section, without
 // consuming it. It lets a reader loop over a variable-length run of
-// records inside a section.
+// records inside a section; it is true once an error is latched, so such
+// a loop stops at the first error.
 func (d *Decoder) AtEnd(section string) bool {
-	line, err := d.peek()
-	if err != nil {
-		return true // the latched error surfaces on the next read
-	}
-	return line == "end "+section
+	line, ok := d.peek()
+	return !ok || line == "end "+section
 }
 
 // PeekKey reports the key token of the next record line without
 // consuming it ("" on structural lines or after an error).
 func (d *Decoder) PeekKey() string {
-	line, err := d.peek()
-	if err != nil {
+	line, ok := d.peek()
+	if !ok {
 		return ""
 	}
 	key, _, _ := strings.Cut(line, " ")
@@ -374,14 +399,14 @@ func (d *Decoder) PeekKey() string {
 // key, and returns a cursor over its field tokens. The cursor shares the
 // decoder's latched error state.
 func (d *Decoder) Record(key string) *Rec {
-	rec := &Rec{d: d, key: key}
-	line, err := d.next()
-	if err != nil {
+	line, ok := d.next()
+	rec := &Rec{d: d, key: key, line: d.line}
+	if !ok {
 		return rec
 	}
 	got, rest, found := strings.Cut(line, " ")
 	if got != key {
-		_ = d.fail("want record %q, found %q", key, line)
+		d.failAt(d.line, "want record %q, found %q", key, line)
 		return rec
 	}
 	if found {
@@ -393,30 +418,35 @@ func (d *Decoder) Record(key string) *Rec {
 }
 
 // Close requires every section closed and every line before the
-// checksum trailer read.
+// checksum trailer read, and reports the first error of the decode.
 func (d *Decoder) Close() error {
 	if d.err != nil {
 		return d.err
 	}
 	if len(d.sections) != 0 {
-		return d.fail("Close with section %q still open", d.sections[len(d.sections)-1])
-	}
-	if d.pos != len(d.body) {
+		d.failAt(d.line, "Close with section %q still open", d.sections[len(d.sections)-1])
+	} else if d.pos != len(d.body) {
 		line, _ := d.peek()
-		return d.fail("unread line %q before the checksum", line)
+		d.failAt(d.line+1, "unread line %q before the checksum", line)
 	}
-	return nil
+	return d.err
 }
 
 // Rec is a sequential cursor over one record's field tokens. Typed reads
-// consume tokens left to right; Done asserts exhaustion. All methods are
-// no-ops (returning zero values) once an error is latched on the
-// decoder.
+// consume tokens left to right; Done asserts exhaustion. Once an error
+// is latched on the decoder every read returns a zero value, and a
+// bounded read (IntIn, UintIn, Count) the low end of its range.
 type Rec struct {
 	d      *Decoder
 	key    string
+	line   int // file line number of the record
 	fields []string
 	pos    int
+}
+
+// fail latches an error about the field just consumed.
+func (r *Rec) fail(format string, args ...any) {
+	r.d.failAt(r.line, "record %q field %d: %s", r.key, r.pos, fmt.Sprintf(format, args...))
 }
 
 // token consumes the next raw field token.
@@ -425,7 +455,7 @@ func (r *Rec) token() (string, bool) {
 		return "", false
 	}
 	if r.pos >= len(r.fields) {
-		_ = r.d.fail("record %q: missing field %d", r.key, r.pos+1)
+		r.d.failAt(r.line, "record %q: missing field %d", r.key, r.pos+1)
 		return "", false
 	}
 	t := r.fields[r.pos]
@@ -439,24 +469,44 @@ func (r *Rec) token() (string, bool) {
 // a checkpoint that decodes must re-encode byte for byte.
 func (r *Rec) canonical(t, want string) bool {
 	if t != want {
-		_ = r.d.fail("record %q field %d: %q is not in canonical form %q", r.key, r.pos, t, want)
+		r.fail("%q is not in canonical form %q", t, want)
 		return false
 	}
 	return true
 }
 
-// Uint consumes an unsigned integer field.
-func (r *Rec) Uint() uint64 {
+// parseUint consumes an unsigned integer field; false after any error.
+func (r *Rec) parseUint() (uint64, bool) {
 	t, ok := r.token()
 	if !ok {
-		return 0
+		return 0, false
 	}
 	v, err := strconv.ParseUint(t, 10, 64)
 	if err != nil {
-		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
-		return 0
+		r.fail("%v", err)
+		return 0, false
 	}
-	if !r.canonical(t, Uint(v)) {
+	return v, r.canonical(t, Uint(v))
+}
+
+// parseInt consumes a signed integer field; false after any error.
+func (r *Rec) parseInt() (int64, bool) {
+	t, ok := r.token()
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(t, 10, 64)
+	if err != nil {
+		r.fail("%v", err)
+		return 0, false
+	}
+	return v, r.canonical(t, Int(v))
+}
+
+// Uint consumes an unsigned integer field.
+func (r *Rec) Uint() uint64 {
+	v, ok := r.parseUint()
+	if !ok {
 		return 0
 	}
 	return v
@@ -464,29 +514,51 @@ func (r *Rec) Uint() uint64 {
 
 // Int consumes a signed integer field.
 func (r *Rec) Int() int64 {
-	t, ok := r.token()
+	v, ok := r.parseInt()
 	if !ok {
-		return 0
-	}
-	v, err := strconv.ParseInt(t, 10, 64)
-	if err != nil {
-		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
-		return 0
-	}
-	if !r.canonical(t, Int(v)) {
 		return 0
 	}
 	return v
 }
 
-// IntAsInt consumes a signed integer field that must fit in int.
-func (r *Rec) IntAsInt() int {
-	v := r.Int()
-	if int64(int(v)) != v {
-		_ = r.d.fail("record %q field %d: %d overflows int", r.key, r.pos, v)
-		return 0
+// UintIn consumes an unsigned integer field that must lie in [lo, hi).
+// The check is made on the full 64-bit token; a value outside the range
+// latches an error, and then (as after any error) UintIn returns lo, so
+// code after a failed read never indexes, loops or allocates with a
+// forged number.
+func (r *Rec) UintIn(lo, hi uint64) uint64 {
+	v, ok := r.parseUint()
+	if !ok {
+		return lo
+	}
+	if v < lo || v >= hi {
+		r.fail("%d out of [%d,%d)", v, lo, hi)
+		return lo
+	}
+	return v
+}
+
+// IntIn consumes a signed integer field that must lie in [lo, hi),
+// checked on the full 64-bit token before the conversion to int. Like
+// UintIn it returns lo after any error.
+func (r *Rec) IntIn(lo, hi int) int {
+	v, ok := r.parseInt()
+	if !ok {
+		return lo
+	}
+	if v < int64(lo) || v >= int64(hi) {
+		r.fail("%d out of [%d,%d)", v, lo, hi)
+		return lo
 	}
 	return int(v)
+}
+
+// Count consumes the count of a run of records that follows: an
+// unsigned field no larger than the number of lines left before the
+// trailer. A loop over the count therefore ends within the file, even
+// when a record inside it fails and every later read is a no-op.
+func (r *Rec) Count() int {
+	return int(r.UintIn(0, uint64(r.d.last-r.line)+1))
 }
 
 // Float consumes a float64 field written in hexadecimal notation.
@@ -497,7 +569,7 @@ func (r *Rec) Float() float64 {
 	}
 	v, err := strconv.ParseFloat(t, 64)
 	if err != nil {
-		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
+		r.fail("%v", err)
 		return 0
 	}
 	if !r.canonical(t, Float(v)) {
@@ -518,7 +590,7 @@ func (r *Rec) Bool() bool {
 	case "1":
 		return true
 	}
-	_ = r.d.fail("record %q field %d: boolean %q not 0/1", r.key, r.pos, t)
+	r.fail("boolean %q not 0/1", t)
 	return false
 }
 
@@ -530,7 +602,7 @@ func (r *Rec) Str() string {
 	}
 	v, err := strconv.Unquote(t)
 	if err != nil {
-		_ = r.d.fail("record %q field %d: %v", r.key, r.pos, err)
+		r.fail("%v", err)
 		return ""
 	}
 	if !r.canonical(t, Quote(v)) {
@@ -545,12 +617,8 @@ func (r *Rec) Str() string {
 func (r *Rec) Len() int { return len(r.fields) }
 
 // Done asserts every field has been consumed; extra fields are an error.
-func (r *Rec) Done() error {
-	if r.d.err != nil {
-		return r.d.err
+func (r *Rec) Done() {
+	if r.d.err == nil && r.pos != len(r.fields) {
+		r.d.failAt(r.line, "record %q: %d trailing fields", r.key, len(r.fields)-r.pos)
 	}
-	if r.pos != len(r.fields) {
-		return r.d.fail("record %q: %d trailing fields", r.key, len(r.fields)-r.pos)
-	}
-	return nil
 }

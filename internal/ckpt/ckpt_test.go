@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -36,9 +37,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDecoder: %v", err)
 	}
-	if err := d.Begin("clock"); err != nil {
-		t.Fatalf("Begin clock: %v", err)
-	}
+	d.Begin("clock")
 	r := d.Record("slot")
 	if got := r.Uint(); got != 12345 {
 		t.Errorf("slot: %d", got)
@@ -46,15 +45,9 @@ func TestRoundTrip(t *testing.T) {
 	if !r.Bool() {
 		t.Error("bool field")
 	}
-	if err := r.Done(); err != nil {
-		t.Fatalf("slot Done: %v", err)
-	}
-	if err := d.End("clock"); err != nil {
-		t.Fatalf("End clock: %v", err)
-	}
-	if err := d.Begin("stats"); err != nil {
-		t.Fatalf("Begin stats: %v", err)
-	}
+	r.Done()
+	d.End("clock")
+	d.Begin("stats")
 	r = d.Record("run")
 	if n := r.Uint(); n != 3 {
 		t.Errorf("n: %d", n)
@@ -71,12 +64,8 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Float(); !math.IsInf(v, 1) {
 		t.Errorf("+Inf lost: %v", v)
 	}
-	if err := r.Done(); err != nil {
-		t.Fatalf("run Done: %v", err)
-	}
-	if err := d.Begin("nested"); err != nil {
-		t.Fatalf("Begin nested: %v", err)
-	}
+	r.Done()
+	d.Begin("nested")
 	r = d.Record("label")
 	if s := r.Str(); s != `hello "quoted" world` {
 		t.Errorf("string: %q", s)
@@ -84,18 +73,10 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Int(); v != -42 {
 		t.Errorf("int: %d", v)
 	}
-	if err := r.Done(); err != nil {
-		t.Fatalf("label Done: %v", err)
-	}
-	if err := d.Record("empty-rec").Done(); err != nil {
-		t.Fatalf("empty record: %v", err)
-	}
-	if err := d.End("nested"); err != nil {
-		t.Fatalf("End nested: %v", err)
-	}
-	if err := d.End("stats"); err != nil {
-		t.Fatalf("End stats: %v", err)
-	}
+	r.Done()
+	d.Record("empty-rec").Done()
+	d.End("nested")
+	d.End("stats")
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -118,18 +99,14 @@ func TestFloatBitExactness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Begin("f"); err != nil {
-		t.Fatal(err)
-	}
+	d.Begin("f")
 	for i, v := range vals {
 		got := d.Record("v").Float()
 		if math.Float64bits(got) != math.Float64bits(v) {
 			t.Errorf("value %d: %x round-tripped to %x", i, math.Float64bits(v), math.Float64bits(got))
 		}
 	}
-	if err := d.End("f"); err != nil {
-		t.Fatal(err)
-	}
+	d.End("f")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +133,7 @@ func TestVariableLengthLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Begin("items"); err != nil {
-		t.Fatal(err)
-	}
+	d.Begin("items")
 	var got []int64
 	for !d.AtEnd("items") {
 		if k := d.PeekKey(); k != "item" {
@@ -166,9 +141,7 @@ func TestVariableLengthLoop(t *testing.T) {
 		}
 		got = append(got, d.Record("item").Int())
 	}
-	if err := d.End("items"); err != nil {
-		t.Fatal(err)
-	}
+	d.End("items")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,42 +164,22 @@ func TestCorruptionRejection(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := d.Begin("clock"); err != nil {
-			return err
-		}
+		d.Begin("clock")
 		r := d.Record("slot")
 		_, _ = r.Uint(), r.Bool()
-		if err := r.Done(); err != nil {
-			return err
-		}
-		if err := d.End("clock"); err != nil {
-			return err
-		}
-		if err := d.Begin("stats"); err != nil {
-			return err
-		}
+		r.Done()
+		d.End("clock")
+		d.Begin("stats")
 		r = d.Record("run")
 		_, _, _, _, _ = r.Uint(), r.Float(), r.Float(), r.Float(), r.Float()
-		if err := r.Done(); err != nil {
-			return err
-		}
-		if err := d.Begin("nested"); err != nil {
-			return err
-		}
+		r.Done()
+		d.Begin("nested")
 		r = d.Record("label")
 		_, _ = r.Str(), r.Int()
-		if err := r.Done(); err != nil {
-			return err
-		}
-		if err := d.Record("empty-rec").Done(); err != nil {
-			return err
-		}
-		if err := d.End("nested"); err != nil {
-			return err
-		}
-		if err := d.End("stats"); err != nil {
-			return err
-		}
+		r.Done()
+		d.Record("empty-rec").Done()
+		d.End("nested")
+		d.End("stats")
 		return d.Close()
 	}
 	if err := consume(good); err != nil {
@@ -369,15 +322,11 @@ func TestQuoteNeverEmitsSeparators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Begin("s"); err != nil {
-			t.Fatal(err)
-		}
+		d.Begin("s")
 		if got := d.Record("v").Str(); got != s {
 			t.Errorf("Quote round-trip: %q -> %q", s, got)
 		}
-		if err := d.End("s"); err != nil {
-			t.Fatal(err)
-		}
+		d.End("s")
 		if err := d.Close(); err != nil {
 			t.Fatalf("Quote(%q): decode close: %v", s, err)
 		}
@@ -391,12 +340,10 @@ func TestCloseRequiresEveryLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = d.Begin("clock")
+	d.Begin("clock")
 	r := d.Record("slot")
 	_, _ = r.Uint(), r.Bool()
-	if err := d.End("clock"); err != nil {
-		t.Fatal(err)
-	}
+	d.End("clock")
 	if err := d.Close(); err == nil || !strings.Contains(err.Error(), "begin stats") {
 		t.Errorf("Close with the stats section unread: %v", err)
 	}
@@ -407,17 +354,130 @@ func TestDecoderLatchedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Begin("wrong"); err == nil {
+	d.Begin("wrong")
+	first := d.Err()
+	if first == nil {
 		t.Fatal("wrong section accepted")
 	}
-	// Every later call reports the same latched error.
-	if err := d.Begin("clock"); err == nil {
-		t.Error("error did not latch on Begin")
+	// Every later call is a no-op: the first error stays the one
+	// reported, and reads return zero values.
+	d.Begin("clock")
+	r := d.Record("slot")
+	if v := r.Uint(); v != 0 {
+		t.Errorf("read after an error returned %d", v)
 	}
-	if d.Record("slot"); d.Err() == nil {
-		t.Error("error did not latch on Record")
+	r.Done()
+	d.Fail(errors.New("a later check"))
+	d.End("clock")
+	if err := d.Close(); err != first {
+		t.Errorf("Close reported %v, want the first error %v", err, first)
 	}
-	if err := d.Close(); err == nil {
-		t.Error("error did not latch on Close")
+	if !strings.Contains(first.Error(), "line 2:") {
+		t.Errorf("error %q does not name line 2", first)
+	}
+}
+
+// TestErrorsNameTheLine: every decode error names the file line it was
+// found on, including a caller's check latched through Fail; a nil Fail
+// latches nothing.
+func TestErrorsNameTheLine(t *testing.T) {
+	text := writeSample(t) // line 3 is "slot 12345 1", line 6 "run ..."
+	for _, tc := range []struct {
+		name string
+		walk func(d *Decoder)
+		want string
+	}{
+		{"wrong key", func(d *Decoder) { d.Begin("clock"); d.Record("tick") }, `line 3: want record "tick"`},
+		{"bad field", func(d *Decoder) { d.Begin("clock"); r := d.Record("slot"); r.Uint(); r.Float() }, `line 3: record "slot" field 2`},
+		{"trailing field", func(d *Decoder) { d.Begin("clock"); d.Record("slot").Done() }, `line 3: record "slot": 2 trailing fields`},
+		{"caller check", func(d *Decoder) {
+			d.Begin("clock")
+			d.Fail(nil)
+			d.Record("slot")
+			d.Fail(errors.New("slot disagrees"))
+		}, "line 3: slot disagrees"},
+		{"wrong end", func(d *Decoder) { d.Begin("clock"); d.Record("slot"); d.End("stats") }, `line 4: End("stats")`},
+		{"unread line", func(d *Decoder) { d.Begin("clock"); d.Record("slot"); d.End("clock") }, `line 5: unread line "begin stats"`},
+	} {
+		d, err := NewDecoder(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.walk(d)
+		if err := d.Close(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestBoundedReads: IntIn, UintIn and Count check the full token
+// against their range, latch an error outside it and return the low
+// end, as they do after any earlier error.
+func TestBoundedReads(t *testing.T) {
+	var b strings.Builder
+	e := NewEncoder(&b)
+	e.Begin("b")
+	e.Put("v", Int(-1), Int(7), Uint(1<<32), Uint(3))
+	e.Put("n", Uint(2))
+	e.Put("n", Uint(3))
+	e.End("b")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Decoder {
+		d, err := NewDecoder(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Begin("b")
+		return d
+	}
+
+	d := open()
+	r := d.Record("v")
+	if a, c := r.IntIn(-1, 0), r.IntIn(0, 8); a != -1 || c != 7 {
+		t.Errorf("in-range IntIn: %d %d", a, c)
+	}
+	if v := r.UintIn(0, 1<<33); v != 1<<32 {
+		t.Errorf("in-range UintIn: %d", v)
+	}
+	if v := r.UintIn(3, 4); v != 3 {
+		t.Errorf("in-range UintIn: %d", v)
+	}
+	r.Done()
+	// "n 2" is line 4; lines 5 and 6 come before the trailer.
+	if n := d.Record("n").Count(); n != 2 || d.Err() != nil {
+		t.Errorf("Count of 2 with 2 lines left: %d, %v", n, d.Err())
+	}
+
+	for _, tc := range []struct {
+		name string
+		read func(r *Rec) int64
+		want string
+		low  int64
+	}{
+		{"negative below range", func(r *Rec) int64 { return int64(r.IntIn(0, 8)) }, "-1 out of [0,8)", 0},
+		{"upper bound is open", func(r *Rec) int64 { r.Int(); return int64(r.IntIn(2, 7)) }, "7 out of [2,7)", 2},
+		{"no narrowing first", func(r *Rec) int64 { r.Int(); r.Int(); return int64(r.UintIn(5, 1<<31)) }, "4294967296 out of [5,2147483648)", 5},
+	} {
+		d := open()
+		if got := tc.read(d.Record("v")); got != tc.low {
+			t.Errorf("%s: returned %d, want the low end %d", tc.name, got, tc.low)
+		}
+		if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		// After the error, every bounded read yields its low end.
+		if v := d.Record("n").IntIn(4, 9); v != 4 {
+			t.Errorf("%s: IntIn after an error returned %d", tc.name, v)
+		}
+	}
+
+	d = open()
+	d.Record("v")
+	d.Record("n")
+	// "n 3" is line 5: only "end b" comes before the trailer.
+	if n := d.Record("n").Count(); n != 0 || d.Err() == nil || !strings.Contains(d.Err().Error(), "3 out of [0,2)") {
+		t.Errorf("Count of 3 with 1 line left: %d, %v", n, d.Err())
 	}
 }

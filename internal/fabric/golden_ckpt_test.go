@@ -33,11 +33,11 @@ const (
 	goldenCkptAt                uint64 = 213 // mid-measurement, mid-window (window = 3)
 )
 
-func goldenCkptConfig(t *testing.T) (Config, traffic.Config) {
-	t.Helper()
+func goldenCkptConfig(tb testing.TB) (Config, traffic.Config) {
+	tb.Helper()
 	x, err := NewXGFT(16, 8, 2)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := Config{
 		Network:        x,

@@ -30,12 +30,10 @@ type Session struct {
 }
 
 // StartSession begins a warm-up + measurement run on f, arming the same
-// timeline Run does. Every generator must be checkpointable (implement
-// traffic.StateCodec) for Save to work; this is verified at save time,
-// not here, so non-checkpointable sessions can still run. Unlike Run, a
-// session may declare a timeline ending past packet.MaxTimelineSlots,
-// as an open-ended measurement does; Advance then refuses any step that
-// would take the clock past that bound.
+// timeline Run does. Unlike Run, a session may declare a timeline ending
+// past packet.MaxTimelineSlots, as an open-ended measurement does;
+// Advance then refuses any step that would take the clock past that
+// bound.
 func StartSession(f *Fabric, gens []traffic.Generator, warmup, measure uint64) (*Session, error) {
 	if err := f.begin(gens, warmup, measure); err != nil {
 		return nil, err
@@ -100,13 +98,8 @@ func (s *Session) SaveState(e *ckpt.Encoder) {
 	s.f.SaveState(e)
 	e.Begin("gens")
 	e.Put("ngens", ckpt.Uint(uint64(len(s.gens))))
-	for h, g := range s.gens {
-		codec, ok := g.(traffic.StateCodec)
-		if !ok {
-			e.Fail(fmt.Errorf("fabric: host %d generator %T is not checkpointable", h, g))
-			break
-		}
-		codec.SaveState(e)
+	for _, g := range s.gens {
+		g.SaveState(e)
 	}
 	e.End("gens")
 	e.End("session")
@@ -114,54 +107,42 @@ func (s *Session) SaveState(e *ckpt.Encoder) {
 
 // ResumeSessionState reads a "session" section from an open decoder —
 // the counterpart of SaveState for embedding formats. The caller owns
-// the decoder's Close and any surrounding framing.
+// the decoder's Close and any surrounding framing. The first refusal of
+// the decode, which names the line it was found on, is the error.
 func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*Session, error) {
 	if len(gens) != f.cfg.Network.Hosts {
 		return nil, fmt.Errorf("fabric: %d generators for %d hosts", len(gens), f.cfg.Network.Hosts)
 	}
-	if err := d.Begin("session"); err != nil {
-		return nil, err
-	}
+	d.Begin("session")
 	rr := d.Record("run")
 	base, warmup, measure := rr.Uint(), rr.Uint(), rr.Uint()
 	finished := rr.Bool()
-	if err := rr.Done(); err != nil {
-		return nil, err
-	}
+	rr.Done()
 	end, err := timelineEnd(base, warmup, measure)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.LoadState(d); err != nil {
-		return nil, err
-	}
-	if err := d.Begin("gens"); err != nil {
-		return nil, err
-	}
+	d.Fail(err)
+	f.LoadState(d)
+	d.Begin("gens")
 	nr := d.Record("ngens")
-	ngens := nr.Uint()
-	if err := nr.Done(); err != nil {
+	if n := nr.Uint(); n != uint64(len(gens)) {
+		d.Fail(fmt.Errorf("fabric: checkpoint carries %d generators, fabric has %d hosts", n, len(gens)))
+	}
+	nr.Done()
+	for _, g := range gens {
+		g.LoadState(d)
+	}
+	d.End("gens")
+	d.End("session")
+	if f.slot < base || f.slot > end {
+		d.Fail(fmt.Errorf("fabric: restored clock %d outside session timeline [%d, %d]", f.slot, base, end))
+	}
+	if !finished && f.slot >= end {
+		d.Fail(fmt.Errorf("fabric: restored clock %d at timeline end but session not finished", f.slot))
+	}
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if int(ngens) != len(gens) {
-		return nil, fmt.Errorf("fabric: checkpoint carries %d generators, fabric has %d hosts", ngens, len(gens))
-	}
-	for h, g := range gens {
-		codec, ok := g.(traffic.StateCodec)
-		if !ok {
-			return nil, fmt.Errorf("fabric: host %d generator %T is not checkpointable", h, g)
-		}
-		if err := codec.LoadState(d); err != nil {
-			return nil, fmt.Errorf("fabric: host %d generator: %w", h, err)
-		}
-	}
-	if err := d.End("gens"); err != nil {
-		return nil, err
-	}
-	if err := d.End("session"); err != nil {
-		return nil, err
-	}
-	s := &Session{
+	f.inj = injectPlan{gens: gens, until: end}
+	return &Session{
 		f:        f,
 		gens:     gens,
 		base:     base,
@@ -169,13 +150,5 @@ func ResumeSessionState(f *Fabric, gens []traffic.Generator, d *ckpt.Decoder) (*
 		measure:  measure,
 		end:      end,
 		finished: finished,
-	}
-	if f.slot < base || f.slot > s.end {
-		return nil, fmt.Errorf("fabric: restored clock %d outside session timeline [%d, %d]", f.slot, base, s.end)
-	}
-	if !finished && f.slot >= s.end {
-		return nil, fmt.Errorf("fabric: restored clock %d at timeline end but session not finished", f.slot)
-	}
-	f.inj = injectPlan{gens: gens, until: s.end}
-	return s, nil
+	}, nil
 }

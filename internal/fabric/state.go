@@ -26,6 +26,7 @@ package fabric
 //	end fabric
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ckpt"
@@ -33,19 +34,38 @@ import (
 	"repro/internal/sched"
 )
 
+// wireKey places an in-flight event: its absolute landing slot and the
+// node and port it lands on.
+type wireKey struct {
+	land       uint64
+	node, port int
+}
+
+// less orders wire keys by landing slot, then node, then port: the
+// order SaveState writes wires in.
+func (a wireKey) less(b wireKey) bool {
+	if a.land != b.land {
+		return a.land < b.land
+	}
+	if a.node != b.node {
+		return a.node < b.node
+	}
+	return a.port < b.port
+}
+
 // wireCell is one in-flight cell flattened out of the shard rings.
 type wireCell struct {
 	land uint64
 	d    delivery
 }
 
-// wireCredit aggregates in-flight credit returns for one (landing slot,
-// upstream node, upstream port) key. Credit landings commute, so a count
-// is a complete description.
+func (wc wireCell) key() wireKey { return wireKey{wc.land, wc.d.node, wc.d.port} }
+
+// wireCredit aggregates the in-flight credit returns of one key. Credit
+// landings commute, so a count is a complete description.
 type wireCredit struct {
-	land       uint64
-	node, port int
-	count      int
+	wireKey
+	count int
 }
 
 // landingSlot recovers the absolute landing slot of ring index k when
@@ -60,7 +80,7 @@ func (f *Fabric) landingSlot(k int) uint64 {
 // globally sorted lists.
 func (f *Fabric) collectWires() ([]wireCell, []wireCredit) {
 	var cells []wireCell
-	credCount := make(map[wireCredit]int)
+	credCount := make(map[wireKey]int)
 	for _, s := range f.shards {
 		for k, batch := range s.inflight {
 			land := f.landingSlot(k)
@@ -71,7 +91,7 @@ func (f *Fabric) collectWires() ([]wireCell, []wireCredit) {
 		for k, batch := range s.creditWire {
 			land := f.landingSlot(k)
 			for _, cr := range batch {
-				credCount[wireCredit{land: land, node: cr.node, port: cr.port}]++
+				credCount[wireKey{land: land, node: cr.node, port: cr.port}]++
 			}
 		}
 	}
@@ -83,31 +103,12 @@ func (f *Fabric) collectWires() ([]wireCell, []wireCredit) {
 	// appended consecutively, and exchange keeps same-source order), so
 	// a STABLE sort over the live bucket order is both canonical across
 	// partitions and semantically exact.
-	sort.SliceStable(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.land != b.land {
-			return a.land < b.land
-		}
-		if a.d.node != b.d.node {
-			return a.d.node < b.d.node
-		}
-		return a.d.port < b.d.port
-	})
+	sort.SliceStable(cells, func(i, j int) bool { return cells[i].key().less(cells[j].key()) })
 	creds := make([]wireCredit, 0, len(credCount))
 	for k, n := range credCount {
-		k.count = n
-		creds = append(creds, k)
+		creds = append(creds, wireCredit{k, n})
 	}
-	sort.Slice(creds, func(i, j int) bool {
-		a, b := creds[i], creds[j]
-		if a.land != b.land {
-			return a.land < b.land
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.port < b.port
-	})
+	sort.Slice(creds, func(i, j int) bool { return creds[i].less(creds[j].wireKey) })
 	return cells, creds
 }
 
@@ -168,44 +169,36 @@ func (f *Fabric) saveMetrics(e *ckpt.Encoder) {
 	e.End("metrics")
 }
 
-func (f *Fabric) loadMetrics(d *ckpt.Decoder) error {
+// loadMetrics restores the metrics section. Hop buckets must come in
+// strictly ascending order, as saveMetrics writes them, so a restored
+// histogram re-saves byte for byte.
+func (f *Fabric) loadMetrics(d *ckpt.Decoder) {
 	m := &f.metrics
-	if err := d.Begin("metrics"); err != nil {
-		return err
-	}
+	d.Begin("metrics")
 	r := d.Record("m")
 	m.Offered, m.Delivered, m.MeasureSlots = r.Uint(), r.Uint(), r.Uint()
 	m.OrderViolations, m.Dropped, m.FCBlocked = r.Uint(), r.Uint(), r.Uint()
-	m.MaxVOQDepth, m.MaxInterInputDepth = r.IntAsInt(), r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if err := m.LatencySlots.LoadState(d); err != nil {
-		return err
-	}
-	if err := m.ControlLatencySlots.LoadState(d); err != nil {
-		return err
-	}
+	m.MaxVOQDepth, m.MaxInterInputDepth = r.IntIn(0, math.MaxInt), r.IntIn(0, math.MaxInt)
+	r.Done()
+	m.LatencySlots.LoadState(d)
+	m.ControlLatencySlots.LoadState(d)
 	hr := d.Record("hops")
-	nh := hr.Uint()
-	if err := hr.Done(); err != nil {
-		return err
-	}
-	// No size hint: nh is read from the file, and the map grows only
-	// as its records are read.
+	nh := hr.Count()
+	hr.Done()
 	m.HopHistogram = make(map[int]uint64)
-	for i := uint64(0); i < nh; i++ {
+	prev := -1
+	for i := 0; i < nh; i++ {
 		rec := d.Record("hop")
-		h, c := rec.IntAsInt(), rec.Uint()
-		if err := rec.Done(); err != nil {
-			return err
+		h, c := rec.IntIn(0, math.MaxInt), rec.Uint()
+		rec.Done()
+		if h <= prev {
+			d.Fail(fmt.Errorf("fabric: hop histogram bucket %d follows %d, want strictly ascending buckets", h, prev))
+			return
 		}
-		if _, dup := m.HopHistogram[h]; dup {
-			return fmt.Errorf("fabric: hop histogram bucket %d duplicated", h)
-		}
+		prev = h
 		m.HopHistogram[h] = c
 	}
-	return d.End("metrics")
+	d.End("metrics")
 }
 
 func (f *Fabric) saveNode(e *ckpt.Encoder, n *node) {
@@ -243,70 +236,55 @@ func (f *Fabric) saveNode(e *ckpt.Encoder, n *node) {
 	e.End("node")
 }
 
-func (f *Fabric) loadNode(d *ckpt.Decoder, n *node) error {
-	if err := d.Begin("node"); err != nil {
-		return err
-	}
+func (f *Fabric) loadNode(d *ckpt.Decoder, n *node) {
+	d.Begin("node")
 	r := d.Record("nstat")
 	n.fcBlocked = r.Uint()
-	n.maxVOQDepth = r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
-	}
+	n.maxVOQDepth = r.IntIn(0, math.MaxInt)
+	r.Done()
 	codec, ok := n.sch.(sched.StateCodec)
 	if !ok {
-		return fmt.Errorf("fabric: scheduler %T of node %v is not checkpointable", n.sch, n.id)
+		d.Fail(fmt.Errorf("fabric: scheduler %T of node %v is not checkpointable", n.sch, n.id))
+		return
 	}
-	if err := codec.LoadState(d); err != nil {
-		return fmt.Errorf("fabric: node %v scheduler: %w", n.id, err)
-	}
-	if err := n.bank.LoadState(d); err != nil {
-		return fmt.Errorf("fabric: node %v %w", n.id, err)
-	}
+	codec.LoadState(d)
+	n.bank.LoadState(d, f.cfg.Network.Hosts)
 	cr := d.Record("ncred")
 	ncred := cr.Uint()
-	if err := cr.Done(); err != nil {
-		return err
-	}
+	cr.Done()
 	wantCred := 0
 	for _, c := range n.credits {
 		if c != nil {
 			wantCred++
 		}
 	}
-	if int(ncred) != wantCred {
-		return fmt.Errorf("fabric: node %v has %d credit counters, checkpoint %d", n.id, wantCred, ncred)
+	if ncred != uint64(wantCred) {
+		d.Fail(fmt.Errorf("fabric: node %v has %d credit counters, checkpoint %d", n.id, wantCred, ncred))
+		return
 	}
 	for out, c := range n.credits {
 		if c == nil {
 			continue
 		}
 		or := d.Record("credout")
-		savedOut := or.IntAsInt()
-		if err := or.Done(); err != nil {
-			return err
+		if saved := or.Int(); saved != int64(out) {
+			d.Fail(fmt.Errorf("fabric: node %v credit counter on output %d, checkpoint says %d", n.id, out, saved))
+			return
 		}
-		if savedOut != out {
-			return fmt.Errorf("fabric: node %v credit counter on output %d, checkpoint says %d", n.id, out, savedOut)
-		}
-		if err := c.LoadState(d); err != nil {
-			return fmt.Errorf("fabric: node %v credits out %d: %w", n.id, out, err)
-		}
+		or.Done()
+		c.LoadState(d)
 	}
 	er := d.Record("negress")
 	negress := er.Uint()
-	if err := er.Done(); err != nil {
-		return err
+	er.Done()
+	if negress != uint64(len(n.egress)) {
+		d.Fail(fmt.Errorf("fabric: node %v egress buffering mismatch (have %d, checkpoint %d)", n.id, len(n.egress), negress))
+		return
 	}
-	if (n.egress == nil) != (negress == 0) || (n.egress != nil && int(negress) != len(n.egress)) {
-		return fmt.Errorf("fabric: node %v egress buffering mismatch (have %d, checkpoint %d)", n.id, len(n.egress), negress)
+	for _, eg := range n.egress {
+		eg.LoadState(d, f.cfg.Network.Hosts)
 	}
-	for out, eg := range n.egress {
-		if err := eg.LoadState(d); err != nil {
-			return fmt.Errorf("fabric: node %v egress out %d: %w", n.id, out, err)
-		}
-	}
-	return d.End("node")
+	d.End("node")
 }
 
 // SaveState serializes the complete runnable state of the fabric. It
@@ -375,52 +353,45 @@ func (f *Fabric) SaveState(e *ckpt.Encoder) {
 // the same configuration shape. The shard count is free to differ from
 // the saving fabric's: in-flight state is re-filed by the restoring
 // partition. After LoadState the fabric continues bit-exactly — same
-// metrics, same fingerprint — as the fabric that saved.
-func (f *Fabric) LoadState(d *ckpt.Decoder) error {
+// metrics, same fingerprint — as the fabric that saved. A refusal
+// latches on d, and the fabric is then fit only to be discarded.
+func (f *Fabric) LoadState(d *ckpt.Decoder) {
 	orders, allocs := f.shardBooks()
 	var issued uint64
 	for _, a := range allocs {
 		issued += a.Issued()
 	}
 	if f.slot != 0 || issued != 0 || f.metrics.Delivered > 0 {
-		return fmt.Errorf("fabric: restore target must be freshly built (slot %d, %d cells issued)", f.slot, issued)
+		d.Fail(fmt.Errorf("fabric: restore target must be freshly built (slot %d, %d cells issued)", f.slot, issued))
+		return
 	}
-	if err := d.Begin("fabric"); err != nil {
-		return err
-	}
+	d.Begin("fabric")
 	r := d.Record("shape")
-	hosts, radix := r.IntAsInt(), r.IntAsInt()
-	receivers, delay := r.IntAsInt(), r.IntAsInt()
-	inputCap := r.IntAsInt()
+	hosts, radix := r.Int(), r.Int()
+	receivers, delay := r.Int(), r.Int()
+	inputCap := r.Int()
 	egressBuffered := r.Bool()
-	ringLen, nodes := r.IntAsInt(), r.IntAsInt()
+	ringLen, nodes := r.Int(), r.Int()
 	cycle := r.Int()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if hosts != f.cfg.Network.Hosts || radix != f.cfg.Network.Radix || receivers != f.cfg.Receivers ||
-		delay != f.cfg.LinkDelaySlots || inputCap != f.cfg.InputCapacity ||
-		egressBuffered != f.cfg.EgressBuffered || ringLen != f.ringLen ||
-		nodes != len(f.nodes) || cycle != int64(f.metrics.CycleTime) {
-		return fmt.Errorf("fabric: checkpoint shape (hosts=%d radix=%d recv=%d delay=%d cap=%d egress=%v ring=%d nodes=%d cycle=%d) does not match this fabric (hosts=%d radix=%d recv=%d delay=%d cap=%d egress=%v ring=%d nodes=%d cycle=%d)",
+	r.Done()
+	if hosts != int64(f.cfg.Network.Hosts) || radix != int64(f.cfg.Network.Radix) || receivers != int64(f.cfg.Receivers) ||
+		delay != int64(f.cfg.LinkDelaySlots) || inputCap != int64(f.cfg.InputCapacity) ||
+		egressBuffered != f.cfg.EgressBuffered || ringLen != int64(f.ringLen) ||
+		nodes != int64(len(f.nodes)) || cycle != int64(f.metrics.CycleTime) {
+		d.Fail(fmt.Errorf("fabric: checkpoint shape (hosts=%d radix=%d recv=%d delay=%d cap=%d egress=%v ring=%d nodes=%d cycle=%d) does not match this fabric (hosts=%d radix=%d recv=%d delay=%d cap=%d egress=%v ring=%d nodes=%d cycle=%d)",
 			hosts, radix, receivers, delay, inputCap, egressBuffered, ringLen, nodes, cycle,
 			f.cfg.Network.Hosts, f.cfg.Network.Radix, f.cfg.Receivers, f.cfg.LinkDelaySlots, f.cfg.InputCapacity,
-			f.cfg.EgressBuffered, f.ringLen, len(f.nodes), int64(f.metrics.CycleTime))
+			f.cfg.EgressBuffered, f.ringLen, len(f.nodes), int64(f.metrics.CycleTime)))
+		return
 	}
 
 	cr := d.Record("clock")
 	slot := cr.Uint()
 	measuring, measureSet := cr.Bool(), cr.Bool()
 	measureFrom, injectOffered, shardOffered := cr.Uint(), cr.Uint(), cr.Uint()
-	if err := cr.Done(); err != nil {
-		return err
-	}
-	if err := f.loadMetrics(d); err != nil {
-		return err
-	}
-	if err := packet.LoadSplitOrderState(d, orders...); err != nil {
-		return err
-	}
+	cr.Done()
+	f.loadMetrics(d)
+	packet.LoadSplitOrderState(d, orders...)
 	// Each shard's allocator takes only the counters of the hosts it
 	// issues for; a source outside the fabric is refused.
 	owner := func(src int) int {
@@ -429,33 +400,19 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 		}
 		return f.hostShard[src]
 	}
-	if err := packet.LoadMergedState(d, owner, allocs...); err != nil {
-		return err
-	}
+	packet.LoadMergedState(d, owner, allocs...)
 
-	if err := d.Begin("nodes"); err != nil {
-		return err
-	}
+	d.Begin("nodes")
 	for _, n := range f.nodes {
-		if err := f.loadNode(d, n); err != nil {
-			return err
-		}
+		f.loadNode(d, n)
 	}
-	if err := d.End("nodes"); err != nil {
-		return err
-	}
+	d.End("nodes")
 
-	if err := d.Begin("hosts"); err != nil {
-		return err
+	d.Begin("hosts")
+	for _, eg := range f.hostEgress {
+		eg.LoadState(d, f.cfg.Network.Hosts)
 	}
-	for h, eg := range f.hostEgress {
-		if err := eg.LoadState(d); err != nil {
-			return fmt.Errorf("fabric: host %d egress: %w", h, err)
-		}
-	}
-	if err := d.End("hosts"); err != nil {
-		return err
-	}
+	d.End("hosts")
 
 	// Commit the clock before re-filing wires: ring indexing below uses
 	// the restored slot.
@@ -485,75 +442,54 @@ func (f *Fabric) LoadState(d *ckpt.Decoder) error {
 		n.rebuildDerived(slot)
 	}
 
-	if err := d.Begin("wires"); err != nil {
-		return err
-	}
+	// Wires land within ringLen slots of the barrier, on a node of this
+	// fabric and a port of its switches, in the order collectWires sorts
+	// them into: cells sharing a key keep their order, and each credit
+	// key appears once.
+	d.Begin("wires")
 	wr := d.Record("cells")
-	nCells := wr.Uint()
-	if err := wr.Done(); err != nil {
-		return err
-	}
+	nCells := wr.Count()
+	wr.Done()
 	horizon := slot + uint64(f.ringLen)
-	for i := uint64(0); i < nCells; i++ {
+	readKey := func(rec *ckpt.Rec) wireKey {
+		return wireKey{land: rec.UintIn(slot, horizon), node: rec.IntIn(0, len(f.nodes)), port: rec.IntIn(0, f.cfg.Network.Radix)}
+	}
+	var prev wireKey
+	for i := 0; i < nCells; i++ {
 		rec := d.Record("w")
-		land := rec.Uint()
-		node, port := rec.IntAsInt(), rec.IntAsInt()
-		if err := rec.Done(); err != nil {
-			return err
+		wk := readKey(rec)
+		rec.Done()
+		if wk.less(prev) {
+			d.Fail(fmt.Errorf("fabric: in-flight cell %+v follows %+v, out of (slot, node, port) order", wk, prev))
+			return
 		}
-		c, err := packet.LoadCell(d)
-		if err != nil {
-			return err
-		}
-		if node < 0 || node >= len(f.nodes) {
-			return fmt.Errorf("fabric: in-flight cell lands at node %d of %d", node, len(f.nodes))
-		}
-		if port < 0 || port >= f.cfg.Network.Radix {
-			return fmt.Errorf("fabric: in-flight cell lands on port %d of radix %d", port, f.cfg.Network.Radix)
-		}
-		if land < slot || land >= horizon {
-			return fmt.Errorf("fabric: in-flight cell lands at slot %d outside [%d, %d)", land, slot, horizon)
-		}
-		sh := f.shards[f.nodeShard[node]]
-		k := int(land % uint64(f.ringLen))
-		sh.inflight[k] = append(sh.inflight[k], delivery{cell: c, node: node, port: port})
+		prev = wk
+		sh := f.shards[f.nodeShard[wk.node]]
+		k := int(wk.land % uint64(f.ringLen))
+		sh.inflight[k] = append(sh.inflight[k], delivery{cell: packet.LoadCell(d, f.cfg.Network.Hosts), node: wk.node, port: wk.port})
 	}
 	wr = d.Record("creds")
-	nCreds := wr.Uint()
-	if err := wr.Done(); err != nil {
-		return err
-	}
-	for i := uint64(0); i < nCreds; i++ {
+	nCreds := wr.Count()
+	wr.Done()
+	for i := 0; i < nCreds; i++ {
 		rec := d.Record("cw")
-		land := rec.Uint()
-		node, port := rec.IntAsInt(), rec.IntAsInt()
-		count := rec.IntAsInt()
-		if err := rec.Done(); err != nil {
-			return err
-		}
-		if node < 0 || node >= len(f.nodes) {
-			return fmt.Errorf("fabric: credit return lands at node %d of %d", node, len(f.nodes))
-		}
-		if port < 0 || port >= f.cfg.Network.Radix {
-			return fmt.Errorf("fabric: credit return lands on port %d of radix %d", port, f.cfg.Network.Radix)
-		}
-		if land < slot || land >= horizon {
-			return fmt.Errorf("fabric: credit return lands at slot %d outside [%d, %d)", land, slot, horizon)
-		}
+		wk := readKey(rec)
 		// No more credits can be in flight to one port than the buffer
 		// behind it holds; a forged count would append without bound.
-		if count <= 0 || count > f.cfg.InputCapacity {
-			return fmt.Errorf("fabric: credit return count %d outside [1, %d]", count, f.cfg.InputCapacity)
+		count := rec.IntIn(1, f.cfg.InputCapacity+1)
+		rec.Done()
+		if i > 0 && !prev.less(wk) {
+			d.Fail(fmt.Errorf("fabric: credit return %+v follows %+v, repeated or out of (slot, node, port) order", wk, prev))
+			return
 		}
-		sh := f.shards[f.nodeShard[node]]
-		k := int(land % uint64(f.ringLen))
-		cr := creditReturn{node: node, port: port}
+		prev = wk
+		sh := f.shards[f.nodeShard[wk.node]]
+		k := int(wk.land % uint64(f.ringLen))
+		cr := creditReturn{node: wk.node, port: wk.port}
 		for j := 0; j < count; j++ {
 			sh.creditWire[k] = append(sh.creditWire[k], cr)
 		}
 	}
-	if err := d.End("wires"); err != nil {
-		return err
-	}
-	return d.End("fabric")
+	d.End("wires")
+	d.End("fabric")
 }

@@ -8,6 +8,7 @@ package fc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 )
@@ -21,20 +22,14 @@ func (c *Credits) SaveState(e *ckpt.Encoder) {
 // LoadState restores state saved by SaveState into c. A record that
 // holds lost credits or in-flight returns describes a return loop this
 // counter does not model and is rejected.
-func (c *Credits) LoadState(d *ckpt.Decoder) error {
+func (c *Credits) LoadState(d *ckpt.Decoder) {
 	r := d.Record("credits")
-	avail, shortfalls, lost := r.Int(), r.Uint(), r.Uint()
-	ring, returns := r.IntAsInt(), r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
-	}
+	avail, shortfalls, lost := r.IntIn(0, math.MaxInt), r.Uint(), r.Uint()
+	ring, returns := r.Int(), r.Int()
+	r.Done()
 	if lost != 0 || ring != 1 || returns != 0 {
-		return fmt.Errorf("fc: checkpoint credit loop (lost %d, ring %d, %d returns in flight) is not a landed-credit counter", lost, ring, returns)
+		d.Fail(fmt.Errorf("fc: checkpoint credit loop (lost %d, ring %d, %d returns in flight) is not a landed-credit counter", lost, ring, returns))
 	}
-	if avail < 0 {
-		return fmt.Errorf("fc: checkpoint with negative avail %d", avail)
-	}
-	c.avail = int(avail)
+	c.avail = avail
 	c.Shortfalls = shortfalls
-	return nil
 }

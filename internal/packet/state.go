@@ -6,6 +6,7 @@
 package packet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -22,29 +23,23 @@ func SaveCell(e *ckpt.Encoder, c *Cell) {
 		ckpt.Int(int64(c.Hops)), ckpt.Int(int64(c.Retransmits)))
 }
 
-// LoadCell reads one "cell" record written by SaveCell into a fresh cell.
-func LoadCell(d *ckpt.Decoder) (*Cell, error) {
+// LoadCell reads one "cell" record written by SaveCell into a fresh
+// cell. Its source and destination must be ports of the engine, in
+// [0, ports), and its class a Class.
+func LoadCell(d *ckpt.Decoder, ports int) *Cell {
 	r := d.Record("cell")
 	c := &Cell{
 		ID:  r.Uint(),
-		Src: r.IntAsInt(), Dst: r.IntAsInt(),
-		Class:   Class(r.Uint()),
-		Seq:     r.Uint(),
+		Src: r.IntIn(0, ports), Dst: r.IntIn(0, ports),
+		Class: Class(r.UintIn(0, uint64(Control)+1)),
+		// The order checker stores Seq+1 in 32 bits; no run issues a
+		// sequence number this high (MaxTimelineSlots).
+		Seq:     r.UintIn(0, math.MaxUint32),
 		Created: units.Time(r.Int()), Injected: units.Time(r.Int()), Delivered: units.Time(r.Int()),
-		Hops: r.IntAsInt(), Retransmits: r.IntAsInt(),
+		Hops: r.IntIn(0, math.MaxInt), Retransmits: r.IntIn(0, math.MaxInt),
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if c.Class > Control {
-		return nil, fmt.Errorf("packet: cell %d class %d out of range", c.ID, c.Class)
-	}
-	// The order checker stores Seq+1 in 32 bits; no run issues a
-	// sequence number this high (MaxTimelineSlots).
-	if c.Seq >= math.MaxUint32 {
-		return nil, fmt.Errorf("packet: cell %d sequence number %d past the 32-bit range", c.ID, c.Seq)
-	}
-	return c, nil
+	r.Done()
+	return c
 }
 
 // SaveState serializes the allocator's identity state: the ID counter
@@ -56,8 +51,8 @@ func (a *Allocator) SaveState(e *ckpt.Encoder) { SaveMergedState(e, a) }
 
 // LoadState restores the allocator's identity state, replacing the
 // current counters.
-func (a *Allocator) LoadState(d *ckpt.Decoder) error {
-	return LoadMergedState(d, func(int) int { return 0 }, a)
+func (a *Allocator) LoadState(d *ckpt.Decoder) {
+	LoadMergedState(d, func(int) int { return 0 }, a)
 }
 
 // SaveMergedState serializes the combined identity state of several
@@ -116,36 +111,29 @@ const maxSources = 1 << 24
 // this accepts re-encodes byte for byte. A section holding per-flow
 // "flow" records, the layout before sequence numbers were per source,
 // is refused by name.
-func LoadMergedState(d *ckpt.Decoder, owner func(src int) int, allocs ...*Allocator) error {
+func LoadMergedState(d *ckpt.Decoder, owner func(src int) int, allocs ...*Allocator) {
 	r := d.Record("alloc")
-	nextID, n := r.Uint(), r.Uint()
-	if err := r.Done(); err != nil {
-		return err
-	}
+	nextID, n := r.Uint(), r.Count()
+	r.Done()
 	tables := make([][]uint32, len(allocs))
 	prev := -1
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if d.PeekKey() == "flow" {
-			return fmt.Errorf("packet: alloc section holds a per-flow \"flow\" record, retired when sequence numbers became per source; this build reads only \"source\" records")
+			d.Fail(errors.New("packet: alloc section holds a per-flow \"flow\" record, retired when sequence numbers became per source; this build reads only \"source\" records"))
+			return
 		}
 		r := d.Record("source")
-		src, v := r.IntAsInt(), r.Uint()
-		if err := r.Done(); err != nil {
-			return err
-		}
+		src, v := r.IntIn(0, maxSources), r.UintIn(1, math.MaxUint32+1)
+		r.Done()
 		if src <= prev {
-			return fmt.Errorf("packet: alloc source %d repeated or out of increasing order", src)
+			d.Fail(fmt.Errorf("packet: alloc source %d repeated or out of increasing order", src))
+			return
 		}
 		prev = src
-		if v == 0 || v > math.MaxUint32 {
-			return fmt.Errorf("packet: alloc source %d counter %d is zero or past the 32-bit range", src, v)
-		}
-		k := -1
-		if src < maxSources {
-			k = owner(src)
-		}
+		k := owner(src)
 		if k < 0 || k >= len(allocs) {
-			return fmt.Errorf("packet: alloc source %d is no source of this engine", src)
+			d.Fail(fmt.Errorf("packet: alloc source %d is no source of this engine", src))
+			return
 		}
 		if len(tables[k]) <= src {
 			tables[k] = append(tables[k], make([]uint32, src+1-len(tables[k]))...)
@@ -157,7 +145,6 @@ func LoadMergedState(d *ckpt.Decoder, owner func(src int) int, allocs ...*Alloca
 		a.next = tables[k]
 		a.free = a.free[:0]
 	}
-	return nil
 }
 
 // SaveState serializes the order checker: totals plus the last sequence
@@ -167,7 +154,7 @@ func LoadMergedState(d *ckpt.Decoder, owner func(src int) int, allocs ...*Alloca
 func (o *OrderChecker) SaveState(e *ckpt.Encoder) { SaveMergedOrderState(e, o) }
 
 // LoadState restores the order checker, replacing current state.
-func (o *OrderChecker) LoadState(d *ckpt.Decoder) error { return LoadSplitOrderState(d, o) }
+func (o *OrderChecker) LoadState(d *ckpt.Decoder) { LoadSplitOrderState(d, o) }
 
 // SaveMergedOrderState serializes checkers covering disjoint destination
 // ranges, given in ascending range order, as the one checker covering
@@ -200,12 +187,10 @@ func SaveMergedOrderState(e *ckpt.Encoder, checkers ...*OrderChecker) {
 // ever saved). Sources and destinations share one port space, so a
 // flow toward a destination outside every range, or from a source past
 // the highest range, is an error.
-func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
+func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) {
 	r := d.Record("order")
-	delivered, violations, n := r.Uint(), r.Uint(), r.Uint()
-	if err := r.Done(); err != nil {
-		return err
-	}
+	delivered, violations, n := r.Uint(), r.Uint(), r.Count()
+	r.Done()
 	tables := make([]flowTable, len(checkers))
 	ports := 0
 	for k, o := range checkers {
@@ -215,30 +200,26 @@ func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 	// next is one past the previous record's flat (src, dst, class)
 	// index: records must come in strictly increasing order.
 	var next uint64
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r := d.Record("oflow")
-		src, dst, class, last := r.IntAsInt(), r.IntAsInt(), Class(r.Uint()), r.Uint()
-		if err := r.Done(); err != nil {
-			return err
-		}
+		src, dst := r.IntIn(0, ports), r.IntIn(0, ports)
+		class := Class(r.UintIn(0, uint64(Control)+1))
+		// The table keeps lastSeq+1 in 32 bits; no run held to
+		// MaxTimelineSlots delivers a sequence number this high.
+		last := r.UintIn(0, math.MaxUint32)
+		r.Done()
 		k := 0
 		for k < len(checkers) && (dst < checkers[k].lo || dst >= checkers[k].hi) {
 			k++
 		}
-		if k == len(checkers) || src < 0 || src >= ports {
-			return fmt.Errorf("packet: order flow record %d (%d->%d) outside the checkers' port range", i, src, dst)
-		}
-		if class > Control {
-			return fmt.Errorf("packet: order flow %d->%d class %d out of range", src, dst, class)
-		}
-		// The table keeps lastSeq+1 in 32 bits; no run held to
-		// MaxTimelineSlots delivers a sequence number this high.
-		if last >= math.MaxUint32 {
-			return fmt.Errorf("packet: order flow %d->%d last sequence number %d past the 32-bit range", src, dst, last)
+		if k == len(checkers) {
+			d.Fail(fmt.Errorf("packet: order flow record %d (%d->%d) outside the checkers' port range", i, src, dst))
+			return
 		}
 		key := (uint64(src)*uint64(ports)+uint64(dst))<<1 | uint64(class)
 		if key < next {
-			return fmt.Errorf("packet: order flow %d->%d class %d repeated or out of (src, dst, class) order", src, dst, class)
+			d.Fail(fmt.Errorf("packet: order flow %d->%d class %d repeated or out of (src, dst, class) order", src, dst, class))
+			return
 		}
 		next = key + 1
 		*tables[k].slot(src, dst-checkers[k].lo, class) = uint32(last) + 1
@@ -248,5 +229,4 @@ func LoadSplitOrderState(d *ckpt.Decoder, checkers ...*OrderChecker) error {
 		o.delivered, o.violations = 0, 0
 	}
 	checkers[0].delivered, checkers[0].violations = delivered, violations
-	return nil
 }

@@ -37,7 +37,8 @@ func TestAllocatorCheckpointIdentityContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.LoadState(d); err != nil {
+	twin.LoadState(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -85,7 +86,8 @@ func TestOrderCheckerCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.LoadState(d); err != nil {
+	twin.LoadState(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -160,11 +162,9 @@ func TestOrderCheckerMergedStateMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadSplitOrderState(d, restored...); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	LoadSplitOrderState(d, restored...)
 	if err := d.Close(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("load: %v", err)
 	}
 	if got := save(restored...); got != snap {
 		t.Fatalf("restored checkers re-save differently:\n%s\nwant\n%s", got, snap)
@@ -180,7 +180,7 @@ func TestOrderCheckerMergedStateMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadSplitOrderState(d, NewOrderCheckerFor(0, 5)); err == nil {
+	if LoadSplitOrderState(d, NewOrderCheckerFor(0, 5)); d.Err() == nil {
 		t.Fatal("flows toward destinations 5.. restored into a checker for [0, 5)")
 	}
 }
@@ -200,14 +200,30 @@ func TestCellCodecRoundTripAndPayloadRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Begin("cells"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCell(d)
-	if err != nil {
+	d.Begin("cells")
+	got := LoadCell(d, 3)
+	d.End("cells")
+	if err := d.Close(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("cell diverged: %+v vs %+v", got, c)
+	}
+
+	// Ports and the class are checked on the whole token: a class of
+	// 2^22 is refused, not truncated to 8 bits as class 0.
+	for _, tc := range []struct{ name, old, new string }{
+		{"source past the ports", "cell 7 1 2", "cell 7 3 2"},
+		{"negative destination", "cell 7 1 2", "cell 7 1 -1"},
+		{"class truncating to 0", "cell 7 1 2 1", "cell 7 1 2 4194304"},
+	} {
+		d, err := ckpt.NewDecoder(strings.NewReader(withChecksum(strings.Replace(checkpointBody(t, func(e *ckpt.Encoder) { SaveCell(e, c) }), tc.old, tc.new, 1))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		LoadCell(d, 3)
+		if err := d.Close(); err == nil || !strings.Contains(err.Error(), `record "cell"`) {
+			t.Errorf("%s: error %v, want the cell record refused", tc.name, err)
+		}
 	}
 }

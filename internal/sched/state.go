@@ -19,8 +19,8 @@ type StateCodec interface {
 	// SaveState writes the scheduler's mutable state.
 	SaveState(e *ckpt.Encoder)
 	// LoadState restores state written by SaveState into a scheduler
-	// constructed with the same parameters.
-	LoadState(d *ckpt.Decoder) error
+	// constructed with the same parameters; a refusal latches on d.
+	LoadState(d *ckpt.Decoder)
 }
 
 // saveIntRow writes an []int as one record.
@@ -32,40 +32,19 @@ func saveIntRow(e *ckpt.Encoder, key string, row []int) {
 	e.Put(key, fields...)
 }
 
-// loadIntRow reads a record of exactly len(dst) integer fields into dst.
-func loadIntRow(d *ckpt.Decoder, key string, dst []int) error {
+// loadIntRow reads a record of exactly len(dst) integer fields, each in
+// [lo, hi), into dst: round-robin pointers are in [0, n), and a matching
+// row holds -1 or an output of an n-port switch.
+func loadIntRow(d *ckpt.Decoder, key string, dst []int, lo, hi int) {
 	r := d.Record(key)
 	if r.Len() != len(dst) {
-		return fmt.Errorf("sched: %s row holds %d fields, want %d", key, r.Len(), len(dst))
+		d.Fail(fmt.Errorf("sched: %s row holds %d fields, want %d", key, r.Len(), len(dst)))
+		return
 	}
 	for i := range dst {
-		dst[i] = r.IntAsInt()
+		dst[i] = r.IntIn(lo, hi)
 	}
-	return r.Done()
-}
-
-// loadMatchingRow reads a matching row, validating each grant is -1 or a
-// valid output index for an n-port switch.
-func loadMatchingRow(d *ckpt.Decoder, key string, dst []int, n int) error {
-	if err := loadIntRow(d, key, dst); err != nil {
-		return err
-	}
-	for i, v := range dst {
-		if v < -1 || v >= n {
-			return fmt.Errorf("sched: %s grant %d for input %d out of range", key, v, i)
-		}
-	}
-	return nil
-}
-
-// validatePtrRow checks round-robin pointers stay inside [0, n).
-func validatePtrRow(key string, row []int, n int) error {
-	for i, v := range row {
-		if v < 0 || v >= n {
-			return fmt.Errorf("sched: %s pointer %d at index %d out of [0,%d)", key, v, i, n)
-		}
-	}
-	return nil
+	r.Done()
 }
 
 // SaveState implements StateCodec: per-sub-scheduler pointer pairs plus
@@ -85,52 +64,27 @@ func (f *FLPPR) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState implements StateCodec.
-func (f *FLPPR) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("sched-flppr"); err != nil {
-		return err
-	}
+func (f *FLPPR) LoadState(d *ckpt.Decoder) {
+	d.Begin("sched-flppr")
 	r := d.Record("flppr")
-	n, k, head := r.IntAsInt(), r.IntAsInt(), r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
+	if n, k := r.Int(), r.Int(); n != int64(f.n) || k != int64(f.k) {
+		d.Fail(fmt.Errorf("sched: flppr checkpoint is %dx%d-sub, live scheduler %dx%d-sub", n, k, f.n, f.k))
+		return
 	}
-	if n != f.n || k != f.k {
-		return fmt.Errorf("sched: flppr checkpoint is %dx%d-sub, live scheduler %dx%d-sub", n, k, f.n, f.k)
-	}
-	if head < 0 || head >= k {
-		return fmt.Errorf("sched: flppr head %d out of [0,%d)", head, k)
-	}
-	for s := 0; s < k; s++ {
-		if err := loadIntRow(d, "gptr", f.grantPtr[s]); err != nil {
-			return err
-		}
-		if err := validatePtrRow("gptr", f.grantPtr[s], n); err != nil {
-			return err
-		}
-		if err := loadIntRow(d, "aptr", f.acceptPtr[s]); err != nil {
-			return err
-		}
-		if err := validatePtrRow("aptr", f.acceptPtr[s], n); err != nil {
-			return err
-		}
+	f.head = r.IntIn(0, f.k)
+	r.Done()
+	for s := 0; s < f.k; s++ {
+		loadIntRow(d, "gptr", f.grantPtr[s], 0, f.n)
+		loadIntRow(d, "aptr", f.acceptPtr[s], 0, f.n)
 	}
 	for j := range f.pend {
 		pr := d.Record("pend")
-		sub := pr.IntAsInt()
-		if err := pr.Done(); err != nil {
-			return err
-		}
-		if sub < 0 || sub >= k {
-			return fmt.Errorf("sched: flppr pend sub %d out of [0,%d)", sub, k)
-		}
-		f.pend[j].sub = sub
-		if err := loadMatchingRow(d, "m", f.pend[j].m.Out, n); err != nil {
-			return err
-		}
+		f.pend[j].sub = pr.IntIn(0, f.k)
+		pr.Done()
+		loadIntRow(d, "m", f.pend[j].m.Out, -1, f.n)
 		f.pend[j].st.derive(f.pend[j].m.Out)
 	}
-	f.head = head
-	return d.End("sched-flppr")
+	d.End("sched-flppr")
 }
 
 // SaveState implements StateCodec: the two round-robin pointer rows.
@@ -143,31 +97,17 @@ func (s *ISLIP) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState implements StateCodec.
-func (s *ISLIP) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("sched-islip"); err != nil {
-		return err
-	}
+func (s *ISLIP) LoadState(d *ckpt.Decoder) {
+	d.Begin("sched-islip")
 	r := d.Record("islip")
-	n, iters := r.IntAsInt(), r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
+	if n, iters := r.Int(), r.Int(); n != int64(s.n) || iters != int64(s.iters) {
+		d.Fail(fmt.Errorf("sched: islip checkpoint is %d-port/%d-iter, live scheduler %d/%d", n, iters, s.n, s.iters))
+		return
 	}
-	if n != s.n || iters != s.iters {
-		return fmt.Errorf("sched: islip checkpoint is %d-port/%d-iter, live scheduler %d/%d", n, iters, s.n, s.iters)
-	}
-	if err := loadIntRow(d, "gptr", s.grantPtr); err != nil {
-		return err
-	}
-	if err := validatePtrRow("gptr", s.grantPtr, n); err != nil {
-		return err
-	}
-	if err := loadIntRow(d, "aptr", s.acceptPtr); err != nil {
-		return err
-	}
-	if err := validatePtrRow("aptr", s.acceptPtr, n); err != nil {
-		return err
-	}
-	return d.End("sched-islip")
+	r.Done()
+	loadIntRow(d, "gptr", s.grantPtr, 0, s.n)
+	loadIntRow(d, "aptr", s.acceptPtr, 0, s.n)
+	d.End("sched-islip")
 }
 
 // SaveState implements StateCodec: PIM's only tick-to-tick state is its
@@ -181,24 +121,18 @@ func (p *PIM) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState implements StateCodec.
-func (p *PIM) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("sched-pim"); err != nil {
-		return err
-	}
+func (p *PIM) LoadState(d *ckpt.Decoder) {
+	d.Begin("sched-pim")
 	r := d.Record("pim")
-	n, iters := r.IntAsInt(), r.IntAsInt()
+	if n, iters := r.Int(), r.Int(); n != int64(p.n) || iters != int64(p.iters) {
+		d.Fail(fmt.Errorf("sched: pim checkpoint is %d-port/%d-iter, live scheduler %d/%d", n, iters, p.n, p.iters))
+		return
+	}
 	var st [4]uint64
 	st[0], st[1], st[2], st[3] = r.Uint(), r.Uint(), r.Uint(), r.Uint()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if n != p.n || iters != p.iters {
-		return fmt.Errorf("sched: pim checkpoint is %d-port/%d-iter, live scheduler %d/%d", n, iters, p.n, p.iters)
-	}
-	if err := p.rng.Restore(st); err != nil {
-		return err
-	}
-	return d.End("sched-pim")
+	r.Done()
+	d.Fail(p.rng.Restore(st))
+	d.End("sched-pim")
 }
 
 // SaveState implements StateCodec: LQF is memoryless between ticks, so
@@ -210,19 +144,15 @@ func (l *LQF) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState implements StateCodec.
-func (l *LQF) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("sched-lqf"); err != nil {
-		return err
-	}
+func (l *LQF) LoadState(d *ckpt.Decoder) {
+	d.Begin("sched-lqf")
 	r := d.Record("lqf")
-	n := r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
+	if n := r.Int(); n != int64(l.n) {
+		d.Fail(fmt.Errorf("sched: lqf checkpoint is %d-port, live scheduler %d", n, l.n))
+		return
 	}
-	if n != l.n {
-		return fmt.Errorf("sched: lqf checkpoint is %d-port, live scheduler %d", n, l.n)
-	}
-	return d.End("sched-lqf")
+	r.Done()
+	d.End("sched-lqf")
 }
 
 // SaveState implements StateCodec: pointer rows plus the grant delay
@@ -239,37 +169,21 @@ func (s *PipelinedISLIP) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState implements StateCodec.
-func (s *PipelinedISLIP) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("sched-pislip"); err != nil {
-		return err
-	}
+func (s *PipelinedISLIP) LoadState(d *ckpt.Decoder) {
+	d.Begin("sched-pislip")
 	r := d.Record("pislip")
-	n, depth, pos := r.IntAsInt(), r.IntAsInt(), r.Uint()
-	if err := r.Done(); err != nil {
-		return err
+	if n, depth := r.Int(), r.Int(); n != int64(s.n) || depth != int64(s.depth) {
+		d.Fail(fmt.Errorf("sched: pipelined-islip checkpoint is %d-port/depth-%d, live scheduler %d/%d", n, depth, s.n, s.depth))
+		return
 	}
-	if n != s.n || depth != s.depth {
-		return fmt.Errorf("sched: pipelined-islip checkpoint is %d-port/depth-%d, live scheduler %d/%d", n, depth, s.n, s.depth)
-	}
-	if err := loadIntRow(d, "gptr", s.grantPtr); err != nil {
-		return err
-	}
-	if err := validatePtrRow("gptr", s.grantPtr, n); err != nil {
-		return err
-	}
-	if err := loadIntRow(d, "aptr", s.acceptPtr); err != nil {
-		return err
-	}
-	if err := validatePtrRow("aptr", s.acceptPtr, n); err != nil {
-		return err
-	}
+	s.pos = r.Uint()
+	r.Done()
+	loadIntRow(d, "gptr", s.grantPtr, 0, s.n)
+	loadIntRow(d, "aptr", s.acceptPtr, 0, s.n)
 	for i := range s.delay {
-		if err := loadMatchingRow(d, "m", s.delay[i].Out, n); err != nil {
-			return err
-		}
+		loadIntRow(d, "m", s.delay[i].Out, -1, s.n)
 	}
-	s.pos = pos
-	return d.End("sched-pislip")
+	d.End("sched-pislip")
 }
 
 // Interface conformance: every fabric scheduler checkpoints.

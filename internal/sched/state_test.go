@@ -6,6 +6,8 @@ package sched
 // twin over a seeded random demand evolution.
 
 import (
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"strings"
 	"testing"
@@ -45,11 +47,9 @@ func loadSched(t *testing.T, s StateCodec, text string) {
 	if err != nil {
 		t.Fatalf("decoder: %v", err)
 	}
-	if err := s.LoadState(d); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	s.LoadState(d)
 	if err := d.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestSchedulerCheckpointShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewISLIP(16, 2).LoadState(d); err == nil {
-		t.Fatal("8-port checkpoint restored into 16-port scheduler")
+	if NewISLIP(16, 2).LoadState(d); d.Err() == nil || !strings.Contains(d.Err().Error(), "line 3: sched: islip checkpoint is 8-port/2-iter, live scheduler 16/2") {
+		t.Fatalf("8-port checkpoint restored into 16-port scheduler: %v", d.Err())
 	}
 
 	text = saveSched(t, NewFLPPR(8, 3))
@@ -119,8 +119,23 @@ func TestSchedulerCheckpointShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewFLPPR(8, 4).LoadState(d); err == nil {
-		t.Fatal("3-sub FLPPR checkpoint restored into 4-sub scheduler")
+	if NewFLPPR(8, 4).LoadState(d); d.Err() == nil || !strings.Contains(d.Err().Error(), "flppr checkpoint is 8x3-sub, live scheduler 8x4-sub") {
+		t.Fatalf("3-sub FLPPR checkpoint restored into 4-sub scheduler: %v", d.Err())
+	}
+	// The shape is compared before the head is read, so a checkpoint
+	// whose head is past the live sub-scheduler count still names the
+	// shape.
+	text = saveSched(t, NewFLPPR(8, 3))
+	if !strings.Contains(text, "\nflppr 8 3 0\n") {
+		t.Fatalf("fresh FLPPR checkpoint lacks its shape record:\n%s", text)
+	}
+	text = resealSched(strings.Replace(text, "flppr 8 3 0", "flppr 8 3 2", 1))
+	d, err = ckpt.NewDecoder(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if NewFLPPR(8, 2).LoadState(d); d.Err() == nil || !strings.Contains(d.Err().Error(), "flppr checkpoint is 8x3-sub, live scheduler 8x2-sub") {
+		t.Fatalf("3-sub FLPPR checkpoint with head 2 restored into 2-sub scheduler: %v", d.Err())
 	}
 
 	// A scheduler checkpoint of the wrong kind is rejected by its
@@ -130,7 +145,15 @@ func TestSchedulerCheckpointShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewISLIP(8, 2).LoadState(d); err == nil {
+	if NewISLIP(8, 2).LoadState(d); d.Err() == nil {
 		t.Fatal("lqf checkpoint restored into islip")
 	}
+}
+
+// resealSched recomputes a checkpoint's checksum trailer after an edit.
+func resealSched(text string) string {
+	body := text[:strings.LastIndex(text, "checksum ")]
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(body))
+	return fmt.Sprintf("%schecksum %016x\n", body, h.Sum64())
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,13 +14,32 @@ import (
 	"repro/internal/traffic"
 )
 
+// sealJob wraps a checkpoint body in the header and the checksum
+// trailer its bytes hash to, so a fuzzed edit reaches the record
+// decoders instead of stopping at the checksum.
+func sealJob(body []byte) []byte {
+	text := append([]byte("osmosis-ckpt v2\n"), body...)
+	h := fnv.New64a()
+	_, _ = h.Write(text)
+	return fmt.Appendf(text, "checksum %016x\n", h.Sum64())
+}
+
+// jobBody strips a checkpoint's header and checksum trailer.
+func jobBody(snap []byte) []byte {
+	return snap[bytes.IndexByte(snap, '\n')+1 : bytes.LastIndex(snap, []byte("checksum "))]
+}
+
 // FuzzParseJobCheckpoint feeds arbitrary bytes to the whole osmosisd job
 // checkpoint parser that /v1/restore and the start-up restore use: the
 // framing, the embedded job spec and, for running jobs, a dry-run
-// restore of the session onto a freshly built engine. Each input is
-// either rejected with an error or yields a header whose phase and spec
-// passed validation, and nothing panics. Seeds: the golden running-job
-// checkpoint, a queued-job checkpoint, and the corrupt restores of
+// restore of the session onto a freshly built engine. With seal set the
+// input is a checkpoint body, sealed under a valid header and checksum
+// so mutations reach the record decoders; unsealed, it is a whole file,
+// which keeps the checksum refusal covered. Each input is either
+// rejected with an error or yields a header whose phase and spec passed
+// validation, and nothing panics. Seeds: the golden running-job
+// checkpoint and a queued-job checkpoint, sealed, with a flipped middle
+// byte resealed, and as the corrupt restores of
 // TestRejectsBadSubmissionsAndCorruptRestores (a flipped middle byte, a
 // truncation, a future and a retired version).
 func FuzzParseJobCheckpoint(f *testing.F) {
@@ -36,16 +57,27 @@ func FuzzParseJobCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, snap := range [][]byte{golden, queued} {
+		body := jobBody(snap)
+		if !bytes.Equal(sealJob(body), snap) {
+			f.Fatal("resealing an unedited checkpoint body changed it")
+		}
+		flippedBody := append([]byte(nil), body...)
+		flippedBody[len(body)/2] ^= 1
+		f.Add(body, true)
+		f.Add(flippedBody, true)
 		mid := len(snap) / 2
 		flipped := append([]byte(nil), snap...)
 		flipped[mid] ^= 1
-		f.Add(snap)
-		f.Add(flipped)
-		f.Add(snap[:mid])
-		f.Add([]byte(strings.Replace(string(snap), "osmosis-ckpt v2\n", "osmosis-ckpt v1\n", 1)))
+		f.Add(snap, false)
+		f.Add(flipped, false)
+		f.Add(snap[:mid], false)
+		f.Add([]byte(strings.Replace(string(snap), "osmosis-ckpt v2\n", "osmosis-ckpt v1\n", 1)), false)
 	}
-	f.Add([]byte("osmosis-ckpt v3\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte("osmosis-ckpt v3\n"), false)
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal {
+			data = sealJob(data)
+		}
 		h, err := parseJobCheckpoint(data)
 		if err != nil {
 			return

@@ -211,24 +211,20 @@ type jobHeader struct {
 // The caller continues with ResumeSessionState (running phase) or
 // finishJobDecode (queued phase).
 func decodeJobHeader(d *ckpt.Decoder) (*jobHeader, error) {
-	if err := d.Begin("osmosisd-job"); err != nil {
-		return nil, err
-	}
+	d.Begin("osmosisd-job")
 	jr := d.Record("job")
 	jr.Str() // the saved job id: a restore assigns a fresh one
 	phase := jr.Str()
-	if err := jr.Done(); err != nil {
-		return nil, err
-	}
+	jr.Done()
 	if phase != phaseQueued && phase != phaseRunning {
-		return nil, fmt.Errorf("service: job checkpoint phase %q unknown", phase)
+		d.Fail(fmt.Errorf("service: job checkpoint phase %q unknown", phase))
 	}
 	sr := d.Record("spec")
-	specJSON := sr.Str()
-	if err := sr.Done(); err != nil {
+	h := &jobHeader{phase: phase, specJSON: []byte(sr.Str())}
+	sr.Done()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	h := &jobHeader{phase: phase, specJSON: []byte(specJSON)}
 	if err := unmarshalSpecStrict(h.specJSON, &h.spec); err != nil {
 		return nil, fmt.Errorf("service: job checkpoint spec: %w", err)
 	}
@@ -238,11 +234,10 @@ func decodeJobHeader(d *ckpt.Decoder) (*jobHeader, error) {
 	return h, nil
 }
 
-// finishJobDecode consumes the framing trailer after the payload.
+// finishJobDecode consumes the framing trailer after the payload and
+// reports the first error of the whole decode.
 func finishJobDecode(d *ckpt.Decoder) error {
-	if err := d.End("osmosisd-job"); err != nil {
-		return err
-	}
+	d.End("osmosisd-job")
 	return d.Close()
 }
 

@@ -706,6 +706,35 @@ func TestHostileCheckpointFlowRejected(t *testing.T) {
 	}
 }
 
+// TestHostileCheckpointPortRejected: a live bursty job's checkpoint
+// whose first ON/OFF generator bursts toward port 99999, or whose first
+// queued cell claims source 2^22, behind a recomputed checksum. Both
+// once restored with a 202: the burst failed the job at its first hop,
+// and the source grew the order checker's table by 48 bytes per index
+// before panicking on the shard lookup. The restore refuses both with a
+// 400, and the daemon keeps serving.
+func TestHostileCheckpointPortRejected(t *testing.T) {
+	donor := endlessSpec("hostile-donor", 63)
+	donor.Traffic.Kind, donor.Traffic.MeanBurst = "bursty", 8
+	forge := hostileSnapshot(t, donor)
+	_, hs := testServer(t, Options{})
+	for _, tc := range []struct {
+		name, prefix string
+		edit         func(f []string)
+	}{
+		{"burst toward port 99999", "burst ", func(f []string) { f[1], f[2], f[3] = "1", "50", "99999" }},
+		{"cell from source 2^22", "cell ", func(f []string) { f[2] = "4194304" }},
+	} {
+		code, data := postJSON(t, hs.URL+"/v1/restore", forge(tc.prefix, tc.edit))
+		if code != http.StatusBadRequest || !strings.Contains(string(data), `record \"`+strings.TrimSpace(tc.prefix)+`\"`) {
+			t.Fatalf("%s: HTTP %d (want 400 naming the record): %s", tc.name, code, data)
+		}
+	}
+	if code, data := getBody(t, hs.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after hostile restores: HTTP %d: %s", code, data)
+	}
+}
+
 // TestTimelinePastBoundRejected: a job whose warm-up plus measurement
 // ends past packet.MaxTimelineSlots, or whose sum wraps uint64 (once
 // accepted as a timeline of 0 slots), is refused with a 400, and the
@@ -1087,11 +1116,11 @@ func (x explodingScheduler) TickInto(slot uint64, b sched.Board, m *sched.Matchi
 	x.FLPPR.TickInto(slot, b, m)
 }
 
-func (x explodingScheduler) LoadState(d *ckpt.Decoder) error {
+func (x explodingScheduler) LoadState(d *ckpt.Decoder) {
 	if x.mode == explodeLoad {
 		panic("scheduler exploded while loading its state")
 	}
-	return x.FLPPR.LoadState(d)
+	x.FLPPR.LoadState(d)
 }
 
 func (x explodingScheduler) SaveState(e *ckpt.Encoder) {

@@ -66,7 +66,8 @@ func FuzzLatencyLoadState(f *testing.F) {
 			return // a carriage return, or a body without its final newline
 		}
 		var got LatencySample
-		if err := got.LoadState(d); err != nil {
+		got.LoadState(d)
+		if err := d.Err(); err != nil {
 			return
 		}
 		if err := d.Close(); err != nil {
@@ -105,7 +106,8 @@ func TestLatencyLoadStateRejectsBadHistograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.LoadState(d); err == nil {
+		s.LoadState(d)
+		if err := d.Err(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 		if s.N() != 1 || s.Median() != 7 {
@@ -117,7 +119,8 @@ func TestLatencyLoadStateRejectsBadHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s LatencySample
-	if err := s.LoadState(d); err != nil {
+	s.LoadState(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	if err := d.Close(); err != nil {

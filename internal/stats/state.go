@@ -19,14 +19,10 @@ func (r *Running) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState restores moments saved by SaveState, replacing r.
-func (r *Running) LoadState(d *ckpt.Decoder) error {
+func (r *Running) LoadState(d *ckpt.Decoder) {
 	rec := d.Record("running")
-	n, mean, m2, min, max := rec.Uint(), rec.Float(), rec.Float(), rec.Float(), rec.Float()
-	if err := rec.Done(); err != nil {
-		return err
-	}
-	r.n, r.mean, r.m2, r.min, r.max = n, mean, m2, min, max
-	return nil
+	r.n, r.mean, r.m2, r.min, r.max = rec.Uint(), rec.Float(), rec.Float(), rec.Float(), rec.Float()
+	rec.Done()
 }
 
 // SaveState serializes the collector: moments, then one (value, count)
@@ -45,44 +41,35 @@ func (s *LatencySample) SaveState(e *ckpt.Encoder) {
 // LoadState restores a collector saved by SaveState, replacing s. The
 // bins must be strictly ascending with positive counts summing to the
 // moments' count. The section carries no bin count: bins are allocated
-// only as their records are read.
-func (s *LatencySample) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("latency"); err != nil {
-		return err
-	}
+// only as their records are read. A refused section leaves s as it was.
+func (s *LatencySample) LoadState(d *ckpt.Decoder) {
+	d.Begin("latency")
 	var run Running
-	if err := run.LoadState(d); err != nil {
-		return err
-	}
+	run.LoadState(d)
 	var bins []bin
 	var total uint64
 	for !d.AtEnd("latency") {
 		rec := d.Record("bin")
-		b := bin{v: units.Time(rec.Int()), n: rec.Uint()}
-		if err := rec.Done(); err != nil {
-			return err
-		}
-		if b.n == 0 {
-			return fmt.Errorf("stats: checkpoint latency %d has count 0", b.v)
-		}
+		b := bin{v: units.Time(rec.Int()), n: rec.UintIn(1, math.MaxUint64)}
+		rec.Done()
 		if len(bins) > 0 && b.v <= bins[len(bins)-1].v {
-			return fmt.Errorf("stats: checkpoint latency %d follows %d, want strictly ascending values", b.v, bins[len(bins)-1].v)
+			d.Fail(fmt.Errorf("stats: checkpoint latency %d follows %d, want strictly ascending values", b.v, bins[len(bins)-1].v))
 		}
 		if b.n > math.MaxUint64-total {
-			return fmt.Errorf("stats: checkpoint latency counts overflow")
+			d.Fail(fmt.Errorf("stats: checkpoint latency counts overflow"))
 		}
 		total += b.n
 		bins = append(bins, b)
 	}
-	if err := d.End("latency"); err != nil {
-		return err
-	}
+	d.End("latency")
 	if total != run.n {
-		return fmt.Errorf("stats: checkpoint latency counts sum to %d, moments count %d", total, run.n)
+		d.Fail(fmt.Errorf("stats: checkpoint latency counts sum to %d, moments count %d", total, run.n))
+	}
+	if d.Err() != nil {
+		return
 	}
 	s.mu.Lock()
 	s.bins = bins
 	s.run = run
 	s.mu.Unlock()
-	return nil
 }

@@ -29,7 +29,8 @@ func TestLatencySampleCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.LoadState(d); err != nil {
+	twin.LoadState(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -73,7 +74,8 @@ func TestRunningCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.LoadState(d); err != nil {
+	twin.LoadState(d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if err := d.Close(); err != nil {

@@ -155,6 +155,7 @@ type ParetoOnOff struct {
 	// precomputed so every OFF draw can use the exact load equation.
 	meanOn float64
 
+	n         int // port count: burstDst is in [0, n)
 	on        bool
 	remaining int
 	burstDst  int
@@ -185,6 +186,7 @@ func NewParetoOnOff(src, n int, load, meanBurst, alpha float64, rng *sim.RNG) *P
 		Pattern: Uniform{n},
 		Src:     src,
 		RNG:     rng,
+		n:       n,
 	}
 	p.meanOn = paretoCeilMean(xm, alpha)
 	return p

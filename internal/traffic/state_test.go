@@ -55,7 +55,7 @@ func TestGeneratorCheckpointRoundTripAllKinds(t *testing.T) {
 			var buf strings.Builder
 			e := ckpt.NewEncoder(&buf)
 			for _, g := range orig {
-				g.(StateCodec).SaveState(e)
+				g.SaveState(e)
 			}
 			if err := e.Close(); err != nil {
 				t.Fatalf("save: %v", err)
@@ -70,12 +70,10 @@ func TestGeneratorCheckpointRoundTripAllKinds(t *testing.T) {
 				t.Fatalf("decoder: %v", err)
 			}
 			for _, g := range twin {
-				if err := g.(StateCodec).LoadState(d); err != nil {
-					t.Fatalf("load: %v", err)
-				}
+				g.LoadState(d)
 			}
 			if err := d.Close(); err != nil {
-				t.Fatalf("close: %v", err)
+				t.Fatalf("load: %v", err)
 			}
 			// Identical arrivals from here on.
 			for s := uint64(150); s < 500; s++ {
@@ -101,7 +99,7 @@ func TestGeneratorCheckpointKindMismatch(t *testing.T) {
 	}
 	var buf strings.Builder
 	e := ckpt.NewEncoder(&buf)
-	gens[0].(StateCodec).SaveState(e)
+	gens[0].SaveState(e)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,32 +111,31 @@ func TestGeneratorCheckpointKindMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other[0].(StateCodec).LoadState(d); err == nil {
+	if other[0].LoadState(d); d.Err() == nil {
 		t.Fatal("bursty checkpoint restored into a Bernoulli generator")
 	}
 }
 
-// TestGeneratorRejectsNegativeDwell: a checkpoint whose ON/OFF or MMPP
-// dwell counter is negative, behind a recomputed checksum, is refused.
-// Next draws a new dwell only when the counter reaches zero, so such a
-// generator would stay in one state for good (an ON source sending
-// every slot, an MMPP stuck high).
-func TestGeneratorRejectsNegativeDwell(t *testing.T) {
-	for _, tc := range []struct {
-		cfg        Config
-		line, edit string
-	}{
-		{Config{Kind: KindBursty, N: 4, Load: 0.1, MeanBurst: 8, Seed: 1}, "burst ", "burst 1 -1 0"},
-		{Config{Kind: KindMMPP, N: 4, Load: 0.1, MeanBurst: 8, Seed: 2}, "dwell ", "dwell 1 -1"},
-		{Config{Kind: KindParetoOnOff, N: 4, Load: 0.1, MeanBurst: 8, ParetoAlpha: 1.6, Seed: 3}, "burst ", "burst 1 -1 0"},
-	} {
+// hostileStateCase edits the first line of a fresh generator's
+// checkpoint that starts with line into edit (which may span lines).
+type hostileStateCase struct {
+	cfg        Config
+	line, edit string
+}
+
+// checkHostileState requires each case's generator to restore its own
+// unedited checkpoint and to refuse the edited one, behind a
+// recomputed checksum.
+func checkHostileState(t *testing.T, cases []hostileStateCase) {
+	t.Helper()
+	for _, tc := range cases {
 		gens, err := Build(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf strings.Builder
 		e := ckpt.NewEncoder(&buf)
-		gens[0].(StateCodec).SaveState(e)
+		gens[0].SaveState(e)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +151,8 @@ func TestGeneratorRejectsNegativeDwell(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return gens[0].(StateCodec).LoadState(d)
+			gens[0].LoadState(d)
+			return d.Close()
 		}
 		if err := load(body); err != nil {
 			t.Errorf("%v: control checkpoint rejected: %v", tc.cfg.Kind, err)
@@ -163,4 +161,35 @@ func TestGeneratorRejectsNegativeDwell(t *testing.T) {
 			t.Errorf("%v: %q accepted", tc.cfg.Kind, tc.edit)
 		}
 	}
+}
+
+// TestGeneratorRejectsNegativeDwell: a checkpoint whose ON/OFF or MMPP
+// dwell counter is negative, behind a recomputed checksum, is refused.
+// Next draws a new dwell only when the counter reaches zero, so such a
+// generator would stay in one state for good (an ON source sending
+// every slot, an MMPP stuck high).
+func TestGeneratorRejectsNegativeDwell(t *testing.T) {
+	checkHostileState(t, []hostileStateCase{
+		{Config{Kind: KindBursty, N: 4, Load: 0.1, MeanBurst: 8, Seed: 1}, "burst ", "burst 1 -1 0"},
+		{Config{Kind: KindMMPP, N: 4, Load: 0.1, MeanBurst: 8, Seed: 2}, "dwell ", "dwell 1 -1"},
+		{Config{Kind: KindParetoOnOff, N: 4, Load: 0.1, MeanBurst: 8, ParetoAlpha: 1.6, Seed: 3}, "burst ", "burst 1 -1 0"},
+	})
+}
+
+// TestGeneratorRejectsForeignPorts: a burst destination or a pending
+// Bimodal arrival toward a port the generator was not built with, or a
+// pending class past ClassControl, is refused at restore instead of
+// failing the run at its first hop (or, for a class of 2^22, being
+// truncated to a data cell).
+func TestGeneratorRejectsForeignPorts(t *testing.T) {
+	bursty := Config{Kind: KindBursty, N: 4, Load: 0.1, MeanBurst: 8, Seed: 1}
+	pareto := Config{Kind: KindParetoOnOff, N: 4, Load: 0.1, MeanBurst: 8, ParetoAlpha: 1.6, Seed: 3}
+	bimodal := Config{Kind: KindBimodal, N: 4, Load: 0.5, Seed: 4}
+	checkHostileState(t, []hostileStateCase{
+		{bursty, "burst ", "burst 1 50 4"},
+		{bursty, "burst ", "burst 1 50 -1"},
+		{pareto, "burst ", "burst 1 50 99999"},
+		{bimodal, "pending ", "pending 1\narr 4 0"},
+		{bimodal, "pending ", "pending 1\narr 1 4194304"},
+	})
 }

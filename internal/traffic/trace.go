@@ -94,59 +94,38 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
-	t, err := readTrace(d)
-	if err == nil {
-		err = d.Close()
-	}
-	if err != nil {
+	t := readTrace(d)
+	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
 	return t, nil
 }
 
 // readTrace walks the trace section. Ports and destinations are
-// compared against n as uint64 before any conversion to int, so no
-// value can wrap past a range check.
-func readTrace(d *ckpt.Decoder) (*Trace, error) {
-	if err := d.Begin("trace"); err != nil {
-		return nil, err
-	}
+// bounded reads, checked against n on the whole token before any
+// conversion to int, so no value can wrap past a range check.
+func readTrace(d *ckpt.Decoder) *Trace {
+	d.Begin("trace")
 	rec := d.Record("n")
-	n := rec.Uint()
-	if err := rec.Done(); err != nil {
-		return nil, err
-	}
-	if n == 0 || n > math.MaxInt {
-		return nil, fmt.Errorf("%d ports", n)
-	}
+	n := int(rec.UintIn(1, math.MaxInt))
+	rec.Done()
 	rec = d.Record("slots")
-	t := &Trace{N: int(n), Slots: rec.Uint()}
-	if err := rec.Done(); err != nil {
-		return nil, err
-	}
+	t := &Trace{N: n, Slots: rec.Uint()}
+	rec.Done()
 	for !d.AtEnd("trace") {
 		rec := d.Record("e")
-		slot, port, dst, cls := rec.Uint(), rec.Uint(), rec.Uint(), rec.Uint()
-		if err := rec.Done(); err != nil {
-			return nil, err
-		}
-		i := len(t.Events)
-		switch {
-		case slot >= t.Slots:
-			return nil, fmt.Errorf("event %d: slot %d beyond declared %d slots", i, slot, t.Slots)
-		case port >= n || dst >= n:
-			return nil, fmt.Errorf("event %d: port %d -> dst %d out of [0,%d)", i, port, dst, n)
-		case cls > uint64(ClassControl):
-			return nil, fmt.Errorf("event %d: class %d out of range", i, cls)
-		}
-		if i > 0 {
-			if prev := t.Events[i-1]; slot < prev.Slot || (slot == prev.Slot && int(port) <= prev.Port) {
-				return nil, fmt.Errorf("event %d out of (slot, port) order", i)
+		ev := TraceEvent{Slot: rec.UintIn(0, t.Slots), Port: int(rec.UintIn(0, uint64(n))),
+			Dst: int(rec.UintIn(0, uint64(n))), Class: ClassChoice(rec.UintIn(0, uint64(ClassControl)+1))}
+		rec.Done()
+		if i := len(t.Events); i > 0 {
+			if prev := t.Events[i-1]; ev.Slot < prev.Slot || (ev.Slot == prev.Slot && ev.Port <= prev.Port) {
+				d.Fail(fmt.Errorf("event %d out of (slot, port) order", i))
 			}
 		}
-		t.Events = append(t.Events, TraceEvent{Slot: slot, Port: int(port), Dst: int(dst), Class: ClassChoice(cls)})
+		t.Events = append(t.Events, ev)
 	}
-	return t, d.End("trace")
+	d.End("trace")
+	return t
 }
 
 // TracePlayer replays one port's slice of a recorded trace. Slots past

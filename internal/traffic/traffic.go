@@ -24,6 +24,7 @@
 package traffic
 
 import (
+	"repro/internal/ckpt"
 	"repro/internal/sim"
 )
 
@@ -43,11 +44,17 @@ const (
 	ClassControl
 )
 
-// Generator produces arrivals for one ingress port, one slot at a time.
+// Generator produces arrivals for one ingress port, one slot at a time,
+// and checkpoints its slot-to-slot state bit-exactly.
 type Generator interface {
 	// Next reports whether a cell arrives at this port in this slot and,
 	// if so, its destination port and class.
 	Next(slot uint64) (Arrival, bool)
+	// SaveState writes the generator's mutable state.
+	SaveState(e *ckpt.Encoder)
+	// LoadState restores state written by SaveState into a generator
+	// built from the same configuration; a refusal latches on d.
+	LoadState(d *ckpt.Decoder)
 }
 
 // Pattern chooses a destination for a given source at a given slot.
@@ -177,6 +184,7 @@ type OnOff struct {
 	Src          int
 	RNG          *sim.RNG
 
+	n         int // port count: burstDst is in [0, n)
 	on        bool
 	remaining int
 	burstDst  int
@@ -194,6 +202,7 @@ func NewOnOff(src, n int, load, meanBurst float64, rng *sim.RNG) *OnOff {
 		Pattern:   Uniform{n},
 		Src:       src,
 		RNG:       rng,
+		n:         n,
 	}
 }
 
@@ -256,6 +265,7 @@ type Bimodal struct {
 	// oldest first (head-indexed so steady-state pops do not shift).
 	pending []Arrival
 	head    int
+	n       int // port count: every pending Dst is in [0, n)
 }
 
 // NewBimodal builds a bimodal source: dataLoad bulk data plus ctlLoad
@@ -266,6 +276,7 @@ func NewBimodal(src, n int, dataLoad, ctlLoad float64, rng *sim.RNG) *Bimodal {
 	return &Bimodal{
 		Control: ctl,
 		Data:    NewBernoulli(src, n, dataLoad, rng.Fork(2)),
+		n:       n,
 	}
 }
 

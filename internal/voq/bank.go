@@ -1,8 +1,6 @@
 package voq
 
 import (
-	"fmt"
-
 	"repro/internal/bitrow"
 	"repro/internal/ckpt"
 	"repro/internal/packet"
@@ -162,12 +160,11 @@ func (b *Bank) SaveState(e *ckpt.Encoder) {
 
 // LoadState restores the VOQ sets saved by SaveState into b, which must
 // be freshly constructed (empty) with the same port count, then
-// rebuilds the derived state from them.
-func (b *Bank) LoadState(d *ckpt.Decoder) error {
+// rebuilds the derived state from them. Queued cells must travel
+// between ports of the engine, in [0, ports).
+func (b *Bank) LoadState(d *ckpt.Decoder, ports int) {
 	for in := range b.sets {
-		if err := b.sets[in].LoadState(d); err != nil {
-			return fmt.Errorf("voq input %d: %w", in, err)
-		}
+		b.sets[in].LoadState(d, ports)
 	}
 	b.resident, b.maxDepth = 0, 0
 	b.hist = b.hist[:0]
@@ -185,5 +182,4 @@ func (b *Bank) LoadState(d *ckpt.Decoder) error {
 			bitrow.Set(b.col[out*b.words:(out+1)*b.words], in)
 		}
 	}
-	return nil
 }

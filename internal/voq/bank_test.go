@@ -78,9 +78,7 @@ func roundTripBank(t *testing.T, b *Bank) *Bank {
 	if err != nil {
 		t.Fatalf("decoder: %v", err)
 	}
-	if err := fresh.LoadState(d); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	fresh.LoadState(d, b.n)
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

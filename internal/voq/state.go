@@ -5,6 +5,7 @@
 package voq
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -39,58 +40,64 @@ func (v *VOQSet) SaveState(e *ckpt.Encoder) {
 }
 
 // LoadState restores a VOQ array saved by SaveState into v, which must
-// be freshly constructed (empty) with the same output count.
-func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("voqs"); err != nil {
-		return err
-	}
+// be freshly constructed (empty) with the same output count. Queued
+// cells must travel between ports of the engine, in [0, ports).
+func (v *VOQSet) LoadState(d *ckpt.Decoder, ports int) {
+	d.Begin("voqs")
 	r := d.Record("voqset")
-	n := r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if n != v.n {
-		return fmt.Errorf("voq: checkpoint VOQ set has %d outputs, live set %d", n, v.n)
+	n := r.Int()
+	r.Done()
+	if n != int64(v.n) {
+		d.Fail(fmt.Errorf("voq: checkpoint VOQ set has %d outputs, live set %d", n, v.n))
+		return
 	}
 	if v.depth != 0 {
-		return fmt.Errorf("voq: LoadState into non-empty VOQ set (depth %d)", v.depth)
+		d.Fail(fmt.Errorf("voq: LoadState into non-empty VOQ set (depth %d)", v.depth))
+		return
+	}
+	// Records come in the order SaveState writes them: nonzero
+	// commitments by output, then non-empty queues by (class, output).
+	// order is each record's rank in that order.
+	prev := -1
+	inOrder := func(order int) bool {
+		if order <= prev {
+			d.Fail(errors.New("voq: checkpoint record repeated or out of (commitments, class, output) order"))
+			return false
+		}
+		prev = order
+		return true
 	}
 	for !d.AtEnd("voqs") {
 		switch key := d.PeekKey(); key {
 		case "comm":
 			cr := d.Record("comm")
-			out, c := cr.IntAsInt(), cr.IntAsInt()
-			if err := cr.Done(); err != nil {
-				return err
-			}
-			if out < 0 || out >= v.n || c < 0 || c > math.MaxInt32 {
-				return fmt.Errorf("voq: checkpoint commitment %d at output %d out of range", c, out)
+			out, c := cr.IntIn(0, v.n), cr.IntIn(1, math.MaxInt32+1)
+			cr.Done()
+			if !inOrder(out) {
+				return
 			}
 			v.outs[out].committed = int32(c)
 		case "q":
 			qr := d.Record("q")
-			class, out, count := qr.IntAsInt(), qr.IntAsInt(), qr.IntAsInt()
-			if err := qr.Done(); err != nil {
-				return err
+			class, out, count := qr.IntIn(0, 2), qr.IntIn(0, v.n), qr.Count()
+			qr.Done()
+			if !inOrder(v.n*(1+class) + out) {
+				return
 			}
-			if class < 0 || class > 1 || out < 0 || out >= v.n || count <= 0 {
-				return fmt.Errorf("voq: checkpoint queue (%d,%d) x%d out of range", class, out, count)
-			}
-			if v.Backlog(out)+count > math.MaxInt32 {
-				return fmt.Errorf("voq: checkpoint output %d holds more than %d cells", out, math.MaxInt32)
+			if count == 0 || v.Backlog(out)+count > math.MaxInt32 {
+				d.Fail(fmt.Errorf("voq: checkpoint queue (%d,%d) holds %d cells, want 1 to %d", class, out, count, math.MaxInt32-v.Backlog(out)))
+				return
 			}
 			for i := 0; i < count; i++ {
-				c, err := packet.LoadCell(d)
-				if err != nil {
-					return err
-				}
+				c := packet.LoadCell(d, ports)
 				if c.Class != packet.Class(class) {
-					return fmt.Errorf("voq: cell %d class %v in class-%d queue", c.ID, c.Class, class)
+					d.Fail(fmt.Errorf("voq: cell %d class %v in class-%d queue", c.ID, c.Class, class))
 				}
 				v.Push(c, out)
 			}
 		default:
-			return fmt.Errorf("voq: unexpected record %q in VOQ checkpoint", key)
+			d.Fail(fmt.Errorf("voq: unexpected record %q in VOQ checkpoint", key))
+			return
 		}
 	}
 	// The backlog counters and occupancy row are derived state, kept by
@@ -99,7 +106,7 @@ func (v *VOQSet) LoadState(d *ckpt.Decoder) error {
 	for out := range v.outs {
 		v.syncOcc(out)
 	}
-	return d.End("voqs")
+	d.End("voqs")
 }
 
 // SaveState serializes the egress adapter: line counters and the queued
@@ -113,30 +120,21 @@ func (e *Egress) SaveState(enc *ckpt.Encoder) {
 
 // LoadState restores an egress adapter saved by SaveState into e, which
 // must be freshly constructed (empty). Receivers/Capacity are
-// configuration, not state, and are left untouched.
-func (e *Egress) LoadState(d *ckpt.Decoder) error {
-	if err := d.Begin("egress"); err != nil {
-		return err
-	}
+// configuration, not state, and are left untouched. Queued cells must
+// travel between ports of the engine, in [0, ports).
+func (e *Egress) LoadState(d *ckpt.Decoder, ports int) {
+	d.Begin("egress")
 	r := d.Record("eg")
-	received, drained, queued := r.Uint(), r.Uint(), r.IntAsInt()
-	if err := r.Done(); err != nil {
-		return err
-	}
+	received, drained, queued := r.Uint(), r.Uint(), r.Count()
+	r.Done()
 	if e.q.Len() != 0 {
-		return fmt.Errorf("voq: LoadState into non-empty egress (%d queued)", e.q.Len())
-	}
-	if queued < 0 {
-		return fmt.Errorf("voq: checkpoint egress queue length %d", queued)
+		d.Fail(fmt.Errorf("voq: LoadState into non-empty egress (%d queued)", e.q.Len()))
+		return
 	}
 	e.received = received
 	e.drained = drained
 	for i := 0; i < queued; i++ {
-		c, err := packet.LoadCell(d)
-		if err != nil {
-			return err
-		}
-		e.q.Push(c)
+		e.q.Push(packet.LoadCell(d, ports))
 	}
-	return d.End("egress")
+	d.End("egress")
 }

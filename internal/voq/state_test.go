@@ -22,9 +22,7 @@ func roundTripVOQ(t *testing.T, v *VOQSet) *VOQSet {
 	if err != nil {
 		t.Fatalf("decoder: %v", err)
 	}
-	if err := fresh.LoadState(d); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	fresh.LoadState(d, v.n)
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -97,9 +95,7 @@ func TestEgressCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoder: %v", err)
 	}
-	if err := fresh.LoadState(d); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	fresh.LoadState(d, 3)
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -133,7 +129,7 @@ func TestVOQLoadRejectsWrongShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.LoadState(d); err == nil {
+	if other.LoadState(d, 8); d.Err() == nil {
 		t.Fatal("4-output VOQ checkpoint restored into 8-output set")
 	}
 }
